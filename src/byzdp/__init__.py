@@ -7,8 +7,8 @@ from .diagnostics import (ConvergenceBound, EtaBounds, VnMargin, batch_mean_vari
                           convergence_bound, eta_bounds, find_vn_violation,
                           monte_carlo_submission_variance, sigma_total,
                           submission_variance, vn_margin)
-from .engine import (CellResult, GradientMessage, MetricsRecord, RunConfig,
-                     RunResult, initial_theta, run, sweep, worker_stream)
+from .engine import (CellResult, MetricsRecord, RunConfig, RunResult, initial_theta,
+                     run, sweep, worker_stream)
 from .errors import (CalibrationError, CapacityError, ConfigurationError,
                      ContractViolationError, DataLoadError)
 from .model import (ClipParams, Dataset, Model, accuracy, batch_grads, clip,

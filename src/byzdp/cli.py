@@ -20,14 +20,15 @@ import numpy as np
 
 from .aggregation import GarSpec, kappa
 from .attack import AttackSpec
-from .diagnostics import convergence_bound, eta_bounds, find_vn_violation, sigma_total
+from .diagnostics import (EtaBounds, convergence_bound, eta_bounds, find_vn_violation,
+                          sigma_total)
 from .engine import (CellResult, MetricsRecord, RunConfig, cell_digest, initial_theta,
                      run, sweep)
 from .errors import (CalibrationError, ConfigurationError,
                      ContractViolationError, DataLoadError)
 from .model import (ClipParams, Dataset, Model, full_loss, gaussian_blobs, load_csv,
                     logistic_model, mlp1_model, estimate_min_loss, population_variance,
-                    quadratic_model, regression_targets)
+                    quadratic_model, regression_targets, smoothness_constant)
 from .privacy import PrivacyParams, compose
 
 CONFIG_ERRORS = (ConfigurationError, ContractViolationError, DataLoadError,
@@ -224,15 +225,29 @@ def _fmt_config_value(value) -> str:
     return str(value)
 
 
-def _upsilon(cfg: dict, config: RunConfig) -> float:
+def theory_report(cfg: dict, config: RunConfig) -> tuple[float, float, EtaBounds | None]:
+    """(kappa, upsilon, eta^2 thresholds) of a configuration.
+
+    upsilon is the config value when set, else the standard deviation of the
+    per-point gradients at theta_1. The thresholds are None without a privacy
+    budget. Raises ConfigurationError for a rule without a kappa (average).
+    """
+    kap = kappa(config.gar).value
     if cfg.get("upsilon") is not None:
-        return float(cfg["upsilon"])
-    theta1 = initial_theta(config)
-    return math.sqrt(population_variance(config.model, theta1, config.dataset))
+        ups = float(cfg["upsilon"])
+    else:
+        theta1 = initial_theta(config)
+        ups = math.sqrt(population_variance(config.model, theta1, config.dataset))
+    if config.privacy is None:
+        return kap, ups, None
+    privacy = config.privacy
+    bounds = eta_bounds(kap, privacy.c, config.model.dim, config.b, config.dataset.m,
+                        privacy.epsilon, privacy.delta, ups)
+    return kap, ups, bounds
 
 
-def run_summary(cfg: dict, config: RunConfig, run_id: str,
-                records: list[MetricsRecord], result) -> dict:
+def run_summary(cfg: dict, config: RunConfig, run_id: str, result) -> dict:
+    records = result.records
     summary: dict = {
         "run_id": run_id,
         "rounds_recorded": len(records),
@@ -248,12 +263,9 @@ def run_summary(cfg: dict, config: RunConfig, run_id: str,
             config.privacy.epsilon, config.privacy.delta, config.steps,
             cfg.get("delta_slack", 1e-4)).as_dict()
         if config.gar.rule != "average":
-            ups = _upsilon(cfg, config)
-            bounds = eta_bounds(kappa(config.gar).value, config.privacy.c,
-                                config.model.dim, config.b, config.dataset.m,
-                                config.privacy.epsilon, config.privacy.delta, ups)
+            kap, ups, bounds = theory_report(cfg, config)
             summary["eta_bounds"] = {
-                "kappa": bounds.kappa,
+                "kappa": kap,
                 "upsilon": ups,
                 "eta_sq_necessary": bounds.eta_sq_necessary,
                 "eta_sq_sufficient": bounds.eta_sq_sufficient,
@@ -275,7 +287,7 @@ def cmd_run(args) -> int:
     result = run(config)
     _atomic_write(os.path.join(out_dir, "metrics.csv"),
                   metrics_csv_text(run_id, result.records, config))
-    summary = run_summary(cfg, config, run_id, result.records, result)
+    summary = run_summary(cfg, config, run_id, result)
     _atomic_write(os.path.join(out_dir, "summary.json"),
                   json.dumps(summary, indent=2, sort_keys=True) + "\n")
     _atomic_write(os.path.join(out_dir, "config.resolved"), resolved_config_text(resolved))
@@ -352,9 +364,8 @@ def cmd_sweep(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
     for res in results:
         if res.ok:
-            cell_config = _cell_run_config(base, res)
             _atomic_write(os.path.join(out_dir, f"metrics-{res.cell_id}.csv"),
-                          metrics_csv_text(res.cell_id, res.records, cell_config))
+                          metrics_csv_text(res.cell_id, res.records, res.config))
     _atomic_write(os.path.join(out_dir, "summary.csv"), summary_csv_text(results))
     _atomic_write(os.path.join(out_dir, "aggregate.csv"), aggregate_csv_text(results))
     _atomic_write(os.path.join(out_dir, "config.resolved"), resolved_config_text(cfg))
@@ -367,28 +378,17 @@ def cmd_sweep(args) -> int:
     return 0 if n_ok > 0 else 3
 
 
-def _cell_run_config(base: RunConfig, res: CellResult) -> RunConfig:
-    # rebuild the cell's configuration so the CSV writer sees its fields
-    from .engine import _resolve_cell
-    return _resolve_cell(base, dict(res.params))
-
-
 def cmd_diagnose(args) -> int:
     cfg = parse_config(args.config)
     seed = resolve_seed(cfg, None)
     config = build_run_config(cfg, seed)
-    kap = kappa(config.gar).value
+    kap, ups, bounds = theory_report(cfg, config)
     print(f"kappa({config.gar.rule}, n={config.n}, f={config.f}) = {kap:.8g}")
     print(f"s = {config.s:.8g}")
     if config.privacy is not None:
         print(f"epsilon_inner = {config.privacy.epsilon_inner:.8g}")
-    ups = _upsilon(cfg, config)
     print(f"upsilon = {ups:.8g} ({'config' if cfg.get('upsilon') is not None else 'at theta_1'})")
-    eta_sq = None
-    if config.privacy is not None:
-        bounds = eta_bounds(kap, config.privacy.c, config.model.dim, config.b,
-                            config.dataset.m, config.privacy.epsilon,
-                            config.privacy.delta, ups)
+    if bounds is not None:
         print(f"eta_sq_necessary = {bounds.eta_sq_necessary:.8g}")
         print(f"eta_sq_sufficient = {bounds.eta_sq_sufficient:.8g}")
         eta_sq = bounds.eta_sq_sufficient
@@ -399,7 +399,6 @@ def cmd_diagnose(args) -> int:
         sig = sigma_total(ups, config.model.dim, config.s, config.clip.c)
         print(f"sigma = {sig:.8g}")
         if config.model.kind in ("quadratic", "logistic"):
-            from .model import smoothness_constant
             lips = smoothness_constant(config.model, config.dataset)
             theta1 = initial_theta(config)
             q_init = full_loss(config.model, theta1, config.dataset)

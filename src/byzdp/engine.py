@@ -24,7 +24,7 @@ from itertools import product
 import numpy as np
 
 from .aggregation import GarSpec, aggregate
-from .attack import DEFAULT_ZETA, AttackSpec, forge
+from .attack import AttackSpec, forge
 from .errors import CapacityError, ConfigurationError, ContractViolationError
 from .model import (ClipParams, Dataset, Model, accuracy, batch_grads, clip,
                     full_grad, full_loss, sample_batch)
@@ -82,17 +82,6 @@ class _StreamPool:
 
 
 # -------------------------------------------------------------------- types
-
-@dataclass(frozen=True)
-class GradientMessage:
-    """One worker's submission; the forged flag exists for auditing only and
-    is never read during aggregation."""
-
-    worker_id: int
-    round_no: int
-    vector: np.ndarray
-    is_byzantine: bool
-
 
 @dataclass(frozen=True)
 class MetricsRecord:
@@ -187,7 +176,7 @@ class RunConfig:
 class RunResult:
     records: list[MetricsRecord]
     theta: np.ndarray
-    messages: list[list[GradientMessage]] | None = None
+    messages: np.ndarray | None = None
 
     @property
     def max_accuracy(self) -> float | None:
@@ -210,6 +199,10 @@ def run(config: RunConfig, record_messages: bool = False) -> RunResult:
 
     Metrics are taken at theta_t (before the update) on every round divisible
     by eval_every, using the exact full-dataset gradient and loss.
+
+    With record_messages, ``RunResult.messages`` is a (steps, n, d) array whose
+    entry [t - 1, w] is the vector worker w submitted in round t. Rows
+    n - f .. n - 1 of each round are the forged submissions.
     """
     model, dataset = config.model, config.dataset
     n, f, b, d = config.n, config.f, config.b, model.dim
@@ -222,7 +215,7 @@ def run(config: RunConfig, record_messages: bool = False) -> RunResult:
     theta = initial_theta(config)
     momenta = np.zeros((n_honest, d)) if config.momentum > 0.0 else None
     records: list[MetricsRecord] = []
-    message_log: list[list[GradientMessage]] | None = [] if record_messages else None
+    messages = np.empty((config.steps, n, d)) if record_messages else None
     min_sq = math.inf
 
     for t in range(1, config.steps + 1):
@@ -268,15 +261,13 @@ def run(config: RunConfig, record_messages: bool = False) -> RunResult:
         else:
             all_messages = submissions
 
-        if message_log is not None:
-            message_log.append([
-                GradientMessage(w, t, all_messages[w].copy(), w >= n_honest)
-                for w in range(n)])
+        if messages is not None:
+            messages[t - 1] = all_messages
 
         r_t = aggregate(config.gar, all_messages)
         theta = theta - gamma_t * r_t
 
-    return RunResult(records, theta, message_log)
+    return RunResult(records, theta, messages)
 
 
 # -------------------------------------------------------------------- sweep
@@ -294,6 +285,8 @@ class CellResult:
     min_sq_grad_norm: float | None = None
     final_loss: float | None = None
     records: list[MetricsRecord] | None = None
+    # the resolved configuration; None when the cell's overrides did not resolve
+    config: RunConfig | None = field(default=None, compare=False, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -315,8 +308,8 @@ def _resolve_cell(base: RunConfig, overrides: dict) -> RunConfig:
 
     if "attack" in overrides:
         kind = overrides["attack"]
-        zeta = base.attack.zeta if kind == base.attack.kind else DEFAULT_ZETA[kind]
-        atk = AttackSpec(kind, zeta)
+        # a new kind takes its default zeta; AttackSpec rejects unknown kinds
+        atk = AttackSpec(kind, base.attack.zeta if kind == base.attack.kind else None)
     else:
         atk = base.attack
 
@@ -335,16 +328,7 @@ def _resolve_cell(base: RunConfig, overrides: dict) -> RunConfig:
                    clip=base.clip if privacy is None else None)
 
 
-def _cell_params(base: RunConfig, config: RunConfig | None, overrides: dict) -> dict:
-    if config is not None:
-        return {
-            "b": config.b,
-            "epsilon": None if config.privacy is None else config.privacy.epsilon,
-            "gar": config.gar.rule,
-            "attack": config.attack.kind,
-            "f": config.f,
-            "seed": config.master_seed,
-        }
+def _cell_params(base: RunConfig, overrides: dict) -> dict:
     params = {
         "b": base.b,
         "epsilon": None if base.privacy is None else base.privacy.epsilon,
@@ -361,19 +345,16 @@ def _cell_params(base: RunConfig, config: RunConfig | None, overrides: dict) -> 
 
 def _run_cell(args) -> CellResult:
     base, overrides = args
+    params = _cell_params(base, overrides)
+    cell_id = cell_digest(params)
+    config = None
     try:
         config = _resolve_cell(base, overrides)
-    except (ConfigurationError, ContractViolationError) as exc:
-        params = _cell_params(base, None, overrides)
-        return CellResult(cell_digest(params), params, "failed", reason=str(exc))
-    params = _cell_params(base, config, overrides)
-    try:
         result = run(config)
     except (ConfigurationError, ContractViolationError, CapacityError) as exc:
-        return CellResult(cell_digest(params), params, "failed", reason=str(exc))
-    return CellResult(cell_digest(params), params, "ok", None,
-                      result.max_accuracy, result.min_sq_grad_norm,
-                      result.final_loss, result.records)
+        return CellResult(cell_id, params, "failed", reason=str(exc), config=config)
+    return CellResult(cell_id, params, "ok", None, result.max_accuracy,
+                      result.min_sq_grad_norm, result.final_loss, result.records, config)
 
 
 def sweep(base: RunConfig, grid: dict, jobs: int = 1) -> list[CellResult]:
@@ -383,7 +364,8 @@ def sweep(base: RunConfig, grid: dict, jobs: int = 1) -> list[CellResult]:
     recalibrates the noise scale from the base privacy budget; the string
     "none" on the epsilon axis disables privacy for that cell. Invalid cells
     are reported as failed and do not stop the sweep. Results are returned in
-    deterministic product order regardless of the job count.
+    deterministic product order regardless of the job count, each with the
+    RunConfig its cell resolved to.
     """
     if not grid:
         raise ContractViolationError("sweep grid must not be empty")
@@ -397,6 +379,12 @@ def sweep(base: RunConfig, grid: dict, jobs: int = 1) -> list[CellResult]:
     cells = [dict(zip(axes, combo)) for combo in product(*(grid[a] for a in axes))]
     tasks = [(base, overrides) for overrides in cells]
     if jobs > 1:
+        results = []
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_run_cell, tasks))
+            for res in pool.map(_run_cell, tasks):
+                # an unpickled config carries its own copy of the dataset; share one
+                if res.config is not None:
+                    res.config.dataset = base.dataset
+                results.append(res)
+        return results
     return [_run_cell(task) for task in tasks]

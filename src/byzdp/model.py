@@ -393,17 +393,18 @@ def estimate_min_loss(model: Model, dataset: Dataset, max_iters: int = 20000,
     """Upper bound on the minimum empirical loss via full-batch descent.
 
     Exact (from the closed-form minimizer) for the quadratic kind; for the
-    others this runs deterministic gradient descent from zero and should be
-    read as an upper bound on the true minimum.
+    logistic kind this runs deterministic gradient descent from zero with step
+    1/L and should be read as an upper bound on the true minimum. The mlp1
+    kind has no smoothness constant L and raises ConfigurationError.
     """
     if model.kind == "quadratic":
         return full_loss(model, quadratic_minimizer(model, dataset), dataset)
+    lips = smoothness_constant(model, dataset)
     theta = np.zeros(model.dim)
-    lips = smoothness_constant(model, dataset) if model.kind == "logistic" else None
-    step = 1.0 / lips if lips else 0.1
     for _ in range(max_iters):
         g = full_grad(model, theta, dataset)
         if float(np.linalg.norm(g)) < tol:
             break
-        theta = theta - step * g
+        # a nonzero gradient implies lips > 0
+        theta = theta - (1.0 / lips) * g
     return full_loss(model, theta, dataset)

@@ -2,7 +2,7 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the verdict lines.
 Criteria 6 and 7 execute full simulations and dominate the runtime (about
-one and two minutes respectively on a desktop CPU).
+55-65 s and 12-14 s respectively on a 2-CPU machine).
 """
 
 import csv

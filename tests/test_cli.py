@@ -219,7 +219,11 @@ def test_sweep_jobs_do_not_change_results(tmp_path):
     out1, out8 = str(tmp_path / "j1"), str(tmp_path / "j8")
     assert main(["sweep", cfg, "--jobs", "1", "--out", out1]) == 0
     assert main(["sweep", cfg, "--jobs", "8", "--out", out8]) == 0
-    for name in ("summary.csv", "aggregate.csv"):
+    # the metrics files are written from configs returned by the pool workers
+    cells = sorted(f for f in os.listdir(out1) if f.startswith("metrics-"))
+    assert len(cells) == 10
+    assert sorted(f for f in os.listdir(out8) if f.startswith("metrics-")) == cells
+    for name in ("summary.csv", "aggregate.csv", *cells):
         assert open(os.path.join(out1, name), "rb").read() == \
                open(os.path.join(out8, name), "rb").read()
 

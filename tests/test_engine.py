@@ -104,14 +104,15 @@ def test_momentum_buffer_matches_manual_recursion():
                        b=30, steps=2, schedule="constant", gamma=0.1,
                        momentum=0.9, master_seed=2)
     result = run(config, record_messages=True)
+    assert result.messages.shape == (2, 3, 3)  # (steps, n, d)
     theta1 = initial_theta(config)
     g1 = batch_grads(model, theta1, ds.features).mean(axis=0)
     v1 = g1  # buffer starts at zero
-    assert np.allclose(result.messages[0][0].vector, v1, rtol=0, atol=0)
+    assert np.allclose(result.messages[0, 0], v1, rtol=0, atol=0)
     theta2 = theta1 - 0.1 * v1
     g2 = batch_grads(model, theta2, ds.features).mean(axis=0)
     v2 = 0.9 * v1 + g2
-    assert np.array_equal(result.messages[1][0].vector, v2)
+    assert np.array_equal(result.messages[1, 0], v2)
 
 
 # ----------------------------------------------------- forged-worker rounds
@@ -137,14 +138,14 @@ def test_audit_flags_do_not_influence_aggregation():
                        schedule="constant", gamma=0.2, master_seed=4,
                        privacy=PrivacyParams(0.5, 1e-4, 1.0, 8, 40))
     result = run(config, record_messages=True)
+    assert result.messages.shape == (3, 7, 3)
     for round_msgs in result.messages:
-        vectors = [m.vector for m in round_msgs]
-        r_original = aggregate(config.gar, vectors)
-        flipped = [m.vector for m in reversed(round_msgs)]  # flags scrambled
-        r_flipped = aggregate(config.gar, flipped)
+        r_original = aggregate(config.gar, round_msgs)
+        r_flipped = aggregate(config.gar, round_msgs[::-1])  # forged rows moved first
         np.testing.assert_allclose(r_original, r_flipped, rtol=1e-12, atol=1e-15)
-        assert sum(m.is_byzantine for m in round_msgs) == 2
-        assert all(m.is_byzantine == (m.worker_id >= 5) for m in round_msgs)
+        # the last f = 2 rows, and only those, carry the vector forged from the others
+        forged = forge(config.attack, round_msgs[:5])
+        assert [np.array_equal(row, forged) for row in round_msgs] == [False] * 5 + [True] * 2
 
 
 def test_honest_message_norm_bounded_without_momentum():
@@ -155,11 +156,12 @@ def test_honest_message_norm_bounded_without_momentum():
                        b=10, steps=4, privacy=privacy, schedule="constant",
                        gamma=0.5, master_seed=11)
     result = run(config, record_messages=True)
+    assert result.messages.shape == (4, 5, 5)
     for t, round_msgs in enumerate(result.messages, start=1):
-        for msg in round_msgs:
+        for worker_id, vector in enumerate(round_msgs):
             noise = gaussian_noise(5, privacy.s,
-                                   worker_stream(11, msg.worker_id, t, PURPOSE_NOISE))
-            assert np.linalg.norm(msg.vector - noise) <= 0.8 * (1 + 1e-12)
+                                   worker_stream(11, worker_id, t, PURPOSE_NOISE))
+            assert np.linalg.norm(vector - noise) <= 0.8 * (1 + 1e-12)
 
 
 # ------------------------------------------------------------- determinism
@@ -268,6 +270,13 @@ def test_sweep_isolates_invalid_cells():
     assert by_rule["median"].ok
     assert not by_rule["bulyan"].ok  # needs n >= 4f+3 = 7 > 5
     assert "4f+3" in by_rule["bulyan"].reason
+    # an unknown attack kind fails its cell instead of the sweep
+    results = sweep(base, {"attack": ["bogus", "empire"]})
+    assert [r.status for r in results] == ["failed", "ok"]
+    assert "unknown attack kind 'bogus'" in results[0].reason
+    assert results[0].params["attack"] == "bogus"
+    assert results[0].config is None
+    assert results[1].config.attack == AttackSpec("empire")  # the default zeta
 
 
 def test_sweep_parallel_matches_serial():
@@ -280,6 +289,7 @@ def test_sweep_parallel_matches_serial():
         assert a.params == b.params
         assert a.max_accuracy == b.max_accuracy
         assert a.min_sq_grad_norm == b.min_sq_grad_norm
+        assert a.config.dataset is b.config.dataset is base.dataset  # no copy per cell
 
 
 def test_sweep_epsilon_axis_recalibrates():

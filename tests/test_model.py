@@ -10,7 +10,7 @@ from byzdp import (ClipParams, ContractViolationError, ConfigurationError, Datas
                    logistic_model, mlp1_model, point_grad, population_variance,
                    quadratic_minimizer, quadratic_model, regression_targets,
                    sample_batch, smoothness_constant, worker_stream)
-from byzdp.model import batch_losses
+from byzdp.model import batch_losses, estimate_min_loss
 
 
 def fd_point_grad(model, theta, x, label=None, h=1e-6):
@@ -219,6 +219,15 @@ def test_smoothness_closed_forms():
     assert smoothness_constant(logistic_model(2, lam=0.2), ds) == pytest.approx(0.25 * 25 + 0.2)
     with pytest.raises(ConfigurationError):
         smoothness_constant(mlp1_model(2, 3))
+
+
+def test_estimate_min_loss_descent_step():
+    # the descent step is 1/L: mlp1 has no smoothness constant L
+    with pytest.raises(ConfigurationError):
+        estimate_min_loss(mlp1_model(2, 3), gaussian_blobs(0, 10, 2))
+    # L = 0 (all-zero features, no regularizer) means a constant loss of ln 2
+    ds = Dataset(np.zeros((4, 2)), np.array([1.0, -1.0, 1.0, -1.0]))
+    assert estimate_min_loss(logistic_model(2), ds) == pytest.approx(np.log(2.0))
 
 
 def test_quadratic_gradient_is_lipschitz_with_exact_constant():
