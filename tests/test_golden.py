@@ -47,6 +47,24 @@ SWEEP_SMALL = {
 }
 
 
+SWEEP_SELECTION_RULES = {
+    "aggregate.csv": "88278bfc91b47380e601472376be129481f31b73bace75a8353dee7144f9469c",
+    "metrics-1aef64bdb20c.csv": "92104a2e41d85e66caee791f5c640bebc29546c53c1f3afa9a962c668de1b8cd",
+    "metrics-7ac7b7466867.csv": "4154ffaf7bebb118ca041493968bfdb0841b57f05a1c1af70b593dd160388e0b",
+    "metrics-9e2353ccf536.csv": "af3a6a6e61427773439f753b1f612ff5af560c860913d618324bf6746af2fd0c",
+    "metrics-a208a038fe71.csv": "f56033c0c9b7242ee661f2be53b7dbd2115a4e018d6c91e41c86a43e940d2603",
+    "metrics-a88ff7a57895.csv": "30a472bda1014b93f1a0efdb7cb40a36d460cef1dd392e80f40fa8c0f9784a2a",
+    "metrics-b3339bc0e8a0.csv": "7b36873fa8499cc5ed8ffcfb13a1f4853595d483de8ca7197ec676627abebf26",
+    "metrics-bdaaefc71151.csv": "9b25109ef29624b777b4f61533ce8964e4a2d45c9e519db1a7aa192b8ac9e54a",
+    "metrics-becdc595fe75.csv": "79ac9b359dd85f6dfde492135f016c76107cb0b2e31309e05c9269fb84778725",
+    "metrics-d4f47d2a844e.csv": "b64bd924ebda6a187cb7f6ebd1cb653494fde595151d75f0c87b6b120f19c25a",
+    "metrics-d94077c5e346.csv": "72944614a6e44eb061bbdb9178e94efdeeed9bfbd63f7287c05a13746ed03903",
+    "metrics-f5a948017ae5.csv": "78bf32c88bb15f15b87dd5eed71065d6560f9142f005666db39982b14adc9a32",
+    "metrics-f84cf1b64a97.csv": "bf0ff20c3147e4ba38ceec9ba1fad7dc4e0d79e51f5067b45864640df5c0c39b",
+    "summary.csv": "4218517558546b243318591e1c214c9d858208bbc22db8c78854554105a0c010",
+}
+
+
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -65,22 +83,23 @@ def _run_digests(tmp_path, cfg_name: str) -> dict:
     return _file_digests(out, ("metrics.csv", "summary.json"))
 
 
-def _small_sweep_config(tmp_path) -> str:
-    """The batch-size demo sweep cut to 30 steps and 2 seeds, with a no-privacy arm."""
+def _small_sweep_config(tmp_path, seeds: str, batch_sizes: str, extra: str) -> str:
+    """The batch-size demo sweep cut to 30 steps and the given seed and b axes."""
     with open(os.path.join(CONFIGS, "sweep_batch_size.cfg"), encoding="utf-8") as fh:
         text = fh.read()
     for old, new in (("steps = 300", "steps = 30"),
-                     ("grid_seed = [1, 2, 3, 4, 5]", "grid_seed = [1, 2]")):
+                     ("grid_seed = [1, 2, 3, 4, 5]", f"grid_seed = {seeds}"),
+                     ("grid_batch_size = [16, 128, 512]", f"grid_batch_size = {batch_sizes}")):
         assert old in text
         text = text.replace(old, new)
     path = tmp_path / "sweep_small.cfg"
-    path.write_text(text + "grid_epsilon = [0.2, none]\n")
+    path.write_text(text + extra)
     return str(path)
 
 
-def _sweep_digests(tmp_path) -> dict:
+def _sweep_digests(tmp_path, cfg_path: str) -> dict:
     out = str(tmp_path / "sweep")
-    assert main(["sweep", _small_sweep_config(tmp_path), "--out", out]) == 0
+    assert main(["sweep", cfg_path, "--out", out]) == 0
     names = sorted(name for name in os.listdir(out)
                    if name.startswith("metrics-") or name in ("summary.csv", "aggregate.csv"))
     return _file_digests(out, names)
@@ -108,6 +127,17 @@ def test_golden_diagnose_mda(tmp_path, capsys, variant):
 
 
 def test_golden_sweep(tmp_path):
-    digests = _sweep_digests(tmp_path)
+    cfg = _small_sweep_config(tmp_path, "[1, 2]", "[16, 128, 512]",
+                              "grid_epsilon = [0.2, none]\n")
+    digests = _sweep_digests(tmp_path, cfg)
     assert len(digests) == 14  # 12 cells, each ok, plus summary.csv and aggregate.csv
     assert digests == SWEEP_SMALL
+
+
+def test_golden_sweep_selection_rules(tmp_path):
+    """krum, median and bulyan at f = 1 and f = 3 (bulyan averages 9 and 1 values)."""
+    cfg = _small_sweep_config(tmp_path, "[1]", "[16, 512]",
+                              "grid_gar = [krum, median, bulyan]\ngrid_f = [1, 3]\n")
+    digests = _sweep_digests(tmp_path, cfg)
+    assert len(digests) == 14  # 12 cells, each ok, plus summary.csv and aggregate.csv
+    assert digests == SWEEP_SELECTION_RULES
