@@ -36,4 +36,4 @@ print("\nexact minimum-diameter search agrees with the brute-force oracle:",
 print("\nmultiplicative constants at n = 15, f = 3 "
       "(smaller tolerates more submission variance):")
 for rule in ("mda", "median", "krum", "bulyan"):
-    print(f"  kappa_{rule:7s} = {kappa(GarSpec(rule, 15, 3)).value:.4f}")
+    print(f"  kappa_{rule:7s} = {kappa(GarSpec(rule, 15, 3)):.4f}")

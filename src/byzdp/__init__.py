@@ -1,12 +1,11 @@
 """Simulator and diagnostics for distributed SGD that is differentially
 private at the honest workers and Byzantine-resilient at the server."""
 
-from .aggregation import GarSpec, KappaValue, aggregate, kappa, mda_bruteforce
+from .aggregation import GarSpec, aggregate, kappa, mda_bruteforce
 from .attack import AttackSpec, forge
-from .diagnostics import (ConvergenceBound, EtaBounds, VnMargin, batch_mean_variance,
-                          convergence_bound, eta_bounds, find_vn_violation,
-                          monte_carlo_submission_variance, sigma_total,
-                          submission_variance, vn_margin)
+from .diagnostics import (EtaBounds, VnMargin, batch_mean_variance, convergence_bound,
+                          eta_bounds, find_vn_violation, monte_carlo_submission_variance,
+                          sigma_total, submission_variance, vn_margin)
 from .engine import (CellResult, MetricsRecord, RunConfig, RunResult, initial_theta,
                      run, sweep, worker_stream)
 from .errors import (CalibrationError, CapacityError, ConfigurationError,
@@ -17,8 +16,8 @@ from .model import (ClipParams, Dataset, Model, accuracy, batch_grads, clip,
                     quadratic_model, regression_targets, sample_batch,
                     smoothness_constant)
 from .privacy import (CompositionReport, PrivacyParams, PrivacyRegimeWarning,
-                      amplified_epsilon, compose, gaussian_noise, inner_epsilon,
-                      noise_scale, sensitivity_mean_grad)
+                      amplified_epsilon, compose, delta_log_factor, gaussian_noise,
+                      inner_epsilon, noise_scale, sensitivity_mean_grad)
 
 __version__ = "0.1.0"
 

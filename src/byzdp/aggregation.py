@@ -55,32 +55,23 @@ class GarSpec:
             raise ConfigurationError(f"{self.rule} needs n >= 2f+1, got n={self.n}, f={self.f}")
 
 
-@dataclass(frozen=True)
-class KappaValue:
-    """The multiplicative constant of a rule in the variance-to-norm condition."""
-
-    value: float
-    rule: str
-    n: int
-    f: int
-
-
 def _kappa_krum(n: int, f: int) -> float:
     return math.sqrt(2.0 * (n - f + (f * (n - f - 2) + f * f * (n - f - 1)) / (n - 2 * f - 2)))
 
 
-def kappa(spec: GarSpec) -> KappaValue:
-    """Closed-form constant for the rule; undefined for plain averaging."""
+def kappa(spec: GarSpec) -> float:
+    """Closed-form constant of the rule in the variance-to-norm condition.
+
+    Undefined for plain averaging.
+    """
     n, f = spec.n, spec.f
     if spec.rule == "average":
         raise ConfigurationError("no kappa constant defined for the average rule")
     if spec.rule in ("krum", "bulyan"):
-        value = _kappa_krum(n, f)
-    elif spec.rule == "mda":
-        value = math.sqrt(8.0) * f / (n - f)
-    else:
-        value = math.sqrt(n - f)
-    return KappaValue(value, spec.rule, n, f)
+        return _kappa_krum(n, f)
+    if spec.rule == "mda":
+        return math.sqrt(8.0) * f / (n - f)
+    return math.sqrt(n - f)
 
 
 # ------------------------------------------------------------------ helpers
@@ -170,11 +161,10 @@ def _bulyan(g: np.ndarray, f: int) -> np.ndarray:
     med = np.median(sel, axis=0)
     beta = n - 4 * f - 2
     absdiff = np.abs(sel - med[None, :])
-    out = np.empty(g.shape[1])
-    for j in range(g.shape[1]):
-        order = np.lexsort((sel[:, j], absdiff[:, j]))
-        out[j] = sel[order[:beta], j].mean()
-    return out
+    order = np.lexsort((sel, absdiff), axis=0)[:beta]
+    vals = np.take_along_axis(sel, order, axis=0)
+    # one contiguous row per coordinate keeps the summation order of a 1-D mean
+    return np.ascontiguousarray(vals.T).mean(axis=1)
 
 
 def aggregate(spec: GarSpec, grads, mda_cap: int = MDA_SUBSET_CAP) -> np.ndarray:

@@ -3,8 +3,9 @@
 Configs are flat ``key = value`` text files; ``#`` starts a comment and grid
 axes take bracketed lists, e.g. ``grid_batch_size = [16, 512]``. Unknown keys
 are rejected. Exit codes: 0 success, 2 configuration error, 3 runtime error.
-The environment variable BYZDP_SEED overrides master_seed; the --seed flag
-overrides both.
+The environment variable BYZDP_SEED overrides master_seed. Only ``run`` has a
+--seed flag, which overrides both; ``sweep`` and ``diagnose`` read only
+BYZDP_SEED.
 """
 
 from __future__ import annotations
@@ -24,15 +25,14 @@ from .diagnostics import (EtaBounds, convergence_bound, eta_bounds, find_vn_viol
                           sigma_total)
 from .engine import (CellResult, MetricsRecord, RunConfig, cell_digest, initial_theta,
                      run, sweep)
-from .errors import (CalibrationError, ConfigurationError,
-                     ContractViolationError, DataLoadError)
+from .errors import ConfigurationError, ContractViolationError, DataLoadError
 from .model import (ClipParams, Dataset, Model, full_loss, gaussian_blobs, load_csv,
                     logistic_model, mlp1_model, estimate_min_loss, population_variance,
                     quadratic_model, regression_targets, smoothness_constant)
 from .privacy import PrivacyParams, compose
 
 CONFIG_ERRORS = (ConfigurationError, ContractViolationError, DataLoadError,
-                 CalibrationError, FileNotFoundError)
+                 FileNotFoundError)
 
 KNOWN_KEYS = (
     "model", "dim", "hidden", "reg", "hessian",
@@ -232,7 +232,7 @@ def theory_report(cfg: dict, config: RunConfig) -> tuple[float, float, EtaBounds
     per-point gradients at theta_1. The thresholds are None without a privacy
     budget. Raises ConfigurationError for a rule without a kappa (average).
     """
-    kap = kappa(config.gar).value
+    kap = kappa(config.gar)
     if cfg.get("upsilon") is not None:
         ups = float(cfg["upsilon"])
     else:
@@ -252,9 +252,9 @@ def run_summary(cfg: dict, config: RunConfig, run_id: str, result) -> dict:
         "run_id": run_id,
         "rounds_recorded": len(records),
         "max_accuracy": result.max_accuracy,
-        "final_accuracy": records[-1].accuracy if records else None,
-        "min_sq_grad_norm": result.min_sq_grad_norm if records else None,
-        "final_loss": result.final_loss if records else None,
+        "final_accuracy": records[-1].accuracy,
+        "min_sq_grad_norm": result.min_sq_grad_norm,
+        "final_loss": result.final_loss,
         "s": config.s,
     }
     if config.privacy is not None:
@@ -407,7 +407,7 @@ def cmd_diagnose(args) -> int:
                                       cfg.get("mu", 1.0), sig, lips, q_init, q_star)
             exact = config.model.kind == "quadratic"
             print(f"theorem bound (T={config.steps}, alpha={cfg.get('alpha', 0.0)}, "
-                  f"mu={cfg.get('mu', 1.0)}) = {bound.value:.8g}"
+                  f"mu={cfg.get('mu', 1.0)}) = {bound:.8g}"
                   + ("" if exact else "  [q_star is an upper bound]"))
     else:
         print("sigma, theorem bound: not applicable (no clip bound)")

@@ -26,7 +26,7 @@ from .aggregation import GarSpec, kappa
 from .errors import CalibrationError, ContractViolationError
 from .model import (Dataset, Model, batch_grads, full_grad, population_variance,
                     quadratic_minimizer, sample_batch, smoothness_constant)
-from .privacy import gaussian_noise
+from .privacy import delta_log_factor, gaussian_noise
 
 VARIANCE_MODES = ("analytic", "monte_carlo")
 
@@ -82,8 +82,6 @@ class VnMargin:
     lhs: float
     rhs: float
     satisfied: bool
-    variance_mode: str
-    mc_samples: int | None = None
 
 
 def vn_margin(model: Model, dataset: Dataset, theta: np.ndarray, spec: GarSpec,
@@ -92,20 +90,18 @@ def vn_margin(model: Model, dataset: Dataset, theta: np.ndarray, spec: GarSpec,
     """kappa^2 Var[G(theta)] versus |grad Q(theta)|^2 at one point."""
     if mode not in VARIANCE_MODES:
         raise ContractViolationError(f"unknown variance mode '{mode}'")
-    kap = kappa(spec).value
+    kap = kappa(spec)
     theta = np.asarray(theta, dtype=np.float64)
     if mode == "analytic":
         var = submission_variance(model, theta, dataset, b, s)
-        samples = None
     else:
         if rng is None:
             raise ContractViolationError("monte_carlo mode needs a dedicated rng")
         var = monte_carlo_submission_variance(model, theta, dataset, b, s, mc_samples, rng)
-        samples = mc_samples
     lhs = kap * kap * var
     g = full_grad(model, theta, dataset)
     rhs = float(g @ g)
-    return VnMargin(theta, lhs, rhs, lhs < rhs, mode, samples)
+    return VnMargin(theta, lhs, rhs, lhs < rhs)
 
 
 def find_vn_violation(model: Model, dataset: Dataset, spec: GarSpec, s: float,
@@ -121,7 +117,7 @@ def find_vn_violation(model: Model, dataset: Dataset, spec: GarSpec, s: float,
         raise ContractViolationError("the violation construction needs a quadratic model")
     if not s > 0:
         raise ContractViolationError("no violation is guaranteed with s = 0")
-    kap = kappa(spec).value
+    kap = kappa(spec)
     lips = smoothness_constant(model)
     if b is None:
         b = dataset.m
@@ -143,14 +139,6 @@ class EtaBounds:
 
     eta_sq_necessary: float
     eta_sq_sufficient: float
-    kappa: float
-    c: float
-    d: int
-    b: int
-    m: int
-    epsilon: float
-    delta: float
-    upsilon: float
 
     def __post_init__(self):
         if self.eta_sq_necessary > self.eta_sq_sufficient:
@@ -165,25 +153,15 @@ def eta_bounds(kap: float, c: float, d: int, b: int, m: int,
     sufficient: kappa^2 (8 C^2 d ln(1.25 b / (m delta))
                          (1/(m (e^eps - 1)) + 1/b)^2 + upsilon^2)
     """
-    if not 0 < epsilon < 1:
-        raise CalibrationError(f"epsilon must lie in (0, 1), got {epsilon}")
-    if not 0 < delta < 1:
-        raise CalibrationError(f"delta must lie in (0, 1), got {delta}")
-    if not 1 <= b <= m:
-        raise CalibrationError(f"need 1 <= b <= m, got b={b}, m={m}")
+    log_term = delta_log_factor(epsilon, delta, b, m)
     if not (kap >= 0 and c > 0 and d >= 1 and upsilon >= 0):
         raise CalibrationError("need kappa >= 0, C > 0, d >= 1, upsilon >= 0")
-    log_arg = 1.25 * b / (m * delta)
-    if not log_arg > 1.0:
-        raise CalibrationError(
-            f"need 1.25 b / (m delta) > 1 for a positive log factor, got {log_arg}")
-    log_term = math.log(log_arg)
     e_term = math.expm1(epsilon)
     necessary = 4.0 * kap * kap * c * c * d * log_term / (b * m * e_term)
     sufficient = kap * kap * (
         8.0 * c * c * d * log_term * (1.0 / (m * e_term) + 1.0 / b) ** 2
         + upsilon * upsilon)
-    return EtaBounds(necessary, sufficient, kap, c, d, b, m, epsilon, delta, upsilon)
+    return EtaBounds(necessary, sufficient)
 
 
 # ------------------------------------------------------------- convergence
@@ -195,24 +173,9 @@ def sigma_total(upsilon: float, d: int, s: float, c: float) -> float:
     return math.sqrt(upsilon * upsilon + d * s * s + c * c)
 
 
-@dataclass(frozen=True)
-class ConvergenceBound:
-    """Evaluated guarantee on min_t E|grad Q(theta_t)|^2 over T rounds."""
-
-    steps: int
-    eta_sq: float
-    alpha: float
-    mu: float
-    sigma: float
-    smoothness: float
-    q_init: float
-    q_star: float
-    value: float
-
-
 def convergence_bound(eta_sq: float, steps: int, alpha: float, mu: float,
                       sigma: float, smoothness: float, q_init: float,
-                      q_star: float) -> ConvergenceBound:
+                      q_star: float) -> float:
     """max(eta^2, (Q1 - Q*)/((1 - sin a) sqrt(T))
                + mu sigma^2 L (1 + ln T) / (2 (1 - sin a) sqrt(T))).
 
@@ -234,6 +197,4 @@ def convergence_bound(eta_sq: float, steps: int, alpha: float, mu: float,
     tail = ((q_init - q_star) / (denom * sqrt_t)
             + mu * sigma * sigma * smoothness * (1.0 + math.log(steps))
             / (2.0 * denom * sqrt_t))
-    value = max(eta_sq, tail)
-    return ConvergenceBound(steps, eta_sq, alpha, mu, sigma, smoothness,
-                            q_init, q_star, value)
+    return max(eta_sq, tail)

@@ -59,12 +59,10 @@ def inner_epsilon(epsilon: float, b: int, m: int) -> float:
     return math.log1p((m / b) * math.expm1(epsilon))
 
 
-def noise_scale(c: float, b: int, m: int, epsilon: float, delta: float) -> float:
-    """Noise standard deviation for per-step (epsilon, delta)-DP at one worker.
+def delta_log_factor(epsilon: float, delta: float, b: int, m: int) -> float:
+    """ln(1.25 b / (m delta)), after checking the budget and batch it is stated for.
 
-    Emits PrivacyRegimeWarning when the inner budget is >= 1, which happens
-    for small b/m even with epsilon < 1; the closed form is still evaluated
-    as written.
+    Needs 0 < epsilon < 1, 0 < delta < 1, 1 <= b <= m and 1.25 b / (m delta) > 1.
     """
     if not 0 < epsilon < 1:
         raise CalibrationError(f"epsilon must lie in (0, 1), got {epsilon}")
@@ -72,18 +70,29 @@ def noise_scale(c: float, b: int, m: int, epsilon: float, delta: float) -> float
         raise CalibrationError(f"delta must lie in (0, 1), got {delta}")
     if not 1 <= b <= m:
         raise CalibrationError(f"need 1 <= b <= m, got b={b}, m={m}")
-    if not c > 0:
-        raise CalibrationError("clip bound must be positive")
     log_arg = 1.25 * b / (m * delta)
     if not log_arg > 1.0:
         raise CalibrationError(
             f"need 1.25 b / (m delta) > 1 for a positive log factor, got {log_arg}")
+    return math.log(log_arg)
+
+
+def noise_scale(c: float, b: int, m: int, epsilon: float, delta: float) -> float:
+    """Noise standard deviation for per-step (epsilon, delta)-DP at one worker.
+
+    Emits PrivacyRegimeWarning when the inner budget is >= 1, which happens
+    for small b/m even with epsilon < 1; the closed form is still evaluated
+    as written.
+    """
+    log_term = delta_log_factor(epsilon, delta, b, m)
+    if not c > 0:
+        raise CalibrationError("clip bound must be positive")
     eps_inner = inner_epsilon(epsilon, b, m)
     if eps_inner >= 1.0:
         warnings.warn(
             f"inner budget {eps_inner:.4f} >= 1 is outside the stated range of the "
             "Gaussian-mechanism bound", PrivacyRegimeWarning, stacklevel=2)
-    return (2.0 * c / (b * eps_inner)) * math.sqrt(2.0 * math.log(log_arg))
+    return (2.0 * c / (b * eps_inner)) * math.sqrt(2.0 * log_term)
 
 
 def gaussian_noise(d: int, s: float, rng: np.random.Generator) -> np.ndarray:
@@ -103,9 +112,8 @@ def gaussian_noise(d: int, s: float, rng: np.random.Generator) -> np.ndarray:
 class PrivacyParams:
     """A calibrated per-step, per-worker privacy budget.
 
-    The derived fields are recomputed and cross-checked on construction, so a
-    PrivacyParams instance always carries the noise scale that matches its
-    (epsilon, delta, c, b, m).
+    The noise scale s and the inner budget epsilon_inner are derived from
+    (epsilon, delta, c, b, m) on construction and cannot be passed in.
     """
 
     epsilon: float
@@ -113,22 +121,15 @@ class PrivacyParams:
     c: float
     b: int
     m: int
-    s: float = field(default=None)
-    epsilon_inner: float = field(default=None)
+    s: float = field(init=False)
+    epsilon_inner: float = field(init=False)
 
     def __post_init__(self):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", PrivacyRegimeWarning)
             s = noise_scale(self.c, self.b, self.m, self.epsilon, self.delta)
-        eps_inner = inner_epsilon(self.epsilon, self.b, self.m)
-        if self.s is None:
-            object.__setattr__(self, "s", s)
-        elif not math.isclose(self.s, s, rel_tol=1e-12):
-            raise CalibrationError("stored noise scale does not match the closed form")
-        if self.epsilon_inner is None:
-            object.__setattr__(self, "epsilon_inner", eps_inner)
-        elif not math.isclose(self.epsilon_inner, eps_inner, rel_tol=1e-12):
-            raise CalibrationError("stored inner epsilon does not match the closed form")
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "epsilon_inner", inner_epsilon(self.epsilon, self.b, self.m))
 
 
 @dataclass(frozen=True)

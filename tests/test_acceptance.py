@@ -40,10 +40,10 @@ def test_criterion_01_kappa_constants():
     n, f = 15, 3
     krum_ref = math.sqrt(2 * (n - f + (f * (n - f - 2) + f * f * (n - f - 1)) / (n - 2 * f - 2)))
     values = {
-        "mda": (kappa(GarSpec("mda", 15, 3)).value, math.sqrt(8) * 3 / 12),
-        "median": (kappa(GarSpec("median", 15, 6)).value, math.sqrt(9)),
-        "krum": (kappa(GarSpec("krum", 15, 3)).value, krum_ref),
-        "bulyan": (kappa(GarSpec("bulyan", 15, 3)).value, krum_ref),
+        "mda": (kappa(GarSpec("mda", 15, 3)), math.sqrt(8) * 3 / 12),
+        "median": (kappa(GarSpec("median", 15, 6)), math.sqrt(9)),
+        "krum": (kappa(GarSpec("krum", 15, 3)), krum_ref),
+        "bulyan": (kappa(GarSpec("bulyan", 15, 3)), krum_ref),
     }
     ok = (abs(values["mda"][0] - 0.70710678) <= 1e-8
           and values["median"][0] == 3.0
@@ -170,10 +170,10 @@ def test_criterion_06_convergence_bound_holds():
     bound = convergence_bound(eta_sq, steps, alpha=0.0, mu=1.0, sigma=sigma,
                               smoothness=1.0, q_init=worst_q_init, q_star=q_star)
     mean_min = float(np.mean(realized))
-    margin = bound.value - mean_min
+    margin = bound - mean_min
     elapsed = time.perf_counter() - start
     verdict(6, margin >= 0.0 and elapsed < 120.0,
-            f"mean min |grad Q|^2 = {mean_min:.3e} <= bound {bound.value:.4f} "
+            f"mean min |grad Q|^2 = {mean_min:.3e} <= bound {bound:.4f} "
             f"(eta^2={eta_sq:.4f}, margin {margin:.4f}, {elapsed:.0f} s)")
 
 

@@ -8,6 +8,7 @@ import pytest
 
 from byzdp import (CapacityError, ConfigurationError, ContractViolationError,
                    GarSpec, aggregate, kappa, mda_bruteforce)
+from byzdp.aggregation import _krum_scores
 
 
 def vecs(*scalars):
@@ -24,23 +25,23 @@ def test_kappa_closed_forms_against_independent_evaluation():
     # each closed form rewritten from scratch here
     n, f = 15, 3
     krum_ref = math.sqrt(2 * (n - f + (f * (n - f - 2) + f**2 * (n - f - 1)) / (n - 2 * f - 2)))
-    assert kappa(GarSpec("krum", 15, 3)).value == pytest.approx(krum_ref, rel=1e-9)
-    assert kappa(GarSpec("bulyan", 15, 3)).value == pytest.approx(krum_ref, rel=1e-9)
-    assert kappa(GarSpec("mda", 15, 3)).value == pytest.approx(math.sqrt(8) * 3 / 12, rel=1e-9)
-    assert kappa(GarSpec("median", 15, 6)).value == pytest.approx(math.sqrt(9), rel=1e-9)
+    assert kappa(GarSpec("krum", 15, 3)) == pytest.approx(krum_ref, rel=1e-9)
+    assert kappa(GarSpec("bulyan", 15, 3)) == pytest.approx(krum_ref, rel=1e-9)
+    assert kappa(GarSpec("mda", 15, 3)) == pytest.approx(math.sqrt(8) * 3 / 12, rel=1e-9)
+    assert kappa(GarSpec("median", 15, 6)) == pytest.approx(math.sqrt(9), rel=1e-9)
 
 
 def test_kappa_reference_values():
-    assert kappa(GarSpec("mda", 15, 3)).value == pytest.approx(0.7071068, abs=1e-6)
-    assert kappa(GarSpec("median", 15, 6)).value == 3.0
-    assert kappa(GarSpec("krum", 15, 3)).value == pytest.approx(7.8011, abs=1e-3)
+    assert kappa(GarSpec("mda", 15, 3)) == pytest.approx(0.7071068, abs=1e-6)
+    assert kappa(GarSpec("median", 15, 6)) == 3.0
+    assert kappa(GarSpec("krum", 15, 3)) == pytest.approx(7.8011, abs=1e-3)
 
 
 def test_kappa_ordering_at_15_3():
-    mda = kappa(GarSpec("mda", 15, 3)).value
-    med = kappa(GarSpec("median", 15, 3)).value
-    kru = kappa(GarSpec("krum", 15, 3)).value
-    bul = kappa(GarSpec("bulyan", 15, 3)).value
+    mda = kappa(GarSpec("mda", 15, 3))
+    med = kappa(GarSpec("median", 15, 3))
+    kru = kappa(GarSpec("krum", 15, 3))
+    bul = kappa(GarSpec("bulyan", 15, 3))
     assert mda < med < kru
     assert kru == bul
     assert med == pytest.approx(math.sqrt(12), rel=1e-12)
@@ -148,6 +149,43 @@ def test_bulyan_never_picks_far_outlier():
 
 
 # ------------------------------------------------------ oracle equivalence
+
+def bulyan_loop(g, f):
+    """Reference Bulyan with the trimmed mean taken one coordinate at a time."""
+    n = g.shape[0]
+    pool = list(range(n))
+    chosen = []
+    for _ in range(n - 2 * f - 2):
+        chosen.append(pool.pop(int(np.argmin(_krum_scores(g[pool], f)))))
+    sel = g[chosen]
+    med = np.median(sel, axis=0)
+    beta = n - 4 * f - 2
+    absdiff = np.abs(sel - med[None, :])
+    out = np.empty(g.shape[1])
+    for j in range(g.shape[1]):
+        order = np.lexsort((sel[:, j], absdiff[:, j]))
+        out[j] = sel[order[:beta], j].mean()
+    return out
+
+
+@pytest.mark.parametrize("kind", ["random", "dyadic", "wide_trim"])
+def test_bulyan_matches_loop_oracle(kind):
+    rng = np.random.default_rng({"random": 11, "dyadic": 12, "wide_trim": 13}[kind])
+    for _ in range(150):
+        f = int(rng.integers(0, 4))
+        # wide_trim keeps beta = n - 4f - 2 >= 8, where a pairwise sum differs
+        # from a left-to-right one
+        low = 4 * f + 10 if kind == "wide_trim" else 4 * f + 3
+        n = int(rng.integers(low, low + 8))
+        d = int(rng.integers(1, 40))
+        if kind == "dyadic":
+            # few distinct dyadic values: exact ties in distance and in value
+            g = rng.integers(-4, 5, (n, d)) / 4.0
+        else:
+            g = random_instance(rng, n, d)
+        got = aggregate(GarSpec("bulyan", n, f), g)
+        assert np.array_equal(got, bulyan_loop(g, f))
+
 
 def test_mda_matches_bruteforce_on_random_instances():
     rng = np.random.default_rng(2024)

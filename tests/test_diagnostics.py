@@ -105,7 +105,7 @@ def test_margin_fails_at_minimizer_with_noise():
     spec = GarSpec("krum", 9, 2)
     margin = vn_margin(model, ds, quadratic_minimizer(model, ds), spec, s=0.2, b=20)
     assert margin.rhs <= 1e-20
-    assert margin.lhs >= kappa(spec).value ** 2 * 3 * 0.04 * (1 - 1e-12)
+    assert margin.lhs >= kappa(spec) ** 2 * 3 * 0.04 * (1 - 1e-12)
     assert not margin.satisfied
 
 
@@ -197,9 +197,9 @@ def test_eta_ordering_on_random_tuples():
 
 
 def test_eta_bounds_increase_with_kappa():
-    k_mda = kappa(GarSpec("mda", 15, 3)).value
-    k_med = kappa(GarSpec("median", 15, 3)).value
-    k_kru = kappa(GarSpec("krum", 15, 3)).value
+    k_mda = kappa(GarSpec("mda", 15, 3))
+    k_med = kappa(GarSpec("median", 15, 3))
+    k_kru = kappa(GarSpec("krum", 15, 3))
     prev = None
     for kap in (k_mda, k_med, k_kru):
         bounds = eta_bounds(kap, 2.0, 10, 25, 1000, 0.1, 1e-5, 1.0)
@@ -231,18 +231,18 @@ def test_eta_bounds_precondition_errors():
 
 def test_convergence_bound_reference_value():
     got = convergence_bound(0.0, 100, 0.0, 1.0, 1.0, 1.0, 1.0, 0.0)
-    assert got.value == pytest.approx(0.3803, abs=1e-4)
-    assert got.value == pytest.approx(0.1 + (1 + math.log(100)) / 20, rel=1e-12)
+    assert got == pytest.approx(0.3803, abs=1e-4)
+    assert got == pytest.approx(0.1 + (1 + math.log(100)) / 20, rel=1e-12)
 
 
 def test_convergence_bound_tail_vanishes():
     got = convergence_bound(0.25, 10**12, 0.0, 1.0, 1.0, 1.0, 1.0, 0.0)
-    assert got.value == 0.25
+    assert got == 0.25
 
 
 def test_convergence_bound_monotone_in_steps():
     steps = list(range(8, 1001)) + [int(t) for t in np.logspace(3, 6, 40)]
-    values = [convergence_bound(0.0, t, 0.0, 1.0, 1.0, 1.0, 1.0, 0.0).value
+    values = [convergence_bound(0.0, t, 0.0, 1.0, 1.0, 1.0, 1.0, 0.0)
               for t in steps]
     assert all(later <= earlier * (1 + 1e-12)
                for earlier, later in zip(values, values[1:]))

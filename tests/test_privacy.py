@@ -4,7 +4,9 @@ High-precision reference values are frozen from a 50-digit mpmath evaluation
 of the same closed forms (recomputed below where cheap).
 """
 
+import dataclasses
 import math
+import pickle
 
 import mpmath as mp
 import numpy as np
@@ -14,8 +16,8 @@ from hypothesis import strategies as st
 
 from byzdp import (CalibrationError, CompositionReport, ContractViolationError,
                    PrivacyParams, PrivacyRegimeWarning, amplified_epsilon, compose,
-                   gaussian_noise, inner_epsilon, noise_scale, sensitivity_mean_grad,
-                   worker_stream)
+                   delta_log_factor, eta_bounds, gaussian_noise, inner_epsilon, noise_scale,
+                   sensitivity_mean_grad, worker_stream)
 
 mp.mp.dps = 50
 
@@ -120,6 +122,19 @@ def test_noise_scale_precondition_errors():
         noise_scale(0.0, 25, 1000, 0.1, 1e-5)
 
 
+def test_delta_log_factor_is_the_one_budget_check():
+    assert delta_log_factor(0.1, 1e-5, 25, 1000) == math.log(1.25 * 25 / (1000 * 1e-5))
+    for eps, delta, b, m in ((1.2, 1e-5, 25, 1000), (0.1, 1.5, 25, 1000),
+                             (0.1, 1e-5, 2000, 1000), (0.1, 0.5, 1, 1000)):
+        with pytest.raises(CalibrationError) as direct:
+            delta_log_factor(eps, delta, b, m)
+        with pytest.raises(CalibrationError) as via_noise:
+            noise_scale(2.0, b, m, eps, delta)
+        with pytest.raises(CalibrationError) as via_eta:
+            eta_bounds(1.0, 2.0, 10, b, m, eps, delta, 1.0)
+        assert str(via_noise.value) == str(via_eta.value) == str(direct.value)
+
+
 # ------------------------------------------------------------ gaussian noise
 
 def test_gaussian_noise_zero_scale():
@@ -197,5 +212,22 @@ def test_privacy_params_derivations():
 
 
 def test_privacy_params_rejects_stale_noise_scale():
-    with pytest.raises(CalibrationError):
+    # s and epsilon_inner are derived, never passed in
+    with pytest.raises(TypeError):
         PrivacyParams(0.1, 1e-5, 2.0, 25, 1000, s=0.5)
+    with pytest.raises(TypeError):
+        PrivacyParams(0.1, 1e-5, 2.0, 25, 1000, epsilon_inner=0.5)
+
+
+def test_privacy_params_replace_recalibrates():
+    p = dataclasses.replace(PrivacyParams(0.2, 1e-5, 2.0, 512, 4000), b=128)
+    fresh = PrivacyParams(0.2, 1e-5, 2.0, 128, 4000)
+    assert p == fresh
+    assert p.s == fresh.s and p.epsilon_inner == fresh.epsilon_inner
+
+
+def test_privacy_params_pickle_round_trip():
+    p = PrivacyParams(0.2, 1e-5, 2.0, 512, 4000)
+    q = pickle.loads(pickle.dumps(p))
+    assert q == p and hash(q) == hash(p)
+    assert q.s == p.s and q.epsilon_inner == p.epsilon_inner
