@@ -29,6 +29,8 @@ DIAGNOSE_MDA_STDOUT = {
     "no_privacy": "6549462be39109dc141e03244ea8d6579437e468a8de1405d50d7aa16c3b3105",
 }
 
+DIAGNOSE_LITTLE_MDA_STDOUT = "3285e285ea68fa22369f75c3d20d9370321450f47201752ad71b05a65dc5ffa2"
+
 SWEEP_SMALL = {
     "aggregate.csv": "33c5c9acb79eddc570fea12e98b235924777e4e2843fd8839a6e879eaa217cd8",
     "metrics-0738a52d237b.csv": "733b123157d5bf3b3a3c5fcf9adb024da79f665b056b7194167b17281690da3f",
@@ -124,6 +126,12 @@ def test_golden_diagnose_mda(tmp_path, capsys, variant):
     path.write_text(text)
     assert main(["diagnose", str(path)]) == 0
     assert _sha256(capsys.readouterr().out.encode("utf-8")) == DIAGNOSE_MDA_STDOUT[variant]
+
+
+def test_golden_diagnose_logistic(capsys):
+    """The logistic theorem-bound path: Q* comes from estimate_min_loss."""
+    assert main(["diagnose", os.path.join(CONFIGS, "run_little_mda.cfg")]) == 0
+    assert _sha256(capsys.readouterr().out.encode("utf-8")) == DIAGNOSE_LITTLE_MDA_STDOUT
 
 
 def test_golden_sweep(tmp_path):
