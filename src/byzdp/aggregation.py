@@ -102,14 +102,21 @@ def _pairwise_sq_dists(g: np.ndarray) -> np.ndarray:
     return np.einsum("ijk,ijk->ij", diff, diff)
 
 
-def _krum_scores(g: np.ndarray, f: int) -> np.ndarray:
-    """Summed squared distances to the n - f - 2 nearest other vectors."""
-    n = g.shape[0]
-    k = n - f - 2
+def _masked_sq_dists(g: np.ndarray) -> np.ndarray:
     d2 = _pairwise_sq_dists(g)
     np.fill_diagonal(d2, np.inf)
+    return d2
+
+
+def _nearest_sums(d2: np.ndarray, f: int) -> np.ndarray:
+    """Row sums of the n - f - 2 smallest entries of d2, sorted in place."""
     d2.sort(axis=1)
-    return d2[:, :k].sum(axis=1)
+    return d2[:, :d2.shape[0] - f - 2].sum(axis=1)
+
+
+def _krum_scores(g: np.ndarray, f: int) -> np.ndarray:
+    """Summed squared distances to the n - f - 2 nearest other vectors."""
+    return _nearest_sums(_masked_sq_dists(g), f)
 
 
 # -------------------------------------------------------------------- rules
@@ -140,21 +147,30 @@ def _mda(g: np.ndarray, f: int, cap: int) -> np.ndarray:
         if block.size == 0:
             break
         diams = dist[block[:, :, None], block[:, None, :]].max(axis=(1, 2))
+        # a subset holding a non-finite vector has a NaN or inf diameter;
+        # NaN would win argmin and then lose the < test below, so rank it last
+        diams[~np.isfinite(diams)] = np.inf
         i = int(np.argmin(diams))
         # strict < keeps the first minimum, i.e. the lexicographically
         # smallest index set, since combinations enumerate in lex order
         if diams[i] < best_diam:
             best_diam = float(diams[i])
             best_subset = block[i]
+    if best_subset is None:
+        raise ContractViolationError(
+            f"mda found no {size} vectors with a finite diameter; "
+            f"more than f={f} submissions are non-finite")
     return _mean_rows(g[best_subset])
 
 
 def _bulyan(g: np.ndarray, f: int) -> np.ndarray:
     n = g.shape[0]
+    d2 = _masked_sq_dists(g)
     pool = list(range(n))
     chosen: list[int] = []
     for _ in range(n - 2 * f - 2):
-        scores = _krum_scores(g[pool], f)
+        # the krum scores of the pool, from one distance matrix for all passes
+        scores = _nearest_sums(d2[np.ix_(pool, pool)], f)
         j = int(np.argmin(scores))
         chosen.append(pool.pop(j))
     sel = g[chosen]

@@ -15,6 +15,7 @@ regularizer is folded into every per-point gradient.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,8 +100,8 @@ def load_csv(path: str, classification: bool) -> Dataset:
     """Load one point per row of comma-separated floats.
 
     The last column is the label when ``classification`` is true. A header
-    row is skipped if its first field is not a number. Malformed rows raise
-    DataLoadError naming the row.
+    row is skipped if its first field is not a number. Malformed rows and
+    non-finite values (``nan``, ``inf``) raise DataLoadError naming the row.
     """
     rows: list[list[float]] = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -121,6 +122,8 @@ def load_csv(path: str, classification: bool) -> Dataset:
             vals = [float(tok) for tok in line.split(",")]
         except ValueError as exc:
             raise DataLoadError(f"row {i}: cannot parse '{line}': {exc}") from exc
+        if not all(math.isfinite(v) for v in vals):
+            raise DataLoadError(f"row {i}: non-finite value in '{line}'")
         if width is None:
             width = len(vals)
         elif len(vals) != width:
@@ -390,21 +393,42 @@ def quadratic_minimizer(model: Model, dataset: Dataset) -> np.ndarray:
 
 def estimate_min_loss(model: Model, dataset: Dataset, max_iters: int = 20000,
                       tol: float = 1e-10) -> float:
-    """Upper bound on the minimum empirical loss via full-batch descent.
+    """Minimum empirical loss, exact for the quadratic kind, an upper bound otherwise.
 
-    Exact (from the closed-form minimizer) for the quadratic kind; for the
-    logistic kind this runs deterministic gradient descent from zero with step
-    1/L and should be read as an upper bound on the true minimum. The mlp1
-    kind has no smoothness constant L and raises ConfigurationError.
+    quadratic: the loss at the closed-form minimizer.
+    logistic:  damped Newton from zero. Each step solves H p = g in the
+               least-squares sense, with H = X' diag(w (1 - w)) X / m + lam I
+               and w = expit(y X theta), so a singular H (lam = 0 with
+               rank-deficient features) still gives a step. The step is halved
+               until the loss does not increase; the loop ends when the
+               gradient norm drops below ``tol``, when no step above 1e-10
+               helps, or after ``max_iters`` steps. Every iterate's loss is an
+               upper bound on the minimum, and the estimate is exact to the
+               gradient tolerance when the minimum is attained.
+    mlp1:      raises ConfigurationError.
     """
     if model.kind == "quadratic":
         return full_loss(model, quadratic_minimizer(model, dataset), dataset)
-    lips = smoothness_constant(model, dataset)
+    if model.kind != "logistic":
+        raise ConfigurationError(f"no minimum-loss estimate for the {model.kind} kind")
+    x, y = dataset.features, dataset.labels
     theta = np.zeros(model.dim)
+    loss = full_loss(model, theta, dataset)
     for _ in range(max_iters):
         g = full_grad(model, theta, dataset)
         if float(np.linalg.norm(g)) < tol:
             break
-        # a nonzero gradient implies lips > 0
-        theta = theta - (1.0 / lips) * g
-    return full_loss(model, theta, dataset)
+        w = expit(y * (x @ theta))
+        hess = (x.T * (w * (1.0 - w))) @ x / dataset.m + model.lam * np.eye(model.dim)
+        step = np.linalg.lstsq(hess, g, rcond=None)[0]
+        t = 1.0
+        while t > 1e-10:
+            trial = theta - t * step
+            trial_loss = full_loss(model, trial, dataset)
+            if trial_loss <= loss:
+                break
+            t *= 0.5
+        else:
+            break
+        theta, loss = trial, trial_loss
+    return loss

@@ -255,6 +255,23 @@ def test_mda_two_cluster_selection_is_exact():
     assert np.array_equal(out, v)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_mda_skips_a_non_finite_row(bad):
+    # every subset holding row 2 has a NaN or inf diameter and must lose to
+    # the finite ones; the result is a (d,) vector, not the (n, d) input
+    g = np.random.default_rng(17).normal(0, 1, (7, 3))
+    g[2, 1] = bad
+    out = aggregate(GarSpec("mda", 7, 2), g)
+    assert np.array_equal(out, mda_bruteforce(np.delete(g, 2, 0), 6, 1))
+
+
+def test_mda_rejects_more_than_f_non_finite_rows():
+    g = np.random.default_rng(17).normal(0, 1, (7, 3))
+    g[[0, 3, 5]] = np.nan
+    with pytest.raises(ContractViolationError, match="non-finite"):
+        aggregate(GarSpec("mda", 7, 2), g)
+
+
 # ------------------------------------------------------------------- caps
 
 def test_enumeration_cap():

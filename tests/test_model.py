@@ -1,15 +1,18 @@
 """Losses, gradients, clipping, sampling."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from byzdp import (ClipParams, ContractViolationError, ConfigurationError, Dataset,
-                   batch_grads, clip, full_grad, full_loss, gaussian_blobs, load_csv,
+from byzdp import (ClipParams, ContractViolationError, ConfigurationError, DataLoadError,
+                   Dataset, batch_grads, clip, full_grad, full_loss, gaussian_blobs, load_csv,
                    logistic_model, mlp1_model, point_grad, population_variance,
                    quadratic_minimizer, quadratic_model, regression_targets,
                    sample_batch, smoothness_constant, worker_stream)
+import byzdp.model
 from byzdp.model import batch_losses, estimate_min_loss
 
 
@@ -222,12 +225,57 @@ def test_smoothness_closed_forms():
 
 
 def test_estimate_min_loss_descent_step():
-    # the descent step is 1/L: mlp1 has no smoothness constant L
+    # mlp1 has no minimum-loss estimate
     with pytest.raises(ConfigurationError):
         estimate_min_loss(mlp1_model(2, 3), gaussian_blobs(0, 10, 2))
-    # L = 0 (all-zero features, no regularizer) means a constant loss of ln 2
+    # all-zero features and no regularizer: the gradient vanishes at zero and
+    # the Hessian is the zero matrix, so the estimate is the constant loss ln 2
     ds = Dataset(np.zeros((4, 2)), np.array([1.0, -1.0, 1.0, -1.0]))
     assert estimate_min_loss(logistic_model(2), ds) == pytest.approx(np.log(2.0))
+
+
+def descent_min_loss(model, dataset, max_iters=20000, tol=1e-10):
+    """Full-batch gradient descent from zero with step 1/L; the Newton oracle."""
+    lips = smoothness_constant(model, dataset)
+    theta = np.zeros(model.dim)
+    for _ in range(max_iters):
+        g = full_grad(model, theta, dataset)
+        if float(np.linalg.norm(g)) < tol:
+            break
+        theta = theta - (1.0 / lips) * g
+    return full_loss(model, theta, dataset)
+
+
+def test_estimate_min_loss_matches_descent_oracle():
+    ds = gaussian_blobs(7, 500, 5)
+    model = logistic_model(5, lam=1e-3)
+    assert estimate_min_loss(model, ds) == pytest.approx(descent_min_loss(model, ds), rel=1e-12)
+
+
+@pytest.mark.parametrize("ds", [gaussian_blobs(3, 200, 4, half_sep=5.0), gaussian_blobs(4, 6, 10)],
+                         ids=["separable", "m_below_d"])
+def test_estimate_min_loss_unattained_minimum(ds):
+    """lam = 0 with separable data (m < d is always separable): H is singular
+    or nearly so and the infimum 0 is not attained."""
+    model = logistic_model(ds.n_features)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        q = estimate_min_loss(model, ds)
+    assert np.isfinite(q)
+    assert 0.0 <= q <= descent_min_loss(model, ds)
+
+
+def test_estimate_min_loss_steps_use_module_full_grad(monkeypatch):
+    calls = []
+
+    def counting_full_grad(model, theta, dataset):
+        calls.append(1)
+        return full_grad(model, theta, dataset)
+
+    monkeypatch.setattr(byzdp.model, "full_grad", counting_full_grad)
+    ds = gaussian_blobs(2, 4000, 20, half_sep=0.16, axis_std=0.088, cross_std=0.16)
+    estimate_min_loss(logistic_model(20, lam=1e-4), ds)
+    assert 1 <= len(calls) < 20
 
 
 def test_quadratic_gradient_is_lipschitz_with_exact_constant():
@@ -281,3 +329,11 @@ def test_csv_malformed_row_names_row(tmp_path):
     ragged.write_text("1.0,2.0,1\n3.0,-1\n")
     with pytest.raises(Exception, match="row 2"):
         load_csv(str(ragged), classification=True)
+
+
+def test_csv_rejects_non_finite_values(tmp_path):
+    for bad in ("nan", "inf", "-inf"):
+        path = tmp_path / "nonfinite.csv"
+        path.write_text(f"1.0,2.0,1\n3.0,{bad},-1\n")
+        with pytest.raises(DataLoadError, match="row 2"):
+            load_csv(str(path), classification=True)
