@@ -6,7 +6,9 @@ Five server-side rules over n submitted vectors, at most f of them forged:
 * krum    - scores each vector by the summed squared distances to its
             n - f - 2 nearest peers and returns the lowest-scoring vector;
 * mda     - returns the mean of the size-(n - f) subset with the smallest
-            diameter (exact enumeration);
+            diameter (exact, by a threshold search for the smallest
+            diameter whose conflict graph has a vertex cover of at most f
+            rows);
 * median  - coordinate-wise median;
 * bulyan  - iterated krum selection followed by a per-coordinate trimmed
             average around the coordinate-wise median of the selection.
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import combinations
 
 import numpy as np
 
@@ -29,7 +31,7 @@ from .errors import CapacityError, ConfigurationError, ContractViolationError
 
 RULES = ("average", "krum", "mda", "median", "bulyan")
 
-MDA_SUBSET_CAP = 200_000
+MDA_SUBSET_CAP = 200_000  # of the enumerating oracle, mda_bruteforce
 
 
 @dataclass(frozen=True)
@@ -130,37 +132,111 @@ def _median(g: np.ndarray) -> np.ndarray:
     return np.median(g, axis=0)
 
 
-def _mda(g: np.ndarray, f: int, cap: int) -> np.ndarray:
+def _conflict_masks(dist: np.ndarray, tau: float) -> list[int]:
+    """Bitset of row u: the rows v with not dist[u, v] <= tau, NaN included."""
+    packed = np.packbits(~(dist <= tau), axis=1, bitorder="little")
+    width = packed.shape[1]
+    raw = packed.tobytes()
+    return [int.from_bytes(raw[u * width:(u + 1) * width], "little")
+            for u in range(dist.shape[0])]
+
+
+def _has_cover(adj: list[int], alive: int, k: int) -> bool:
+    """Whether at most k rows of `alive` cover every conflict among `alive`.
+
+    Bounded search tree on the row of highest degree u: either u is in the
+    cover, or all of its neighbours are. Each branch spends budget, so the
+    depth is at most k.
+    """
+    top, top_deg, twice_edges, busy = -1, 0, 0, 0
+    rest = alive
+    while rest:
+        low = rest & -rest
+        u = low.bit_length() - 1
+        deg = (adj[u] & alive).bit_count()
+        if deg:
+            busy |= low
+            twice_edges += deg
+            if deg > top_deg:
+                top, top_deg = u, deg
+        rest ^= low
+    if top_deg == 0:
+        return True
+    if twice_edges > 2 * k * top_deg:  # one cover row covers at most top_deg edges
+        return False
+    # rows without a conflict never gain one, so the branches drop them
+    without = busy & ~(1 << top)
+    if _has_cover(adj, without, k - 1):
+        return True
+    return top_deg <= k and _has_cover(adj, without & ~adj[top], k - top_deg)
+
+
+def _mda(g: np.ndarray, f: int) -> np.ndarray:
+    """Mean of the lexicographically smallest size-(n - f) minimum-diameter subset.
+
+    A subset has diameter <= tau exactly when the rows left out cover every
+    pair with not dist <= tau, so the minimum diameter is the smallest
+    pairwise distance tau at which at most f rows cover that conflict graph.
+    The same floats decide every comparison as in the enumeration over
+    subsets.
+    """
     n = g.shape[0]
     size = n - f
-    total = math.comb(n, size)
-    if total > cap:
-        raise CapacityError(
-            f"mda would enumerate {total} subsets, above the cap of {cap}; raise the cap")
-    dist = np.sqrt(_pairwise_sq_dists(g))
-    best_diam = np.inf
-    best_subset = None
-    subset_iter = combinations(range(n), size)
-    chunk = max(1, min(4096, total))
-    while True:
-        block = np.array(list(islice(subset_iter, chunk)), dtype=np.intp)
-        if block.size == 0:
-            break
-        diams = dist[block[:, :, None], block[:, None, :]].max(axis=(1, 2))
-        # a subset holding a non-finite vector has a NaN or inf diameter;
-        # NaN would win argmin and then lose the < test below, so rank it last
-        diams[~np.isfinite(diams)] = np.inf
-        i = int(np.argmin(diams))
-        # strict < keeps the first minimum, i.e. the lexicographically
-        # smallest index set, since combinations enumerate in lex order
-        if diams[i] < best_diam:
-            best_diam = float(diams[i])
-            best_subset = block[i]
-    if best_subset is None:
+    with np.errstate(invalid="ignore"):  # inf - inf on the diagonal of an inf row
+        dist = np.sqrt(_pairwise_sq_dists(g))
+    # the cover search needs a symmetric conflict graph, and a subset's
+    # diameter reads both (u, v) and (v, u)
+    dist = np.maximum(dist, dist.T)
+    # a row holding NaN or inf has a non-finite self-distance; it is left out
+    # first and counts against f
+    bad = np.flatnonzero(~np.isfinite(np.diagonal(dist)))
+    budget = f - bad.size
+    alive = (1 << n) - 1
+    for u in bad.tolist():
+        alive &= ~(1 << u)
+    # every diameter is an entry of dist (the diagonal's 0.0 for one row),
+    # and an entry in a non-finite row is never finite
+    taus = np.unique(dist)
+    taus = taus[np.isfinite(taus)]
+    # each of the size rows of the best subset has size entries <= D* in
+    # its row, its own 0.0 included, so D* is at least this bound; it is not
+    # finite when more than f rows are non-finite
+    lower = np.sort(np.sort(dist, axis=1)[:, size - 1])[size - 1]
+    lo, hi = int(np.searchsorted(taus, lower)), taus.size
+    adj = None  # the conflict graph at taus[hi] once some threshold fits
+    while lo < hi:
+        mid = (lo + hi) // 2
+        masks = _conflict_masks(dist, taus[mid])
+        if _has_cover(masks, alive, budget):
+            hi, adj = mid, masks
+        else:
+            lo = mid + 1
+    if adj is None:
         raise ContractViolationError(
             f"mda found no {size} vectors with a finite diameter; "
             f"more than f={f} submissions are non-finite")
-    return _mean_rows(g[best_subset])
+    # lexicographic tie rule: keep row i when its live neighbours can all be
+    # left out and a cover of the rest still fits the budget. A row with at
+    # most one live neighbour needs no search: a cover holding the row can
+    # swap it for that neighbour
+    kept: list[int] = []
+    for i in range(n):
+        bit = 1 << i
+        if not alive & bit:
+            continue
+        nbrs = adj[i] & alive
+        cost = nbrs.bit_count()
+        if cost <= 1 or (cost <= budget
+                         and _has_cover(adj, alive & ~nbrs & ~bit, budget - cost)):
+            kept.append(i)
+            if len(kept) == size:
+                break
+            alive &= ~nbrs
+            budget -= cost
+        else:
+            alive &= ~bit
+            budget -= 1
+    return _mean_rows(g[kept])
 
 
 def _bulyan(g: np.ndarray, f: int) -> np.ndarray:
@@ -183,7 +259,7 @@ def _bulyan(g: np.ndarray, f: int) -> np.ndarray:
     return np.ascontiguousarray(vals.T).mean(axis=1)
 
 
-def aggregate(spec: GarSpec, grads, mda_cap: int = MDA_SUBSET_CAP) -> np.ndarray:
+def aggregate(spec: GarSpec, grads) -> np.ndarray:
     """Apply the configured rule to exactly n same-dimension vectors."""
     g = _as_matrix(grads, spec.n)
     if np.all(g == g[0]):
@@ -195,7 +271,7 @@ def aggregate(spec: GarSpec, grads, mda_cap: int = MDA_SUBSET_CAP) -> np.ndarray
     if spec.rule == "median":
         return _median(g)
     if spec.rule == "mda":
-        return _mda(g, spec.f, mda_cap)
+        return _mda(g, spec.f)
     return _bulyan(g, spec.f)
 
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .aggregation import GarSpec, aggregate
 from .attack import AttackSpec, forge
-from .errors import CapacityError, ConfigurationError, ContractViolationError
+from .errors import ConfigurationError, ContractViolationError
 from .model import (ClipParams, Dataset, Model, accuracy, batch_grads, clip,
                     full_grad, full_loss, sample_batch)
 from .privacy import PrivacyParams, gaussian_noise
@@ -351,7 +351,7 @@ def _run_cell(args) -> CellResult:
     try:
         config = _resolve_cell(base, overrides)
         result = run(config)
-    except (ConfigurationError, ContractViolationError, CapacityError) as exc:
+    except (ConfigurationError, ContractViolationError) as exc:
         return CellResult(cell_id, params, "failed", reason=str(exc), config=config)
     return CellResult(cell_id, params, "ok", None, result.max_accuracy,
                       result.min_sq_grad_norm, result.final_loss, result.records, config)

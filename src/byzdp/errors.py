@@ -14,7 +14,7 @@ class CalibrationError(ConfigurationError):
 
 
 class CapacityError(RuntimeError):
-    """An exact enumeration would exceed its configured cap."""
+    """The enumerating mda oracle, `mda_bruteforce`, would exceed its subset cap."""
 
 
 class DataLoadError(ValueError):

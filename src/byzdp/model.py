@@ -225,7 +225,9 @@ def batch_grads(model: Model, theta: np.ndarray, features: np.ndarray,
     if model.kind == "quadratic":
         if x.shape[1] != model.dim:
             raise ContractViolationError("target dimension does not match the model")
-        return (theta[None, :] - x) @ model.hessian + model.lam * theta[None, :]
+        grads = (theta[None, :] - x) @ model.hessian
+        grads += model.lam * theta
+        return grads
     if labels is None:
         raise ContractViolationError(f"{model.kind} gradients need labels")
     y = np.atleast_1d(np.asarray(labels, dtype=np.float64))
@@ -234,7 +236,9 @@ def batch_grads(model: Model, theta: np.ndarray, features: np.ndarray,
     if model.kind == "logistic":
         margin = y * (x @ theta)
         w = expit(-margin)
-        return (-y * w)[:, None] * x + model.lam * theta[None, :]
+        grads = (-y * w)[:, None] * x
+        grads += model.lam * theta
+        return grads
     # mlp1 backprop
     w1, b1, w2, b2 = _unpack_mlp(model, theta)
     z1 = x @ w1.T + b1[None, :]
@@ -248,7 +252,8 @@ def batch_grads(model: Model, theta: np.ndarray, features: np.ndarray,
     g_w1 = np.einsum("kh,kp->khp", dz1, x).reshape(x.shape[0], -1)
     g_b1 = dz1
     grads = np.concatenate([g_w1, g_b1, g_w2, g_b2], axis=1)
-    return grads + model.lam * theta[None, :]
+    grads += model.lam * theta
+    return grads
 
 
 def point_grad(model: Model, theta: np.ndarray, x: np.ndarray,

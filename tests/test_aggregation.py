@@ -1,14 +1,16 @@
 """Aggregation rules, constants, and the brute-force cross-checks."""
 
 import math
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from byzdp import (CapacityError, ConfigurationError, ContractViolationError,
                    GarSpec, aggregate, kappa, mda_bruteforce)
-from byzdp.aggregation import _krum_scores
+from byzdp.aggregation import _krum_scores, _mda, _mean_rows, _pairwise_sq_dists
 
 
 def vecs(*scalars):
@@ -187,6 +189,110 @@ def test_bulyan_matches_loop_oracle(kind):
         assert np.array_equal(got, bulyan_loop(g, f))
 
 
+def mda_enumerate(g, f):
+    """Reference mda over all C(n, n - f) subsets in lexicographic order.
+
+    Non-finite diameters rank last; no finite diameter raises.
+    """
+    n = g.shape[0]
+    size = n - f
+    total = math.comb(n, size)
+    with np.errstate(invalid="ignore"):
+        dist = np.sqrt(_pairwise_sq_dists(g))
+    best_diam = np.inf
+    best_subset = None
+    subset_iter = combinations(range(n), size)
+    chunk = max(1, min(4096, total))
+    while True:
+        block = np.array(list(islice(subset_iter, chunk)), dtype=np.intp)
+        if block.size == 0:
+            break
+        diams = dist[block[:, :, None], block[:, None, :]].max(axis=(1, 2))
+        diams[~np.isfinite(diams)] = np.inf
+        i = int(np.argmin(diams))
+        # strict < keeps the first minimum, the lexicographically smallest set
+        if diams[i] < best_diam:
+            best_diam = float(diams[i])
+            best_subset = block[i]
+    if best_subset is None:
+        raise ContractViolationError(
+            f"mda found no {size} vectors with a finite diameter; "
+            f"more than f={f} submissions are non-finite")
+    return _mean_rows(g[best_subset])
+
+
+def mda_instance(rng, kind):
+    n = int(rng.integers(1, 17))
+    f = int(rng.integers(0, min(5, (n - 1) // 2) + 1))
+    d = int(rng.integers(1, 6))
+    if kind == "random":
+        return random_instance(rng, n, d), f
+    if kind == "dyadic":
+        # few distinct dyadic values: many exactly tied diameters
+        return rng.integers(-2, 3, (n, d)) / 4.0, f
+    if kind == "duplicates":
+        distinct = random_instance(rng, max(1, n // 3), d)
+        return distinct[rng.integers(0, distinct.shape[0], n)], f
+    # one to f rows (one when f = 0, which must raise) with a NaN or inf
+    g = rng.integers(-2, 3, (n, d)) / 2.0
+    rows = rng.choice(n, int(rng.integers(1, max(f, 1) + 1)), replace=False)
+    g[rows, rng.integers(0, d, rows.size)] = rng.choice([np.nan, np.inf, -np.inf], rows.size)
+    return g, f
+
+
+def assert_mda_matches_enumeration(g, f):
+    # _mda itself: aggregate's unanimity shortcut passes n equal non-finite
+    # rows through before any rule sees them
+    try:
+        want = mda_enumerate(g, f)
+    except ContractViolationError:
+        with pytest.raises(ContractViolationError, match="non-finite"):
+            _mda(g, f)
+        return
+    assert np.array_equal(_mda(g, f), want)
+
+
+@pytest.mark.parametrize("kind", ["random", "dyadic", "duplicates", "non_finite"])
+def test_mda_matches_enumeration_oracle(kind):
+    rng = np.random.default_rng({"random": 21, "dyadic": 22, "duplicates": 23,
+                                 "non_finite": 24}[kind])
+    for _ in range(150):
+        assert_mda_matches_enumeration(*mda_instance(rng, kind))
+
+
+@st.composite
+def mda_inputs(draw):
+    n = draw(st.integers(1, 12))
+    f = draw(st.integers(0, min(5, (n - 1) // 2)))
+    d = draw(st.integers(1, 4))
+    value = st.one_of(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0, 1e200]),
+                      st.floats(-1e3, 1e3, allow_nan=False))
+    rows = draw(st.lists(st.lists(value, min_size=d, max_size=d), min_size=n, max_size=n))
+    g = np.array(rows)
+    for r in draw(st.lists(st.integers(0, n - 1), max_size=f + 1, unique=True)):
+        g[r, draw(st.integers(0, d - 1))] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    return g, f
+
+
+@settings(max_examples=300, deadline=None)
+@given(mda_inputs())
+def test_mda_matches_enumeration_property(instance):
+    # ties, duplicates, overflowing distances and up to f + 1 non-finite rows
+    with np.errstate(over="ignore"):
+        assert_mda_matches_enumeration(*instance)
+
+
+def test_mda_planted_cluster_at_31_7():
+    # C(31, 24) = 2.6M subsets: beyond any enumeration, exact by the search
+    rng = np.random.default_rng(31)
+    g = rng.normal(0, 0.01, (31, 20))
+    far = [0, 4, 9, 15, 16, 22, 30]
+    g[far] += 100.0 * np.eye(20)[:7]
+    tight = np.setdiff1d(np.arange(31), far)
+    out = aggregate(GarSpec("mda", 31, 7), g)
+    assert np.array_equal(out, _mean_rows(g[tight]))
+
+
 def test_mda_matches_bruteforce_on_random_instances():
     rng = np.random.default_rng(2024)
     for _ in range(100):
@@ -255,6 +361,7 @@ def test_mda_two_cluster_selection_is_exact():
     assert np.array_equal(out, v)
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_mda_skips_a_non_finite_row(bad):
     # every subset holding row 2 has a NaN or inf diameter and must lose to
@@ -279,8 +386,5 @@ def test_enumeration_cap():
     g = random_instance(rng, 20, 2)
     with pytest.raises(CapacityError, match="raise the cap"):
         mda_bruteforce(g, 20, 10, cap=1000)
-    with pytest.raises(CapacityError, match="raise the cap"):
-        aggregate(GarSpec("mda", 20, 9), g, mda_cap=1000)
-    # a raised cap succeeds
-    got = aggregate(GarSpec("mda", 20, 9), g, mda_cap=200_000)
-    assert got.shape == (2,)
+    # aggregate has no cap: C(20, 11) = 167,960 subsets agree with the oracle
+    assert np.array_equal(aggregate(GarSpec("mda", 20, 9), g), mda_enumerate(g, 9))
