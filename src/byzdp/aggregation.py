@@ -262,10 +262,12 @@ def _bulyan(g: np.ndarray, f: int) -> np.ndarray:
 def aggregate(spec: GarSpec, grads) -> np.ndarray:
     """Apply the configured rule to exactly n same-dimension vectors."""
     g = _as_matrix(grads, spec.n)
-    if np.all(g == g[0]):
-        return g[0].copy()  # unanimity is exact for every rule
+    # unanimity is exact for every rule, but mda must still count equal
+    # non-finite rows against f
+    if np.all(g == g[0]) and (spec.rule != "mda" or np.isfinite(g[0]).all()):
+        return g[0].copy()
     if spec.rule == "average":
-        return _mean_rows(g)
+        return g.mean(axis=0)
     if spec.rule == "krum":
         return _krum(g, spec.f)
     if spec.rule == "median":

@@ -60,7 +60,16 @@ def initial_theta(config: "RunConfig") -> np.ndarray:
 
 
 class _StreamPool:
-    """Reuses one Philox generator by rekeying it; equals worker_stream draws."""
+    """Reuses one Philox generator by rekeying it; equals worker_stream draws.
+
+    A rekey assigns a fresh state of plain Python ints: key (seed, packed
+    cell), counter zero, an exhausted buffer (buffer_pos 4) and no cached
+    32-bit half. That is the state ``Philox(key=...)`` starts in, so every
+    draw matches ``worker_stream``, whatever the previous key left behind.
+    The old state is never read back, which would build numpy arrays per call.
+    """
+
+    _ZEROS = (0, 0, 0, 0)
 
     def __init__(self, master_seed: int):
         self._seed = master_seed
@@ -69,15 +78,12 @@ class _StreamPool:
         self._gen = np.random.Generator(self._bg)
 
     def get(self, worker_id: int, round_no: int, purpose: int) -> np.random.Generator:
-        state = self._bg.state
-        inner = state["state"]
-        inner["key"][0] = self._seed
-        inner["key"][1] = (worker_id << (_ROUND_BITS + 2)) | (round_no << 2) | purpose
-        inner["counter"][:] = 0
-        state["buffer_pos"] = 4
-        state["has_uint32"] = 0
-        state["uinteger"] = 0
-        self._bg.state = state
+        packed = (worker_id << (_ROUND_BITS + 2)) | (round_no << 2) | purpose
+        self._bg.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": self._ZEROS, "key": (self._seed, packed)},
+            "buffer": self._ZEROS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+        }
         return self._gen
 
 
@@ -217,6 +223,7 @@ def run(config: RunConfig, record_messages: bool = False) -> RunResult:
     records: list[MetricsRecord] = []
     messages = np.empty((config.steps, n, d)) if record_messages else None
     min_sq = math.inf
+    idx = np.empty((n_honest, b), dtype=np.intp) if b < m else None
 
     for t in range(1, config.steps + 1):
         gamma_t = config.learning_rate(t)
@@ -238,7 +245,6 @@ def run(config: RunConfig, record_messages: bool = False) -> RunResult:
             mean_one = grads.mean(axis=0)
             submissions = np.tile(mean_one, (n_honest, 1))
         else:
-            idx = np.empty((n_honest, b), dtype=np.intp)
             for w in range(n_honest):
                 idx[w] = sample_batch(dataset, b, pool.get(w, t, PURPOSE_BATCH))
             flat = idx.ravel()

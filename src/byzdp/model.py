@@ -343,12 +343,15 @@ def sample_batch(dataset: Dataset, b: int, rng: np.random.Generator) -> np.ndarr
     """Draw b distinct indices uniformly over all size-b subsets of [0, m).
 
     The returned index set is sorted, which fixes a canonical representation
-    of the subset; with b = m this is simply 0..m-1.
+    of the subset; with b = m this is simply 0..m-1. The fresh result of
+    ``choice`` is sorted in place, saving the copy ``np.sort`` would make.
     """
     m = dataset.m
     if not 1 <= b <= m:
         raise ContractViolationError(f"batch size must satisfy 1 <= b <= m, got b={b}, m={m}")
-    return np.sort(rng.choice(m, size=b, replace=False))
+    idx = rng.choice(m, size=b, replace=False)
+    idx.sort()
+    return idx
 
 
 def population_variance(model: Model, theta: np.ndarray, dataset: Dataset) -> float:

@@ -2,7 +2,8 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the verdict lines.
 Criteria 6 and 7 execute full simulations and dominate the runtime (about
-55-65 s and 12-14 s respectively on a 2-CPU machine).
+60-75 s and 12-20 s respectively on a 2-CPU x86-64 host, Python 3.11,
+numpy 2.4).
 """
 
 import csv

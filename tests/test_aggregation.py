@@ -90,6 +90,21 @@ def test_unanimity_exact_for_every_rule():
         assert np.array_equal(out, g), rule
 
 
+@pytest.mark.filterwarnings("error")
+def test_unanimous_non_finite_rows():
+    # n equal rows holding inf are unanimous: mda must still count them
+    # against f, and every other rule hands the row back exactly, unwarned
+    with pytest.raises(ContractViolationError, match="non-finite"):
+        aggregate(GarSpec("mda", 5, 1), np.tile([1.0, np.inf], (5, 1)))
+    with pytest.raises(ContractViolationError, match="non-finite"):
+        aggregate(GarSpec("mda", 1, 0), [[-1, np.inf, .5, .5, 1]])
+    row = np.array([0.1, np.inf, -np.inf, 0.7])
+    for rule, n, f in (("average", 3, 0), ("krum", 9, 1), ("median", 9, 1),
+                       ("bulyan", 9, 1)):
+        out = aggregate(GarSpec(rule, n, f), np.tile(row, (n, 1)))
+        assert np.array_equal(out, row), rule
+
+
 def test_median_scalar_example():
     assert aggregate(GarSpec("median", 3, 1), vecs(1, 2, 100)) == pytest.approx([2.0])
 
@@ -241,8 +256,7 @@ def mda_instance(rng, kind):
 
 
 def assert_mda_matches_enumeration(g, f):
-    # _mda itself: aggregate's unanimity shortcut passes n equal non-finite
-    # rows through before any rule sees them
+    # _mda itself, so that no shortcut of aggregate stands in for the rule
     try:
         want = mda_enumerate(g, f)
     except ContractViolationError:

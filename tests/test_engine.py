@@ -11,6 +11,7 @@ from byzdp import (AttackSpec, ClipParams, ConfigurationError, GarSpec,
 from byzdp.engine import (PURPOSE_BATCH, PURPOSE_INIT, PURPOSE_NOISE, _StreamPool,
                           cell_digest)
 from byzdp.model import batch_grads
+import byzdp.engine
 
 
 def quadratic_config(**overrides):
@@ -37,6 +38,7 @@ def test_worker_streams_are_keyed_and_disjoint():
 
 def test_stream_pool_matches_fresh_streams():
     pool = _StreamPool(99)
+    gen = pool.get(0, 1, 0)
     for worker, rno, purpose in ((0, 1, 0), (3, 2, 1), (7, 40, 0), (2, 1, 2)):
         got = pool.get(worker, rno, purpose).normal(size=6)
         want = worker_stream(99, worker, rno, purpose).normal(size=6)
@@ -46,6 +48,51 @@ def test_stream_pool_matches_fresh_streams():
     x1 = g1.normal(size=3)
     x2 = pool.get(0, 1, 0).normal(size=3)
     assert np.array_equal(x1, x2)
+    # a rekey after a draw that caches a 32-bit half (has_uint32 = 1), and
+    # after one that leaves the 4-word output buffer partly consumed
+    for leftover in (lambda r: r.integers(0, 7, dtype=np.int32),
+                     lambda r: r.integers(0, 2**60, size=3)):
+        leftover(pool.get(5, 6, 0))
+        got = pool.get(5, 6, 1).integers(0, 2**40, size=9)
+        assert np.array_equal(got, worker_stream(99, 5, 6, 1).integers(0, 2**40, size=9))
+    assert pool.get(1, 1, 1) is gen
+    # the largest master seed, worker id and round the key can hold
+    seed, worker, rno = 2**64 - 1, 2**30 - 1, 2**32 - 1
+    pool = _StreamPool(seed)
+    gen = pool.get(0, 1, 0)
+    gen.integers(0, 7, dtype=np.int32)
+    for purpose in (PURPOSE_BATCH, PURPOSE_NOISE, PURPOSE_INIT):
+        got = pool.get(worker, rno, purpose)
+        assert got is gen
+        want = worker_stream(seed, worker, rno, purpose)
+        assert np.array_equal(got.standard_normal(5), want.standard_normal(5))
+        assert np.array_equal(got.integers(0, 2**31, dtype=np.int32),
+                              want.integers(0, 2**31, dtype=np.int32))
+
+
+def test_round_loop_draws_through_module_bindings(monkeypatch):
+    # the benchmark's tracer wraps these bindings and needs them called
+    counts = {"batch": 0, "noise": 0, "rekey": 0}
+
+    def counting(key, original):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(byzdp.engine, "sample_batch",
+                        counting("batch", byzdp.engine.sample_batch))
+    monkeypatch.setattr(byzdp.engine, "gaussian_noise",
+                        counting("noise", byzdp.engine.gaussian_noise))
+    monkeypatch.setattr(_StreamPool, "get", counting("rekey", _StreamPool.get))
+    config = quadratic_config(gar=GarSpec("mda", 7, 2), b=10, steps=6,
+                              attack=AttackSpec("little"),
+                              privacy=PrivacyParams(0.5, 1e-4, 1.5, 10, 40))
+    assert config.s > 0
+    run(config)
+    n_honest, steps = 5, 6
+    assert counts == {"batch": n_honest * steps, "noise": n_honest * steps,
+                      "rekey": 2 * n_honest * steps}
 
 
 def test_stream_pool_choice_matches():

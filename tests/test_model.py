@@ -178,6 +178,24 @@ def test_sample_batch_uniform_frequencies():
     assert np.all(np.abs(freqs - 0.25) <= 0.01)
 
 
+# m around numpy's cutoffs for choice without replacement: Floyd's algorithm up
+# to m = 10000, and above it up to b = m // 50 with shuffle but m // 20
+# without; a draw that skipped the shuffle would pick other sets past them
+@pytest.mark.parametrize("m", [1, 25, 1000, 4000, 10000, 10001, 20000, 50000])
+def test_sample_batch_matches_the_plain_draw(m):
+    ds = Dataset(np.zeros((m, 1)))
+    sizes = sorted({min(max(b, 1), m) for b in (1, m // 50, m // 50 + 1, m // 20,
+                                                  m // 20 + 1, m)})
+    for b in sizes:
+        for key in range(3):
+            rng = worker_stream(4, key, m, 0)
+            plain = worker_stream(4, key, m, 0)
+            want = np.sort(plain.choice(m, b, replace=False))
+            assert np.array_equal(sample_batch(ds, b, rng), want), (m, b, key)
+            # and the generator ends where the plain draw leaves it
+            assert np.array_equal(rng.integers(0, 2**62, 4), plain.integers(0, 2**62, 4))
+
+
 def test_sample_batch_rejects_oversized():
     ds = regression_targets(0, 5, 1)
     with pytest.raises(ContractViolationError):
