@@ -13,6 +13,11 @@ Five server-side rules over n submitted vectors, at most f of them forged:
 * bulyan  - iterated krum selection followed by a per-coordinate trimmed
             average around the coordinate-wise median of the selection.
 
+Every rule shares one input policy: k rows holding NaN or +-inf count
+against f, k > f raises ContractViolationError, and otherwise the rule runs
+on the finite rows with f - k, which keeps its (n, f) constraint. Distances
+that could overflow are taken on a power-of-two rescaled copy.
+
 Tie handling is deterministic everywhere: krum and bulyan prefer the lowest
 worker index among minimal scores, mda prefers the lexicographically smallest
 index set among minimal diameters, and bulyan's per-coordinate selection
@@ -32,6 +37,8 @@ from .errors import CapacityError, ConfigurationError, ContractViolationError
 RULES = ("average", "krum", "mda", "median", "bulyan")
 
 MDA_SUBSET_CAP = 200_000  # of the enumerating oracle, mda_bruteforce
+
+_FLOAT_MAX = float(np.finfo(np.float64).max)
 
 
 @dataclass(frozen=True)
@@ -100,6 +107,12 @@ def _mean_rows(rows: np.ndarray) -> np.ndarray:
 
 
 def _pairwise_sq_dists(g: np.ndarray) -> np.ndarray:
+    # a difference is at most 2 top and a krum score sums fewer than n
+    # distances of d terms each, so nothing overflows below this bound; above
+    # it the rows are scaled by a power of two, which keeps every comparison
+    top = float(np.abs(g).max(initial=0.0))
+    if 4.0 * g.size * top * top > _FLOAT_MAX:
+        g = np.ldexp(g, -math.frexp(top)[1])
     diff = g[:, None, :] - g[None, :, :]
     return np.einsum("ijk,ijk->ij", diff, diff)
 
@@ -133,8 +146,8 @@ def _median(g: np.ndarray) -> np.ndarray:
 
 
 def _conflict_masks(dist: np.ndarray, tau: float) -> list[int]:
-    """Bitset of row u: the rows v with not dist[u, v] <= tau, NaN included."""
-    packed = np.packbits(~(dist <= tau), axis=1, bitorder="little")
+    """Bitset of row u: the rows v with dist[u, v] > tau."""
+    packed = np.packbits(dist > tau, axis=1, bitorder="little")
     width = packed.shape[1]
     raw = packed.tobytes()
     return [int.from_bytes(raw[u * width:(u + 1) * width], "little")
@@ -175,35 +188,25 @@ def _mda(g: np.ndarray, f: int) -> np.ndarray:
     """Mean of the lexicographically smallest size-(n - f) minimum-diameter subset.
 
     A subset has diameter <= tau exactly when the rows left out cover every
-    pair with not dist <= tau, so the minimum diameter is the smallest
+    pair with dist > tau, so the minimum diameter is the smallest
     pairwise distance tau at which at most f rows cover that conflict graph.
     The same floats decide every comparison as in the enumeration over
     subsets.
     """
     n = g.shape[0]
     size = n - f
-    with np.errstate(invalid="ignore"):  # inf - inf on the diagonal of an inf row
-        dist = np.sqrt(_pairwise_sq_dists(g))
-    # the cover search needs a symmetric conflict graph, and a subset's
-    # diameter reads both (u, v) and (v, u)
-    dist = np.maximum(dist, dist.T)
-    # a row holding NaN or inf has a non-finite self-distance; it is left out
-    # first and counts against f
-    bad = np.flatnonzero(~np.isfinite(np.diagonal(dist)))
-    budget = f - bad.size
-    alive = (1 << n) - 1
-    for u in bad.tolist():
-        alive &= ~(1 << u)
-    # every diameter is an entry of dist (the diagonal's 0.0 for one row),
-    # and an entry in a non-finite row is never finite
+    # einsum sums the same squares in the same order for (u, v) and (v, u),
+    # so dist is symmetric, as the cover search needs
+    dist = np.sqrt(_pairwise_sq_dists(g))
+    # every diameter is an entry of dist (the diagonal's 0.0 for one row)
     taus = np.unique(dist)
-    taus = taus[np.isfinite(taus)]
     # each of the size rows of the best subset has size entries <= D* in
-    # its row, its own 0.0 included, so D* is at least this bound; it is not
-    # finite when more than f rows are non-finite
+    # its row, its own 0.0 included, so D* is at least this bound
     lower = np.sort(np.sort(dist, axis=1)[:, size - 1])[size - 1]
     lo, hi = int(np.searchsorted(taus, lower)), taus.size
-    adj = None  # the conflict graph at taus[hi] once some threshold fits
+    alive, budget = (1 << n) - 1, f
+    # the largest distance always fits, so the search sets adj, the
+    # conflict graph at taus[hi]
     while lo < hi:
         mid = (lo + hi) // 2
         masks = _conflict_masks(dist, taus[mid])
@@ -211,10 +214,6 @@ def _mda(g: np.ndarray, f: int) -> np.ndarray:
             hi, adj = mid, masks
         else:
             lo = mid + 1
-    if adj is None:
-        raise ContractViolationError(
-            f"mda found no {size} vectors with a finite diameter; "
-            f"more than f={f} submissions are non-finite")
     # lexicographic tie rule: keep row i when its live neighbours can all be
     # left out and a cover of the rest still fits the budget. A row with at
     # most one live neighbour needs no search: a cover holding the row can
@@ -260,21 +259,31 @@ def _bulyan(g: np.ndarray, f: int) -> np.ndarray:
 
 
 def aggregate(spec: GarSpec, grads) -> np.ndarray:
-    """Apply the configured rule to exactly n same-dimension vectors."""
+    """Apply the configured rule to exactly n same-dimension vectors.
+
+    Rows holding NaN or +-inf count against f: more than f of them raise
+    ContractViolationError, and otherwise the rule runs on the finite rows.
+    """
     g = _as_matrix(grads, spec.n)
-    # unanimity is exact for every rule, but mda must still count equal
-    # non-finite rows against f
-    if np.all(g == g[0]) and (spec.rule != "mda" or np.isfinite(g[0]).all()):
+    f = spec.f
+    if not np.isfinite(g).all():
+        finite = np.isfinite(g).all(axis=1)
+        k = spec.n - int(finite.sum())
+        if k > f:
+            raise ContractViolationError(
+                f"{k} submissions are non-finite, more than f={f}")
+        g, f = g[finite], f - k
+    if np.all(g == g[0]):
         return g[0].copy()
     if spec.rule == "average":
         return g.mean(axis=0)
     if spec.rule == "krum":
-        return _krum(g, spec.f)
+        return _krum(g, f)
     if spec.rule == "median":
         return _median(g)
     if spec.rule == "mda":
-        return _mda(g, spec.f)
-    return _bulyan(g, spec.f)
+        return _mda(g, f)
+    return _bulyan(g, f)
 
 
 # ------------------------------------------------------------------ oracles

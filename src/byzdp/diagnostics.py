@@ -28,8 +28,6 @@ from .model import (Dataset, Model, batch_grads, full_grad, population_variance,
                     quadratic_minimizer, sample_batch, smoothness_constant)
 from .privacy import delta_log_factor, gaussian_noise
 
-VARIANCE_MODES = ("analytic", "monte_carlo")
-
 
 # ---------------------------------------------------------------- variance
 
@@ -85,20 +83,11 @@ class VnMargin:
 
 
 def vn_margin(model: Model, dataset: Dataset, theta: np.ndarray, spec: GarSpec,
-              s: float, b: int, mode: str = "analytic", mc_samples: int = 100_000,
-              rng: np.random.Generator | None = None) -> VnMargin:
+              s: float, b: int) -> VnMargin:
     """kappa^2 Var[G(theta)] versus |grad Q(theta)|^2 at one point."""
-    if mode not in VARIANCE_MODES:
-        raise ContractViolationError(f"unknown variance mode '{mode}'")
     kap = kappa(spec)
     theta = np.asarray(theta, dtype=np.float64)
-    if mode == "analytic":
-        var = submission_variance(model, theta, dataset, b, s)
-    else:
-        if rng is None:
-            raise ContractViolationError("monte_carlo mode needs a dedicated rng")
-        var = monte_carlo_submission_variance(model, theta, dataset, b, s, mc_samples, rng)
-    lhs = kap * kap * var
+    lhs = kap * kap * submission_variance(model, theta, dataset, b, s)
     g = full_grad(model, theta, dataset)
     rhs = float(g @ g)
     return VnMargin(theta, lhs, rhs, lhs < rhs)
@@ -127,8 +116,7 @@ def find_vn_violation(model: Model, dataset: Dataset, spec: GarSpec, s: float,
     direction = eigvecs[:, -1]
     radius = kap * math.sqrt(model.dim) * s / (2.0 * lips)
     theta_prime = theta_star + radius * direction
-    margin = vn_margin(model, dataset, theta_prime, spec, s, b, mode="analytic")
-    return margin
+    return vn_margin(model, dataset, theta_prime, spec, s, b)
 
 
 # --------------------------------------------------------------- eta bounds

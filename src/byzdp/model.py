@@ -277,11 +277,7 @@ def batch_losses(model: Model, theta: np.ndarray, features: np.ndarray,
         diff = theta[None, :] - x
         return 0.5 * np.einsum("ij,ij->i", diff @ model.hessian, diff) + reg
     y = np.atleast_1d(np.asarray(labels, dtype=np.float64))
-    if model.kind == "logistic":
-        return np.logaddexp(0.0, -y * (x @ theta)) + reg
-    w1, b1, w2, b2 = _unpack_mlp(model, theta)
-    score = np.tanh(x @ w1.T + b1[None, :]) @ w2 + b2
-    return np.logaddexp(0.0, -y * score) + reg
+    return np.logaddexp(0.0, -y * scores(model, theta, x)) + reg
 
 
 def full_loss(model: Model, theta: np.ndarray, dataset: Dataset) -> float:
@@ -399,8 +395,11 @@ def quadratic_minimizer(model: Model, dataset: Dataset) -> np.ndarray:
     return np.linalg.solve(h + model.lam * np.eye(model.dim), h @ xbar)
 
 
-def estimate_min_loss(model: Model, dataset: Dataset, max_iters: int = 20000,
-                      tol: float = 1e-10) -> float:
+MIN_LOSS_MAX_STEPS = 20000  # Newton steps of estimate_min_loss
+MIN_LOSS_TOL = 1e-10  # gradient norm at which estimate_min_loss stops
+
+
+def estimate_min_loss(model: Model, dataset: Dataset) -> float:
     """Minimum empirical loss, exact for the quadratic kind, an upper bound otherwise.
 
     quadratic: the loss at the closed-form minimizer.
@@ -409,10 +408,11 @@ def estimate_min_loss(model: Model, dataset: Dataset, max_iters: int = 20000,
                and w = expit(y X theta), so a singular H (lam = 0 with
                rank-deficient features) still gives a step. The step is halved
                until the loss does not increase; the loop ends when the
-               gradient norm drops below ``tol``, when no step above 1e-10
-               helps, or after ``max_iters`` steps. Every iterate's loss is an
-               upper bound on the minimum, and the estimate is exact to the
-               gradient tolerance when the minimum is attained.
+               gradient norm drops below ``MIN_LOSS_TOL``, when no step above
+               1e-10 helps, or after ``MIN_LOSS_MAX_STEPS`` steps. Every
+               iterate's loss is an upper bound on the minimum, and the
+               estimate is exact to the gradient tolerance when the minimum
+               is attained.
     mlp1:      raises ConfigurationError.
     """
     if model.kind == "quadratic":
@@ -422,9 +422,9 @@ def estimate_min_loss(model: Model, dataset: Dataset, max_iters: int = 20000,
     x, y = dataset.features, dataset.labels
     theta = np.zeros(model.dim)
     loss = full_loss(model, theta, dataset)
-    for _ in range(max_iters):
+    for _ in range(MIN_LOSS_MAX_STEPS):
         g = full_grad(model, theta, dataset)
-        if float(np.linalg.norm(g)) < tol:
+        if float(np.linalg.norm(g)) < MIN_LOSS_TOL:
             break
         w = expit(y * (x @ theta))
         hess = (x.T * (w * (1.0 - w))) @ x / dataset.m + model.lam * np.eye(model.dim)

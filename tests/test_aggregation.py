@@ -1,6 +1,7 @@
 """Aggregation rules, constants, and the brute-force cross-checks."""
 
 import math
+import warnings
 from itertools import combinations, islice
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from byzdp import (CapacityError, ConfigurationError, ContractViolationError,
                    GarSpec, aggregate, kappa, mda_bruteforce)
-from byzdp.aggregation import _krum_scores, _mda, _mean_rows, _pairwise_sq_dists
+from byzdp.aggregation import RULES, _krum_scores, _mean_rows, _pairwise_sq_dists
 
 
 def vecs(*scalars):
@@ -90,19 +91,85 @@ def test_unanimity_exact_for_every_rule():
         assert np.array_equal(out, g), rule
 
 
+# ------------------------------------------------------------ input policy
+
 @pytest.mark.filterwarnings("error")
 def test_unanimous_non_finite_rows():
-    # n equal rows holding inf are unanimous: mda must still count them
-    # against f, and every other rule hands the row back exactly, unwarned
-    with pytest.raises(ContractViolationError, match="non-finite"):
-        aggregate(GarSpec("mda", 5, 1), np.tile([1.0, np.inf], (5, 1)))
+    # n equal rows holding inf are n non-finite rows, more than f under
+    # every rule, so unanimity does not hand them back
+    row = np.array([0.1, np.inf, -np.inf, 0.7])
+    for rule, n, f in (("average", 3, 0), ("krum", 9, 1), ("mda", 5, 1),
+                       ("median", 9, 1), ("bulyan", 9, 1)):
+        with pytest.raises(ContractViolationError, match="non-finite"):
+            aggregate(GarSpec(rule, n, f), np.tile(row, (n, 1)))
     with pytest.raises(ContractViolationError, match="non-finite"):
         aggregate(GarSpec("mda", 1, 0), [[-1, np.inf, .5, .5, 1]])
-    row = np.array([0.1, np.inf, -np.inf, 0.7])
-    for rule, n, f in (("average", 3, 0), ("krum", 9, 1), ("median", 9, 1),
-                       ("bulyan", 9, 1)):
-        out = aggregate(GarSpec(rule, n, f), np.tile(row, (n, 1)))
-        assert np.array_equal(out, row), rule
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("rule", ["krum", "median", "bulyan"])
+def test_one_nan_row_is_dropped_against_f(rule):
+    g = np.random.default_rng(19).normal(0, 1, (11, 4))
+    g[6, 2] = np.nan
+    out = aggregate(GarSpec(rule, 11, 2), g)
+    assert np.array_equal(out, aggregate(GarSpec(rule, 10, 1), np.delete(g, 6, 0)))
+
+
+RULE_CASES = (("average", 9, 0), ("krum", 9, 2), ("mda", 9, 3), ("median", 9, 4),
+              ("bulyan", 11, 2))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("k", [-40, 17, 700, 1000])
+def test_power_of_two_scaling_commutes_with_every_rule(k):
+    # scaling by 2^k is exact, and distances that would overflow are taken on
+    # a rescaled copy, so every comparison and every mean scale with it
+    rng = np.random.default_rng(29)
+    for trial in range(30):
+        for rule, n, f in RULE_CASES:
+            d = int(rng.integers(1, 30))
+            if trial % 2:
+                g = rng.integers(-2, 3, (n, d)) / 4.0  # exact ties
+            else:
+                g = random_instance(rng, n, d)
+            spec = GarSpec(rule, n, f)
+            assert np.array_equal(aggregate(spec, np.ldexp(g, k)),
+                                  np.ldexp(aggregate(spec, g), k)), rule
+
+
+@st.composite
+def policy_inputs(draw):
+    rule = draw(st.sampled_from(RULES))
+    f = 0 if rule == "average" else draw(st.integers(0, 2))
+    low = {"average": 1, "krum": 2 * f + 3, "bulyan": 4 * f + 3}.get(rule, 2 * f + 1)
+    n = draw(st.integers(low, low + 4))
+    d = draw(st.integers(1, 4))
+    value = st.one_of(st.sampled_from([-1e300, -1.0, 0.0, 1.0, 1e300]),
+                      st.floats(-1e300, 1e300))
+    rows = draw(st.lists(st.lists(value, min_size=d, max_size=d), min_size=n, max_size=n))
+    g = np.array(rows)
+    for r in draw(st.lists(st.integers(0, n - 1), max_size=f + 1, unique=True)):
+        g[r, draw(st.integers(0, d - 1))] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    return GarSpec(rule, n, f), g
+
+
+@settings(max_examples=400, deadline=None)
+@given(policy_inputs())
+def test_every_rule_returns_a_finite_vector_or_raises(instance):
+    spec, g = instance
+    finite = np.isfinite(g).all(axis=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        d2 = _pairwise_sq_dists(g[finite])
+        if spec.n - int(finite.sum()) > spec.f:
+            with pytest.raises(ContractViolationError, match="non-finite"):
+                aggregate(spec, g)
+            return
+        out = aggregate(spec, g)
+    # the identity that lets mda skip symmetrising its distances
+    assert np.array_equal(d2, d2.T)
+    assert out.shape == (g.shape[1],)
+    assert np.isfinite(out).all()
 
 
 def test_median_scalar_example():
@@ -205,15 +272,11 @@ def test_bulyan_matches_loop_oracle(kind):
 
 
 def mda_enumerate(g, f):
-    """Reference mda over all C(n, n - f) subsets in lexicographic order.
-
-    Non-finite diameters rank last; no finite diameter raises.
-    """
+    """Reference mda over all C(n, n - f) subsets of finite rows in lexicographic order."""
     n = g.shape[0]
     size = n - f
     total = math.comb(n, size)
-    with np.errstate(invalid="ignore"):
-        dist = np.sqrt(_pairwise_sq_dists(g))
+    dist = np.sqrt(_pairwise_sq_dists(g))
     best_diam = np.inf
     best_subset = None
     subset_iter = combinations(range(n), size)
@@ -223,16 +286,11 @@ def mda_enumerate(g, f):
         if block.size == 0:
             break
         diams = dist[block[:, :, None], block[:, None, :]].max(axis=(1, 2))
-        diams[~np.isfinite(diams)] = np.inf
         i = int(np.argmin(diams))
         # strict < keeps the first minimum, the lexicographically smallest set
         if diams[i] < best_diam:
             best_diam = float(diams[i])
             best_subset = block[i]
-    if best_subset is None:
-        raise ContractViolationError(
-            f"mda found no {size} vectors with a finite diameter; "
-            f"more than f={f} submissions are non-finite")
     return _mean_rows(g[best_subset])
 
 
@@ -256,14 +314,16 @@ def mda_instance(rng, kind):
 
 
 def assert_mda_matches_enumeration(g, f):
-    # _mda itself, so that no shortcut of aggregate stands in for the rule
-    try:
-        want = mda_enumerate(g, f)
-    except ContractViolationError:
+    # aggregate drops the k non-finite rows against f before the rule runs
+    n = g.shape[0]
+    finite = np.isfinite(g).all(axis=1)
+    k = n - int(finite.sum())
+    if k > f:
         with pytest.raises(ContractViolationError, match="non-finite"):
-            _mda(g, f)
+            aggregate(GarSpec("mda", n, f), g)
         return
-    assert np.array_equal(_mda(g, f), want)
+    want = mda_enumerate(g[finite], f - k)
+    assert np.array_equal(aggregate(GarSpec("mda", n, f), g), want)
 
 
 @pytest.mark.parametrize("kind", ["random", "dyadic", "duplicates", "non_finite"])
@@ -291,9 +351,9 @@ def mda_inputs(draw):
 @settings(max_examples=300, deadline=None)
 @given(mda_inputs())
 def test_mda_matches_enumeration_property(instance):
-    # ties, duplicates, overflowing distances and up to f + 1 non-finite rows
-    with np.errstate(over="ignore"):
-        assert_mda_matches_enumeration(*instance)
+    # ties, duplicates, entries that would overflow the distances unscaled,
+    # and up to f + 1 non-finite rows
+    assert_mda_matches_enumeration(*instance)
 
 
 def test_mda_planted_cluster_at_31_7():

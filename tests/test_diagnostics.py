@@ -8,7 +8,8 @@ import pytest
 from byzdp import (CalibrationError, ContractViolationError, GarSpec, PrivacyParams,
                    batch_mean_variance, convergence_bound, eta_bounds,
                    find_vn_violation, full_grad, gaussian_blobs, kappa,
-                   logistic_model, mlp1_model, population_variance,
+                   logistic_model, mlp1_model, monte_carlo_submission_variance,
+                   population_variance,
                    quadratic_minimizer, quadratic_model, regression_targets,
                    sigma_total, submission_variance, vn_margin, worker_stream)
 from byzdp.model import batch_grads
@@ -76,12 +77,10 @@ def test_library_monte_carlo_mode_agrees_with_analytic():
     model = logistic_model(4, lam=1e-3)
     ds = gaussian_blobs(7, 30, 4)
     theta = np.full(4, 0.3)
-    spec = GarSpec("median", 9, 3)
-    analytic = vn_margin(model, ds, theta, spec, s=0.1, b=6)
-    mc = vn_margin(model, ds, theta, spec, s=0.1, b=6, mode="monte_carlo",
-                   mc_samples=100_000, rng=worker_stream(17, 0, 1, 1))
-    assert mc.lhs == pytest.approx(analytic.lhs, rel=0.02)
-    assert mc.rhs == analytic.rhs
+    analytic = submission_variance(model, theta, ds, b=6, s=0.1)
+    mc = monte_carlo_submission_variance(model, theta, ds, b=6, s=0.1, samples=100_000,
+                                         rng=worker_stream(17, 0, 1, 1))
+    assert mc == pytest.approx(analytic, rel=0.02)
 
 
 # ------------------------------------------------------------------ margins
