@@ -108,11 +108,14 @@ def _mean_rows(rows: np.ndarray) -> np.ndarray:
 
 def _pairwise_sq_dists(g: np.ndarray) -> np.ndarray:
     # a difference is at most 2 top and a krum score sums fewer than n
-    # distances of d terms each, so nothing overflows below this bound; above
-    # it the rows are scaled by a power of two, which keeps every comparison
+    # distances of d terms each, so nothing overflows while top <= limit.
+    # Above it the rows shrink by the smallest power of two that fits: exact,
+    # and squares stay normal for differences down to about sqrt(n d)
+    # 2^-1022 top (below about sqrt(n d) 2^-1048 top they vanish)
     top = float(np.abs(g).max(initial=0.0))
-    if 4.0 * g.size * top * top > _FLOAT_MAX:
-        g = np.ldexp(g, -math.frexp(top)[1])
+    limit = math.sqrt(_FLOAT_MAX / (4.0 * max(g.size, 1)))
+    if top > limit:
+        g = np.ldexp(g, -math.frexp(top / limit)[1])
     diff = g[:, None, :] - g[None, :, :]
     return np.einsum("ijk,ijk->ij", diff, diff)
 
@@ -135,15 +138,6 @@ def _krum_scores(g: np.ndarray, f: int) -> np.ndarray:
 
 
 # -------------------------------------------------------------------- rules
-
-def _krum(g: np.ndarray, f: int) -> np.ndarray:
-    scores = _krum_scores(g, f)
-    return g[int(np.argmin(scores))].copy()
-
-
-def _median(g: np.ndarray) -> np.ndarray:
-    return np.median(g, axis=0)
-
 
 def _conflict_masks(dist: np.ndarray, tau: float) -> list[int]:
     """Bitset of row u: the rows v with dist[u, v] > tau."""
@@ -278,9 +272,9 @@ def aggregate(spec: GarSpec, grads) -> np.ndarray:
     if spec.rule == "average":
         return g.mean(axis=0)
     if spec.rule == "krum":
-        return _krum(g, f)
+        return g[int(np.argmin(_krum_scores(g, f)))].copy()
     if spec.rule == "median":
-        return _median(g)
+        return np.median(g, axis=0)
     if spec.rule == "mda":
         return _mda(g, f)
     return _bulyan(g, f)

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from fractions import Fraction
 from itertools import combinations, islice
 
 import numpy as np
@@ -170,6 +171,50 @@ def test_every_rule_returns_a_finite_vector_or_raises(instance):
     assert np.array_equal(d2, d2.T)
     assert out.shape == (g.shape[1],)
     assert np.isfinite(out).all()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("d", [20, 21, 705, 707])
+@pytest.mark.parametrize("top", [1.0, 1e200])
+def test_pairwise_sq_dists_symmetric_at_workload_dimensions(d, top):
+    # d reaches the unrolled SIMD sums of einsum, with and without a
+    # remainder, on the plain path (top 1) and the rescaled one (top 1e200)
+    g = np.random.default_rng(d).normal(0, 1, (15, d))
+    g[3] *= top
+    d2 = _pairwise_sq_dists(g)
+    assert np.array_equal(d2, d2.T)
+
+
+def exact_sq_dists(g):
+    """Squared distances in rational arithmetic: no overflow, no underflow."""
+    rows = [[Fraction(float(x)) for x in row] for row in g]
+    return [[sum((a - b) ** 2 for a, b in zip(u, v)) for v in rows] for u in rows]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("d", [3, 21])
+@pytest.mark.parametrize("forged,honest", [((1e30, 1e200), 1.0), ((1e100, 1e300), 1e-3)])
+def test_mixed_magnitudes_keep_honest_rows(d, forged, honest):
+    # a huge forged row must not push the honest rows' distances, or those
+    # to a moderate forged row, to zero
+    n = 9
+    g = np.random.default_rng(d).normal(0, honest, (n, d))
+    g[0], g[1] = forged
+    d2 = exact_sq_dists(g)
+
+    f = 2
+    scores = [sum(sorted(d2[i][j] for j in range(n) if j != i)[:n - f - 2])
+              for i in range(n)]
+    best = min(range(n), key=lambda i: (scores[i], i))
+    assert best >= 2
+    assert np.array_equal(aggregate(GarSpec("krum", n, f), g), g[best])
+
+    f = 3
+    # min keeps the first of equal diameters, the lexicographically smallest set
+    subset = min(combinations(range(n), n - f),
+                 key=lambda s: max(d2[u][v] for u in s for v in s))
+    assert min(subset) >= 2
+    assert np.array_equal(aggregate(GarSpec("mda", n, f), g), _mean_rows(g[list(subset)]))
 
 
 def test_median_scalar_example():
