@@ -212,6 +212,13 @@ def test_sweep_marks_invalid_cells(tmp_path, capsys):
     status = {(r["gar"], r["seed"]): r["status"] for r in rows}
     assert all(status[("median", str(s))] == "ok" for s in range(1, 6))
     assert all(status[("bulyan", str(s))] == "failed" for s in range(1, 6))
+    # "none" parses to None, which is no rule; the failed row names it
+    cfg = write(tmp_path, "none.cfg", text.replace("[median, bulyan]", "[median, none]"))
+    out = str(tmp_path / "none")
+    assert main(["sweep", cfg, "--out", out]) == 0
+    rows = read_rows(os.path.join(out, "summary.csv"))
+    assert [r["gar"] for r in rows if r["status"] == "failed"] == ["None"] * 5
+    assert all(r["gar"] == "median" for r in rows if r["status"] == "ok")
 
 
 def test_sweep_jobs_do_not_change_results(tmp_path):

@@ -1,5 +1,7 @@
 """Round loop, streams, determinism, sweeps."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -347,6 +349,51 @@ def test_sweep_epsilon_axis_recalibrates():
     ids = {r.cell_id for r in results}
     assert len(ids) == 3
     assert cell_digest(results[0].params) == results[0].cell_id
+
+
+def test_sweep_resolves_every_axis():
+    # every axis of a cell resolves to hand-built specs, on a private base and
+    # on a clipped base without privacy; the base attack has a non-default zeta
+    private = replace(small_sweep_base(), attack=AttackSpec("little", 0.25))
+    clipped = replace(private, privacy=None, clip=ClipParams(1.5))
+    median = GarSpec("median", 5, 1)
+    little = AttackSpec("little", 0.25)
+
+    def calibrated(eps, b):
+        return PrivacyParams(eps, 1e-4, 1.5, b, 40)
+
+    for base in (private, clipped):
+        keep = base.privacy is not None
+        cases = [
+            ("b", 8, median, little, calibrated(0.5, 8) if keep else None, 8, 1),
+            ("b", 20, median, little, calibrated(0.5, 20) if keep else None, 20, 1),
+            ("epsilon", None, median, little, None, 8, 1),
+            ("epsilon", "none", median, little, None, 8, 1),
+            ("gar", "mda", GarSpec("mda", 5, 1), little, base.privacy, 8, 1),
+            ("gar", "krum", GarSpec("krum", 5, 1), little, base.privacy, 8, 1),
+            ("f", 0, GarSpec("median", 5, 0), little, base.privacy, 8, 1),
+            ("f", 2, GarSpec("median", 5, 2), little, base.privacy, 8, 1),
+            ("seed", 7, median, little, base.privacy, 8, 7),
+            ("attack", "little", median, little, base.privacy, 8, 1),
+            ("attack", "empire", median, AttackSpec("empire", 1.1), base.privacy, 8, 1),
+            ("attack", "none", median, AttackSpec("none"), base.privacy, 8, 1),
+        ]
+        if keep:
+            cases.append(("epsilon", 0.9, median, little, calibrated(0.9, 8), 8, 1))
+        for axis, value, gar, attack, privacy, b, seed in cases:
+            [res] = sweep(base, {axis: [value]})
+            assert res.ok, (axis, value, res.reason)
+            config = res.config
+            assert config.gar == gar, (axis, value)
+            assert config.attack == attack, (axis, value)
+            assert config.privacy == privacy, (axis, value)
+            assert config.s == (0.0 if privacy is None else privacy.s)
+            assert config.clip == ClipParams(1.5), (axis, value)
+            assert (config.b, config.master_seed) == (b, seed), (axis, value)
+    [res] = sweep(clipped, {"epsilon": [0.9]})
+    assert not res.ok
+    assert "privacy-calibrated base" in res.reason
+    assert res.config is None
 
 
 def test_sweep_rejects_bad_grid():
