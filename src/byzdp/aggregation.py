@@ -16,7 +16,8 @@ Five server-side rules over n submitted vectors, at most f of them forged:
 Every rule shares one input policy: k rows holding NaN or +-inf count
 against f, k > f raises ContractViolationError, and otherwise the rule runs
 on the finite rows with f - k, which keeps its (n, f) constraint. Distances
-that could overflow are taken on a power-of-two rescaled copy.
+that could overflow or underflow are taken on a copy rescaled down or up
+by a power of two.
 
 Tie handling is deterministic everywhere: krum and bulyan prefer the lowest
 worker index among minimal scores, mda prefers the lexicographically smallest
@@ -39,6 +40,7 @@ RULES = ("average", "krum", "mda", "median", "bulyan")
 MDA_SUBSET_CAP = 200_000  # of the enumerating oracle, mda_bruteforce
 
 _FLOAT_MAX = float(np.finfo(np.float64).max)
+_SQUARE_FLOOR = 2.0 ** -511  # squares of smaller numbers are subnormal
 
 
 @dataclass(frozen=True)
@@ -111,11 +113,15 @@ def _pairwise_sq_dists(g: np.ndarray) -> np.ndarray:
     # distances of d terms each, so nothing overflows while top <= limit.
     # Above it the rows shrink by the smallest power of two that fits: exact,
     # and squares stay normal for differences down to about sqrt(n d)
-    # 2^-1022 top (below about sqrt(n d) 2^-1048 top they vanish)
+    # 2^-1022 top (below about sqrt(n d) 2^-1048 top they vanish). When
+    # every square would be subnormal, the rows grow by the power of two that
+    # brings top to at most limit (limit / top itself could overflow)
     top = float(np.abs(g).max(initial=0.0))
     limit = math.sqrt(_FLOAT_MAX / (4.0 * max(g.size, 1)))
     if top > limit:
         g = np.ldexp(g, -math.frexp(top / limit)[1])
+    elif 0.0 < top < _SQUARE_FLOOR:
+        g = np.ldexp(g, math.frexp(limit)[1] - math.frexp(top)[1] - 1)
     diff = g[:, None, :] - g[None, :, :]
     return np.einsum("ijk,ijk->ij", diff, diff)
 

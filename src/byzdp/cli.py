@@ -164,7 +164,7 @@ def build_run_config(cfg: dict, seed_override: int | None = None) -> RunConfig:
         eval_every=cfg.get("eval_every", 1))
 
 
-def resolve_seed(cfg: dict, flag_seed: int | None) -> int | None:
+def resolve_seed(flag_seed: int | None) -> int | None:
     if flag_seed is not None:
         return flag_seed
     env = os.environ.get("BYZDP_SEED")
@@ -186,6 +186,15 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _json_value(value):
+    """value with every non-finite float, nested ones too, replaced by None (JSON null)."""
+    if isinstance(value, dict):
+        return {key: _json_value(item) for key, item in value.items()}
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
 def _atomic_write(path: str, text: str):
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
@@ -199,17 +208,20 @@ def _atomic_write(path: str, text: str):
         raise
 
 
+def _csv_text(columns, rows) -> str:
+    lines = [",".join(columns)]
+    lines.extend(",".join(_fmt(value) for value in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
 def metrics_csv_text(run_id: str, records: list[MetricsRecord], config: RunConfig) -> str:
     eps = config.privacy.epsilon if config.privacy else None
     delta = config.privacy.delta if config.privacy else None
-    lines = [",".join(CSV_COLUMNS)]
-    for rec in records:
-        lines.append(",".join([
-            run_id, str(rec.round_no), _fmt(rec.loss), _fmt(rec.grad_norm),
-            _fmt(rec.min_sq_grad_norm), _fmt(rec.accuracy), _fmt(rec.s),
-            _fmt(rec.gamma), config.gar.rule, config.attack.kind, str(config.f),
-            _fmt(eps), _fmt(delta), str(config.b), str(config.master_seed)]))
-    return "\n".join(lines) + "\n"
+    return _csv_text(CSV_COLUMNS, (
+        (run_id, rec.round_no, rec.loss, rec.grad_norm, rec.min_sq_grad_norm,
+         rec.accuracy, rec.s, rec.gamma, config.gar.rule, config.attack.kind, config.f,
+         eps, delta, config.b, config.master_seed)
+        for rec in records))
 
 
 def resolved_config_text(cfg: dict) -> str:
@@ -277,7 +289,7 @@ def run_summary(cfg: dict, config: RunConfig, run_id: str, result) -> dict:
 
 def cmd_run(args) -> int:
     cfg = parse_config(args.config)
-    seed = resolve_seed(cfg, args.seed)
+    seed = resolve_seed(args.seed)
     config = build_run_config(cfg, seed)
     resolved = dict(cfg)
     resolved["master_seed"] = config.master_seed
@@ -289,7 +301,8 @@ def cmd_run(args) -> int:
                   metrics_csv_text(run_id, result.records, config))
     summary = run_summary(cfg, config, run_id, result)
     _atomic_write(os.path.join(out_dir, "summary.json"),
-                  json.dumps(summary, indent=2, sort_keys=True) + "\n")
+                  json.dumps(_json_value(summary), indent=2, sort_keys=True,
+                             allow_nan=False) + "\n")
     _atomic_write(os.path.join(out_dir, "config.resolved"), resolved_config_text(resolved))
     print(f"run {run_id}: {len(result.records)} metric rows -> {out_dir}")
     if result.max_accuracy is not None:
@@ -311,15 +324,15 @@ GRID_KEY_TO_AXIS = {
 def summary_csv_text(results: list[CellResult]) -> str:
     cols = ("cell_id", "status", "b", "epsilon", "gar", "attack", "f", "seed",
             "max_accuracy", "min_sq_grad_norm", "final_loss", "reason")
-    lines = [",".join(cols)]
+    rows = []
     for res in results:
         p = res.params
         reason = (res.reason or "").replace(",", ";").replace("\n", " ")
-        lines.append(",".join([
-            res.cell_id, res.status, _fmt(p["b"]), _fmt(p["epsilon"]), str(p["gar"]),
-            str(p["attack"]), _fmt(p["f"]), _fmt(p["seed"]), _fmt(res.max_accuracy),
-            _fmt(res.min_sq_grad_norm), _fmt(res.final_loss), reason]))
-    return "\n".join(lines) + "\n"
+        # str() writes a rule or kind that parsed to None as "None", not ""
+        rows.append((res.cell_id, res.status, p["b"], p["epsilon"], str(p["gar"]),
+                     str(p["attack"]), p["f"], p["seed"], res.max_accuracy,
+                     res.min_sq_grad_norm, res.final_loss, reason))
+    return _csv_text(cols, rows)
 
 
 def aggregate_csv_text(results: list[CellResult]) -> str:
@@ -327,33 +340,24 @@ def aggregate_csv_text(results: list[CellResult]) -> str:
     cols = ("b", "epsilon", "gar", "attack", "f", "runs", "mean_max_accuracy",
             "std_max_accuracy", "mean_min_sq_grad_norm")
     groups: dict[tuple, list[CellResult]] = {}
-    order: list[tuple] = []
     for res in results:
-        if not res.ok:
-            continue
-        key = (res.params["b"], res.params["epsilon"], res.params["gar"],
-               res.params["attack"], res.params["f"])
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(res)
-    lines = [",".join(cols)]
-    for key in order:
-        cells = groups[key]
+        if res.ok:
+            p = res.params
+            key = (p["b"], p["epsilon"], str(p["gar"]), str(p["attack"]), p["f"])
+            groups.setdefault(key, []).append(res)
+    rows = []
+    for key, cells in groups.items():
         accs = [c.max_accuracy for c in cells if c.max_accuracy is not None]
-        mins = [c.min_sq_grad_norm for c in cells]
         mean_acc = float(np.mean(accs)) if accs else None
         std_acc = float(np.std(accs)) if accs else None
-        lines.append(",".join([
-            _fmt(key[0]), _fmt(key[1]), str(key[2]), str(key[3]), _fmt(key[4]),
-            str(len(cells)), _fmt(mean_acc), _fmt(std_acc),
-            _fmt(float(np.mean(mins)))]))
-    return "\n".join(lines) + "\n"
+        mean_min = float(np.mean([c.min_sq_grad_norm for c in cells]))
+        rows.append((*key, len(cells), mean_acc, std_acc, mean_min))
+    return _csv_text(cols, rows)
 
 
 def cmd_sweep(args) -> int:
     cfg = parse_config(args.config)
-    seed = resolve_seed(cfg, None)
+    seed = resolve_seed(None)
     base = build_run_config(cfg, seed)
     grid = {axis: cfg[key] for key, axis in GRID_KEY_TO_AXIS.items() if key in cfg}
     if not grid:
@@ -380,7 +384,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_diagnose(args) -> int:
     cfg = parse_config(args.config)
-    seed = resolve_seed(cfg, None)
+    seed = resolve_seed(None)
     config = build_run_config(cfg, seed)
     kap, ups, bounds = theory_report(cfg, config)
     print(f"kappa({config.gar.rule}, n={config.n}, f={config.f}) = {kap:.8g}")

@@ -182,7 +182,6 @@ class RunConfig:
 class RunResult:
     records: list[MetricsRecord]
     theta: np.ndarray
-    messages: np.ndarray | None = None
 
     @property
     def max_accuracy(self) -> float | None:
@@ -200,15 +199,14 @@ class RunResult:
 
 # ---------------------------------------------------------------------- run
 
-def run(config: RunConfig, record_messages: bool = False) -> RunResult:
+def run(config: RunConfig) -> RunResult:
     """Execute the configured number of rounds; see the module docstring.
 
     Metrics are taken at theta_t (before the update) on every round divisible
     by eval_every, using the exact full-dataset gradient and loss.
 
-    With record_messages, ``RunResult.messages`` is a (steps, n, d) array whose
-    entry [t - 1, w] is the vector worker w submitted in round t. Rows
-    n - f .. n - 1 of each round are the forged submissions.
+    Each round hands its (n, d) submissions, the f forged rows last, to this
+    module's ``aggregate`` binding; wrapping that binding observes them.
     """
     model, dataset = config.model, config.dataset
     n, f, b, d = config.n, config.f, config.b, model.dim
@@ -221,7 +219,6 @@ def run(config: RunConfig, record_messages: bool = False) -> RunResult:
     theta = initial_theta(config)
     momenta = np.zeros((n_honest, d)) if config.momentum > 0.0 else None
     records: list[MetricsRecord] = []
-    messages = np.empty((config.steps, n, d)) if record_messages else None
     min_sq = math.inf
     idx = np.empty((n_honest, b), dtype=np.intp) if b < m else None
 
@@ -267,13 +264,10 @@ def run(config: RunConfig, record_messages: bool = False) -> RunResult:
         else:
             all_messages = submissions
 
-        if messages is not None:
-            messages[t - 1] = all_messages
-
         r_t = aggregate(config.gar, all_messages)
         theta = theta - gamma_t * r_t
 
-    return RunResult(records, theta, messages)
+    return RunResult(records, theta)
 
 
 # -------------------------------------------------------------------- sweep
@@ -305,36 +299,8 @@ def cell_digest(params: dict) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:12]
 
 
-def _resolve_cell(base: RunConfig, overrides: dict) -> RunConfig:
-    b = overrides.get("b", base.b)
-    f = overrides.get("f", base.f)
-    rule = overrides.get("gar", base.gar.rule)
-    seed = overrides.get("seed", base.master_seed)
-    gar = GarSpec(rule, base.n, f)
-
-    if "attack" in overrides:
-        kind = overrides["attack"]
-        # a new kind takes its default zeta; AttackSpec rejects unknown kinds
-        atk = AttackSpec(kind, base.attack.zeta if kind == base.attack.kind else None)
-    else:
-        atk = base.attack
-
-    if "epsilon" in overrides and overrides["epsilon"] in (None, "none"):
-        privacy = None
-    elif "epsilon" in overrides or ("b" in overrides and base.privacy is not None):
-        if base.privacy is None:
-            raise ConfigurationError(
-                "an epsilon grid needs a privacy-calibrated base configuration")
-        privacy = PrivacyParams(overrides.get("epsilon", base.privacy.epsilon),
-                                base.privacy.delta, base.privacy.c, b, base.privacy.m)
-    else:
-        privacy = base.privacy
-
-    return replace(base, gar=gar, attack=atk, privacy=privacy, b=b, master_seed=seed,
-                   clip=base.clip if privacy is None else None)
-
-
 def _cell_params(base: RunConfig, overrides: dict) -> dict:
+    """Every axis of a cell: its override, else the base value; "none" is no epsilon."""
     params = {
         "b": base.b,
         "epsilon": None if base.privacy is None else base.privacy.epsilon,
@@ -349,13 +315,30 @@ def _cell_params(base: RunConfig, overrides: dict) -> dict:
     return params
 
 
+def _resolve_cell(base: RunConfig, params: dict) -> RunConfig:
+    gar = GarSpec(params["gar"], base.n, params["f"])
+    kind = params["attack"]
+    # a new kind takes its default zeta; AttackSpec rejects unknown kinds
+    atk = AttackSpec(kind, base.attack.zeta if kind == base.attack.kind else None)
+    if params["epsilon"] is None:
+        privacy = None
+    elif base.privacy is None:
+        raise ConfigurationError(
+            "an epsilon grid needs a privacy-calibrated base configuration")
+    else:
+        privacy = PrivacyParams(params["epsilon"], base.privacy.delta, base.privacy.c,
+                                params["b"], base.privacy.m)
+    return replace(base, gar=gar, attack=atk, privacy=privacy, b=params["b"],
+                   master_seed=params["seed"], clip=base.clip if privacy is None else None)
+
+
 def _run_cell(args) -> CellResult:
     base, overrides = args
     params = _cell_params(base, overrides)
     cell_id = cell_digest(params)
     config = None
     try:
-        config = _resolve_cell(base, overrides)
+        config = _resolve_cell(base, params)
         result = run(config)
     except (ConfigurationError, ContractViolationError) as exc:
         return CellResult(cell_id, params, "failed", reason=str(exc), config=config)

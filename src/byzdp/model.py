@@ -38,7 +38,6 @@ class Dataset:
 
     features: np.ndarray
     labels: np.ndarray | None = None
-    generator_seed: int | None = None
 
     def __post_init__(self):
         self.features = np.ascontiguousarray(np.asarray(self.features, dtype=np.float64))
@@ -84,7 +83,7 @@ def gaussian_blobs(seed: int, m: int, dim: int, half_sep: float = 1.5,
     x = (labels[:, None] * (half_sep * u)[None, :]
          + cross_std * (z - z_par[:, None] * u[None, :])
          + axis_std * z_par[:, None] * u[None, :])
-    return Dataset(x, labels, generator_seed=seed)
+    return Dataset(x, labels)
 
 
 def regression_targets(seed: int, m: int, dim: int, spread: float = 1.0) -> Dataset:
@@ -93,7 +92,7 @@ def regression_targets(seed: int, m: int, dim: int, spread: float = 1.0) -> Data
         raise ContractViolationError("need m >= 1 and dim >= 1")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(2,)))
     x = spread * rng.standard_normal((m, dim))
-    return Dataset(x, None, generator_seed=seed)
+    return Dataset(x, None)
 
 
 def load_csv(path: str, classification: bool) -> Dataset:
@@ -323,14 +322,20 @@ def clip(g: np.ndarray, clip_params: ClipParams) -> np.ndarray:
     """
     g = np.asarray(g, dtype=np.float64)
     c = clip_params.c
-    if g.ndim == 1:
-        norm = float(np.linalg.norm(g))
-        return g * (c / norm) if norm > c else g.copy()
-    norms = np.sqrt(np.einsum("ij,ij->i", g, g))
+    rows = np.atleast_2d(g)
+    norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
     factors = np.ones_like(norms)
     over = norms > c
     factors[over] = c / norms[over]
-    return g * factors[:, None]
+    huge = np.isinf(norms)
+    if huge.any():
+        # the squares overflowed: scale each row by its top entry and never form
+        # the norm, which may overflow too; a row that holds inf keeps factor 0
+        huge &= np.isfinite(rows).all(axis=1)
+        top = np.abs(rows[huge]).max(axis=1)
+        unit = rows[huge] / top[:, None]
+        factors[huge] = c / top / np.sqrt(np.einsum("ij,ij->i", unit, unit))
+    return (rows * factors[:, None]).reshape(g.shape)
 
 
 # --------------------------------------------------------- sampling & stats

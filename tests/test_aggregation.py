@@ -121,10 +121,11 @@ RULE_CASES = (("average", 9, 0), ("krum", 9, 2), ("mda", 9, 3), ("median", 9, 4)
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("k", [-40, 17, 700, 1000])
+@pytest.mark.parametrize("k", [-900, -40, 17, 700, 1000])
 def test_power_of_two_scaling_commutes_with_every_rule(k):
-    # scaling by 2^k is exact, and distances that would overflow are taken on
-    # a rescaled copy, so every comparison and every mean scale with it
+    # scaling by 2^k is exact, and distances that would overflow or underflow
+    # are taken on a rescaled copy, so every comparison and every mean scale
+    # with it
     rng = np.random.default_rng(29)
     for trial in range(30):
         for rule, n, f in RULE_CASES:
@@ -193,27 +194,28 @@ def exact_sq_dists(g):
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("d", [3, 21])
-@pytest.mark.parametrize("forged,honest", [((1e30, 1e200), 1.0), ((1e100, 1e300), 1e-3)])
+@pytest.mark.parametrize("forged,honest", [((1e30, 1e200), 1.0), ((1e100, 1e300), 1e-3),
+                                           ((1e-290,), 2.0 ** -1000)])
 def test_mixed_magnitudes_keep_honest_rows(d, forged, honest):
     # a huge forged row must not push the honest rows' distances, or those
-    # to a moderate forged row, to zero
+    # to a moderate forged row, to zero; nor may tiny rows square to zero
     n = 9
     g = np.random.default_rng(d).normal(0, honest, (n, d))
-    g[0], g[1] = forged
+    g[:len(forged)] = np.array(forged)[:, None]
     d2 = exact_sq_dists(g)
 
     f = 2
     scores = [sum(sorted(d2[i][j] for j in range(n) if j != i)[:n - f - 2])
               for i in range(n)]
     best = min(range(n), key=lambda i: (scores[i], i))
-    assert best >= 2
+    assert best >= len(forged)
     assert np.array_equal(aggregate(GarSpec("krum", n, f), g), g[best])
 
     f = 3
     # min keeps the first of equal diameters, the lexicographically smallest set
     subset = min(combinations(range(n), n - f),
                  key=lambda s: max(d2[u][v] for u in s for v in s))
-    assert min(subset) >= 2
+    assert min(subset) >= len(forged)
     assert np.array_equal(aggregate(GarSpec("mda", n, f), g), _mean_rows(g[list(subset)]))
 
 

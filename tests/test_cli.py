@@ -120,6 +120,25 @@ def test_run_writes_expected_rows(tmp_path, capsys):
     assert os.path.exists(os.path.join(out, "config.resolved"))
 
 
+def test_diverged_run_writes_strict_json(tmp_path):
+    # gamma = 1e300 sends theta off; the non-finite summary values become null
+    demo = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                        "demos", "configs", "run_quadratic_baseline.cfg")
+    text = open(demo).read()
+    text = text.replace("schedule = inv_sqrt", "schedule = constant\ngamma = 1e300")
+    text = text.replace("steps = 2000", "steps = 50")
+    cfg = write(tmp_path, "diverge.cfg", text)
+    out = str(tmp_path / "out")
+    assert main(["run", cfg, "--out", out]) == 0
+
+    def reject(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+    summary = json.loads(open(os.path.join(out, "summary.json")).read(),
+                         parse_constant=reject)
+    assert summary["final_loss"] is None
+    assert summary["composition"]["steps"] == 50
+
+
 def test_run_is_byte_deterministic(tmp_path):
     cfg = write(tmp_path, "run.cfg", QUADRATIC_RUN)
     out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")

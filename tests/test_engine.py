@@ -146,22 +146,35 @@ def test_hand_rolled_round_matches_engine():
     assert np.array_equal(result.theta, expected)
 
 
-def test_momentum_buffer_matches_manual_recursion():
+def record_messages(monkeypatch):
+    """Copies of the (n, d) matrix that each round of a run hands to aggregate."""
+    rounds = []
+
+    def recording(spec, grads):
+        rounds.append(np.array(grads))
+        return aggregate(spec, grads)
+    monkeypatch.setattr(byzdp.engine, "aggregate", recording)
+    return rounds
+
+
+def test_momentum_buffer_matches_manual_recursion(monkeypatch):
     ds = regression_targets(5, 30, 3)
     model = quadratic_model(np.eye(3))
     config = RunConfig(model=model, dataset=ds, gar=GarSpec("average", 3, 0),
                        b=30, steps=2, schedule="constant", gamma=0.1,
                        momentum=0.9, master_seed=2)
-    result = run(config, record_messages=True)
-    assert result.messages.shape == (2, 3, 3)  # (steps, n, d)
+    rounds = record_messages(monkeypatch)
+    run(config)
+    messages = np.array(rounds)
+    assert messages.shape == (2, 3, 3)  # (steps, n, d)
     theta1 = initial_theta(config)
     g1 = batch_grads(model, theta1, ds.features).mean(axis=0)
     v1 = g1  # buffer starts at zero
-    assert np.allclose(result.messages[0, 0], v1, rtol=0, atol=0)
+    assert np.allclose(messages[0, 0], v1, rtol=0, atol=0)
     theta2 = theta1 - 0.1 * v1
     g2 = batch_grads(model, theta2, ds.features).mean(axis=0)
     v2 = 0.9 * v1 + g2
-    assert np.array_equal(result.messages[1, 0], v2)
+    assert np.array_equal(messages[1, 0], v2)
 
 
 # ----------------------------------------------------- forged-worker rounds
@@ -179,16 +192,18 @@ def test_two_cluster_mda_run_matches_byzantine_free_run():
     assert res_a.records == res_c.records
 
 
-def test_audit_flags_do_not_influence_aggregation():
+def test_audit_flags_do_not_influence_aggregation(monkeypatch):
     ds = gaussian_blobs(2, 40, 3)
     model = logistic_model(3)
     config = RunConfig(model=model, dataset=ds, gar=GarSpec("median", 7, 2),
                        attack=AttackSpec("little"), b=8, steps=3,
                        schedule="constant", gamma=0.2, master_seed=4,
                        privacy=PrivacyParams(0.5, 1e-4, 1.0, 8, 40))
-    result = run(config, record_messages=True)
-    assert result.messages.shape == (3, 7, 3)
-    for round_msgs in result.messages:
+    rounds = record_messages(monkeypatch)
+    run(config)
+    messages = np.array(rounds)
+    assert messages.shape == (3, 7, 3)
+    for round_msgs in messages:
         r_original = aggregate(config.gar, round_msgs)
         r_flipped = aggregate(config.gar, round_msgs[::-1])  # forged rows moved first
         np.testing.assert_allclose(r_original, r_flipped, rtol=1e-12, atol=1e-15)
@@ -197,16 +212,18 @@ def test_audit_flags_do_not_influence_aggregation():
         assert [np.array_equal(row, forged) for row in round_msgs] == [False] * 5 + [True] * 2
 
 
-def test_honest_message_norm_bounded_without_momentum():
+def test_honest_message_norm_bounded_without_momentum(monkeypatch):
     ds = gaussian_blobs(6, 50, 5)
     model = logistic_model(5)
     privacy = PrivacyParams(0.4, 1e-4, 0.8, 10, 50)
     config = RunConfig(model=model, dataset=ds, gar=GarSpec("average", 5, 0),
                        b=10, steps=4, privacy=privacy, schedule="constant",
                        gamma=0.5, master_seed=11)
-    result = run(config, record_messages=True)
-    assert result.messages.shape == (4, 5, 5)
-    for t, round_msgs in enumerate(result.messages, start=1):
+    rounds = record_messages(monkeypatch)
+    run(config)
+    messages = np.array(rounds)
+    assert messages.shape == (4, 5, 5)
+    for t, round_msgs in enumerate(messages, start=1):
         for worker_id, vector in enumerate(round_msgs):
             noise = gaussian_noise(5, privacy.s,
                                    worker_stream(11, worker_id, t, PURPOSE_NOISE))

@@ -1,10 +1,11 @@
 """Losses, gradients, clipping, sampling."""
 
+import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from byzdp import (ClipParams, ContractViolationError, ConfigurationError, DataLoadError,
@@ -131,11 +132,21 @@ def test_clip_examples():
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=6),
+@given(st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=6),
        st.floats(0.01, 100.0))
+@example([1e200, 1.0], 2.0)  # its squared norm overflows
 def test_clip_norm_never_exceeds_cap(coords, c):
     out = clip(np.asarray(coords), ClipParams(c))
-    assert np.linalg.norm(out) <= c * (1 + 1e-12)
+    norm = np.linalg.norm(out)
+    assert norm <= c * (1 + 1e-12)
+    if math.hypot(*coords) > c:  # hypot does not overflow on the way
+        assert abs(norm - c) <= 1e-12
+
+
+def test_clip_overflowing_norm_lands_on_the_ball():
+    # the squared norm 1e400 overflows; the row still goes onto the radius-c ball
+    out = clip(np.array([[1e200, 1.0]]), ClipParams(2.0))
+    np.testing.assert_allclose(out, [[2.0, 2e-200]], rtol=1e-12, atol=0)
 
 
 def test_clip_rows():
