@@ -67,6 +67,56 @@ SWEEP_SELECTION_RULES = {
 }
 
 
+# Sweeps whose batch sizes and dataset size are not multiples of 4, so that
+# neither a round's k = (n - f) * b rows nor the m = 4001 evaluation rows split
+# evenly into groups of 4. Each clip bound binds on some rows and not others.
+ODD_ROWS_CFG = """\
+dataset = blobs
+dataset_seed = 2
+dataset_size = 4001
+half_sep = 0.16
+axis_std = 0.088
+cross_std = 0.16
+reg = 1e-4
+gar = mda
+attack = little
+epsilon = 0.2
+delta = 1e-5
+schedule = constant
+gamma = 0.5
+momentum = 0.99
+master_seed = 1
+batch_size = 25
+grid_batch_size = [25, 127]
+grid_epsilon = [0.2, none]
+"""
+
+ODD_ROWS_MODELS = {
+    "logistic": "model = logistic\ndim = 20\nn = 15\nf = 3\nclip = 0.3\nsteps = 30\n",
+    "mlp1": ("model = mlp1\ndim = 20\nhidden = 32\nn = 19\nf = 4\nclip = 1.0\n"
+             "steps = 20\neval_every = 5\n"),
+}
+
+SWEEP_ODD_ROWS = {
+    "logistic": {
+        "aggregate.csv": "eb99c5ac596916cb21ecb67a6e3e021d1d2d83c324feede9ab5357ebc1bf5c4d",
+        "metrics-843356c29a18.csv": "800055e534de3e38cf4ee1d7543c3f2391e08d963daca97dcfe9e3f94ca29ea0",
+        "metrics-854270f9e9b1.csv": "4ff1b612252be3185feff1e64bcae38c56e5896626cb83741918766955aef741",
+        "metrics-99c9bf3ad7f7.csv": "84b56ea3a362a4f01948846e9faf3107cbbae22654f1c05890238e355b313cdb",
+        "metrics-fc1adb724c96.csv": "eac6cac36a877606533807bf07924534309ea8d5e4a73fd76241b6e94cf40c02",
+        "summary.csv": "1be93ad62786b4bc897b6b5e522e4805ae4cbae85fa5205ec5d2f514bab35094",
+    },
+    "mlp1": {
+        "aggregate.csv": "a1c3138da704ed7993c367c5dcb4d6aab4c876efe1aa7c678eeb382717d92108",
+        "metrics-06d43a196a73.csv": "fed1bafa0adadd752f188e5e8fed44c22d063658cc5aaafc94c713bcd7077a92",
+        "metrics-198372d7774a.csv": "c552b299088cc3b2cfb825ef9a7a9c22f88c7e6ef350e37c7ff110115fa05746",
+        "metrics-35bf0b6a7e5c.csv": "8700a2a0404a6bd7b39da48f6a7c4f8c1fa2d68e299d4bfc96f3a5b719aac449",
+        "metrics-d4a316511cf6.csv": "31f6fec22b926d08f936a7afb26b7bac26591025ff24258bf32912c9af1d44d1",
+        "summary.csv": "fbc26713c78dbe784205e3b55d5ea8a7df1738c4a7ea669054d048c5b4189cb6",
+    },
+}
+
+
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -149,3 +199,13 @@ def test_golden_sweep_selection_rules(tmp_path):
     digests = _sweep_digests(tmp_path, cfg)
     assert len(digests) == 14  # 12 cells, each ok, plus summary.csv and aggregate.csv
     assert digests == SWEEP_SELECTION_RULES
+
+
+@pytest.mark.parametrize("kind", sorted(ODD_ROWS_MODELS))
+def test_golden_sweep_odd_rows(tmp_path, kind):
+    """Batch sizes 25 and 127 and m = 4001: no row count is a multiple of 4."""
+    path = tmp_path / "odd_rows.cfg"
+    path.write_text(ODD_ROWS_CFG + ODD_ROWS_MODELS[kind])
+    digests = _sweep_digests(tmp_path, str(path))
+    assert len(digests) == 6  # 4 cells, each ok, plus summary.csv and aggregate.csv
+    assert digests == SWEEP_ODD_ROWS[kind]
