@@ -27,7 +27,7 @@ from .aggregation import GarSpec, aggregate
 from .attack import AttackSpec, forge
 from .errors import ConfigurationError, ContractViolationError
 from .model import (ClipParams, Dataset, Model, accuracy, batch_grads, clip,
-                    full_grad, full_loss, sample_batch)
+                    full_grad, full_loss, row_blocks, sample_batch)
 from .privacy import PrivacyParams, gaussian_noise
 
 SCHEDULES = ("inv_sqrt", "constant")
@@ -227,7 +227,13 @@ def run(config: RunConfig) -> RunResult:
 
         if t % config.eval_every == 0:
             loss = full_loss(model, theta, dataset)
-            gnorm = float(np.linalg.norm(full_grad(model, theta, dataset)))
+            grad = full_grad(model, theta, dataset)
+            with np.errstate(over="ignore"):
+                gnorm = float(np.linalg.norm(grad))
+            if math.isinf(gnorm) and np.isfinite(grad).all():
+                # the squares overflowed: scale by the top entry, as clip does
+                top = float(np.abs(grad).max())
+                gnorm = top * float(np.linalg.norm(grad / top))
             min_sq = min(min_sq, gnorm * gnorm)
             acc = accuracy(model, theta, dataset) if model.is_classifier else None
             records.append(MetricsRecord(t, loss, gnorm, min_sq, acc, s, gamma_t))
@@ -244,12 +250,15 @@ def run(config: RunConfig) -> RunResult:
         else:
             for w in range(n_honest):
                 idx[w] = sample_batch(dataset, b, pool.get(w, t, PURPOSE_BATCH))
-            flat = idx.ravel()
-            grads = batch_grads(model, theta, x[flat],
-                                None if labels is None else labels[flat])
-            if config.clip is not None:
-                grads = clip(grads, config.clip)
-            submissions = grads.reshape(n_honest, b, d).mean(axis=1)
+            # cache-sized blocks of whole workers; see model.row_blocks
+            submissions = np.empty((n_honest, d))
+            for lo, hi in row_blocks(n_honest, d, b):
+                rows = idx[lo:hi].ravel()
+                grads = batch_grads(model, theta, x[rows],
+                                    None if labels is None else labels[rows])
+                if config.clip is not None:
+                    grads = clip(grads, config.clip)
+                submissions[lo:hi] = grads.reshape(-1, b, d).mean(axis=1)
         if s > 0.0:
             for w in range(n_honest):
                 submissions[w] += gaussian_noise(d, s, pool.get(w, t, PURPOSE_NOISE))

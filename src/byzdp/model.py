@@ -11,6 +11,16 @@ Three model kinds are supported:
 
 The empirical loss is the plain average of q over the dataset, so the l2
 regularizer is folded into every per-point gradient.
+
+Per-point gradient matrices are built in row blocks of about
+``_BLOCK_FLOATS`` float64s (512 KB), which stay in a 2 MB L2 cache, rather than
+as one (k, d) matrix of many megabytes; ``row_blocks`` cuts them. Every block
+but the last holds a multiple of ``_ROW_ALIGN`` = 4 rows, and the last holds at
+least 4 unless it is the only one. OpenBLAS computes ``x @ theta`` and
+``x @ W1'`` four rows at a time and sends the rows left over to a different
+kernel, and numpy sends a one-row product to another routine again, so any
+other cut would change the bits of some rows. With this cut every row, and so
+every output, is bit for bit the one-block result.
 """
 
 from __future__ import annotations
@@ -216,6 +226,29 @@ def _check_theta(model: Model, theta: np.ndarray) -> np.ndarray:
 
 # ------------------------------------------------------- losses & gradients
 
+_BLOCK_FLOATS = 1 << 16  # float64s per row block: 512 KB
+_ROW_ALIGN = 4  # rows per BLAS kernel group; see the module docstring
+
+
+def row_blocks(count: int, d: int, unit: int = 1):
+    """Half-open ranges [lo, hi) that cover ``count`` groups of ``unit`` rows.
+
+    Each block holds whole groups and about ``_BLOCK_FLOATS`` floats of width
+    d, and at least one aligned step. Every block but the last holds a
+    multiple of ``_ROW_ALIGN`` rows; a tail shorter than that joins the block
+    before it.
+    """
+    step = math.lcm(unit, _ROW_ALIGN) // unit
+    per = max(1, _BLOCK_FLOATS // (step * unit * d)) * step
+    lo = 0
+    while lo < count:
+        hi = lo + per
+        if (count - hi) * unit < _ROW_ALIGN:
+            hi = count
+        yield lo, hi
+        lo = hi
+
+
 def batch_grads(model: Model, theta: np.ndarray, features: np.ndarray,
                 labels: np.ndarray | None = None) -> np.ndarray:
     """Per-point gradients of q as a (k, d) matrix, regularizer included."""
@@ -238,19 +271,20 @@ def batch_grads(model: Model, theta: np.ndarray, features: np.ndarray,
         grads = (-y * w)[:, None] * x
         grads += model.lam * theta
         return grads
-    # mlp1 backprop
+    # mlp1 backprop, each parameter block written into its columns of grads
     w1, b1, w2, b2 = _unpack_mlp(model, theta)
+    k, h, p = x.shape[0], model.hidden, model.n_features
     z1 = x @ w1.T + b1[None, :]
     a = np.tanh(z1)
     score = a @ w2 + b2
     dscore = -y * expit(-y * score)
-    g_w2 = dscore[:, None] * a
-    g_b2 = dscore[:, None]
     da = dscore[:, None] * w2[None, :]
     dz1 = da * (1.0 - a * a)
-    g_w1 = np.einsum("kh,kp->khp", dz1, x).reshape(x.shape[0], -1)
-    g_b1 = dz1
-    grads = np.concatenate([g_w1, g_b1, g_w2, g_b2], axis=1)
+    grads = np.empty((k, model.dim))
+    np.einsum("kh,kp->khp", dz1, x, out=grads[:, : h * p].reshape(k, h, p))
+    grads[:, h * p: h * p + h] = dz1
+    np.multiply(dscore[:, None], a, out=grads[:, h * p + h: h * p + 2 * h])
+    grads[:, -1] = dscore
     grads += model.lam * theta
     return grads
 
@@ -263,20 +297,38 @@ def point_grad(model: Model, theta: np.ndarray, x: np.ndarray,
 
 
 def full_grad(model: Model, theta: np.ndarray, dataset: Dataset) -> np.ndarray:
-    """Exact gradient of the empirical loss, the mean of per-point gradients."""
-    return batch_grads(model, theta, dataset.features, dataset.labels).mean(axis=0)
+    """Exact gradient of the empirical loss, the mean of per-point gradients.
+
+    The rows are summed block by block, each block's first row carrying the
+    sum so far. numpy sums axis 0 of a C-contiguous matrix of width d >= 2
+    one row at a time, so this adds in the order ``mean(axis=0)`` does and
+    gives its bits. At d = 1 numpy sums pairwise, so one block is used.
+    """
+    x, y = dataset.features, dataset.labels
+    blocks = row_blocks(dataset.m, model.dim) if model.dim > 1 else [(0, dataset.m)]
+    total = None
+    for lo, hi in blocks:
+        g = batch_grads(model, theta, x[lo:hi], None if y is None else y[lo:hi])
+        if total is not None:
+            g[0] += total
+        total = g.sum(axis=0)
+    return total / dataset.m
 
 
 def batch_losses(model: Model, theta: np.ndarray, features: np.ndarray,
                  labels: np.ndarray | None = None) -> np.ndarray:
     theta = _check_theta(model, theta)
     x = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    reg = 0.5 * model.lam * float(theta @ theta)
     if model.kind == "quadratic":
         diff = theta[None, :] - x
-        return 0.5 * np.einsum("ij,ij->i", diff @ model.hessian, diff) + reg
-    y = np.atleast_1d(np.asarray(labels, dtype=np.float64))
-    return np.logaddexp(0.0, -y * scores(model, theta, x)) + reg
+        losses = 0.5 * np.einsum("ij,ij->i", diff @ model.hessian, diff)
+    else:
+        y = np.atleast_1d(np.asarray(labels, dtype=np.float64))
+        losses = np.logaddexp(0.0, -y * scores(model, theta, x))
+    if model.lam:
+        # skipped at lam = 0, where 0 * inf would turn an overflowed loss into nan
+        losses += 0.5 * model.lam * float(theta @ theta)
+    return losses
 
 
 def full_loss(model: Model, theta: np.ndarray, dataset: Dataset) -> float:

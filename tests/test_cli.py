@@ -2,12 +2,14 @@
 
 import csv
 import json
+import math
 import os
 
 import numpy as np
 import pytest
 
-from byzdp.cli import main, parse_config
+from byzdp.cli import build_run_config, main, parse_config
+from byzdp.engine import run
 
 QUADRATIC_RUN = """
 model = quadratic
@@ -120,14 +122,31 @@ def test_run_writes_expected_rows(tmp_path, capsys):
     assert os.path.exists(os.path.join(out, "config.resolved"))
 
 
-def test_diverged_run_writes_strict_json(tmp_path):
-    # gamma = 1e300 sends theta off; the non-finite summary values become null
+def diverging_config(tmp_path):
+    """The quadratic demo with gamma = 1e300 and 50 steps: theta runs off to 1e299."""
     demo = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                         "demos", "configs", "run_quadratic_baseline.cfg")
     text = open(demo).read()
     text = text.replace("schedule = inv_sqrt", "schedule = constant\ngamma = 1e300")
     text = text.replace("steps = 2000", "steps = 50")
-    cfg = write(tmp_path, "diverge.cfg", text)
+    return write(tmp_path, "diverge.cfg", text)
+
+
+def test_diverged_run_reads_inf_loss_and_finite_gradient_norm(tmp_path):
+    # lam = 0 and |theta|^2 overflows: the loss is +inf, not 0 * inf = nan;
+    # the gradient stays finite, and so does its norm, about 1e300
+    config = build_run_config(parse_config(diverging_config(tmp_path)))
+    assert config.model.lam == 0.0
+    records = run(config).records
+    assert len(records) == 5
+    assert all(rec.loss == math.inf for rec in records)
+    assert all(1e299 < rec.grad_norm < 1e301 for rec in records)
+    assert records[-1].min_sq_grad_norm == math.inf
+
+
+def test_diverged_run_writes_strict_json(tmp_path):
+    # gamma = 1e300 sends theta off; the non-finite summary values become null
+    cfg = diverging_config(tmp_path)
     out = str(tmp_path / "out")
     assert main(["run", cfg, "--out", out]) == 0
 

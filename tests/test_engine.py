@@ -1,19 +1,21 @@
 """Round loop, streams, determinism, sweeps."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from byzdp import (AttackSpec, ClipParams, ConfigurationError, GarSpec,
+from byzdp import (AttackSpec, ClipParams, ConfigurationError, Dataset, GarSpec,
                    PrivacyParams, RunConfig, aggregate, clip, forge, full_grad,
                    gaussian_blobs, gaussian_noise, initial_theta, logistic_model,
-                   quadratic_model, regression_targets, run, sample_batch, sweep,
-                   worker_stream)
+                   mlp1_model, quadratic_model, regression_targets, run, sample_batch,
+                   sweep, worker_stream)
 from byzdp.engine import (PURPOSE_BATCH, PURPOSE_INIT, PURPOSE_NOISE, _StreamPool,
                           cell_digest)
 from byzdp.model import batch_grads
 import byzdp.engine
+import byzdp.model
 
 
 def quadratic_config(**overrides):
@@ -74,7 +76,7 @@ def test_stream_pool_matches_fresh_streams():
 
 def test_round_loop_draws_through_module_bindings(monkeypatch):
     # the benchmark's tracer wraps these bindings and needs them called
-    counts = {"batch": 0, "noise": 0, "rekey": 0}
+    counts = {"batch": 0, "noise": 0, "rekey": 0, "grads": 0, "clip": 0, "full_grad": 0}
 
     def counting(key, original):
         def wrapper(*args, **kwargs):
@@ -87,14 +89,20 @@ def test_round_loop_draws_through_module_bindings(monkeypatch):
     monkeypatch.setattr(byzdp.engine, "gaussian_noise",
                         counting("noise", byzdp.engine.gaussian_noise))
     monkeypatch.setattr(_StreamPool, "get", counting("rekey", _StreamPool.get))
+    for name, key in (("batch_grads", "grads"), ("clip", "clip"), ("full_grad", "full_grad")):
+        monkeypatch.setattr(byzdp.engine, name, counting(key, getattr(byzdp.engine, name)))
     config = quadratic_config(gar=GarSpec("mda", 7, 2), b=10, steps=6,
-                              attack=AttackSpec("little"),
+                              attack=AttackSpec("little"), eval_every=2,
                               privacy=PrivacyParams(0.5, 1e-4, 1.5, 10, 40))
     assert config.s > 0
     run(config)
-    n_honest, steps = 5, 6
+    n_honest, steps, eval_rounds = 5, 6, 3
+    layered = {key: counts.pop(key) for key in ("grads", "clip", "full_grad")}
     assert counts == {"batch": n_honest * steps, "noise": n_honest * steps,
                       "rekey": 2 * n_honest * steps}
+    # per-point gradients and clipping may run in several blocks per round
+    assert layered["grads"] >= steps and layered["clip"] >= steps
+    assert layered["full_grad"] == eval_rounds
 
 
 def test_stream_pool_choice_matches():
@@ -102,6 +110,43 @@ def test_stream_pool_choice_matches():
     got = pool.get(4, 9, 0).choice(100, 10, replace=False)
     want = worker_stream(5, 4, 9, 0).choice(100, 10, replace=False)
     assert np.array_equal(got, want)
+
+
+# ------------------------------------------------------------- row blocks
+
+def _blocked_run_config(kind, b, m, binds):
+    """A short attacked run whose clip bound binds none, some or all rows."""
+    if kind == "quadratic":
+        model = quadratic_model(np.diag(np.linspace(0.5, 2.0, 6)), lam=1e-3)
+        ds = regression_targets(3, m, 6, spread=0.5)
+    elif kind == "logistic":
+        model, ds = logistic_model(6, lam=1e-3), gaussian_blobs(3, m, 6)
+    else:
+        model, ds = mlp1_model(5, 4, lam=1e-3), gaussian_blobs(3, m, 5)
+    config = RunConfig(model=model, dataset=ds, gar=GarSpec("median", 11, 2), b=b,
+                       steps=3, attack=AttackSpec("little"), schedule="constant",
+                       gamma=0.5, momentum=0.5)
+    grads = batch_grads(model, initial_theta(config), ds.features, ds.labels)
+    norms = np.sqrt(np.einsum("ij,ij->i", grads, grads))
+    c = {"none": 2.0 * norms.max(), "some": float(np.median(norms)),
+         "all": 0.5 * norms.min()}[binds]
+    return replace(config, clip=ClipParams(c))
+
+
+@pytest.mark.parametrize("binds", ["none", "some", "all"])
+@pytest.mark.parametrize("m", [4000, 4001])
+@pytest.mark.parametrize("b", [1, 3, 25, 128])
+@pytest.mark.parametrize("kind", ["quadratic", "logistic", "mlp1"])
+def test_blocked_round_matches_one_block(monkeypatch, kind, b, m, binds):
+    # nine honest workers: at the smallest budget every block is one aligned
+    # group of whole workers, and the last block holds a leftover
+    config = _blocked_run_config(kind, b, m, binds)
+    monkeypatch.setattr(byzdp.model, "_BLOCK_FLOATS", 1 << 62)
+    whole = run(config)
+    monkeypatch.setattr(byzdp.model, "_BLOCK_FLOATS", 1)
+    blocked = run(config)
+    assert np.array_equal(blocked.theta, whole.theta)
+    assert blocked.records == whole.records
 
 
 # ------------------------------------------------------------- single steps
@@ -112,6 +157,18 @@ def test_one_step_is_exact_gradient_descent():
     expected = theta1 - full_grad(config.model, theta1, config.dataset)
     result = run(config)
     assert np.array_equal(result.theta, expected)
+
+
+def test_grad_norm_of_a_finite_gradient_with_overflowing_squares():
+    # targets near 1e200 give a finite gradient whose squared norm overflows
+    ds = Dataset(regression_targets(0, 40, 4, spread=0.5).features * 1e200)
+    config = quadratic_config(dataset=ds, steps=1)
+    grad = full_grad(config.model, initial_theta(config), ds)
+    norm = math.hypot(*grad)
+    assert np.isfinite(grad).all() and norm > 1e155  # above sqrt(max float)
+    record = run(config).records[0]
+    assert record.grad_norm == pytest.approx(norm, rel=1e-15)
+    assert record.min_sq_grad_norm == math.inf
 
 
 def test_full_batch_descent_converges_monotonically():

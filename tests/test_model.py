@@ -122,6 +122,56 @@ def test_full_grad_matches_finite_differences():
     assert np.linalg.norm(g - oracle) <= 1e-5 * max(1.0, np.linalg.norm(oracle))
 
 
+# ------------------------------------------------------------- row blocks
+
+@settings(max_examples=300, deadline=None)
+@given(count=st.integers(1, 300), unit=st.integers(1, 130), d=st.integers(1, 800),
+       budget=st.sampled_from([1, 7, 64, 1000, 1 << 16]))
+def test_row_blocks_cover_whole_groups_in_aligned_blocks(count, unit, d, budget):
+    original = byzdp.model._BLOCK_FLOATS
+    byzdp.model._BLOCK_FLOATS = budget
+    try:
+        blocks = list(byzdp.model.row_blocks(count, d, unit))
+    finally:
+        byzdp.model._BLOCK_FLOATS = original
+    assert blocks[0][0] == 0 and blocks[-1][1] == count
+    assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+    step = math.lcm(unit, 4)
+    for lo, hi in blocks[:-1]:
+        rows = (hi - lo) * unit
+        assert rows % 4 == 0
+        assert rows * d <= max(budget, step * d)
+    lo, hi = blocks[-1]
+    assert len(blocks) == 1 or (hi - lo) * unit >= 4
+
+
+def _model_and_data(kind, m):
+    if kind == "quadratic":
+        return quadratic_model(np.diag(np.linspace(0.5, 2.0, 6)), lam=1e-3), \
+            regression_targets(3, m, 6, spread=0.5)
+    if kind == "quadratic_d1":
+        return quadratic_model(np.array([[1.5]])), regression_targets(3, m, 1)
+    if kind == "logistic":
+        return logistic_model(6, lam=1e-3), gaussian_blobs(3, m, 6)
+    if kind == "logistic_d1":
+        return logistic_model(1), gaussian_blobs(3, m, 1)
+    if kind == "logistic_d2":
+        return logistic_model(2), gaussian_blobs(3, m, 2)
+    return mlp1_model(5, 4, lam=1e-3), gaussian_blobs(3, m, 5)
+
+
+@pytest.mark.parametrize("budget", [1, 1 << 16])
+@pytest.mark.parametrize("m", [1, 3, 4001])
+@pytest.mark.parametrize("kind", ["quadratic", "quadratic_d1", "logistic", "logistic_d1",
+                                  "logistic_d2", "mlp1"])
+def test_full_grad_is_the_one_block_mean_bit_for_bit(monkeypatch, kind, m, budget):
+    monkeypatch.setattr(byzdp.model, "_BLOCK_FLOATS", budget)
+    model, ds = _model_and_data(kind, m)
+    theta = np.random.default_rng(m).normal(0.0, 0.5, model.dim)
+    want = batch_grads(model, theta, ds.features, ds.labels).mean(axis=0)
+    assert np.array_equal(full_grad(model, theta, ds), want)
+
+
 # ------------------------------------------------------------------- clip
 
 def test_clip_examples():
