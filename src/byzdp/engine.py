@@ -4,8 +4,11 @@ Each round t every honest worker samples a batch without replacement,
 averages its clipped per-point gradients, adds Gaussian noise, optionally
 folds the result into a momentum buffer, and submits. Forged workers all
 submit the attack vector computed from the honest submissions of the same
-round. The server aggregates the n messages and takes the step
-theta <- theta - gamma_t * R_t.
+round. The round builds the n messages in one fresh (n, d) array, honest
+rows first and the f forged rows last; the server aggregates it and takes
+the step theta <- theta - gamma_t * R_t. At b == m every batch is the whole
+dataset in canonical order: no batch stream is drawn, and the one clipped
+full-batch mean is computed once and copied to every honest row.
 
 Randomness is drawn from counter-based streams keyed by
 (master_seed, worker_id, round, purpose), purpose 0 = batch, 1 = noise,
@@ -205,8 +208,9 @@ def run(config: RunConfig) -> RunResult:
     Metrics are taken at theta_t (before the update) on every round divisible
     by eval_every, using the exact full-dataset gradient and loss.
 
-    Each round hands its (n, d) submissions, the f forged rows last, to this
-    module's ``aggregate`` binding; wrapping that binding observes them.
+    Each round hands a fresh (n, d) message array, the f forged rows last, to
+    this module's ``aggregate`` binding; wrapping that binding observes them.
+    At b == m the single full batch is not drawn from the batch streams.
     """
     model, dataset = config.model, config.dataset
     n, f, b, d = config.n, config.f, config.b, model.dim
@@ -220,7 +224,9 @@ def run(config: RunConfig) -> RunResult:
     momenta = np.zeros((n_honest, d)) if config.momentum > 0.0 else None
     records: list[MetricsRecord] = []
     min_sq = math.inf
-    idx = np.empty((n_honest, b), dtype=np.intp) if b < m else None
+    # at b == m the one batch is the whole dataset: a view, drawn from no stream
+    full = b == m
+    idx = None if full else np.empty((n_honest, b), dtype=np.intp)
 
     for t in range(1, config.steps + 1):
         gamma_t = config.learning_rate(t)
@@ -238,42 +244,32 @@ def run(config: RunConfig) -> RunResult:
             acc = accuracy(model, theta, dataset) if model.is_classifier else None
             records.append(MetricsRecord(t, loss, gnorm, min_sq, acc, s, gamma_t))
 
-        # honest submissions
-        if b == m:
-            # every batch is the full dataset in canonical order; the batch
-            # streams are not consumed, and all honest means coincide
-            grads = batch_grads(model, theta, x, labels)
-            if config.clip is not None:
-                grads = clip(grads, config.clip)
-            mean_one = grads.mean(axis=0)
-            submissions = np.tile(mean_one, (n_honest, 1))
-        else:
+        messages = np.empty((n, d))
+        honest = messages[:n_honest]
+        if not full:
             for w in range(n_honest):
                 idx[w] = sample_batch(dataset, b, pool.get(w, t, PURPOSE_BATCH))
-            # cache-sized blocks of whole workers; see model.row_blocks
-            submissions = np.empty((n_honest, d))
-            for lo, hi in row_blocks(n_honest, d, b):
-                rows = idx[lo:hi].ravel()
-                grads = batch_grads(model, theta, x[rows],
-                                    None if labels is None else labels[rows])
-                if config.clip is not None:
-                    grads = clip(grads, config.clip)
-                submissions[lo:hi] = grads.reshape(-1, b, d).mean(axis=1)
+        # cache-sized blocks of whole workers; see model.row_blocks
+        for lo, hi in row_blocks(1 if full else n_honest, d, b):
+            rows = slice(None) if full else idx[lo:hi].ravel()
+            grads = batch_grads(model, theta, x[rows],
+                                None if labels is None else labels[rows])
+            if config.clip is not None:
+                grads = clip(grads, config.clip)
+            honest[lo:hi] = grads.reshape(-1, b, d).mean(axis=1)
+        if full:
+            honest[1:] = honest[0]
         if s > 0.0:
             for w in range(n_honest):
-                submissions[w] += gaussian_noise(d, s, pool.get(w, t, PURPOSE_NOISE))
+                honest[w] += gaussian_noise(d, s, pool.get(w, t, PURPOSE_NOISE))
         if momenta is not None:
             momenta *= config.momentum
-            momenta += submissions
-            submissions = momenta.copy()
-
+            momenta += honest
+            honest[:] = momenta
         if f > 0:
-            forged = forge(config.attack, submissions)
-            all_messages = np.vstack([submissions, np.tile(forged, (f, 1))])
-        else:
-            all_messages = submissions
+            messages[n_honest:] = forge(config.attack, honest)
 
-        r_t = aggregate(config.gar, all_messages)
+        r_t = aggregate(config.gar, messages)
         theta = theta - gamma_t * r_t
 
     return RunResult(records, theta)

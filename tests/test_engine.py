@@ -74,8 +74,10 @@ def test_stream_pool_matches_fresh_streams():
                               want.integers(0, 2**31, dtype=np.int32))
 
 
-def test_round_loop_draws_through_module_bindings(monkeypatch):
-    # the benchmark's tracer wraps these bindings and needs them called
+@pytest.mark.parametrize("b", [10, 40])
+def test_round_loop_draws_through_module_bindings(monkeypatch, b):
+    # the benchmark's tracer wraps these bindings and needs them called;
+    # at b == m = 40 the full batch is drawn from no stream
     counts = {"batch": 0, "noise": 0, "rekey": 0, "grads": 0, "clip": 0, "full_grad": 0}
 
     def counting(key, original):
@@ -91,15 +93,16 @@ def test_round_loop_draws_through_module_bindings(monkeypatch):
     monkeypatch.setattr(_StreamPool, "get", counting("rekey", _StreamPool.get))
     for name, key in (("batch_grads", "grads"), ("clip", "clip"), ("full_grad", "full_grad")):
         monkeypatch.setattr(byzdp.engine, name, counting(key, getattr(byzdp.engine, name)))
-    config = quadratic_config(gar=GarSpec("mda", 7, 2), b=10, steps=6,
+    config = quadratic_config(gar=GarSpec("mda", 7, 2), b=b, steps=6,
                               attack=AttackSpec("little"), eval_every=2,
-                              privacy=PrivacyParams(0.5, 1e-4, 1.5, 10, 40))
+                              privacy=PrivacyParams(0.5, 1e-4, 1.5, b, 40))
     assert config.s > 0
     run(config)
     n_honest, steps, eval_rounds = 5, 6, 3
     layered = {key: counts.pop(key) for key in ("grads", "clip", "full_grad")}
-    assert counts == {"batch": n_honest * steps, "noise": n_honest * steps,
-                      "rekey": 2 * n_honest * steps}
+    batches = n_honest * steps if b < 40 else 0
+    assert counts == {"batch": batches, "noise": n_honest * steps,
+                      "rekey": batches + n_honest * steps}
     # per-point gradients and clipping may run in several blocks per round
     assert layered["grads"] >= steps and layered["clip"] >= steps
     assert layered["full_grad"] == eval_rounds
@@ -182,32 +185,45 @@ def test_full_batch_descent_converges_monotonically():
     assert norms[120] < 1e-12
 
 
-def test_hand_rolled_round_matches_engine():
+@pytest.mark.parametrize("b", [10, 60])
+def test_hand_rolled_round_matches_engine(b):
+    # at b == m = 60 the one batch is the whole dataset in canonical order
     ds = gaussian_blobs(3, 60, 4)
     model = logistic_model(4, lam=1e-4)
-    privacy = PrivacyParams(0.5, 1e-4, 1.5, 10, 60)
+    theta1 = initial_theta(RunConfig(model=model, dataset=ds, gar=GarSpec("average", 4, 0),
+                                     b=b, steps=1, master_seed=21))
+    norms = np.linalg.norm(batch_grads(model, theta1, ds.features, ds.labels), axis=1)
+    c = float(np.median(norms))  # binds about half the rows
+    privacy = PrivacyParams(0.5, 1e-4, c, b, 60)
     config = RunConfig(model=model, dataset=ds, gar=GarSpec("average", 4, 0),
-                       b=10, steps=1, schedule="constant", gamma=0.3,
+                       b=b, steps=1, schedule="constant", gamma=0.3,
                        privacy=privacy, master_seed=21)
-    theta1 = initial_theta(config)
-    subs = []
+    subs, clipped = [], []
     for w in range(4):
-        idx = sample_batch(ds, 10, worker_stream(21, w, 1, PURPOSE_BATCH))
+        idx = (np.arange(60) if b == 60 else
+               sample_batch(ds, b, worker_stream(21, w, 1, PURPOSE_BATCH)))
+        clipped.append(norms[idx] > c)
         grads = clip(batch_grads(model, theta1, ds.features[idx], ds.labels[idx]),
-                     ClipParams(1.5))
+                     ClipParams(c))
         g = grads.mean(axis=0)
         g = g + gaussian_noise(4, privacy.s, worker_stream(21, w, 1, PURPOSE_NOISE))
         subs.append(g)
+    assert 0 < np.count_nonzero(clipped) < np.size(clipped)
     expected = theta1 - 0.3 * np.asarray(subs).mean(axis=0)
     result = run(config)
     assert np.array_equal(result.theta, expected)
 
 
 def record_messages(monkeypatch):
-    """Copies of the (n, d) matrix that each round of a run hands to aggregate."""
-    rounds = []
+    """Copies of the (n, d) matrix that each round of a run hands to aggregate.
+
+    Each round must hand over a fresh array, never one an earlier round passed.
+    """
+    rounds, passed = [], []
 
     def recording(spec, grads):
+        assert not any(grads is earlier for earlier in passed)
+        passed.append(grads)
         rounds.append(np.array(grads))
         return aggregate(spec, grads)
     monkeypatch.setattr(byzdp.engine, "aggregate", recording)
