@@ -2,7 +2,8 @@
 
 Configs are flat ``key = value`` text files; ``#`` starts a comment and grid
 axes take bracketed lists, e.g. ``grid_batch_size = [16, 512]``. Unknown keys
-are rejected. Exit codes: 0 success, 2 configuration error, 3 runtime error.
+and values of the wrong type (see ``KNOWN_KEYS``) are rejected. Exit codes:
+0 success, 2 configuration error, 3 runtime error.
 The environment variable BYZDP_SEED overrides master_seed. Only ``run`` has a
 --seed flag, which overrides both; ``sweep`` and ``diagnose`` read only
 BYZDP_SEED.
@@ -34,18 +35,22 @@ from .privacy import PrivacyParams, compose
 CONFIG_ERRORS = (ConfigurationError, ContractViolationError, DataLoadError,
                  FileNotFoundError)
 
-KNOWN_KEYS = (
-    "model", "dim", "hidden", "reg", "hessian",
-    "dataset", "dataset_seed", "dataset_size", "dataset_path",
-    "half_sep", "axis_std", "cross_std", "spread",
-    "n", "f", "gar", "attack", "zeta",
-    "epsilon", "delta", "clip",
-    "batch_size", "steps", "schedule", "gamma", "momentum",
-    "master_seed", "eval_every",
-    "alpha", "mu", "upsilon", "delta_slack",
-    "out",
-    "grid_batch_size", "grid_epsilon", "grid_gar", "grid_attack", "grid_f", "grid_seed",
-)
+# Every config key and the type of its value: an int key takes an integer, a
+# float key any number and a str key keeps its raw text. A grid_ key takes a
+# bracketed list of such values, and any value may be none.
+KNOWN_KEYS = {
+    "model": str, "dim": int, "hidden": int, "reg": float, "hessian": str,
+    "dataset": str, "dataset_seed": int, "dataset_size": int, "dataset_path": str,
+    "half_sep": float, "axis_std": float, "cross_std": float, "spread": float,
+    "n": int, "f": int, "gar": str, "attack": str, "zeta": float,
+    "epsilon": float, "delta": float, "clip": float,
+    "batch_size": int, "steps": int, "schedule": str, "gamma": float, "momentum": float,
+    "master_seed": int, "eval_every": int,
+    "alpha": float, "mu": float, "upsilon": float, "delta_slack": float,
+    "out": str,
+    "grid_batch_size": int, "grid_epsilon": float, "grid_gar": str, "grid_attack": str,
+    "grid_f": int, "grid_seed": int,
+}
 
 CSV_COLUMNS = ("run_id", "round", "loss", "grad_norm", "min_sq_grad_norm", "accuracy",
                "s", "gamma", "gar", "attack", "f", "epsilon", "delta", "b", "seed")
@@ -53,31 +58,33 @@ CSV_COLUMNS = ("run_id", "round", "loss", "grad_norm", "min_sq_grad_norm", "accu
 
 # ------------------------------------------------------------ config parsing
 
-def _parse_scalar(tok: str):
+def _parse_scalar(tok: str, kind: type):
+    """None for "none", else a value of the key's type; ValueError if it has none."""
     tok = tok.strip()
     if tok.lower() == "none":
         return None
+    if kind is str:
+        return tok
     try:
         return int(tok)
     except ValueError:
-        pass
-    try:
-        return float(tok)
-    except ValueError:
-        pass
-    return tok
+        if kind is int:
+            raise
+    return float(tok)
 
 
-def _parse_value(tok: str):
+def _parse_value(tok: str, kind: type, grid: bool):
     tok = tok.strip()
-    if tok.startswith("[") and tok.endswith("]"):
-        inner = tok[1:-1].strip()
-        return [] if not inner else [_parse_scalar(part) for part in inner.split(",")]
-    return _parse_scalar(tok)
+    if not grid:
+        return _parse_scalar(tok, kind)
+    if not (tok.startswith("[") and tok.endswith("]")):
+        raise ValueError(tok)
+    inner = tok[1:-1].strip()
+    return [] if not inner else [_parse_scalar(part, kind) for part in inner.split(",")]
 
 
 def parse_config(path: str) -> dict:
-    """Read a flat key = value file, rejecting unknown keys."""
+    """Read a flat key = value file, rejecting unknown keys and ill-typed values."""
     cfg: dict = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -92,7 +99,15 @@ def parse_config(path: str) -> dict:
                 raise ConfigurationError(f"{path}:{lineno}: unknown config key '{key}'")
             if key in cfg:
                 raise ConfigurationError(f"{path}:{lineno}: duplicate key '{key}'")
-            cfg[key] = _parse_value(value)
+            kind, grid = KNOWN_KEYS[key], key.startswith("grid_")
+            try:
+                cfg[key] = _parse_value(value, kind, grid)
+            except ValueError:
+                one, many = {int: ("an integer", "integers"), float: ("a number", "numbers"),
+                             str: ("text", "words")}[kind]
+                want = f"a bracketed list of {many}" if grid else one
+                raise ConfigurationError(f"{path}:{lineno}: config key '{key}' must be "
+                                         f"{want}, got '{value.strip()}'") from None
     return cfg
 
 
@@ -287,13 +302,17 @@ def run_summary(cfg: dict, config: RunConfig, run_id: str, result) -> dict:
 
 # ----------------------------------------------------------------- commands
 
+def _resolved_id(cfg: dict, config: RunConfig) -> tuple[dict, str]:
+    """The config with the master seed it runs under, and the digest of that."""
+    resolved = dict(cfg, master_seed=config.master_seed)
+    return resolved, cell_digest({key: str(resolved.get(key)) for key in KNOWN_KEYS})
+
+
 def cmd_run(args) -> int:
     cfg = parse_config(args.config)
     seed = resolve_seed(args.seed)
     config = build_run_config(cfg, seed)
-    resolved = dict(cfg)
-    resolved["master_seed"] = config.master_seed
-    run_id = cell_digest({key: str(resolved.get(key)) for key in KNOWN_KEYS})
+    resolved, run_id = _resolved_id(cfg, config)
     out_dir = args.out or cfg.get("out") or f"byzdp-run-{run_id}"
     os.makedirs(out_dir, exist_ok=True)
     result = run(config)
@@ -363,7 +382,7 @@ def cmd_sweep(args) -> int:
     if not grid:
         raise ConfigurationError("sweep needs at least one grid_* field")
     results = sweep(base, grid, jobs=args.jobs)
-    sweep_id = cell_digest({key: str(cfg.get(key)) for key in KNOWN_KEYS})
+    resolved, sweep_id = _resolved_id(cfg, base)
     out_dir = args.out or cfg.get("out") or f"byzdp-sweep-{sweep_id}"
     os.makedirs(out_dir, exist_ok=True)
     for res in results:
@@ -372,7 +391,7 @@ def cmd_sweep(args) -> int:
                           metrics_csv_text(res.cell_id, res.records, res.config))
     _atomic_write(os.path.join(out_dir, "summary.csv"), summary_csv_text(results))
     _atomic_write(os.path.join(out_dir, "aggregate.csv"), aggregate_csv_text(results))
-    _atomic_write(os.path.join(out_dir, "config.resolved"), resolved_config_text(cfg))
+    _atomic_write(os.path.join(out_dir, "config.resolved"), resolved_config_text(resolved))
     n_ok = sum(res.ok for res in results)
     n_failed = len(results) - n_ok
     print(f"sweep {sweep_id}: {n_ok} cells ok, {n_failed} failed -> {out_dir}")

@@ -87,10 +87,28 @@ def read_rows(path):
 
 def test_parse_config_values(tmp_path):
     path = write(tmp_path, "c.cfg", "gar = mda\nbatch_size = 25\ngamma = 0.5\n"
-                                    "grid_f = [3, 6]\nepsilon = none\n# comment\n")
+                                    "grid_f = [3, 6]\nepsilon = none\n# comment\n"
+                                    "clip = 2\ngrid_epsilon = [0.5, none]\n"
+                                    "dataset_path = 2024\nout = 007\n")
     cfg = parse_config(path)
+    # a number key takes an int; a path keeps its raw text
     assert cfg == {"gar": "mda", "batch_size": 25, "gamma": 0.5,
-                   "grid_f": [3, 6], "epsilon": None}
+                   "grid_f": [3, 6], "epsilon": None, "clip": 2,
+                   "grid_epsilon": [0.5, None], "dataset_path": "2024", "out": "007"}
+
+
+@pytest.mark.parametrize("line", [
+    "batch_size = 30.0", "steps = 20.0", "n = 5.0", "master_seed = 9.5", "gamma = fast",
+    "spread = abc", "grid_seed = 3", "grid_f = [0, 1.5]", "grid_epsilon = [0.5, fast]",
+])
+def test_ill_typed_value_is_a_config_error(tmp_path, capsys, line):
+    key = line.split(" = ")[0]
+    lines = [kept for kept in QUADRATIC_RUN.strip().splitlines()
+             if not kept.startswith(key + " ")] + [line]
+    path = write(tmp_path, "c.cfg", "\n".join(lines) + "\n")
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}:{len(lines)}: config key '{key}'" in err
 
 
 def test_unknown_key_rejected(tmp_path, capsys):
@@ -271,6 +289,23 @@ def test_sweep_jobs_do_not_change_results(tmp_path):
     for name in ("summary.csv", "aggregate.csv", *cells):
         assert open(os.path.join(out1, name), "rb").read() == \
                open(os.path.join(out8, name), "rb").read()
+
+
+def test_sweep_id_and_resolved_config_carry_the_seed(tmp_path, monkeypatch, capsys):
+    # without --out, sweeps under two seeds must not share an output directory
+    text = LOGISTIC_SWEEP.replace("master_seed = 1\n", "").replace(
+        "grid_seed = [1, 2, 3, 4, 5]\n", "")
+    cfg = write(tmp_path, "sweep.cfg", text)
+    monkeypatch.chdir(tmp_path)
+    out_dirs = []
+    for seed in ("5", "6"):
+        monkeypatch.setenv("BYZDP_SEED", seed)
+        assert main(["sweep", cfg]) == 0
+        out_dir = capsys.readouterr().out.splitlines()[0].rsplit(" -> ", 1)[1]
+        assert f"master_seed = {seed}\n" in open(os.path.join(out_dir, "config.resolved")).read()
+        assert {r["seed"] for r in read_rows(os.path.join(out_dir, "summary.csv"))} == {seed}
+        out_dirs.append(out_dir)
+    assert out_dirs[0] != out_dirs[1]
 
 
 # ---------------------------------------------------------------- diagnose
