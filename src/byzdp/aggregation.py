@@ -33,7 +33,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import CapacityError, ConfigurationError, ContractViolationError
+from .errors import CapacityError, ConfigurationError, ContractViolationError, check_integers
 
 RULES = ("average", "krum", "mda", "median", "bulyan")
 
@@ -54,6 +54,7 @@ class GarSpec:
     def __post_init__(self):
         if self.rule not in RULES:
             raise ConfigurationError(f"unknown aggregation rule '{self.rule}'")
+        check_integers(self, "n", "f")
         if self.n < 1 or self.f < 0 or self.f >= self.n:
             raise ConfigurationError(f"need n >= 1 and 0 <= f < n, got n={self.n}, f={self.f}")
         if self.rule == "average" and self.f != 0:

@@ -28,7 +28,7 @@ import numpy as np
 
 from .aggregation import GarSpec, aggregate
 from .attack import AttackSpec, forge
-from .errors import ConfigurationError, ContractViolationError
+from .errors import ConfigurationError, ContractViolationError, check_integers
 from .model import (ClipParams, Dataset, Model, accuracy, batch_grads, clip,
                     full_grad, full_loss, row_blocks, sample_batch)
 from .privacy import PrivacyParams, gaussian_noise
@@ -136,6 +136,7 @@ class RunConfig:
         return self.privacy.s if self.privacy is not None else 0.0
 
     def __post_init__(self):
+        check_integers(self, "b", "steps", "eval_every", "master_seed")
         if not 1 <= self.b <= self.dataset.m:
             raise ConfigurationError(f"need 1 <= b <= m, got b={self.b}, m={self.dataset.m}")
         if self.steps < 1:
@@ -333,8 +334,9 @@ def _resolve_cell(base: RunConfig, params: dict) -> RunConfig:
     else:
         privacy = PrivacyParams(params["epsilon"], base.privacy.delta, base.privacy.c,
                                 params["b"], base.privacy.m)
+    # base.clip equals base.privacy.c whenever privacy is set, and so fits every recalibration
     return replace(base, gar=gar, attack=atk, privacy=privacy, b=params["b"],
-                   master_seed=params["seed"], clip=base.clip if privacy is None else None)
+                   master_seed=params["seed"])
 
 
 def _run_cell(args) -> CellResult:

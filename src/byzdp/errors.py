@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer field check."""
+
+import numbers
 
 
 class ContractViolationError(ValueError):
@@ -19,3 +21,14 @@ class CapacityError(RuntimeError):
 
 class DataLoadError(ValueError):
     """A dataset file could not be parsed."""
+
+
+def check_integers(owner, *names: str) -> None:
+    """Raise ConfigurationError unless each named field of owner holds an integer.
+
+    Python and numpy integers pass; bools and integral floats such as 10.0 do not.
+    """
+    for name in names:
+        value = getattr(owner, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ConfigurationError(f"{name} must be an integer, got {value!r}")

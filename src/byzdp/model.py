@@ -10,7 +10,9 @@ Three model kinds are supported:
   No closed-form smoothness constant exists for this kind.
 
 The empirical loss is the plain average of q over the dataset, so the l2
-regularizer is folded into every per-point gradient.
+regularizer is folded into every per-point gradient. ``_forward`` is the one
+place where data meets the parameters: per-point losses and gradients,
+accuracy and the Newton weights of ``estimate_min_loss`` are tails on it.
 
 Per-point gradient matrices are built in row blocks of about
 ``_BLOCK_FLOATS`` float64s (512 KB), which stay in a 2 MB L2 cache, rather than
@@ -216,12 +218,37 @@ def _unpack_mlp(model: Model, theta: np.ndarray):
     return w1, b1, w2, b2
 
 
-def _check_theta(model: Model, theta: np.ndarray) -> np.ndarray:
+def _inputs(model: Model, theta: np.ndarray, features: np.ndarray,
+            labels: np.ndarray | None):
+    """Float64 theta, features and labels that fit the model; only classifiers need labels."""
     theta = np.asarray(theta, dtype=np.float64)
     if theta.shape != (model.dim,):
         raise ContractViolationError(
             f"parameter vector has shape {theta.shape}, model dimension is {model.dim}")
-    return theta
+    x = np.atleast_2d(np.asarray(features, dtype=np.float64))
+    if x.ndim != 2 or x.shape[1] != model.n_features:
+        raise ContractViolationError(f"features of shape {x.shape} do not fit the model")
+    y = None if labels is None else np.atleast_1d(np.asarray(labels, dtype=np.float64))
+    if model.is_classifier and (y is None or y.shape != (x.shape[0],)):
+        raise ContractViolationError(f"the {model.kind} model needs one label per feature row")
+    return theta, x, y
+
+
+def _forward(model: Model, theta: np.ndarray, x: np.ndarray):
+    """The per-point products that a loss and its gradient share, as a pair.
+
+    quadratic: (theta - x, (theta - x) H)
+    logistic:  (None, the scores x theta)
+    mlp1:      (the hidden layer a = tanh(x W1' + b1), the scores a w2 + b2)
+    """
+    if model.kind == "quadratic":
+        diff = theta[None, :] - x
+        return diff, diff @ model.hessian
+    if model.kind == "logistic":
+        return None, x @ theta
+    w1, b1, w2, b2 = _unpack_mlp(model, theta)
+    a = np.tanh(x @ w1.T + b1[None, :])
+    return a, a @ w2 + b2
 
 
 # ------------------------------------------------------- losses & gradients
@@ -252,39 +279,23 @@ def row_blocks(count: int, d: int, unit: int = 1):
 def batch_grads(model: Model, theta: np.ndarray, features: np.ndarray,
                 labels: np.ndarray | None = None) -> np.ndarray:
     """Per-point gradients of q as a (k, d) matrix, regularizer included."""
-    theta = _check_theta(model, theta)
-    x = np.atleast_2d(np.asarray(features, dtype=np.float64))
+    theta, x, y = _inputs(model, theta, features, labels)
+    a, out = _forward(model, theta, x)
     if model.kind == "quadratic":
-        if x.shape[1] != model.dim:
-            raise ContractViolationError("target dimension does not match the model")
-        grads = (theta[None, :] - x) @ model.hessian
-        grads += model.lam * theta
-        return grads
-    if labels is None:
-        raise ContractViolationError(f"{model.kind} gradients need labels")
-    y = np.atleast_1d(np.asarray(labels, dtype=np.float64))
-    if x.shape[1] != model.n_features or y.shape[0] != x.shape[0]:
-        raise ContractViolationError("feature/label shapes do not match the model")
-    if model.kind == "logistic":
-        margin = y * (x @ theta)
-        w = expit(-margin)
-        grads = (-y * w)[:, None] * x
-        grads += model.lam * theta
-        return grads
-    # mlp1 backprop, each parameter block written into its columns of grads
-    w1, b1, w2, b2 = _unpack_mlp(model, theta)
-    k, h, p = x.shape[0], model.hidden, model.n_features
-    z1 = x @ w1.T + b1[None, :]
-    a = np.tanh(z1)
-    score = a @ w2 + b2
-    dscore = -y * expit(-y * score)
-    da = dscore[:, None] * w2[None, :]
-    dz1 = da * (1.0 - a * a)
-    grads = np.empty((k, model.dim))
-    np.einsum("kh,kp->khp", dz1, x, out=grads[:, : h * p].reshape(k, h, p))
-    grads[:, h * p: h * p + h] = dz1
-    np.multiply(dscore[:, None], a, out=grads[:, h * p + h: h * p + 2 * h])
-    grads[:, -1] = dscore
+        grads = out
+    elif model.kind == "logistic":
+        grads = (-y * expit(-(y * out)))[:, None] * x
+    else:
+        # mlp1 backprop, each parameter block written into its columns of grads
+        w2 = _unpack_mlp(model, theta)[2]
+        k, h, p = x.shape[0], model.hidden, model.n_features
+        dscore = -y * expit(-y * out)
+        dz1 = dscore[:, None] * w2[None, :] * (1.0 - a * a)
+        grads = np.empty((k, model.dim))
+        np.einsum("kh,kp->khp", dz1, x, out=grads[:, : h * p].reshape(k, h, p))
+        grads[:, h * p: h * p + h] = dz1
+        np.multiply(dscore[:, None], a, out=grads[:, h * p + h: h * p + 2 * h])
+        grads[:, -1] = dscore
     grads += model.lam * theta
     return grads
 
@@ -292,8 +303,7 @@ def batch_grads(model: Model, theta: np.ndarray, features: np.ndarray,
 def point_grad(model: Model, theta: np.ndarray, x: np.ndarray,
                label: float | None = None) -> np.ndarray:
     """Gradient of the point-wise loss q at one data point."""
-    labels = None if label is None else np.asarray([label], dtype=np.float64)
-    return batch_grads(model, theta, np.atleast_2d(x), labels)[0]
+    return batch_grads(model, theta, x, label)[0]
 
 
 def full_grad(model: Model, theta: np.ndarray, dataset: Dataset) -> np.ndarray:
@@ -317,14 +327,13 @@ def full_grad(model: Model, theta: np.ndarray, dataset: Dataset) -> np.ndarray:
 
 def batch_losses(model: Model, theta: np.ndarray, features: np.ndarray,
                  labels: np.ndarray | None = None) -> np.ndarray:
-    theta = _check_theta(model, theta)
-    x = np.atleast_2d(np.asarray(features, dtype=np.float64))
+    """Per-point losses q as a vector of length k, regularizer included."""
+    theta, x, y = _inputs(model, theta, features, labels)
+    diff, out = _forward(model, theta, x)
     if model.kind == "quadratic":
-        diff = theta[None, :] - x
-        losses = 0.5 * np.einsum("ij,ij->i", diff @ model.hessian, diff)
+        losses = 0.5 * np.einsum("ij,ij->i", out, diff)
     else:
-        y = np.atleast_1d(np.asarray(labels, dtype=np.float64))
-        losses = np.logaddexp(0.0, -y * scores(model, theta, x))
+        losses = np.logaddexp(0.0, -y * out)
     if model.lam:
         # skipped at lam = 0, where 0 * inf would turn an overflowed loss into nan
         losses += 0.5 * model.lam * float(theta @ theta)
@@ -335,22 +344,12 @@ def full_loss(model: Model, theta: np.ndarray, dataset: Dataset) -> float:
     return float(batch_losses(model, theta, dataset.features, dataset.labels).mean())
 
 
-def scores(model: Model, theta: np.ndarray, features: np.ndarray) -> np.ndarray:
-    """Raw classification scores; sign(score) is the predicted label."""
-    theta = _check_theta(model, theta)
-    x = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    if model.kind == "logistic":
-        return x @ theta
-    if model.kind == "mlp1":
-        w1, b1, w2, b2 = _unpack_mlp(model, theta)
-        return np.tanh(x @ w1.T + b1[None, :]) @ w2 + b2
-    raise ContractViolationError("scores are defined for classification kinds only")
-
-
 def accuracy(model: Model, theta: np.ndarray, dataset: Dataset) -> float:
-    s = scores(model, theta, dataset.features)
-    pred = np.where(s > 0, 1.0, -1.0)
-    return float(np.mean(pred == dataset.labels))
+    """Share of points whose score has the sign of their label."""
+    if not model.is_classifier:
+        raise ContractViolationError("accuracy is defined for classification kinds only")
+    theta, x, y = _inputs(model, theta, dataset.features, dataset.labels)
+    return float(np.mean(np.where(_forward(model, theta, x)[1] > 0, 1.0, -1.0) == y))
 
 
 # ---------------------------------------------------------------- clipping
@@ -483,7 +482,7 @@ def estimate_min_loss(model: Model, dataset: Dataset) -> float:
         g = full_grad(model, theta, dataset)
         if float(np.linalg.norm(g)) < MIN_LOSS_TOL:
             break
-        w = expit(y * (x @ theta))
+        w = expit(y * _forward(model, theta, x)[1])
         hess = (x.T * (w * (1.0 - w))) @ x / dataset.m + model.lam * np.eye(model.dim)
         step = np.linalg.lstsq(hess, g, rcond=None)[0]
         t = 1.0

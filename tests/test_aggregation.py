@@ -69,6 +69,10 @@ def test_gar_spec_constraints():
         GarSpec("median", 2, 1)
     with pytest.raises(ConfigurationError):
         GarSpec("trimmed_mean", 5, 1)
+    # n and f are integers; GarSpec("median", 5.0, 1) was once accepted
+    for n, f in ((5.0, 1), (5, 1.0), (5, 1.5), (True, 0), (5, False)):
+        with pytest.raises(ConfigurationError, match="must be an integer"):
+            GarSpec("median", n, f)
     GarSpec("bulyan", 15, 3)
     GarSpec("krum", 5, 1)
 

@@ -356,6 +356,22 @@ def test_config_fail_fast():
         RunConfig(**{**good, "privacy": PrivacyParams(0.5, 1e-4, 1.0, 10, 20)})  # b mismatch
     with pytest.raises(ConfigurationError):
         RunConfig(**{**good, "eval_every": 6})
+    # counts and the seed are integers: master_seed=9.5 once ran as seed 9,
+    # eval_every=2.0 ran, and b=10.0, steps=4.0 and b=True raised a bare TypeError
+    for name in ("b", "steps", "eval_every", "master_seed"):
+        for value in (4.0, 9.5, True):
+            with pytest.raises(ConfigurationError, match=f"{name} must be an integer"):
+                RunConfig(**{**good, name: value})
+
+
+def test_integer_fields_accept_numpy_integers():
+    plain = quadratic_config(b=10, steps=6, eval_every=2, master_seed=9,
+                             gar=GarSpec("median", 5, 1), attack=AttackSpec("little"))
+    typed = replace(plain, b=np.int64(10), steps=np.int32(6), eval_every=np.int64(2),
+                    master_seed=np.uint64(9), gar=GarSpec("median", np.int64(5), np.int64(1)))
+    a, b = run(plain), run(typed)
+    assert np.array_equal(a.theta, b.theta)
+    assert a.records == b.records
 
 
 def test_classifier_needs_labels():
@@ -416,6 +432,19 @@ def test_sweep_isolates_invalid_cells():
     assert results[0].params["attack"] == "bogus"
     assert results[0].config is None
     assert results[1].config.attack == AttackSpec("empire")  # the default zeta
+
+
+def test_sweep_fails_cells_with_non_integer_values():
+    # f=1.5 once aborted the whole sweep with a TypeError, and seed 9.5 ran
+    # as a second ok cell with the records of seed 9
+    base = small_sweep_base()
+    results = sweep(base, {"f": [1, 1.5]})
+    assert [r.status for r in results] == ["ok", "failed"]
+    assert results[0].records == run(base).records
+    assert "f must be an integer, got 1.5" in results[1].reason
+    results = sweep(base, {"seed": [9, 9.5]})
+    assert [r.status for r in results] == ["ok", "failed"]
+    assert "master_seed must be an integer, got 9.5" in results[1].reason
 
 
 def test_sweep_parallel_matches_serial():

@@ -9,7 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from byzdp import (ClipParams, ContractViolationError, ConfigurationError, DataLoadError,
-                   Dataset, batch_grads, clip, full_grad, full_loss, gaussian_blobs, load_csv,
+                   Dataset, accuracy, batch_grads, clip, full_grad, full_loss,
+                   gaussian_blobs, load_csv,
                    logistic_model, mlp1_model, point_grad, population_variance,
                    quadratic_minimizer, quadratic_model, regression_targets,
                    sample_batch, smoothness_constant, worker_stream)
@@ -93,6 +94,60 @@ def test_point_grad_dimension_mismatch():
         point_grad(model, np.zeros(3), np.zeros(4), 1.0)
     with pytest.raises(ContractViolationError):
         point_grad(model, np.zeros(4), np.zeros(5), 1.0)
+
+
+# --------------------------------------------------------- input contract
+
+def contract_model(kind):
+    """A model of three features with a matching dataset of six points."""
+    if kind == "quadratic":
+        return quadratic_model(np.eye(3)), regression_targets(0, 6, 3)
+    if kind == "logistic":
+        return logistic_model(3), gaussian_blobs(0, 6, 3)
+    return mlp1_model(3, 2), gaussian_blobs(0, 6, 3)
+
+
+def evaluate_on(name, model, theta, x, y):
+    """Call one per-point or full-dataset function of the model on (x, y)."""
+    if name == "batch_grads":
+        return batch_grads(model, theta, x, y)
+    if name == "batch_losses":
+        return batch_losses(model, theta, x, y)
+    ds = Dataset(x)
+    ds.labels = y  # past Dataset's own label check, to reach the function's
+    return {"full_loss": full_loss, "accuracy": accuracy}[name](model, theta, ds)
+
+
+BAD_INPUTS = {
+    "short_theta": lambda theta, x, y: (theta[:-1], x, y),
+    "narrow_features": lambda theta, x, y: (theta, x[:, :2], y),
+    "wide_features": lambda theta, x, y: (theta, np.hstack([x, x[:, :1]]), y),
+    "no_labels": lambda theta, x, y: (theta, x, None),
+    "short_labels": lambda theta, x, y: (theta, x, y[:-1]),
+}
+
+
+# a wrong feature width once raised numpy's ValueError in batch_losses and
+# full_loss, and unlabeled classifier data made full_loss return nan and
+# accuracy 0.0
+@pytest.mark.parametrize("kind, name, case", [
+    (kind, name, case)
+    for kind in ("quadratic", "logistic", "mlp1")
+    for name in ("batch_grads", "batch_losses", "full_loss", "accuracy")
+    for case in BAD_INPUTS
+    if not (kind == "quadratic" and (name == "accuracy" or case.endswith("labels")))])
+def test_input_contract(kind, name, case):
+    model, ds = contract_model(kind)
+    theta = np.full(model.dim, 0.1)
+    evaluate_on(name, model, theta, ds.features, ds.labels)
+    with pytest.raises(ContractViolationError):
+        evaluate_on(name, model, *BAD_INPUTS[case](theta, ds.features, ds.labels))
+
+
+def test_accuracy_needs_a_classifier():
+    model, ds = contract_model("quadratic")
+    with pytest.raises(ContractViolationError, match="classification"):
+        accuracy(model, np.zeros(3), ds)
 
 
 # -------------------------------------------------------------- full_grad
