@@ -37,16 +37,16 @@ CONFIG_ERRORS = (ConfigurationError, ContractViolationError, DataLoadError,
 
 # Every config key and the type of its value: an int key takes an integer, a
 # float key any number and a str key keeps its raw text. A grid_ key takes a
-# bracketed list of such values, and any value may be none.
+# bracketed list of such values; none is a grid value or leaves a scalar key unset.
 KNOWN_KEYS = {
-    "model": str, "dim": int, "hidden": int, "reg": float, "hessian": str,
+    "model": str, "dim": int, "hidden": int, "reg": float,
     "dataset": str, "dataset_seed": int, "dataset_size": int, "dataset_path": str,
     "half_sep": float, "axis_std": float, "cross_std": float, "spread": float,
     "n": int, "f": int, "gar": str, "attack": str, "zeta": float,
     "epsilon": float, "delta": float, "clip": float,
     "batch_size": int, "steps": int, "schedule": str, "gamma": float, "momentum": float,
     "master_seed": int, "eval_every": int,
-    "alpha": float, "mu": float, "upsilon": float, "delta_slack": float,
+    "alpha": float, "mu": float, "upsilon": float,
     "out": str,
     "grid_batch_size": int, "grid_epsilon": float, "grid_gar": str, "grid_attack": str,
     "grid_f": int, "grid_seed": int,
@@ -84,7 +84,10 @@ def _parse_value(tok: str, kind: type, grid: bool):
 
 
 def parse_config(path: str) -> dict:
-    """Read a flat key = value file, rejecting unknown keys and ill-typed values."""
+    """Read a flat key = value file, rejecting unknown keys and ill-typed values.
+
+    A scalar key set to none is left out, as if its line were absent.
+    """
     cfg: dict = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -108,13 +111,18 @@ def parse_config(path: str) -> dict:
                 want = f"a bracketed list of {many}" if grid else one
                 raise ConfigurationError(f"{path}:{lineno}: config key '{key}' must be "
                                          f"{want}, got '{value.strip()}'") from None
-    return cfg
+    return {key: value for key, value in cfg.items() if value is not None}
 
 
 def _require(cfg: dict, key: str):
-    if key not in cfg or cfg[key] is None:
+    if key not in cfg:
         raise ConfigurationError(f"missing required config field '{key}'")
     return cfg[key]
+
+
+def _given(cfg: dict, *keys: str) -> dict:
+    """The named keys that the config sets; the library supplies the others."""
+    return {key: cfg[key] for key in keys if key in cfg}
 
 
 def build_dataset(cfg: dict, classification: bool) -> Dataset:
@@ -127,14 +135,11 @@ def build_dataset(cfg: dict, classification: bool) -> Dataset:
     if kind == "blobs":
         if not classification:
             raise ConfigurationError("the blobs dataset is for classification models")
-        return gaussian_blobs(seed, m, dim,
-                              half_sep=cfg.get("half_sep", 1.5),
-                              axis_std=cfg.get("axis_std", 1.0),
-                              cross_std=cfg.get("cross_std", 1.0))
+        return gaussian_blobs(seed, m, dim, **_given(cfg, "half_sep", "axis_std", "cross_std"))
     if kind == "targets":
         if classification:
             raise ConfigurationError("the targets dataset is for the quadratic model")
-        return regression_targets(seed, m, dim, spread=cfg.get("spread", 1.0))
+        return regression_targets(seed, m, dim, **_given(cfg, "spread"))
     raise ConfigurationError(f"unknown dataset kind '{kind}'")
 
 
@@ -142,11 +147,7 @@ def build_model(cfg: dict, dataset: Dataset) -> Model:
     kind = _require(cfg, "model")
     lam = cfg.get("reg", 0.0)
     if kind == "quadratic":
-        dim = cfg.get("dim", dataset.n_features)
-        hess_kind = cfg.get("hessian", "identity")
-        if hess_kind != "identity":
-            raise ConfigurationError("config-built quadratic models support hessian = identity")
-        return quadratic_model(np.eye(dim), lam)
+        return quadratic_model(np.eye(cfg.get("dim", dataset.n_features)), lam)
     if kind == "logistic":
         return logistic_model(dataset.n_features, lam)
     if kind == "mlp1":
@@ -170,13 +171,11 @@ def build_run_config(cfg: dict, seed_override: int | None = None) -> RunConfig:
         privacy = PrivacyParams(epsilon, cfg.get("delta", 1e-5), clip_c, b, dataset.m)
     else:
         privacy = None
-    seed = seed_override if seed_override is not None else cfg.get("master_seed", 1)
-    return RunConfig(
-        model=model, dataset=dataset, gar=gar, b=b, steps=_require(cfg, "steps"),
-        attack=attack, privacy=privacy, clip=clip_params,
-        schedule=cfg.get("schedule", "inv_sqrt"), gamma=cfg.get("gamma"),
-        momentum=cfg.get("momentum", 0.0), master_seed=seed,
-        eval_every=cfg.get("eval_every", 1))
+    options = _given(cfg, "schedule", "gamma", "momentum", "master_seed", "eval_every")
+    if seed_override is not None:
+        options["master_seed"] = seed_override
+    return RunConfig(model=model, dataset=dataset, gar=gar, b=b, steps=_require(cfg, "steps"),
+                     attack=attack, privacy=privacy, clip=clip_params, **options)
 
 
 def resolve_seed(flag_seed: int | None) -> int | None:
@@ -260,7 +259,7 @@ def theory_report(cfg: dict, config: RunConfig) -> tuple[float, float, EtaBounds
     budget. Raises ConfigurationError for a rule without a kappa (average).
     """
     kap = kappa(config.gar)
-    if cfg.get("upsilon") is not None:
+    if "upsilon" in cfg:
         ups = float(cfg["upsilon"])
     else:
         theta1 = initial_theta(config)
@@ -287,8 +286,7 @@ def run_summary(cfg: dict, config: RunConfig, run_id: str, result) -> dict:
     if config.privacy is not None:
         summary["epsilon_inner"] = config.privacy.epsilon_inner
         summary["composition"] = compose(
-            config.privacy.epsilon, config.privacy.delta, config.steps,
-            cfg.get("delta_slack", 1e-4)).as_dict()
+            config.privacy.epsilon, config.privacy.delta, config.steps).as_dict()
         if config.gar.rule != "average":
             kap, ups, bounds = theory_report(cfg, config)
             summary["eta_bounds"] = {
@@ -303,9 +301,9 @@ def run_summary(cfg: dict, config: RunConfig, run_id: str, result) -> dict:
 # ----------------------------------------------------------------- commands
 
 def _resolved_id(cfg: dict, config: RunConfig) -> tuple[dict, str]:
-    """The config with the master seed it runs under, and the digest of that."""
+    """The keys the config sets plus the master seed it runs under, and their digest."""
     resolved = dict(cfg, master_seed=config.master_seed)
-    return resolved, cell_digest({key: str(resolved.get(key)) for key in KNOWN_KEYS})
+    return resolved, cell_digest(resolved)
 
 
 def cmd_run(args) -> int:
@@ -410,7 +408,7 @@ def cmd_diagnose(args) -> int:
     print(f"s = {config.s:.8g}")
     if config.privacy is not None:
         print(f"epsilon_inner = {config.privacy.epsilon_inner:.8g}")
-    print(f"upsilon = {ups:.8g} ({'config' if cfg.get('upsilon') is not None else 'at theta_1'})")
+    print(f"upsilon = {ups:.8g} ({'config' if 'upsilon' in cfg else 'at theta_1'})")
     if bounds is not None:
         print(f"eta_sq_necessary = {bounds.eta_sq_necessary:.8g}")
         print(f"eta_sq_sufficient = {bounds.eta_sq_sufficient:.8g}")
@@ -426,11 +424,11 @@ def cmd_diagnose(args) -> int:
             theta1 = initial_theta(config)
             q_init = full_loss(config.model, theta1, config.dataset)
             q_star = estimate_min_loss(config.model, config.dataset)
-            bound = convergence_bound(eta_sq, config.steps, cfg.get("alpha", 0.0),
-                                      cfg.get("mu", 1.0), sig, lips, q_init, q_star)
+            alpha, mu = cfg.get("alpha", 0.0), cfg.get("mu", 1.0)
+            bound = convergence_bound(eta_sq, config.steps, alpha, mu, sig, lips,
+                                      q_init, q_star)
             exact = config.model.kind == "quadratic"
-            print(f"theorem bound (T={config.steps}, alpha={cfg.get('alpha', 0.0)}, "
-                  f"mu={cfg.get('mu', 1.0)}) = {bound:.8g}"
+            print(f"theorem bound (T={config.steps}, alpha={alpha}, mu={mu}) = {bound:.8g}"
                   + ("" if exact else "  [q_star is an upper bound]"))
     else:
         print("sigma, theorem bound: not applicable (no clip bound)")

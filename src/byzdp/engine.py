@@ -156,14 +156,11 @@ class RunConfig:
             raise ConfigurationError("inv_sqrt uses gamma_t = 1/sqrt(t); do not set gamma")
         if not 0 <= self.master_seed < 2 ** 64:
             raise ConfigurationError("master_seed must fit in 64 unsigned bits")
-        if self.model.is_classifier:
-            if self.dataset.labels is None:
-                raise ConfigurationError(f"{self.model.kind} model needs labeled data")
-            if self.dataset.n_features != self.model.n_features:
-                raise ConfigurationError("dataset feature count does not match the model")
-        else:
-            if self.dataset.n_features != self.model.dim:
-                raise ConfigurationError("quadratic targets must have the model dimension")
+        if self.model.is_classifier and self.dataset.labels is None:
+            raise ConfigurationError(f"{self.model.kind} model needs labeled data")
+        if self.dataset.n_features != self.model.n_features:
+            raise ConfigurationError(f"dataset has {self.dataset.n_features} features, "
+                                     f"the {self.model.kind} model takes {self.model.n_features}")
         if self.privacy is not None:
             if self.privacy.b != self.b:
                 raise ConfigurationError(
@@ -315,7 +312,9 @@ def _cell_params(base: RunConfig, overrides: dict) -> dict:
         "f": base.f,
         "seed": base.master_seed,
     }
-    params.update(overrides)
+    # a numpy scalar becomes the equal Python value: np.int64(9) and 9 name one cell
+    params.update((axis, value.item() if isinstance(value, np.generic) else value)
+                  for axis, value in overrides.items())
     if params["epsilon"] == "none":
         params["epsilon"] = None
     return params

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CalibrationError, ContractViolationError
+from .errors import CalibrationError, ContractViolationError, check_integers
 
 
 class PrivacyRegimeWarning(UserWarning):
@@ -125,6 +125,7 @@ class PrivacyParams:
     epsilon_inner: float = field(init=False)
 
     def __post_init__(self):
+        check_integers(self, "b", "m")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", PrivacyRegimeWarning)
             s = noise_scale(self.c, self.b, self.m, self.epsilon, self.delta)

@@ -4,11 +4,12 @@ import csv
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
 
-from byzdp.cli import build_run_config, main, parse_config
+from byzdp.cli import KNOWN_KEYS, build_run_config, main, parse_config
 from byzdp.engine import run
 
 QUADRATIC_RUN = """
@@ -91,10 +92,24 @@ def test_parse_config_values(tmp_path):
                                     "clip = 2\ngrid_epsilon = [0.5, none]\n"
                                     "dataset_path = 2024\nout = 007\n")
     cfg = parse_config(path)
-    # a number key takes an int; a path keeps its raw text
+    # a number key takes an int; a path keeps its raw text; a scalar none is
+    # left out, and none inside a grid list stays
     assert cfg == {"gar": "mda", "batch_size": 25, "gamma": 0.5,
-                   "grid_f": [3, 6], "epsilon": None, "clip": 2,
+                   "grid_f": [3, 6], "clip": 2,
                    "grid_epsilon": [0.5, None], "dataset_path": "2024", "out": "007"}
+
+
+def test_a_none_line_still_counts_as_a_duplicate(tmp_path, capsys):
+    path = write(tmp_path, "c.cfg", QUADRATIC_RUN + "epsilon = none\nepsilon = 0.5\n")
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
+    assert "duplicate key 'epsilon'" in capsys.readouterr().err
+
+
+def test_readme_lists_every_config_key():
+    readme = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        paragraph = fh.read().split("Recognized keys:", 1)[1].split("\n\n", 1)[0]
+    assert sorted(re.findall(r"`([^`]+)`", paragraph)) == sorted(KNOWN_KEYS)
 
 
 @pytest.mark.parametrize("line", [
@@ -121,6 +136,101 @@ def test_missing_field_named(tmp_path, capsys):
     path = write(tmp_path, "c.cfg", "model = quadratic\n")
     assert main(["run", path]) == 2
     assert "dataset" in capsys.readouterr().err
+
+
+# ------------------------------------------------------------ none is unset
+
+# Each scalar key is left out of one copy of a config and set to none in the
+# other; the two must run alike. These configs set every key that changes
+# their output, with values away from the library defaults.
+LOGISTIC_PRIVATE_RUN = """
+model = logistic
+dim = 3
+reg = 1e-3
+dataset = blobs
+dataset_seed = 4
+dataset_size = 40
+half_sep = 0.8
+axis_std = 0.5
+cross_std = 0.7
+n = 5
+f = 1
+gar = mda
+attack = little
+zeta = 0.5
+epsilon = 0.5
+delta = 1e-4
+clip = 1.5
+batch_size = 8
+steps = 6
+schedule = constant
+gamma = 0.4
+momentum = 0.5
+master_seed = 3
+eval_every = 2
+"""
+
+QUADRATIC_PRIVATE_RUN = """
+model = quadratic
+dim = 4
+dataset = targets
+dataset_seed = 3
+dataset_size = 30
+spread = 0.5
+n = 5
+f = 1
+gar = median
+epsilon = 0.5
+delta = 1e-4
+clip = 2.0
+batch_size = 10
+steps = 20
+master_seed = 9
+eval_every = 2
+upsilon = 0.7
+"""
+
+
+def _demo_config(name):
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                        "demos", "configs", name)
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
+NONE_CASES = {
+    "run_logistic": ("run", LOGISTIC_PRIVATE_RUN),
+    "run_quadratic": ("run", QUADRATIC_PRIVATE_RUN),
+    "diagnose_mda": ("diagnose", _demo_config("diagnose_mda.cfg")),
+}
+
+SCALAR_KEYS = sorted(key for key in KNOWN_KEYS if not key.startswith("grid_"))
+
+
+def _cli_outputs(workdir, monkeypatch, capsys, command, text):
+    """Exit code, stdout, stderr and every written file of one command in workdir."""
+    workdir.mkdir()
+    monkeypatch.chdir(workdir)
+    (workdir / "c.cfg").write_text(text)
+    code = main([command, "c.cfg"] + (["--out", "out"] if command == "run" else []))
+    captured = capsys.readouterr()
+    files = {}
+    if os.path.isdir("out"):
+        for name in sorted(os.listdir("out")):
+            with open(os.path.join("out", name), "rb") as fh:
+                files[name] = fh.read()
+    return code, captured.out, captured.err, files
+
+
+@pytest.mark.parametrize("key", SCALAR_KEYS)
+@pytest.mark.parametrize("case", sorted(NONE_CASES))
+def test_none_runs_as_an_absent_key(tmp_path, monkeypatch, capsys, case, key):
+    command, text = NONE_CASES[case]
+    absent = "".join(line + "\n" for line in text.strip().splitlines()
+                     if line.partition("=")[0].strip() != key)
+    unset = absent + f"{key} = none\n"
+    assert _cli_outputs(tmp_path / "none", monkeypatch, capsys, command, unset) == \
+        _cli_outputs(tmp_path / "absent", monkeypatch, capsys, command, absent)
 
 
 # --------------------------------------------------------------------- run

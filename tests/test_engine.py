@@ -381,6 +381,18 @@ def test_classifier_needs_labels():
                   b=20, steps=2, schedule="constant", gamma=0.1)
 
 
+@pytest.mark.parametrize("kind", ["quadratic", "logistic"])
+def test_dataset_width_must_match_the_model(kind):
+    if kind == "quadratic":
+        model, ds = quadratic_model(np.eye(4)), regression_targets(0, 20, 3)
+    else:
+        model, ds = logistic_model(4), gaussian_blobs(0, 20, 3)
+    with pytest.raises(ConfigurationError,
+                       match=f"dataset has 3 features, the {kind} model takes 4"):
+        RunConfig(model=model, dataset=ds, gar=GarSpec("average", 3, 0),
+                  b=20, steps=2, schedule="constant", gamma=0.1)
+
+
 def test_mlp1_trains_end_to_end():
     from byzdp import mlp1_model
     ds = gaussian_blobs(1, 120, 4, half_sep=2.0)
@@ -445,6 +457,22 @@ def test_sweep_fails_cells_with_non_integer_values():
     results = sweep(base, {"seed": [9, 9.5]})
     assert [r.status for r in results] == ["ok", "failed"]
     assert "master_seed must be an integer, got 9.5" in results[1].reason
+
+
+def test_sweep_numpy_scalars_name_the_python_cell():
+    # np.int64(9) once gave a second ok cell, with its own id, of seed 9
+    base = small_sweep_base()
+    for axis, value, twin in (("seed", 9, np.int64(9)), ("epsilon", 0.5, np.float64(0.5))):
+        plain, typed = sweep(base, {axis: [value, twin]})
+        assert plain.ok and typed.ok
+        assert typed.cell_id == plain.cell_id
+        assert typed.params == plain.params
+        assert type(typed.params[axis]) is type(value)
+    results = sweep(base, {"epsilon": list(np.linspace(0.5, 0.9, 3))})
+    assert [type(r.params["epsilon"]) for r in results] == [float] * 3
+    [res] = sweep(base, {"seed": [np.float64(9.5)]})
+    assert not res.ok
+    assert "master_seed must be an integer, got 9.5" in res.reason
 
 
 def test_sweep_parallel_matches_serial():

@@ -15,13 +15,13 @@ from byzdp.cli import main
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "demos", "configs")
 
 RUN_LITTLE_MDA = {
-    "metrics.csv": "5e7ba6dc605bb099c31ccf80036588b1194af3a02636b9cdb173ace8a411767d",
-    "summary.json": "706330146594c85b372275c3ff58293be3da7c48facc43b684b4f75f7a2213c4",
+    "metrics.csv": "39fef0a2cd95afe2a32d70e1fcdeffcd6d48e6793a78957aa72d9d2ba9275439",
+    "summary.json": "97c833440001475927b5a4ce6d262b9bc2ef1c6c21a1a1c7a3c42b54d3706578",
 }
 
 RUN_QUADRATIC_BASELINE = {
-    "metrics.csv": "a69fda6c8c98b2f7f9196ade2e38beb2564ac443559cffdba76b604672c36ff2",
-    "summary.json": "21f63844181bf2b1b187512abb5befa8c74f166a7ff9223dcb190b07302ae234",
+    "metrics.csv": "ed2c18368204cd73999241c8f1e948e6451a6ce3b3bccef999d4cbbe4b70ab62",
+    "summary.json": "3260df2c15fe60d2603afa2321336b005c908cc59646aeba6b560e0d8ca47cdc",
 }
 
 DIAGNOSE_MDA_STDOUT = {

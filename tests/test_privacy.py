@@ -14,10 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from byzdp import (CalibrationError, CompositionReport, ContractViolationError,
-                   PrivacyParams, PrivacyRegimeWarning, amplified_epsilon, compose,
-                   delta_log_factor, eta_bounds, gaussian_noise, inner_epsilon, noise_scale,
-                   sensitivity_mean_grad, worker_stream)
+from byzdp import (CalibrationError, CompositionReport, ConfigurationError,
+                   ContractViolationError, PrivacyParams, PrivacyRegimeWarning,
+                   amplified_epsilon, compose, delta_log_factor, eta_bounds, gaussian_noise,
+                   inner_epsilon, noise_scale, sensitivity_mean_grad, worker_stream)
 
 mp.mp.dps = 50
 
@@ -209,6 +209,14 @@ def test_privacy_params_derivations():
     p = PrivacyParams(0.1, 1e-5, 2.0, 25, 1000)
     assert p.s == pytest.approx(0.38902757511759369, rel=1e-12)
     assert p.epsilon_inner == pytest.approx(inner_epsilon(0.1, 25, 1000), rel=1e-15)
+
+
+def test_privacy_params_counts_are_integers():
+    # b=8.5 once calibrated to s=1.0015, b=True to 3.087 and m=40.0 to 1.026
+    PrivacyParams(0.5, 1e-4, 1.5, np.int64(8), np.int64(40))
+    for b, m in ((8.5, 40), (True, 40), (8.0, 40), (8, 40.0)):
+        with pytest.raises(ConfigurationError, match="must be an integer"):
+            PrivacyParams(0.5, 1e-4, 1.5, b, m)
 
 
 def test_privacy_params_rejects_stale_noise_scale():
