@@ -21,7 +21,7 @@ def aggregate_over_seeds(base, grid):
     groups = {}
     for cell in cells:
         key = cell.params["b"]
-        groups.setdefault(key, []).append(cell.max_accuracy)
+        groups.setdefault(key, []).append(cell.result.max_accuracy)
     return {b: (float(np.mean(a)), float(np.std(a))) for b, a in groups.items()}
 
 

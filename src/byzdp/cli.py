@@ -24,8 +24,8 @@ from .aggregation import GarSpec, kappa
 from .attack import AttackSpec
 from .diagnostics import (EtaBounds, convergence_bound, eta_bounds, find_vn_violation,
                           sigma_total)
-from .engine import (CellResult, MetricsRecord, RunConfig, cell_digest, initial_theta,
-                     run, sweep)
+from .engine import (CellResult, MetricsRecord, RunConfig, RunResult, cell_digest,
+                     initial_theta, run, sweep)
 from .errors import ConfigurationError, ContractViolationError, DataLoadError
 from .model import (ClipParams, Dataset, Model, full_loss, gaussian_blobs, load_csv,
                     logistic_model, mlp1_model, estimate_min_loss, population_variance,
@@ -36,8 +36,9 @@ CONFIG_ERRORS = (ConfigurationError, ContractViolationError, DataLoadError,
                  FileNotFoundError)
 
 # Every config key and the type of its value: an int key takes an integer, a
-# float key any number and a str key keeps its raw text. A grid_ key takes a
-# bracketed list of such values; none is a grid value or leaves a scalar key unset.
+# float key any number, read as a float, and a str key keeps its raw text. A
+# grid_ key takes a bracketed list of such values; none is a grid value or
+# leaves a scalar key unset.
 KNOWN_KEYS = {
     "model": str, "dim": int, "hidden": int, "reg": float,
     "dataset": str, "dataset_seed": int, "dataset_size": int, "dataset_path": str,
@@ -61,16 +62,7 @@ CSV_COLUMNS = ("run_id", "round", "loss", "grad_norm", "min_sq_grad_norm", "accu
 def _parse_scalar(tok: str, kind: type):
     """None for "none", else a value of the key's type; ValueError if it has none."""
     tok = tok.strip()
-    if tok.lower() == "none":
-        return None
-    if kind is str:
-        return tok
-    try:
-        return int(tok)
-    except ValueError:
-        if kind is int:
-            raise
-    return float(tok)
+    return None if tok.lower() == "none" else kind(tok)
 
 
 def _parse_value(tok: str, kind: type, grid: bool):
@@ -343,12 +335,12 @@ def summary_csv_text(results: list[CellResult]) -> str:
             "max_accuracy", "min_sq_grad_norm", "final_loss", "reason")
     rows = []
     for res in results:
-        p = res.params
+        p, r = res.params, res.result
+        metrics = (r.max_accuracy, r.min_sq_grad_norm, r.final_loss) if res.ok else (None,) * 3
         reason = (res.reason or "").replace(",", ";").replace("\n", " ")
         # str() writes a rule or kind that parsed to None as "None", not ""
-        rows.append((res.cell_id, res.status, p["b"], p["epsilon"], str(p["gar"]),
-                     str(p["attack"]), p["f"], p["seed"], res.max_accuracy,
-                     res.min_sq_grad_norm, res.final_loss, reason))
+        rows.append((res.cell_id, "ok" if res.ok else "failed", p["b"], p["epsilon"],
+                     str(p["gar"]), str(p["attack"]), p["f"], p["seed"], *metrics, reason))
     return _csv_text(cols, rows)
 
 
@@ -356,19 +348,19 @@ def aggregate_csv_text(results: list[CellResult]) -> str:
     """Group cells over seeds; mean and population std of max accuracy."""
     cols = ("b", "epsilon", "gar", "attack", "f", "runs", "mean_max_accuracy",
             "std_max_accuracy", "mean_min_sq_grad_norm")
-    groups: dict[tuple, list[CellResult]] = {}
+    groups: dict[tuple, list[RunResult]] = {}
     for res in results:
         if res.ok:
             p = res.params
             key = (p["b"], p["epsilon"], str(p["gar"]), str(p["attack"]), p["f"])
-            groups.setdefault(key, []).append(res)
+            groups.setdefault(key, []).append(res.result)
     rows = []
-    for key, cells in groups.items():
-        accs = [c.max_accuracy for c in cells if c.max_accuracy is not None]
+    for key, runs in groups.items():
+        accs = [r.max_accuracy for r in runs if r.max_accuracy is not None]
         mean_acc = float(np.mean(accs)) if accs else None
         std_acc = float(np.std(accs)) if accs else None
-        mean_min = float(np.mean([c.min_sq_grad_norm for c in cells]))
-        rows.append((*key, len(cells), mean_acc, std_acc, mean_min))
+        mean_min = float(np.mean([r.min_sq_grad_norm for r in runs]))
+        rows.append((*key, len(runs), mean_acc, std_acc, mean_min))
     return _csv_text(cols, rows)
 
 
@@ -386,7 +378,7 @@ def cmd_sweep(args) -> int:
     for res in results:
         if res.ok:
             _atomic_write(os.path.join(out_dir, f"metrics-{res.cell_id}.csv"),
-                          metrics_csv_text(res.cell_id, res.records, res.config))
+                          metrics_csv_text(res.cell_id, res.result.records, res.config))
     _atomic_write(os.path.join(out_dir, "summary.csv"), summary_csv_text(results))
     _atomic_write(os.path.join(out_dir, "aggregate.csv"), aggregate_csv_text(results))
     _atomic_write(os.path.join(out_dir, "config.resolved"), resolved_config_text(resolved))

@@ -282,18 +282,15 @@ SWEEP_AXES = ("b", "epsilon", "gar", "attack", "f", "seed")
 class CellResult:
     cell_id: str
     params: dict
-    status: str
-    reason: str | None = None
-    max_accuracy: float | None = None
-    min_sq_grad_norm: float | None = None
-    final_loss: float | None = None
-    records: list[MetricsRecord] | None = None
     # the resolved configuration; None when the cell's overrides did not resolve
-    config: RunConfig | None = field(default=None, compare=False, repr=False)
+    config: RunConfig | None = field(compare=False, repr=False)
+    # the run's result; None when the cell failed, for the reason given
+    result: RunResult | None = field(compare=False, repr=False)
+    reason: str | None
 
     @property
     def ok(self) -> bool:
-        return self.status == "ok"
+        return self.result is not None
 
 
 def cell_digest(params: dict) -> str:
@@ -338,18 +335,11 @@ def _resolve_cell(base: RunConfig, params: dict) -> RunConfig:
                    master_seed=params["seed"])
 
 
-def _run_cell(args) -> CellResult:
-    base, overrides = args
-    params = _cell_params(base, overrides)
-    cell_id = cell_digest(params)
-    config = None
+def _run_cell(config: RunConfig) -> tuple[RunResult | None, str | None]:
     try:
-        config = _resolve_cell(base, params)
-        result = run(config)
+        return run(config), None
     except (ConfigurationError, ContractViolationError) as exc:
-        return CellResult(cell_id, params, "failed", reason=str(exc), config=config)
-    return CellResult(cell_id, params, "ok", None, result.max_accuracy,
-                      result.min_sq_grad_norm, result.final_loss, result.records, config)
+        return None, str(exc)
 
 
 def sweep(base: RunConfig, grid: dict, jobs: int = 1) -> list[CellResult]:
@@ -358,10 +348,13 @@ def sweep(base: RunConfig, grid: dict, jobs: int = 1) -> list[CellResult]:
     Recognized axes: b, epsilon, gar, attack, f, seed. Changing b or epsilon
     recalibrates the noise scale from the base privacy budget; the string
     "none" on the epsilon axis disables privacy for that cell. Invalid cells
-    are reported as failed and do not stop the sweep. Results are returned in
-    deterministic product order regardless of the job count, each with the
-    RunConfig its cell resolved to.
+    are reported as failed and do not stop the sweep. Every cell resolves to
+    its RunConfig in the caller; only the runs go to the ``jobs`` worker
+    processes, at most one per cell that resolved. Results are returned in
+    deterministic product order regardless of the job count.
     """
+    if jobs < 1:
+        raise ContractViolationError(f"sweep jobs must be at least 1, got {jobs}")
     if not grid:
         raise ContractViolationError("sweep grid must not be empty")
     unknown = set(grid) - set(SWEEP_AXES)
@@ -371,15 +364,21 @@ def sweep(base: RunConfig, grid: dict, jobs: int = 1) -> list[CellResult]:
     for axis in axes:
         if not grid[axis]:
             raise ContractViolationError(f"sweep axis '{axis}' has no values")
-    cells = [dict(zip(axes, combo)) for combo in product(*(grid[a] for a in axes))]
-    tasks = [(base, overrides) for overrides in cells]
-    if jobs > 1:
-        results = []
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for res in pool.map(_run_cell, tasks):
-                # an unpickled config carries its own copy of the dataset; share one
-                if res.config is not None:
-                    res.config.dataset = base.dataset
-                results.append(res)
-        return results
-    return [_run_cell(task) for task in tasks]
+    cells = []
+    for combo in product(*(grid[a] for a in axes)):
+        params = _cell_params(base, dict(zip(axes, combo)))
+        try:
+            cells.append((params, _resolve_cell(base, params), None))
+        except (ConfigurationError, ContractViolationError) as exc:
+            cells.append((params, None, str(exc)))
+    configs = [config for _, config, _ in cells if config is not None]
+    workers = min(jobs, len(configs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            outcomes = list(pool.map(_run_cell, configs))
+    else:
+        outcomes = [_run_cell(config) for config in configs]
+    runs = iter(outcomes)
+    return [CellResult(cell_digest(params), params, config,
+                       *(next(runs) if config is not None else (None, reason)))
+            for params, config, reason in cells]

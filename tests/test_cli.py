@@ -92,11 +92,13 @@ def test_parse_config_values(tmp_path):
                                     "clip = 2\ngrid_epsilon = [0.5, none]\n"
                                     "dataset_path = 2024\nout = 007\n")
     cfg = parse_config(path)
-    # a number key takes an int; a path keeps its raw text; a scalar none is
-    # left out, and none inside a grid list stays
+    # an int key takes an int, a float key reads an integer as a float; a path
+    # keeps its raw text; a scalar none is left out, and none inside a grid list stays
     assert cfg == {"gar": "mda", "batch_size": 25, "gamma": 0.5,
-                   "grid_f": [3, 6], "clip": 2,
+                   "grid_f": [3, 6], "clip": 2.0,
                    "grid_epsilon": [0.5, None], "dataset_path": "2024", "out": "007"}
+    assert type(cfg["clip"]) is float
+    assert type(cfg["batch_size"]) is int
 
 
 def test_a_none_line_still_counts_as_a_duplicate(tmp_path, capsys):
@@ -231,6 +233,16 @@ def test_none_runs_as_an_absent_key(tmp_path, monkeypatch, capsys, case, key):
     unset = absent + f"{key} = none\n"
     assert _cli_outputs(tmp_path / "none", monkeypatch, capsys, command, unset) == \
         _cli_outputs(tmp_path / "absent", monkeypatch, capsys, command, absent)
+
+
+def test_a_float_key_written_as_an_integer_is_the_same_run(tmp_path, monkeypatch, capsys):
+    # clip = 2 once got another run id, and so another directory, than clip = 2.0
+    assert "clip = 2.0\n" in QUADRATIC_PRIVATE_RUN
+    integer = QUADRATIC_PRIVATE_RUN.replace("clip = 2.0\n", "clip = 2\n")
+    outputs = _cli_outputs(tmp_path / "float", monkeypatch, capsys, "run",
+                           QUADRATIC_PRIVATE_RUN)
+    assert _cli_outputs(tmp_path / "int", monkeypatch, capsys, "run", integer) == outputs
+    assert b"clip = 2.0\n" in outputs[3]["config.resolved"]
 
 
 # --------------------------------------------------------------------- run
@@ -392,13 +404,20 @@ def test_sweep_jobs_do_not_change_results(tmp_path):
     out1, out8 = str(tmp_path / "j1"), str(tmp_path / "j8")
     assert main(["sweep", cfg, "--jobs", "1", "--out", out1]) == 0
     assert main(["sweep", cfg, "--jobs", "8", "--out", out8]) == 0
-    # the metrics files are written from configs returned by the pool workers
+    # the metrics files are written from results returned by the pool workers
     cells = sorted(f for f in os.listdir(out1) if f.startswith("metrics-"))
     assert len(cells) == 10
     assert sorted(f for f in os.listdir(out8) if f.startswith("metrics-")) == cells
     for name in ("summary.csv", "aggregate.csv", *cells):
         assert open(os.path.join(out1, name), "rb").read() == \
                open(os.path.join(out8, name), "rb").read()
+
+
+def test_sweep_rejects_fewer_than_one_job(tmp_path, capsys):
+    cfg = write(tmp_path, "sweep.cfg", LOGISTIC_SWEEP)
+    assert main(["sweep", cfg, "--jobs", "0", "--out", str(tmp_path / "sw")]) == 2
+    assert "jobs must be at least 1, got 0" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "sw")
 
 
 def test_sweep_id_and_resolved_config_carry_the_seed(tmp_path, monkeypatch, capsys):

@@ -1,18 +1,20 @@
 """Round loop, streams, determinism, sweeps."""
 
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from byzdp import (AttackSpec, ClipParams, ConfigurationError, Dataset, GarSpec,
-                   PrivacyParams, RunConfig, aggregate, clip, forge, full_grad,
-                   gaussian_blobs, gaussian_noise, initial_theta, logistic_model,
+from byzdp import (AttackSpec, ClipParams, ConfigurationError, ContractViolationError,
+                   Dataset, GarSpec, PrivacyParams, RunConfig, aggregate, clip, forge,
+                   full_grad, gaussian_blobs, gaussian_noise, initial_theta, logistic_model,
                    mlp1_model, quadratic_model, regression_targets, run, sample_batch,
                    sweep, worker_stream)
 from byzdp.engine import (PURPOSE_BATCH, PURPOSE_INIT, PURPOSE_NOISE, _StreamPool,
                           cell_digest)
+from byzdp.cli import summary_csv_text
 from byzdp.model import batch_grads
 import byzdp.engine
 import byzdp.model
@@ -426,8 +428,8 @@ def test_sweep_product_counts_and_single_cell():
     single = sweep(base, {"seed": [1]})
     assert len(single) == 1
     direct = run(base)
-    assert single[0].max_accuracy == direct.max_accuracy
-    assert single[0].min_sq_grad_norm == direct.min_sq_grad_norm
+    assert single[0].result.max_accuracy == direct.max_accuracy
+    assert single[0].result.min_sq_grad_norm == direct.min_sq_grad_norm
 
 
 def test_sweep_isolates_invalid_cells():
@@ -439,7 +441,7 @@ def test_sweep_isolates_invalid_cells():
     assert "4f+3" in by_rule["bulyan"].reason
     # an unknown attack kind fails its cell instead of the sweep
     results = sweep(base, {"attack": ["bogus", "empire"]})
-    assert [r.status for r in results] == ["failed", "ok"]
+    assert [r.ok for r in results] == [False, True]
     assert "unknown attack kind 'bogus'" in results[0].reason
     assert results[0].params["attack"] == "bogus"
     assert results[0].config is None
@@ -451,11 +453,11 @@ def test_sweep_fails_cells_with_non_integer_values():
     # as a second ok cell with the records of seed 9
     base = small_sweep_base()
     results = sweep(base, {"f": [1, 1.5]})
-    assert [r.status for r in results] == ["ok", "failed"]
-    assert results[0].records == run(base).records
+    assert [r.ok for r in results] == [True, False]
+    assert results[0].result.records == run(base).records
     assert "f must be an integer, got 1.5" in results[1].reason
     results = sweep(base, {"seed": [9, 9.5]})
-    assert [r.status for r in results] == ["ok", "failed"]
+    assert [r.ok for r in results] == [True, False]
     assert "master_seed must be an integer, got 9.5" in results[1].reason
 
 
@@ -483,9 +485,58 @@ def test_sweep_parallel_matches_serial():
     assert [r.cell_id for r in serial] == [r.cell_id for r in parallel]
     for a, b in zip(serial, parallel):
         assert a.params == b.params
-        assert a.max_accuracy == b.max_accuracy
-        assert a.min_sq_grad_norm == b.min_sq_grad_norm
+        assert a.result.max_accuracy == b.result.max_accuracy
+        assert a.result.min_sq_grad_norm == b.result.min_sq_grad_norm
         assert a.config.dataset is b.config.dataset is base.dataset  # no copy per cell
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweep_fails_a_cell_whose_run_fails(monkeypatch, jobs):
+    # the seed-2 cell resolves, and every aggregation of its run raises
+    real_aggregate = byzdp.engine.aggregate
+
+    def refusing_aggregate(gar, messages):
+        if sys._getframe(1).f_locals["config"].master_seed == 2:  # the caller is run
+            raise ContractViolationError("aggregation refused seed 2")
+        return real_aggregate(gar, messages)
+
+    monkeypatch.setattr(byzdp.engine, "aggregate", refusing_aggregate)
+    base = small_sweep_base()
+    ok, failed = sweep(base, {"seed": [1, 2]}, jobs=jobs)
+    assert ok.ok and ok.reason is None
+    assert ok.result.records == run(base).records
+    assert not failed.ok
+    assert failed.reason == "aggregation refused seed 2"
+    assert failed.result is None
+    assert failed.config.master_seed == 2
+    for cell in (ok, failed):
+        assert cell.config.dataset is base.dataset  # resolved in this process
+    row = summary_csv_text([ok, failed]).splitlines()[2].split(",")
+    assert row[1] == "failed"
+    assert row[8:11] == ["", "", ""]  # max_accuracy, min_sq_grad_norm, final_loss
+    assert row[11] == "aggregation refused seed 2"
+
+
+def test_sweep_starts_at_most_one_worker_per_runnable_cell(monkeypatch):
+    real_executor = byzdp.engine.ProcessPoolExecutor
+    started = []
+
+    def executor(max_workers):
+        started.append(max_workers)
+        return real_executor(max_workers=max_workers)
+
+    monkeypatch.setattr(byzdp.engine, "ProcessPoolExecutor", executor)
+    base = small_sweep_base()
+    # bulyan needs n >= 4f+3 = 7 > 5, so its cell never reaches a worker
+    results = sweep(base, {"gar": ["median", "mda", "bulyan"]}, jobs=64)
+    assert [r.ok for r in results] == [True, True, False]
+    assert started == [2]
+    results = sweep(base, {"gar": ["median", "bulyan"]}, jobs=8)
+    assert [r.ok for r in results] == [True, False]
+    assert started == [2]  # one runnable cell runs here, without a pool
+    for jobs in (0, -1):
+        with pytest.raises(ContractViolationError, match="at least 1"):
+            sweep(base, {"seed": [1]}, jobs=jobs)
 
 
 def test_sweep_epsilon_axis_recalibrates():
