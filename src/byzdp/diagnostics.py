@@ -24,8 +24,8 @@ import numpy as np
 
 from .aggregation import GarSpec, kappa
 from .errors import CalibrationError, ContractViolationError
-from .model import (Dataset, Model, batch_grads, full_grad, population_variance,
-                    quadratic_minimizer, sample_batch, smoothness_constant)
+from .model import (Dataset, Model, _sorted_choice, batch_grads, full_grad,
+                    population_variance, quadratic_minimizer, smoothness_constant)
 from .privacy import delta_log_factor, gaussian_noise
 
 
@@ -61,7 +61,7 @@ def monte_carlo_submission_variance(model: Model, theta: np.ndarray, dataset: Da
     x, labels = dataset.features, dataset.labels
     total = 0.0
     for _ in range(samples):
-        idx = sample_batch(dataset, b, rng)
+        idx = _sorted_choice(dataset.m, b, rng)
         g = batch_grads(model, theta, x[idx],
                         None if labels is None else labels[idx]).mean(axis=0)
         g = g + gaussian_noise(model.dim, s, rng)

@@ -2,13 +2,15 @@
 
 Each round t every honest worker samples a batch without replacement,
 averages its clipped per-point gradients, adds Gaussian noise, optionally
-folds the result into a momentum buffer, and submits. Forged workers all
-submit the attack vector computed from the honest submissions of the same
-round. The round builds the n messages in one fresh (n, d) array, honest
-rows first and the f forged rows last; the server aggregates it and takes
-the step theta <- theta - gamma_t * R_t. At b == m every batch is the whole
-dataset in canonical order: no batch stream is drawn, and the one clipped
-full-batch mean is computed once and copied to every honest row.
+folds the result into a momentum buffer, and submits. One ``sample_batch``
+call draws the batches of all honest workers of the round, worker w's from
+its own batch stream. Forged workers all submit the attack vector computed
+from the honest submissions of the same round. The round builds the n
+messages in one fresh (n, d) array, honest rows first and the f forged rows
+last; the server aggregates it and takes the step theta <- theta - gamma_t *
+R_t. At b == m every batch is the whole dataset in canonical order: no batch
+stream is drawn, and the one clipped full-batch mean is summed over row
+blocks, as ``full_grad`` sums, and copied to every honest row.
 
 Randomness is drawn from counter-based streams keyed by
 (master_seed, worker_id, round, purpose), purpose 0 = batch, 1 = noise,
@@ -30,7 +32,7 @@ from .aggregation import GarSpec, aggregate
 from .attack import AttackSpec, forge
 from .errors import ConfigurationError, ContractViolationError, check_integers
 from .model import (ClipParams, Dataset, Model, accuracy, batch_grads, clip,
-                    full_grad, full_loss, row_blocks, sample_batch)
+                    full_grad, full_loss, row_blocks, row_sum, sample_batch, sum_blocks)
 from .privacy import PrivacyParams, gaussian_noise
 
 SCHEDULES = ("inv_sqrt", "constant")
@@ -69,7 +71,8 @@ class _StreamPool:
     cell), counter zero, an exhausted buffer (buffer_pos 4) and no cached
     32-bit half. That is the state ``Philox(key=...)`` starts in, so every
     draw matches ``worker_stream``, whatever the previous key left behind.
-    The old state is never read back, which would build numpy arrays per call.
+    The old state is never read back, which would build numpy arrays per call,
+    and the state dict is built once: a rekey only replaces its key.
     """
 
     _ZEROS = (0, 0, 0, 0)
@@ -79,14 +82,14 @@ class _StreamPool:
         _stream_key(master_seed, 0, 0, 0)
         self._bg = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
         self._gen = np.random.Generator(self._bg)
+        self._cell = {"counter": self._ZEROS, "key": (master_seed, 0)}
+        self._state = {"bit_generator": "Philox", "state": self._cell, "buffer": self._ZEROS,
+                       "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
     def get(self, worker_id: int, round_no: int, purpose: int) -> np.random.Generator:
         packed = (worker_id << (_ROUND_BITS + 2)) | (round_no << 2) | purpose
-        self._bg.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": self._ZEROS, "key": (self._seed, packed)},
-            "buffer": self._ZEROS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
-        }
+        self._cell["key"] = (self._seed, packed)
+        self._bg.state = self._state
         return self._gen
 
 
@@ -141,6 +144,13 @@ class RunConfig:
             raise ConfigurationError(f"need 1 <= b <= m, got b={self.b}, m={self.dataset.m}")
         if self.steps < 1:
             raise ConfigurationError("steps must be >= 1")
+        # _StreamPool packs stream keys unchecked: every round and worker must fit
+        if self.steps >= 2 ** _ROUND_BITS:
+            raise ConfigurationError(f"steps must be below 2**{_ROUND_BITS}, the stream key's "
+                                     f"round budget, got {self.steps}")
+        if self.n >= 2 ** _WORKER_BITS:
+            raise ConfigurationError(f"n must be below 2**{_WORKER_BITS}, the stream key's "
+                                     f"worker budget, got {self.n}")
         if self.eval_every < 1:
             raise ConfigurationError("eval_every must be >= 1")
         if self.eval_every > self.steps:
@@ -200,6 +210,13 @@ class RunResult:
 
 # ---------------------------------------------------------------------- run
 
+def _point_grads(config: RunConfig, theta: np.ndarray, rows) -> np.ndarray:
+    """The per-point gradients of the given dataset rows, clipped when the run clips."""
+    x, labels = config.dataset.features, config.dataset.labels
+    grads = batch_grads(config.model, theta, x[rows], None if labels is None else labels[rows])
+    return grads if config.clip is None else clip(grads, config.clip)
+
+
 def run(config: RunConfig) -> RunResult:
     """Execute the configured number of rounds; see the module docstring.
 
@@ -208,23 +225,22 @@ def run(config: RunConfig) -> RunResult:
 
     Each round hands a fresh (n, d) message array, the f forged rows last, to
     this module's ``aggregate`` binding; wrapping that binding observes them.
-    At b == m the single full batch is not drawn from the batch streams.
+    Each round with b < m makes one call to this module's ``sample_batch``
+    binding; at b == m the single full batch is not drawn from the batch streams.
     """
     model, dataset = config.model, config.dataset
     n, f, b, d = config.n, config.f, config.b, model.dim
     n_honest = n - f
     m = dataset.m
     s = config.s
-    x, labels = dataset.features, dataset.labels
     pool = _StreamPool(config.master_seed)
 
     theta = initial_theta(config)
     momenta = np.zeros((n_honest, d)) if config.momentum > 0.0 else None
     records: list[MetricsRecord] = []
     min_sq = math.inf
-    # at b == m the one batch is the whole dataset: a view, drawn from no stream
+    # at b == m the one batch is the whole dataset, drawn from no stream
     full = b == m
-    idx = None if full else np.empty((n_honest, b), dtype=np.intp)
 
     for t in range(1, config.steps + 1):
         gamma_t = config.learning_rate(t)
@@ -244,19 +260,17 @@ def run(config: RunConfig) -> RunResult:
 
         messages = np.empty((n, d))
         honest = messages[:n_honest]
-        if not full:
-            for w in range(n_honest):
-                idx[w] = sample_batch(dataset, b, pool.get(w, t, PURPOSE_BATCH))
-        # cache-sized blocks of whole workers; see model.row_blocks
-        for lo, hi in row_blocks(1 if full else n_honest, d, b):
-            rows = slice(None) if full else idx[lo:hi].ravel()
-            grads = batch_grads(model, theta, x[rows],
-                                None if labels is None else labels[rows])
-            if config.clip is not None:
-                grads = clip(grads, config.clip)
-            honest[lo:hi] = grads.reshape(-1, b, d).mean(axis=1)
         if full:
-            honest[1:] = honest[0]
+            # one clipped mean over row blocks, summed in order as full_grad does
+            honest[:] = row_sum(_point_grads(config, theta, slice(lo, hi))
+                                for lo, hi in sum_blocks(m, d)) / m
+        else:
+            idx = sample_batch(dataset, b, n_honest,
+                               lambda w: pool.get(w, t, PURPOSE_BATCH))
+            # cache-sized blocks of whole workers; see model.row_blocks
+            for lo, hi in row_blocks(n_honest, d, b):
+                grads = _point_grads(config, theta, idx[lo:hi].ravel())
+                honest[lo:hi] = grads.reshape(-1, b, d).mean(axis=1)
         if s > 0.0:
             for w in range(n_honest):
                 honest[w] += gaussian_noise(d, s, pool.get(w, t, PURPOSE_NOISE))

@@ -22,12 +22,18 @@ least 4 unless it is the only one. OpenBLAS computes ``x @ theta`` and
 ``x @ W1'`` four rows at a time and sends the rows left over to a different
 kernel, and numpy sends a one-row product to another routine again, so any
 other cut would change the bits of some rows. With this cut every row, and so
-every output, is bit for bit the one-block result.
+every output, is bit for bit the one-block result. ``row_sum`` adds such
+blocks in the order of ``mean(axis=0)``, for ``full_grad`` and for a round
+whose batch is the whole dataset.
+
+``sample_batch`` draws the batches of all honest workers of a round in one
+call, each row bit for bit the sorted ``choice`` of its worker's stream.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -306,23 +312,35 @@ def point_grad(model: Model, theta: np.ndarray, x: np.ndarray,
     return batch_grads(model, theta, x, label)[0]
 
 
-def full_grad(model: Model, theta: np.ndarray, dataset: Dataset) -> np.ndarray:
-    """Exact gradient of the empirical loss, the mean of per-point gradients.
+def sum_blocks(count: int, d: int):
+    """The row blocks over which ``row_sum`` gives the bits of ``sum(axis=0)``.
 
-    The rows are summed block by block, each block's first row carrying the
-    sum so far. numpy sums axis 0 of a C-contiguous matrix of width d >= 2
-    one row at a time, so this adds in the order ``mean(axis=0)`` does and
-    gives its bits. At d = 1 numpy sums pairwise, so one block is used.
+    numpy sums axis 0 of a C-contiguous matrix of width d >= 2 one row at a
+    time, so carrying the sum so far into each block's first row adds in its
+    order. At d = 1 numpy sums pairwise, so one block is used.
     """
-    x, y = dataset.features, dataset.labels
-    blocks = row_blocks(dataset.m, model.dim) if model.dim > 1 else [(0, dataset.m)]
+    return row_blocks(count, d) if d > 1 else [(0, count)]
+
+
+def row_sum(blocks) -> np.ndarray:
+    """Sum of the rows of fresh (k, d) blocks, each block's first row carrying the sum so far."""
     total = None
-    for lo, hi in blocks:
-        g = batch_grads(model, theta, x[lo:hi], None if y is None else y[lo:hi])
+    for g in blocks:
         if total is not None:
             g[0] += total
         total = g.sum(axis=0)
-    return total / dataset.m
+    return total
+
+
+def full_grad(model: Model, theta: np.ndarray, dataset: Dataset) -> np.ndarray:
+    """Exact gradient of the empirical loss, the mean of per-point gradients.
+
+    The rows are summed over ``sum_blocks``, which gives the bits of
+    ``mean(axis=0)`` without building the whole (m, d) matrix.
+    """
+    x, y = dataset.features, dataset.labels
+    return row_sum(batch_grads(model, theta, x[lo:hi], None if y is None else y[lo:hi])
+                   for lo, hi in sum_blocks(dataset.m, model.dim)) / dataset.m
 
 
 def batch_losses(model: Model, theta: np.ndarray, features: np.ndarray,
@@ -391,19 +409,92 @@ def clip(g: np.ndarray, clip_params: ClipParams) -> np.ndarray:
 
 # --------------------------------------------------------- sampling & stats
 
-def sample_batch(dataset: Dataset, b: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw b distinct indices uniformly over all size-b subsets of [0, m).
-
-    The returned index set is sorted, which fixes a canonical representation
-    of the subset; with b = m this is simply 0..m-1. The fresh result of
-    ``choice`` is sorted in place, saving the copy ``np.sort`` would make.
-    """
-    m = dataset.m
+def _check_batch_size(m: int, b: int) -> None:
     if not 1 <= b <= m:
         raise ContractViolationError(f"batch size must satisfy 1 <= b <= m, got b={b}, m={m}")
+
+
+def _sorted_choice(m: int, b: int, rng: np.random.Generator) -> np.ndarray:
+    """One stream's batch, ``np.sort(rng.choice(m, b, replace=False))``.
+
+    The fresh result of ``choice`` is sorted in place, saving the copy
+    ``np.sort`` would make; ``rng`` ends where ``choice`` leaves it.
+    """
+    _check_batch_size(m, b)
     idx = rng.choice(m, size=b, replace=False)
     idx.sort()
     return idx
+
+
+# numpy's choice without replacement runs Floyd's algorithm unless m exceeds
+# this and b exceeds m // _TAIL_SHUFFLE_DIV; then it shuffles the tail of arange(m)
+_FLOYD_MAX_M, _TAIL_SHUFFLE_DIV = 10000, 50
+
+
+def sample_batch(dataset: Dataset, b: int, count: int, stream) -> np.ndarray:
+    """One round's batches: a (count, b) matrix of sorted distinct indices of [0, m).
+
+    Row w is drawn from the fresh generator ``stream(w)`` and equals
+    ``np.sort(stream(w).choice(m, b, replace=False))`` bit for bit; it is
+    uniform over all size-b subsets, and sorting fixes a canonical form of
+    the subset. Each generator is discarded after its row. At b == m every
+    row is 0..m-1 and no stream is drawn.
+
+    Fast path, the Floyd regime of ``choice``: a fresh generator's
+    ``next_uint32`` values are the low then the high halves of its 64-bit
+    words, and the draw for j = m-b, ..., m-1 is Lemire's (u (j+1)) >> 32.
+    Floyd's set rule then runs on all rows at once: a draw already in the
+    row's set is replaced by j. A row in which Lemire would reject a draw,
+    and every row outside the Floyd regime, is drawn by ``choice`` itself.
+    """
+    m, b, count = dataset.m, operator.index(b), operator.index(count)
+    _check_batch_size(m, b)
+    if count < 1:
+        raise ContractViolationError(f"need at least one batch, got count={count}")
+    if b == m:
+        return np.tile(np.arange(m), (count, 1))
+    if m >= 2 ** 32 or (m > _FLOYD_MAX_M and b > m // _TAIL_SHUFFLE_DIV):
+        # past 32-bit draws or outside Floyd's algorithm: choice row by row
+        return np.stack([_sorted_choice(m, b, stream(w)) for w in range(count)])
+
+    half = (b + 1) // 2
+    words = np.empty((count, half), dtype=np.uint64)
+    for w in range(count):
+        words[w] = stream(w).bit_generator.random_raw(half)
+    # next_uint32 order, by arithmetic so that byte order does not matter
+    u = np.empty((count, half, 2), dtype=np.uint64)
+    np.bitwise_and(words, 0xFFFFFFFF, out=u[..., 0])
+    np.right_shift(words, 32, out=u[..., 1])
+    base = m - b
+    j = np.arange(base, m, dtype=np.uint64)
+    span = j + 1
+    scaled = u.reshape(count, 2 * half)[:, :b] * span
+    vals = scaled >> 32
+    rejected = ((scaled & 0xFFFFFFFF) < 2 ** 32 % span).any(axis=1)
+
+    # Floyd's set before step k is {v_i : i < k} plus the j_i taken for a
+    # repeat. So v_k is replaced by j_k when it repeats an earlier draw, or
+    # when it equals an earlier j_i that was itself taken.
+    shift = b.bit_length()
+    keys = (vals << shift) | (j - base)  # (value, step) pairs, below m * 2b < 2**64
+    keys.sort(axis=1)
+    again = (keys[:, 1:] ^ keys[:, :-1]) < (1 << shift)
+    rows = np.arange(0, count * b, b, dtype=np.uint64)[:, None]
+    taken = np.zeros(count * b, dtype=bool)
+    taken[((keys[:, 1:] & ((1 << shift) - 1)) + rows)[again]] = True
+    # each pass settles one more link of a chain v_k = j_i, i < k
+    links = np.flatnonzero((vals >= base) & (vals < j) & ~taken.reshape(count, b))
+    sources = vals.ravel()[links].astype(np.intp) - base + (links - links % b)
+    while True:
+        grown = taken[sources]
+        if (grown == taken[links]).all():
+            break
+        taken[links] = grown
+    batches = np.where(taken.reshape(count, b), j, vals).astype(np.int64)
+    batches.sort(axis=1)
+    for w in np.flatnonzero(rejected):
+        batches[w] = _sorted_choice(m, b, stream(int(w)))
+    return batches
 
 
 def population_variance(model: Model, theta: np.ndarray, dataset: Dataset) -> float:

@@ -2,6 +2,7 @@
 
 import math
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from byzdp import (AttackSpec, ClipParams, ConfigurationError, ContractViolationError,
                    Dataset, GarSpec, PrivacyParams, RunConfig, aggregate, clip, forge,
                    full_grad, gaussian_blobs, gaussian_noise, initial_theta, logistic_model,
-                   mlp1_model, quadratic_model, regression_targets, run, sample_batch,
+                   mlp1_model, quadratic_model, regression_targets, run,
                    sweep, worker_stream)
 from byzdp.engine import (PURPOSE_BATCH, PURPOSE_INIT, PURPOSE_NOISE, _StreamPool,
                           cell_digest)
@@ -78,8 +79,9 @@ def test_stream_pool_matches_fresh_streams():
 
 @pytest.mark.parametrize("b", [10, 40])
 def test_round_loop_draws_through_module_bindings(monkeypatch, b):
-    # the benchmark's tracer wraps these bindings and needs them called;
-    # at b == m = 40 the full batch is drawn from no stream
+    # the benchmark's tracer wraps these bindings and needs them called; a
+    # round draws all its batches in one call, one rekey per honest worker,
+    # and at b == m = 40 the full batch is drawn from no stream
     counts = {"batch": 0, "noise": 0, "rekey": 0, "grads": 0, "clip": 0, "full_grad": 0}
 
     def counting(key, original):
@@ -102,9 +104,9 @@ def test_round_loop_draws_through_module_bindings(monkeypatch, b):
     run(config)
     n_honest, steps, eval_rounds = 5, 6, 3
     layered = {key: counts.pop(key) for key in ("grads", "clip", "full_grad")}
-    batches = n_honest * steps if b < 40 else 0
-    assert counts == {"batch": batches, "noise": n_honest * steps,
-                      "rekey": batches + n_honest * steps}
+    drawn = b < 40
+    assert counts == {"batch": steps * drawn, "noise": n_honest * steps,
+                      "rekey": n_honest * steps * drawn + n_honest * steps}
     # per-point gradients and clipping may run in several blocks per round
     assert layered["grads"] >= steps and layered["clip"] >= steps
     assert layered["full_grad"] == eval_rounds
@@ -124,6 +126,9 @@ def _blocked_run_config(kind, b, m, binds):
     if kind == "quadratic":
         model = quadratic_model(np.diag(np.linspace(0.5, 2.0, 6)), lam=1e-3)
         ds = regression_targets(3, m, 6, spread=0.5)
+    elif kind == "quadratic_d1":
+        model = quadratic_model(np.array([[1.5]]), lam=1e-3)
+        ds = regression_targets(3, m, 1, spread=0.5)
     elif kind == "logistic":
         model, ds = logistic_model(6, lam=1e-3), gaussian_blobs(3, m, 6)
     else:
@@ -152,6 +157,45 @@ def test_blocked_round_matches_one_block(monkeypatch, kind, b, m, binds):
     blocked = run(config)
     assert np.array_equal(blocked.theta, whole.theta)
     assert blocked.records == whole.records
+
+
+@pytest.mark.parametrize("budget", [1, 1 << 16])
+@pytest.mark.parametrize("binds", ["none", "some", "all"])
+@pytest.mark.parametrize("kind", ["quadratic", "quadratic_d1", "logistic", "mlp1"])
+def test_full_batch_round_is_the_one_block_mean(monkeypatch, kind, binds, budget):
+    # at b == m the clipped rows are summed block by block, each block's first
+    # row carrying the sum so far; every honest row is the one-block mean
+    monkeypatch.setattr(byzdp.model, "_BLOCK_FLOATS", budget)
+    config = replace(_blocked_run_config(kind, 4001, 4001, binds), steps=1)
+    model, ds = config.model, config.dataset
+    grads = batch_grads(model, initial_theta(config), ds.features, ds.labels)
+    want = clip(grads, config.clip).mean(axis=0)
+    seen = []
+
+    def observe(gar, messages):
+        seen.append(messages.copy())
+        return aggregate(gar, messages)
+
+    monkeypatch.setattr(byzdp.engine, "aggregate", observe)
+    run(config)
+    honest = seen[0][:config.n - config.f]
+    assert all(np.array_equal(row, want) for row in honest)
+
+
+def test_full_batch_round_stays_in_row_blocks():
+    # one (m, d) matrix of mlp1 gradients at m = 4000, d = 705 takes 22.5 MB
+    model, ds = mlp1_model(20, 32, lam=1e-3), gaussian_blobs(3, 4000, 20)
+    config = RunConfig(model=model, dataset=ds, gar=GarSpec("average", 5, 0), b=4000,
+                       steps=2, schedule="constant", gamma=0.1, clip=ClipParams(0.5),
+                       eval_every=2)
+    assert model.dim == 705
+    tracemalloc.start()
+    try:
+        run(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 # ------------------------------------------------------------- single steps
@@ -203,7 +247,7 @@ def test_hand_rolled_round_matches_engine(b):
     subs, clipped = [], []
     for w in range(4):
         idx = (np.arange(60) if b == 60 else
-               sample_batch(ds, b, worker_stream(21, w, 1, PURPOSE_BATCH)))
+               np.sort(worker_stream(21, w, 1, PURPOSE_BATCH).choice(60, b, replace=False)))
         clipped.append(norms[idx] > c)
         grads = clip(batch_grads(model, theta1, ds.features[idx], ds.labels[idx]),
                      ClipParams(c))
@@ -364,6 +408,24 @@ def test_config_fail_fast():
         for value in (4.0, 9.5, True):
             with pytest.raises(ConfigurationError, match=f"{name} must be an integer"):
                 RunConfig(**{**good, name: value})
+
+
+def test_config_rejects_runs_past_the_stream_key_budget():
+    # the pooled stream packs keys unchecked: round 2**32 of worker 0 would
+    # be round 0 of worker 1, a key that worker_stream refuses to build
+    alias = _StreamPool(3).get(0, 2**32, PURPOSE_BATCH).integers(0, 2**62, 4)
+    assert np.array_equal(alias, worker_stream(3, 1, 0, PURPOSE_BATCH).integers(0, 2**62, 4))
+    with pytest.raises(ContractViolationError):
+        worker_stream(3, 0, 2**32, PURPOSE_BATCH)
+    ds = regression_targets(0, 20, 3)
+    good = dict(model=quadratic_model(np.eye(3)), dataset=ds, gar=GarSpec("average", 5, 0),
+                b=20, steps=5, schedule="constant", gamma=0.5)
+    RunConfig(**{**good, "steps": 2**32 - 1})
+    RunConfig(**{**good, "gar": GarSpec("average", 2**30 - 1, 0)})
+    with pytest.raises(ConfigurationError, match="steps must be below 2\\*\\*32"):
+        RunConfig(**{**good, "steps": 2**32})
+    with pytest.raises(ConfigurationError, match="n must be below 2\\*\\*30"):
+        RunConfig(**{**good, "gar": GarSpec("average", 2**30, 0)})
 
 
 def test_integer_fields_accept_numpy_integers():

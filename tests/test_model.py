@@ -15,7 +15,7 @@ from byzdp import (ClipParams, ContractViolationError, ConfigurationError, DataL
                    quadratic_minimizer, quadratic_model, regression_targets,
                    sample_batch, smoothness_constant, worker_stream)
 import byzdp.model
-from byzdp.model import batch_losses, estimate_min_loss
+from byzdp.model import _sorted_choice, batch_losses, estimate_min_loss
 
 
 def fd_point_grad(model, theta, x, label=None, h=1e-6):
@@ -275,21 +275,29 @@ def test_clipped_point_grads_bounded():
 
 # ----------------------------------------------------------- sample_batch
 
+def _streams(seed, round_no):
+    return lambda w: worker_stream(seed, w, round_no, 0)
+
+
+def _undrawn(w):
+    raise AssertionError(f"stream {w} drawn at b == m")
+
+
 def test_sample_batch_full_and_deterministic():
     ds = regression_targets(0, 12, 2)
-    idx = sample_batch(ds, 12, worker_stream(9, 0, 1, 0))
-    assert np.array_equal(idx, np.arange(12))
-    a = sample_batch(ds, 5, worker_stream(9, 3, 7, 0))
-    b = sample_batch(ds, 5, worker_stream(9, 3, 7, 0))
-    assert np.array_equal(a, b)
-    assert len(set(a.tolist())) == 5
+    idx = sample_batch(ds, 12, 3, _undrawn)
+    assert np.array_equal(idx, np.tile(np.arange(12), (3, 1)))
+    a = sample_batch(ds, 5, 4, _streams(9, 7))
+    b = sample_batch(ds, 5, 4, _streams(9, 7))
+    assert a.shape == (4, 5) and np.array_equal(a, b)
+    assert all(len(set(row.tolist())) == 5 for row in a)
 
 
 def test_sample_batch_uniform_frequencies():
     ds = regression_targets(0, 4, 1)
     counts = np.zeros(4)
-    for t in range(40_000):
-        counts[sample_batch(ds, 1, worker_stream(1, 0, t + 1, 0))[0]] += 1
+    for t in range(1000):
+        np.add.at(counts, sample_batch(ds, 1, 40, _streams(1, t + 1)).ravel(), 1)
     freqs = counts / 40_000
     assert np.all(np.abs(freqs - 0.25) <= 0.01)
 
@@ -303,21 +311,67 @@ def test_sample_batch_matches_the_plain_draw(m):
     sizes = sorted({min(max(b, 1), m) for b in (1, m // 50, m // 50 + 1, m // 20,
                                                   m // 20 + 1, m)})
     for b in sizes:
+        got = sample_batch(ds, b, 3, _streams(4, m))
         for key in range(3):
             rng = worker_stream(4, key, m, 0)
             plain = worker_stream(4, key, m, 0)
             want = np.sort(plain.choice(m, b, replace=False))
-            assert np.array_equal(sample_batch(ds, b, rng), want), (m, b, key)
-            # and the generator ends where the plain draw leaves it
+            assert np.array_equal(got[key], want), (m, b, key)
+            assert np.array_equal(_sorted_choice(m, b, rng), want), (m, b, key)
+            # and the one-stream draw leaves its generator where choice does
             assert np.array_equal(rng.integers(0, 2**62, 4), plain.integers(0, 2**62, 4))
+
+
+@st.composite
+def batch_sizes(draw):
+    m = draw(st.integers(1, 20000))
+    return m, draw(st.integers(1, m))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sizes=batch_sizes(), count=st.integers(1, 6), seed=st.integers(0, 2**64 - 1),
+       round_no=st.integers(1, 2**32 - 1))
+@example(sizes=(30, 29), count=6, seed=7, round_no=1)  # long Floyd chains at b = m - 1
+def test_sample_batch_rows_equal_the_one_stream_draw(sizes, count, seed, round_no):
+    m, b = sizes
+    got = sample_batch(Dataset(np.zeros((m, 1))), b, count, _streams(seed, round_no))
+    assert got.shape == (count, b) and got.dtype == np.int64
+    for w in range(count):
+        assert np.array_equal(got[w], _sorted_choice(m, b, worker_stream(seed, w, round_no, 0)))
+
+
+def test_sample_batch_redraws_a_row_with_a_lemire_rejection():
+    # worker 3's batch stream in round 1589 at seed 0: its 209th 32-bit draw,
+    # for j = m - b + 208, is rejected and redrawn by numpy's bounded draw
+    m, b = 4000, 512
+    words = [int(x) for x in worker_stream(0, 3, 1589, 0).bit_generator.random_raw(b // 2)]
+    draws = [half for x in words for half in (x & 0xFFFFFFFF, x >> 32)]
+
+    def rejected(k):
+        span = m - b + k + 1
+        return draws[k] * span % 2**32 < 2**32 % span
+
+    assert [k for k in range(b) if rejected(k)] == [208]
+    calls = []
+
+    def stream(w):
+        calls.append(w)
+        return worker_stream(0, w, 1589, 0)
+
+    got = sample_batch(Dataset(np.zeros((m, 1))), b, 5, stream)
+    assert sorted(calls) == [0, 1, 2, 3, 3, 4]  # the rejected row drawn again
+    for w in range(5):
+        assert np.array_equal(got[w], _sorted_choice(m, b, worker_stream(0, w, 1589, 0)))
 
 
 def test_sample_batch_rejects_oversized():
     ds = regression_targets(0, 5, 1)
-    with pytest.raises(ContractViolationError):
-        sample_batch(ds, 6, worker_stream(0, 0, 1, 0))
-    with pytest.raises(ContractViolationError):
-        sample_batch(ds, 0, worker_stream(0, 0, 1, 0))
+    for b, count in ((6, 1), (0, 1), (3, 0)):
+        with pytest.raises(ContractViolationError):
+            sample_batch(ds, b, count, _streams(0, 1))
+    for b in (0, 6):
+        with pytest.raises(ContractViolationError):
+            _sorted_choice(5, b, worker_stream(0, 0, 1, 0))
 
 
 # ---------------------------------------------------- population variance
