@@ -34,7 +34,7 @@ with warnings.catch_warnings():
 print("small batches pay a much larger noise scale for the same budget.")
 
 report = compose(EPSILON, DELTA, steps=300)
-print(f"\nover T = {report.steps} steps the per-worker budget composes to")
-print(f"  basic:    eps = {report.basic[0]:.3f}, delta = {report.basic[1]:.2e}")
-print(f"  advanced: eps = {report.advanced[0]:.3f}, delta = {report.advanced[1]:.2e} "
-      f"(slack {report.delta_slack:.0e})")
+print(f"\nover T = {report['steps']} steps the per-worker budget composes to")
+print(f"  basic:    eps = {report['basic_epsilon']:.3f}, delta = {report['basic_delta']:.2e}")
+print(f"  advanced: eps = {report['advanced_epsilon']:.3f}, "
+      f"delta = {report['advanced_delta']:.2e} (slack {report['delta_slack']:.0e})")

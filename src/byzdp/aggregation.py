@@ -289,7 +289,7 @@ def aggregate(spec: GarSpec, grads) -> np.ndarray:
 
 # ------------------------------------------------------------------ oracles
 
-def mda_bruteforce(grads, n: int, f: int, cap: int = MDA_SUBSET_CAP) -> np.ndarray:
+def mda_bruteforce(grads, n: int, f: int) -> np.ndarray:
     """Reference minimum-diameter averaging by plain nested loops.
 
     Kept independent of aggregate() so the two can cross-check each other.
@@ -300,9 +300,9 @@ def mda_bruteforce(grads, n: int, f: int, cap: int = MDA_SUBSET_CAP) -> np.ndarr
     if size < 1:
         raise ContractViolationError("need n - f >= 1")
     total = math.comb(n, size)
-    if total > cap:
+    if total > MDA_SUBSET_CAP:
         raise CapacityError(
-            f"mda would enumerate {total} subsets, above the cap of {cap}; raise the cap")
+            f"mda would enumerate {total} subsets, above the cap of {MDA_SUBSET_CAP}")
     best_diam = math.inf
     best: tuple[int, ...] | None = None
     for subset in combinations(range(n), size):

@@ -9,6 +9,7 @@ submissions; ``empire`` scales the honest mean by (1 - zeta).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,8 +33,8 @@ class AttackSpec:
             raise ConfigurationError(f"unknown attack kind '{self.kind}'")
         if self.zeta is None:
             object.__setattr__(self, "zeta", DEFAULT_ZETA[self.kind])
-        if self.zeta < 0:
-            raise ConfigurationError("zeta must be nonnegative")
+        if not 0 <= self.zeta < math.inf:
+            raise ConfigurationError(f"zeta must be finite and nonnegative, got {self.zeta}")
 
 
 def forge(spec: AttackSpec, honest_grads) -> np.ndarray:

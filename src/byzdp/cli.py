@@ -36,9 +36,9 @@ CONFIG_ERRORS = (ConfigurationError, ContractViolationError, DataLoadError,
                  FileNotFoundError)
 
 # Every config key and the type of its value: an int key takes an integer, a
-# float key any number, read as a float, and a str key keeps its raw text. A
-# grid_ key takes a bracketed list of such values; none is a grid value or
-# leaves a scalar key unset.
+# float key any finite number, read as a float, and a str key keeps its raw
+# text. A grid_ key takes a bracketed list of such values; none is a grid value
+# or leaves a scalar key unset.
 KNOWN_KEYS = {
     "model": str, "dim": int, "hidden": int, "reg": float,
     "dataset": str, "dataset_seed": int, "dataset_size": int, "dataset_path": str,
@@ -60,9 +60,17 @@ CSV_COLUMNS = ("run_id", "round", "loss", "grad_norm", "min_sq_grad_norm", "accu
 # ------------------------------------------------------------ config parsing
 
 def _parse_scalar(tok: str, kind: type):
-    """None for "none", else a value of the key's type; ValueError if it has none."""
+    """None for "none", else a value of the key's type; ValueError if it has none.
+
+    A float key takes finite numbers only: nan, inf and 1e999 are not one.
+    """
     tok = tok.strip()
-    return None if tok.lower() == "none" else kind(tok)
+    if tok.lower() == "none":
+        return None
+    value = kind(tok)
+    if kind is float and not math.isfinite(value):
+        raise ValueError(tok)
+    return value
 
 
 def _parse_value(tok: str, kind: type, grid: bool):
@@ -98,7 +106,7 @@ def parse_config(path: str) -> dict:
             try:
                 cfg[key] = _parse_value(value, kind, grid)
             except ValueError:
-                one, many = {int: ("an integer", "integers"), float: ("a number", "numbers"),
+                one, many = {int: ("an integer", "integers"), float: ("a finite number", "finite numbers"),
                              str: ("text", "words")}[kind]
                 want = f"a bracketed list of {many}" if grid else one
                 raise ConfigurationError(f"{path}:{lineno}: config key '{key}' must be "
@@ -278,7 +286,7 @@ def run_summary(cfg: dict, config: RunConfig, run_id: str, result) -> dict:
     if config.privacy is not None:
         summary["epsilon_inner"] = config.privacy.epsilon_inner
         summary["composition"] = compose(
-            config.privacy.epsilon, config.privacy.delta, config.steps).as_dict()
+            config.privacy.epsilon, config.privacy.delta, config.steps)
         if config.gar.rule != "average":
             kap, ups, bounds = theory_report(cfg, config)
             summary["eta_bounds"] = {

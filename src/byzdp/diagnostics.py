@@ -79,7 +79,10 @@ class VnMargin:
     theta: np.ndarray
     lhs: float
     rhs: float
-    satisfied: bool
+
+    @property
+    def satisfied(self) -> bool:
+        return self.lhs < self.rhs
 
 
 def vn_margin(model: Model, dataset: Dataset, theta: np.ndarray, spec: GarSpec,
@@ -90,7 +93,7 @@ def vn_margin(model: Model, dataset: Dataset, theta: np.ndarray, spec: GarSpec,
     lhs = kap * kap * submission_variance(model, theta, dataset, b, s)
     g = full_grad(model, theta, dataset)
     rhs = float(g @ g)
-    return VnMargin(theta, lhs, rhs, lhs < rhs)
+    return VnMargin(theta, lhs, rhs)
 
 
 def find_vn_violation(model: Model, dataset: Dataset, spec: GarSpec, s: float,

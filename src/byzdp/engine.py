@@ -160,8 +160,8 @@ class RunConfig:
         if self.schedule not in SCHEDULES:
             raise ConfigurationError(f"unknown schedule '{self.schedule}'")
         if self.schedule == "constant":
-            if self.gamma is None or not self.gamma > 0:
-                raise ConfigurationError("constant schedule needs a positive gamma")
+            if self.gamma is None or not 0 < self.gamma < math.inf:
+                raise ConfigurationError("constant schedule needs a positive, finite gamma")
         elif self.gamma is not None:
             raise ConfigurationError("inv_sqrt uses gamma_t = 1/sqrt(t); do not set gamma")
         if not 0 <= self.master_seed < 2 ** 64:
@@ -294,7 +294,6 @@ SWEEP_AXES = ("b", "epsilon", "gar", "attack", "f", "seed")
 
 @dataclass
 class CellResult:
-    cell_id: str
     params: dict
     # the resolved configuration; None when the cell's overrides did not resolve
     config: RunConfig | None = field(compare=False, repr=False)
@@ -306,6 +305,10 @@ class CellResult:
     def ok(self) -> bool:
         return self.result is not None
 
+    @property
+    def cell_id(self) -> str:
+        return cell_digest(self.params)
+
 
 def cell_digest(params: dict) -> str:
     """Stable short id from the resolved cell parameters."""
@@ -313,8 +316,14 @@ def cell_digest(params: dict) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:12]
 
 
+def _axis_value(axis: str, value):
+    """The Python value a grid value names: np.int64(9) is 9, and "none" is no epsilon."""
+    value = value.item() if isinstance(value, np.generic) else value
+    return None if axis == "epsilon" and value == "none" else value
+
+
 def _cell_params(base: RunConfig, overrides: dict) -> dict:
-    """Every axis of a cell: its override, else the base value; "none" is no epsilon."""
+    """Every axis of a cell: its override, else the base value."""
     params = {
         "b": base.b,
         "epsilon": None if base.privacy is None else base.privacy.epsilon,
@@ -323,11 +332,7 @@ def _cell_params(base: RunConfig, overrides: dict) -> dict:
         "f": base.f,
         "seed": base.master_seed,
     }
-    # a numpy scalar becomes the equal Python value: np.int64(9) and 9 name one cell
-    params.update((axis, value.item() if isinstance(value, np.generic) else value)
-                  for axis, value in overrides.items())
-    if params["epsilon"] == "none":
-        params["epsilon"] = None
+    params.update((axis, _axis_value(axis, value)) for axis, value in overrides.items())
     return params
 
 
@@ -342,8 +347,7 @@ def _resolve_cell(base: RunConfig, params: dict) -> RunConfig:
         raise ConfigurationError(
             "an epsilon grid needs a privacy-calibrated base configuration")
     else:
-        privacy = PrivacyParams(params["epsilon"], base.privacy.delta, base.privacy.c,
-                                params["b"], base.privacy.m)
+        privacy = replace(base.privacy, epsilon=params["epsilon"], b=params["b"])
     # base.clip equals base.privacy.c whenever privacy is set, and so fits every recalibration
     return replace(base, gar=gar, attack=atk, privacy=privacy, b=params["b"],
                    master_seed=params["seed"])
@@ -361,11 +365,13 @@ def sweep(base: RunConfig, grid: dict, jobs: int = 1) -> list[CellResult]:
 
     Recognized axes: b, epsilon, gar, attack, f, seed. Changing b or epsilon
     recalibrates the noise scale from the base privacy budget; the string
-    "none" on the epsilon axis disables privacy for that cell. Invalid cells
-    are reported as failed and do not stop the sweep. Every cell resolves to
-    its RunConfig in the caller; only the runs go to the ``jobs`` worker
-    processes, at most one per cell that resolved. Results are returned in
-    deterministic product order regardless of the job count.
+    "none" on the epsilon axis disables privacy for that cell. A value named
+    twice on one axis, after a numpy scalar becomes its Python value, raises
+    ConfigurationError. Invalid cells are reported as failed and do not stop
+    the sweep. Every cell resolves to its RunConfig in the caller; only the
+    runs go to the ``jobs`` worker processes, at most one per cell that
+    resolved. Results are returned in deterministic product order regardless
+    of the job count.
     """
     if jobs < 1:
         raise ContractViolationError(f"sweep jobs must be at least 1, got {jobs}")
@@ -378,6 +384,11 @@ def sweep(base: RunConfig, grid: dict, jobs: int = 1) -> list[CellResult]:
     for axis in axes:
         if not grid[axis]:
             raise ContractViolationError(f"sweep axis '{axis}' has no values")
+        # a repeated value would run one cell twice and count it twice in aggregate.csv
+        named = [repr(_axis_value(axis, value)) for value in grid[axis]]
+        for i, value in enumerate(named):
+            if value in named[:i]:
+                raise ConfigurationError(f"sweep axis '{axis}' names the value {value} twice")
     cells = []
     for combo in product(*(grid[a] for a in axes)):
         params = _cell_params(base, dict(zip(axes, combo)))
@@ -393,6 +404,6 @@ def sweep(base: RunConfig, grid: dict, jobs: int = 1) -> list[CellResult]:
     else:
         outcomes = [_run_cell(config) for config in configs]
     runs = iter(outcomes)
-    return [CellResult(cell_digest(params), params, config,
+    return [CellResult(params, config,
                        *(next(runs) if config is not None else (None, reason)))
             for params, config, reason in cells]

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import expit
@@ -61,6 +61,8 @@ class Dataset:
         self.features = np.ascontiguousarray(np.asarray(self.features, dtype=np.float64))
         if self.features.ndim != 2 or self.features.shape[0] < 1:
             raise ContractViolationError("dataset needs at least one point with shape (m, p)")
+        if not np.isfinite(self.features).all():
+            raise ContractViolationError("dataset features must be finite")
         if self.labels is not None:
             self.labels = np.ascontiguousarray(np.asarray(self.labels, dtype=np.float64))
             if self.labels.shape != (self.features.shape[0],):
@@ -160,41 +162,42 @@ def load_csv(path: str, classification: bool) -> Dataset:
 
 @dataclass
 class Model:
-    """A differentiable point-wise loss family; see the module docstring."""
+    """A differentiable point-wise loss family; see the module docstring.
+
+    The parameter count ``dim`` is derived from the other fields.
+    """
 
     kind: str
-    dim: int
     lam: float = 0.0
     hessian: np.ndarray | None = None
     n_features: int | None = None
     hidden: int | None = None
+    dim: int = field(init=False)
 
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
             raise ConfigurationError(f"unknown model kind '{self.kind}'")
-        if self.dim < 1:
-            raise ConfigurationError("model dimension must be >= 1")
-        if self.lam < 0:
-            raise ConfigurationError("regularization must be nonnegative")
         if self.kind == "quadratic":
             h = np.asarray(self.hessian, dtype=np.float64)
-            if h.shape != (self.dim, self.dim):
-                raise ConfigurationError("quadratic model needs a (d, d) matrix")
+            if h.ndim != 2 or h.shape[0] != h.shape[1] or h.shape[0] < 1:
+                raise ConfigurationError("quadratic model needs a (d, d) matrix, d >= 1")
             if not np.allclose(h, h.T, atol=1e-12):
                 raise ConfigurationError("quadratic matrix must be symmetric")
-            eigs = np.linalg.eigvalsh(h)
-            if eigs[0] < -1e-10:
+            if np.linalg.eigvalsh(h)[0] < -1e-10:
                 raise ConfigurationError("quadratic matrix must be positive semidefinite")
             self.hessian = h
-            self.n_features = self.dim
+            self.n_features = self.dim = h.shape[0]
         elif self.kind == "logistic":
-            self.n_features = self.dim
+            self.dim = self.n_features
         else:
             if not self.hidden or self.hidden < 1 or not self.n_features:
                 raise ConfigurationError("mlp1 needs n_features and a positive hidden width")
-            expected = self.n_features * self.hidden + 2 * self.hidden + 1
-            if self.dim != expected:
-                raise ConfigurationError(f"mlp1 dimension must be {expected} for these sizes")
+            self.dim = self.n_features * self.hidden + 2 * self.hidden + 1
+        if self.dim is None or self.dim < 1:
+            raise ConfigurationError("model dimension must be >= 1")
+        if not 0 <= self.lam < math.inf:
+            raise ConfigurationError(f"regularization must be finite and nonnegative, "
+                                     f"got {self.lam}")
 
     @property
     def is_classifier(self) -> bool:
@@ -202,17 +205,15 @@ class Model:
 
 
 def quadratic_model(hessian: np.ndarray, lam: float = 0.0) -> Model:
-    hessian = np.asarray(hessian, dtype=np.float64)
-    return Model("quadratic", hessian.shape[0], lam, hessian=hessian)
+    return Model("quadratic", lam, hessian=hessian)
 
 
 def logistic_model(n_features: int, lam: float = 0.0) -> Model:
-    return Model("logistic", n_features, lam)
+    return Model("logistic", lam, n_features=n_features)
 
 
 def mlp1_model(n_features: int, hidden: int, lam: float = 0.0) -> Model:
-    dim = n_features * hidden + 2 * hidden + 1
-    return Model("mlp1", dim, lam, n_features=n_features, hidden=hidden)
+    return Model("mlp1", lam, n_features=n_features, hidden=hidden)
 
 
 def _unpack_mlp(model: Model, theta: np.ndarray):
@@ -379,8 +380,8 @@ class ClipParams:
     c: float
 
     def __post_init__(self):
-        if not self.c > 0:
-            raise ConfigurationError("clip bound must be positive")
+        if not 0 < self.c < math.inf:
+            raise ConfigurationError(f"clip bound must be positive and finite, got {self.c}")
 
 
 def clip(g: np.ndarray, clip_params: ClipParams) -> np.ndarray:
@@ -500,12 +501,18 @@ def sample_batch(dataset: Dataset, b: int, count: int, stream) -> np.ndarray:
 def population_variance(model: Model, theta: np.ndarray, dataset: Dataset) -> float:
     """Mean squared deviation of per-point gradients around the full gradient.
 
-    This is the per-theta realization of the bounded-variance constant.
+    This is the per-theta realization of the bounded-variance constant. The
+    deviations are taken over ``row_blocks``, so no (m, d) matrix is built;
+    only the m squared norms are kept, and averaged as one vector.
     """
-    g = batch_grads(model, theta, dataset.features, dataset.labels)
-    mean = g.mean(axis=0)
-    diff = g - mean[None, :]
-    return float(np.einsum("ij,ij->i", diff, diff).mean())
+    mean = full_grad(model, theta, dataset)
+    x, y = dataset.features, dataset.labels
+    sq = np.empty(dataset.m)
+    for lo, hi in row_blocks(dataset.m, model.dim):
+        diff = batch_grads(model, theta, x[lo:hi], None if y is None else y[lo:hi])
+        diff -= mean
+        sq[lo:hi] = np.einsum("ij,ij->i", diff, diff)
+    return float(sq.mean())
 
 
 def smoothness_constant(model: Model, dataset: Dataset | None = None) -> float:

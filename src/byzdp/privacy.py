@@ -85,8 +85,8 @@ def noise_scale(c: float, b: int, m: int, epsilon: float, delta: float) -> float
     as written.
     """
     log_term = delta_log_factor(epsilon, delta, b, m)
-    if not c > 0:
-        raise CalibrationError("clip bound must be positive")
+    if not 0 < c < math.inf:
+        raise CalibrationError(f"clip bound must be positive and finite, got {c}")
     eps_inner = inner_epsilon(epsilon, b, m)
     if eps_inner >= 1.0:
         warnings.warn(
@@ -133,42 +133,28 @@ class PrivacyParams:
         object.__setattr__(self, "epsilon_inner", inner_epsilon(self.epsilon, self.b, self.m))
 
 
-@dataclass(frozen=True)
-class CompositionReport:
-    """Overall budget of T repetitions of a per-step (epsilon, delta) release."""
-
-    steps: int
-    per_step: tuple[float, float]
-    basic: tuple[float, float]
-    advanced: tuple[float, float]
-    delta_slack: float
-
-    def as_dict(self) -> dict:
-        return {
-            "steps": self.steps,
-            "per_step_epsilon": self.per_step[0],
-            "per_step_delta": self.per_step[1],
-            "basic_epsilon": self.basic[0],
-            "basic_delta": self.basic[1],
-            "advanced_epsilon": self.advanced[0],
-            "advanced_delta": self.advanced[1],
-            "delta_slack": self.delta_slack,
-        }
+DELTA_SLACK = 1e-4  # the delta spent by advanced composition
 
 
-def compose(epsilon: float, delta: float, steps: int,
-            delta_slack: float = 1e-4) -> CompositionReport:
+def compose(epsilon: float, delta: float, steps: int) -> dict:
     """Basic and advanced composition of T identical (epsilon, delta) steps.
 
     basic:    (T eps, T delta)
     advanced: (eps sqrt(2 T ln(1/slack)) + T eps (e^eps - 1), T delta + slack)
+
+    Returns the ``composition`` entry of a run's summary, slack included.
     """
     if steps < 1:
         raise ContractViolationError("steps must be >= 1")
-    if not 0 < delta_slack < 1:
-        raise ContractViolationError("delta slack must lie in (0, 1)")
-    basic = (steps * epsilon, steps * delta)
-    adv_eps = (epsilon * math.sqrt(2.0 * steps * math.log(1.0 / delta_slack))
+    adv_eps = (epsilon * math.sqrt(2.0 * steps * math.log(1.0 / DELTA_SLACK))
                + steps * epsilon * math.expm1(epsilon))
-    advanced = (adv_eps, steps * delta + delta_slack)
-    return CompositionReport(steps, (epsilon, delta), basic, advanced, delta_slack)
+    return {
+        "steps": steps,
+        "per_step_epsilon": epsilon,
+        "per_step_delta": delta,
+        "basic_epsilon": steps * epsilon,
+        "basic_delta": steps * delta,
+        "advanced_epsilon": adv_eps,
+        "advanced_delta": steps * delta + DELTA_SLACK,
+        "delta_slack": DELTA_SLACK,
+    }

@@ -508,8 +508,9 @@ def test_mda_rejects_more_than_f_non_finite_rows():
 
 def test_enumeration_cap():
     rng = np.random.default_rng(3)
-    g = random_instance(rng, 20, 2)
-    with pytest.raises(CapacityError, match="raise the cap"):
-        mda_bruteforce(g, 20, 10, cap=1000)
+    g = random_instance(rng, 21, 2)
+    # C(21, 11) = 352,716 subsets; the cap is checked before any enumeration
+    with pytest.raises(CapacityError, match="above the cap of 200000"):
+        mda_bruteforce(g, 21, 10)
     # aggregate has no cap: C(20, 11) = 167,960 subsets agree with the oracle
-    assert np.array_equal(aggregate(GarSpec("mda", 20, 9), g), mda_enumerate(g, 9))
+    assert np.array_equal(aggregate(GarSpec("mda", 20, 9), g[:20]), mda_enumerate(g[:20], 9))

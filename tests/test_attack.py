@@ -13,8 +13,9 @@ def test_attack_spec_defaults():
     assert AttackSpec("empire").zeta == 1.1
     assert AttackSpec("none").zeta == 0.0
     assert AttackSpec("little", 2.5).zeta == 2.5
-    with pytest.raises(ConfigurationError):
-        AttackSpec("little", -0.5)
+    for zeta in (-0.5, math.inf, -math.inf, math.nan):
+        with pytest.raises(ConfigurationError, match="zeta must be finite and nonnegative"):
+            AttackSpec("little", zeta)
     with pytest.raises(ConfigurationError):
         AttackSpec("signflip")
 

@@ -117,6 +117,9 @@ def test_readme_lists_every_config_key():
 @pytest.mark.parametrize("line", [
     "batch_size = 30.0", "steps = 20.0", "n = 5.0", "master_seed = 9.5", "gamma = fast",
     "spread = abc", "grid_seed = 3", "grid_f = [0, 1.5]", "grid_epsilon = [0.5, fast]",
+    # a float key takes finite numbers only
+    "clip = inf", "spread = nan", "reg = inf", "gamma = 1e999", "zeta = -inf",
+    "grid_epsilon = [0.5, nan]",
 ])
 def test_ill_typed_value_is_a_config_error(tmp_path, capsys, line):
     key = line.split(" = ")[0]
@@ -397,6 +400,13 @@ def test_sweep_marks_invalid_cells(tmp_path, capsys):
     rows = read_rows(os.path.join(out, "summary.csv"))
     assert [r["gar"] for r in rows if r["status"] == "failed"] == ["None"] * 5
     assert all(r["gar"] == "median" for r in rows if r["status"] == "ok")
+
+
+def test_sweep_rejects_a_repeated_grid_value(tmp_path, capsys):
+    cfg = write(tmp_path, "sweep.cfg", LOGISTIC_SWEEP.replace("[1, 2, 3, 4, 5]", "[1, 1]"))
+    assert main(["sweep", cfg, "--out", str(tmp_path / "sw")]) == 2
+    assert "sweep axis 'seed' names the value 1 twice" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "sw")
 
 
 def test_sweep_jobs_do_not_change_results(tmp_path):

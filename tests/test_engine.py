@@ -392,8 +392,10 @@ def test_config_fail_fast():
         RunConfig(**{**good, "b": 21})
     with pytest.raises(ConfigurationError):
         RunConfig(**{**good, "momentum": 1.0})
-    with pytest.raises(ConfigurationError):
-        RunConfig(**{**good, "schedule": "constant", "gamma": None})
+    # gamma = inf once ran, and stopped on non-finite submissions in round 2
+    for gamma in (None, 0.0, math.inf, math.nan):
+        with pytest.raises(ConfigurationError, match="needs a positive, finite gamma"):
+            RunConfig(**{**good, "schedule": "constant", "gamma": gamma})
     with pytest.raises(ConfigurationError):
         RunConfig(**{**good, "schedule": "inv_sqrt"})  # gamma set but unused
     with pytest.raises(ConfigurationError, match="4f\\+3"):
@@ -527,16 +529,32 @@ def test_sweep_numpy_scalars_name_the_python_cell():
     # np.int64(9) once gave a second ok cell, with its own id, of seed 9
     base = small_sweep_base()
     for axis, value, twin in (("seed", 9, np.int64(9)), ("epsilon", 0.5, np.float64(0.5))):
-        plain, typed = sweep(base, {axis: [value, twin]})
+        [plain] = sweep(base, {axis: [value]})
+        [typed] = sweep(base, {axis: [twin]})
         assert plain.ok and typed.ok
         assert typed.cell_id == plain.cell_id
         assert typed.params == plain.params
         assert type(typed.params[axis]) is type(value)
+        # in one grid the two name one cell twice
+        with pytest.raises(ConfigurationError, match=f"sweep axis '{axis}' names the value"):
+            sweep(base, {axis: [value, twin]})
     results = sweep(base, {"epsilon": list(np.linspace(0.5, 0.9, 3))})
     assert [type(r.params["epsilon"]) for r in results] == [float] * 3
     [res] = sweep(base, {"seed": [np.float64(9.5)]})
     assert not res.ok
     assert "master_seed must be an integer, got 9.5" in res.reason
+
+
+def test_sweep_rejects_a_grid_that_names_one_cell_twice():
+    # a repeated seed once ran one cell twice under one id and counted it as
+    # two runs in aggregate.csv
+    base = small_sweep_base()
+    for grid, axis, value in (({"seed": [1, 1]}, "seed", "1"),
+                              ({"b": [8, 20], "epsilon": ["none", None]}, "epsilon", "None"),
+                              ({"gar": ["median", "krum", "median"]}, "gar", "'median'")):
+        with pytest.raises(ConfigurationError,
+                           match=f"sweep axis '{axis}' names the value {value} twice"):
+            sweep(base, grid)
 
 
 def test_sweep_parallel_matches_serial():

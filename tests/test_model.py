@@ -1,6 +1,7 @@
 """Losses, gradients, clipping, sampling."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from byzdp import (ClipParams, ContractViolationError, ConfigurationError, DataLoadError,
-                   Dataset, accuracy, batch_grads, clip, full_grad, full_loss,
+                   Dataset, Model, accuracy, batch_grads, clip, full_grad, full_loss,
                    gaussian_blobs, load_csv,
                    logistic_model, mlp1_model, point_grad, population_variance,
                    quadratic_minimizer, quadratic_model, regression_targets,
@@ -94,6 +95,37 @@ def test_point_grad_dimension_mismatch():
         point_grad(model, np.zeros(3), np.zeros(4), 1.0)
     with pytest.raises(ContractViolationError):
         point_grad(model, np.zeros(4), np.zeros(5), 1.0)
+
+
+# --------------------------------------------------------- model objects
+
+def test_model_derives_its_dimension():
+    assert quadratic_model(np.eye(6)).dim == 6
+    assert logistic_model(20).dim == 20
+    assert mlp1_model(20, 32).dim == 20 * 32 + 2 * 32 + 1
+    with pytest.raises(TypeError):
+        Model("logistic", n_features=3, dim=3)
+
+
+@pytest.mark.parametrize("lam", [-0.1, math.inf, math.nan])
+def test_regularization_must_be_finite_and_nonnegative(lam):
+    for make in (lambda: quadratic_model(np.eye(2), lam=lam),
+                 lambda: logistic_model(3, lam=lam), lambda: mlp1_model(3, 2, lam=lam)):
+        with pytest.raises(ConfigurationError,
+                           match="regularization must be finite and nonnegative"):
+            make()
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: quadratic_model(np.ones((2, 3))), "needs a \\(d, d\\) matrix"),
+    (lambda: quadratic_model(np.zeros((0, 0))), "needs a \\(d, d\\) matrix"),
+    (lambda: logistic_model(0), "model dimension must be >= 1"),
+    (lambda: mlp1_model(3, 0), "mlp1 needs n_features and a positive hidden width"),
+    (lambda: mlp1_model(0, 2), "mlp1 needs n_features and a positive hidden width"),
+], ids=["non_square", "empty", "no_features", "no_hidden", "mlp1_no_features"])
+def test_model_rejects_shapes_without_a_dimension(make, message):
+    with pytest.raises(ConfigurationError, match=message):
+        make()
 
 
 # --------------------------------------------------------- input contract
@@ -228,6 +260,12 @@ def test_full_grad_is_the_one_block_mean_bit_for_bit(monkeypatch, kind, m, budge
 
 
 # ------------------------------------------------------------------- clip
+
+@pytest.mark.parametrize("c", [0.0, -1.0, math.inf, math.nan])
+def test_clip_bound_must_be_positive_and_finite(c):
+    with pytest.raises(ConfigurationError, match="clip bound must be positive and finite"):
+        ClipParams(c)
+
 
 def test_clip_examples():
     g = np.array([3.0, 4.0])
@@ -376,6 +414,38 @@ def test_sample_batch_rejects_oversized():
 
 # ---------------------------------------------------- population variance
 
+def population_variance_oracle(model, theta, dataset):
+    """The whole-matrix definition: every per-point gradient around their mean."""
+    g = batch_grads(model, theta, dataset.features, dataset.labels)
+    diff = g - g.mean(axis=0)[None, :]
+    return float(np.einsum("ij,ij->i", diff, diff).mean())
+
+
+@pytest.mark.parametrize("m", [1, 3, 4000, 4001])
+@pytest.mark.parametrize("kind", ["quadratic", "quadratic_d1", "logistic", "mlp1"])
+def test_population_variance_is_the_whole_matrix_value_bit_for_bit(kind, m):
+    model, ds = _model_and_data(kind, m)
+    for seed in (m, m + 1, m + 2):
+        theta = np.random.default_rng(seed).normal(0.0, 0.5, model.dim)
+        assert population_variance(model, theta, ds) == \
+            population_variance_oracle(model, theta, ds)
+
+
+def test_population_variance_stays_in_row_blocks():
+    # the whole-matrix value at mlp1, m = 4000, d = 705 peaks at about 45 MB
+    model, ds = mlp1_model(20, 32, lam=1e-3), gaussian_blobs(3, 4000, 20)
+    assert model.dim == 705
+    theta = np.random.default_rng(0).normal(0.0, 0.1, model.dim)
+    tracemalloc.start()
+    try:
+        got = population_variance(model, theta, ds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+    assert got == population_variance_oracle(model, theta, ds)
+
+
 def test_population_variance_identical_points():
     model = quadratic_model(np.eye(2))
     ds = Dataset(np.tile([1.5, -0.5], (8, 1)))
@@ -486,6 +556,14 @@ def test_dataset_immutable():
         ds.features[0, 0] = 1.0
     with pytest.raises(ValueError):
         ds.labels[0] = -1.0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_dataset_features_must_be_finite(bad):
+    x = np.ones((3, 2))
+    x[1, 0] = bad
+    with pytest.raises(ContractViolationError, match="dataset features must be finite"):
+        Dataset(x)
 
 
 def test_blobs_reproducible_and_balanced():

@@ -5,6 +5,7 @@ of the same closed forms (recomputed below where cheap).
 """
 
 import dataclasses
+import json
 import math
 import pickle
 
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from byzdp import (CalibrationError, CompositionReport, ConfigurationError,
+from byzdp import (CalibrationError, ConfigurationError,
                    ContractViolationError, PrivacyParams, PrivacyRegimeWarning,
                    amplified_epsilon, compose, delta_log_factor, eta_bounds, gaussian_noise,
                    inner_epsilon, noise_scale, sensitivity_mean_grad, worker_stream)
@@ -118,8 +119,12 @@ def test_noise_scale_precondition_errors():
         noise_scale(2.0, 2000, 1000, 0.1, 1e-5)
     with pytest.raises(CalibrationError, match="1.25"):
         noise_scale(2.0, 1, 1000, 0.1, 0.5)
-    with pytest.raises(CalibrationError, match="clip"):
-        noise_scale(0.0, 25, 1000, 0.1, 1e-5)
+    # an infinite clip bound once calibrated to s = inf
+    for c in (0.0, math.inf, math.nan):
+        with pytest.raises(CalibrationError, match="clip bound must be positive and finite"):
+            noise_scale(c, 25, 1000, 0.1, 1e-5)
+        with pytest.raises(CalibrationError, match="clip bound must be positive and finite"):
+            PrivacyParams(0.1, 1e-5, c, 25, 1000)
 
 
 def test_delta_log_factor_is_the_one_budget_check():
@@ -171,31 +176,36 @@ def test_gaussian_noise_mean_squared_norm():
 
 def test_compose_single_step_is_identity():
     rep = compose(0.3, 1e-6, 1)
-    assert rep.basic == (0.3, 1e-6)
+    assert (rep["basic_epsilon"], rep["basic_delta"]) == (0.3, 1e-6)
 
 
 def test_compose_reference_values():
-    rep = compose(0.1, 1e-5, 300, delta_slack=1e-4)
+    rep = compose(0.1, 1e-5, 300)
+    assert rep["delta_slack"] == 1e-4
     # 50-digit evaluation of eps sqrt(2 T ln(1/slack)) + T eps (e^eps - 1)
     reference = float(mp.mpf("0.1") * mp.sqrt(600 * mp.log(10_000))
                       + 30 * (mp.e ** mp.mpf("0.1") - 1))
-    assert rep.advanced[0] == pytest.approx(reference, rel=1e-12)
-    assert rep.advanced[0] == pytest.approx(10.588971919969106, rel=1e-12)
-    assert rep.advanced[1] == pytest.approx(3.1e-3, rel=1e-12)
-    assert rep.basic == (pytest.approx(30.0), pytest.approx(3e-3))
+    assert rep["advanced_epsilon"] == pytest.approx(reference, rel=1e-12)
+    assert rep["advanced_epsilon"] == pytest.approx(10.588971919969106, rel=1e-12)
+    assert rep["advanced_delta"] == pytest.approx(3.1e-3, rel=1e-12)
+    assert rep["basic_epsilon"] == pytest.approx(30.0)
+    assert rep["basic_delta"] == pytest.approx(3e-3)
 
 
 def test_compose_basic_linear_in_steps():
-    one = compose(0.05, 1e-6, 1).basic[0]
+    one = compose(0.05, 1e-6, 1)["basic_epsilon"]
     for t in (2, 10, 77):
-        assert compose(0.05, 1e-6, t).basic[0] == pytest.approx(t * one, rel=1e-12)
+        assert compose(0.05, 1e-6, t)["basic_epsilon"] == pytest.approx(t * one, rel=1e-12)
 
 
 def test_compose_report_serializes():
+    # compose returns the composition entry of summary.json as it is written
     rep = compose(0.1, 1e-5, 10)
-    d = rep.as_dict()
-    assert d["steps"] == 10 and d["basic_epsilon"] == pytest.approx(1.0)
-    assert isinstance(rep, CompositionReport)
+    assert sorted(rep) == ["advanced_delta", "advanced_epsilon", "basic_delta",
+                           "basic_epsilon", "delta_slack", "per_step_delta",
+                           "per_step_epsilon", "steps"]
+    assert rep["steps"] == 10 and rep["basic_epsilon"] == pytest.approx(1.0)
+    assert json.loads(json.dumps(rep)) == rep
 
 
 def test_compose_rejects_bad_steps():
