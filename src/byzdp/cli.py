@@ -62,7 +62,7 @@ CSV_COLUMNS = ("run_id", "round", "loss", "grad_norm", "min_sq_grad_norm", "accu
 def _parse_scalar(tok: str, kind: type):
     """None for "none", else a value of the key's type; ValueError if it has none.
 
-    A float key takes finite numbers only: nan, inf and 1e999 are not one.
+    A float key takes finite numbers only, so nan, inf and 1e999 raise.
     """
     tok = tok.strip()
     if tok.lower() == "none":
@@ -106,7 +106,8 @@ def parse_config(path: str) -> dict:
             try:
                 cfg[key] = _parse_value(value, kind, grid)
             except ValueError:
-                one, many = {int: ("an integer", "integers"), float: ("a finite number", "finite numbers"),
+                one, many = {int: ("an integer", "integers"),
+                             float: ("a finite number", "finite numbers"),
                              str: ("text", "words")}[kind]
                 want = f"a bracketed list of {many}" if grid else one
                 raise ConfigurationError(f"{path}:{lineno}: config key '{key}' must be "
