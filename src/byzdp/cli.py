@@ -309,6 +309,10 @@ def _resolved_id(cfg: dict, config: RunConfig) -> tuple[dict, str]:
 
 def cmd_run(args) -> int:
     cfg = parse_config(args.config)
+    grid = [key for key in cfg if key.startswith("grid_")]
+    if grid:
+        raise ConfigurationError(f"config key '{grid[0]}' is a sweep axis: 'byzdp run' "
+                                 f"runs one configuration; use 'byzdp sweep'")
     seed = resolve_seed(args.seed)
     config = build_run_config(cfg, seed)
     resolved, run_id = _resolved_id(cfg, config)
@@ -347,9 +351,8 @@ def summary_csv_text(results: list[CellResult]) -> str:
         p, r = res.params, res.result
         metrics = (r.max_accuracy, r.min_sq_grad_norm, r.final_loss) if res.ok else (None,) * 3
         reason = (res.reason or "").replace(",", ";").replace("\n", " ")
-        # str() writes a rule or kind that parsed to None as "None", not ""
         rows.append((res.cell_id, "ok" if res.ok else "failed", p["b"], p["epsilon"],
-                     str(p["gar"]), str(p["attack"]), p["f"], p["seed"], *metrics, reason))
+                     p["gar"], p["attack"], p["f"], p["seed"], *metrics, reason))
     return _csv_text(cols, rows)
 
 
@@ -361,7 +364,7 @@ def aggregate_csv_text(results: list[CellResult]) -> str:
     for res in results:
         if res.ok:
             p = res.params
-            key = (p["b"], p["epsilon"], str(p["gar"]), str(p["attack"]), p["f"])
+            key = (p["b"], p["epsilon"], p["gar"], p["attack"], p["f"])
             groups.setdefault(key, []).append(res.result)
     rows = []
     for key, runs in groups.items():

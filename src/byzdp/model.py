@@ -28,6 +28,12 @@ whose batch is the whole dataset.
 
 ``sample_batch`` draws the batches of all honest workers of a round in one
 call, each row bit for bit the sorted ``choice`` of its worker's stream.
+
+scipy is loaded only for the classifier kinds: building a logistic or mlp1
+``Model`` imports ``scipy.special``, and ``_expit`` looks up its ``expit`` at
+call time. ``import byzdp``, ``byzdp --help`` and a quadratic run never load
+it, which saves about half of a quadratic run's start-up. Keep it so: any
+other scipy function is imported where it is called, not at module level.
 """
 
 from __future__ import annotations
@@ -37,7 +43,6 @@ import operator
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import ConfigurationError, ContractViolationError, DataLoadError
 
@@ -198,6 +203,10 @@ class Model:
         if not 0 <= self.lam < math.inf:
             raise ConfigurationError(f"regularization must be finite and nonnegative, "
                                      f"got {self.lam}")
+        if self.is_classifier:
+            # loaded with the model that needs it, so a quadratic run never pays
+            # for it and forked sweep workers inherit it; see _expit
+            import scipy.special  # noqa: F401
 
     @property
     def is_classifier(self) -> bool:
@@ -214,6 +223,16 @@ def logistic_model(n_features: int, lam: float = 0.0) -> Model:
 
 def mlp1_model(n_features: int, hidden: int, lam: float = 0.0) -> Model:
     return Model("mlp1", lam, n_features=n_features, hidden=hidden)
+
+
+def _expit(x: np.ndarray) -> np.ndarray:
+    """scipy's logistic sigmoid, looked up at call time.
+
+    A Model that was unpickled never ran ``__post_init__``, so the module may
+    not be loaded yet; once it is, the lookup costs well under a microsecond.
+    """
+    from scipy.special import expit
+    return expit(x)
 
 
 def _unpack_mlp(model: Model, theta: np.ndarray):
@@ -291,12 +310,12 @@ def batch_grads(model: Model, theta: np.ndarray, features: np.ndarray,
     if model.kind == "quadratic":
         grads = out
     elif model.kind == "logistic":
-        grads = (-y * expit(-(y * out)))[:, None] * x
+        grads = (-y * _expit(-(y * out)))[:, None] * x
     else:
         # mlp1 backprop, each parameter block written into its columns of grads
         w2 = _unpack_mlp(model, theta)[2]
         k, h, p = x.shape[0], model.hidden, model.n_features
-        dscore = -y * expit(-y * out)
+        dscore = -y * _expit(-y * out)
         dz1 = dscore[:, None] * w2[None, :] * (1.0 - a * a)
         grads = np.empty((k, model.dim))
         np.einsum("kh,kp->khp", dz1, x, out=grads[:, : h * p].reshape(k, h, p))
@@ -388,24 +407,38 @@ def clip(g: np.ndarray, clip_params: ClipParams) -> np.ndarray:
     """Rescale g onto the ball of radius c when its norm exceeds c.
 
     Accepts a single vector or a (k, d) matrix of row vectors; rows are
-    clipped independently. The zero vector is a fixed point.
+    clipped independently. The zero vector is a fixed point. The result is a
+    new array, bit for bit ``rows * factors[:, None]`` with a factor of 1 for
+    every row within the bound. When at most half the rows are over it, the
+    rows are copied and only those over it are scaled (x * 1.0 == x), which
+    skips numpy's slow broadcast multiply; otherwise that multiply is used.
     """
     g = np.asarray(g, dtype=np.float64)
     c = clip_params.c
     rows = np.atleast_2d(g)
     norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
-    factors = np.ones_like(norms)
-    over = norms > c
-    factors[over] = c / norms[over]
-    huge = np.isinf(norms)
+    over = np.flatnonzero(norms > c)
+    if not over.size:
+        return g.copy()
+    factors = c / norms[over]
+    huge = np.isinf(norms[over])
     if huge.any():
         # the squares overflowed: scale each row by its top entry and never form
         # the norm, which may overflow too; a row that holds inf keeps factor 0
-        huge &= np.isfinite(rows).all(axis=1)
-        top = np.abs(rows[huge]).max(axis=1)
-        unit = rows[huge] / top[:, None]
+        huge[huge] = np.isfinite(rows[over[huge]]).all(axis=1)
+        big = rows[over[huge]]
+        top = np.abs(big).max(axis=1)
+        unit = big / top[:, None]
         factors[huge] = c / top / np.sqrt(np.einsum("ij,ij->i", unit, unit))
-    return (rows * factors[:, None]).reshape(g.shape)
+    if 2 * over.size > len(rows):
+        scale = np.ones_like(norms)
+        scale[over] = factors
+        return (rows * scale[:, None]).reshape(g.shape)
+    out = rows.copy()
+    sub = rows[over]
+    sub *= factors[:, None]  # in place: a second temporary costs page faults at mlp1 width
+    out[over] = sub
+    return out.reshape(g.shape)
 
 
 # --------------------------------------------------------- sampling & stats
@@ -580,7 +613,7 @@ def estimate_min_loss(model: Model, dataset: Dataset) -> float:
         g = full_grad(model, theta, dataset)
         if float(np.linalg.norm(g)) < MIN_LOSS_TOL:
             break
-        w = expit(y * _forward(model, theta, x)[1])
+        w = _expit(y * _forward(model, theta, x)[1])
         hess = (x.T * (w * (1.0 - w))) @ x / dataset.m + model.lam * np.eye(model.dim)
         step = np.linalg.lstsq(hess, g, rcond=None)[0]
         t = 1.0

@@ -393,13 +393,22 @@ def test_sweep_marks_invalid_cells(tmp_path, capsys):
     status = {(r["gar"], r["seed"]): r["status"] for r in rows}
     assert all(status[("median", str(s))] == "ok" for s in range(1, 6))
     assert all(status[("bulyan", str(s))] == "failed" for s in range(1, 6))
-    # "none" parses to None, which is no rule; the failed row names it
+    # "none" parses to None, which is no rule; like an unset epsilon, its field is empty
     cfg = write(tmp_path, "none.cfg", text.replace("[median, bulyan]", "[median, none]"))
     out = str(tmp_path / "none")
     assert main(["sweep", cfg, "--out", out]) == 0
     rows = read_rows(os.path.join(out, "summary.csv"))
-    assert [r["gar"] for r in rows if r["status"] == "failed"] == ["None"] * 5
+    assert [r["gar"] for r in rows if r["status"] == "failed"] == [""] * 5
     assert all(r["gar"] == "median" for r in rows if r["status"] == "ok")
+
+
+def test_run_rejects_grid_keys(tmp_path, capsys):
+    # a grid key once ran the base config under a run id that digested the grid
+    cfg = write(tmp_path, "run.cfg", QUADRATIC_RUN + "grid_seed = [1, 2]\n")
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config key 'grid_seed' is a sweep axis" in err and "byzdp sweep" in err
+    assert not os.path.exists(tmp_path / "out")
 
 
 def test_sweep_rejects_a_repeated_grid_value(tmp_path, capsys):

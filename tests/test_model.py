@@ -299,6 +299,52 @@ def test_clip_rows():
     assert np.array_equal(out[1], g[1])
 
 
+def _clip_every_row(g, c):
+    """The oracle: one multiply of every row by its factor, 1 within the bound."""
+    rows = np.atleast_2d(np.asarray(g, dtype=np.float64))
+    norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
+    factors = np.ones_like(norms)
+    over = norms > c
+    factors[over] = c / norms[over]
+    huge = np.isinf(norms)
+    if huge.any():
+        huge &= np.isfinite(rows).all(axis=1)
+        top = np.abs(rows[huge]).max(axis=1)
+        unit = rows[huge] / top[:, None]
+        factors[huge] = c / top / np.sqrt(np.einsum("ij,ij->i", unit, unit))
+    return (rows * factors[:, None]).reshape(np.shape(g))
+
+
+@pytest.mark.parametrize("shape", [(375, 10), (128, 705), (7,)])
+@pytest.mark.parametrize("share", [0.0, 0.1, 0.5, 0.6, 1.0])
+def test_clip_scales_only_the_rows_over_the_bound_bit_for_bit(shape, share):
+    g = np.random.default_rng(shape[0]).normal(0.0, 1.0, shape)
+    norms = np.sort(np.linalg.norm(np.atleast_2d(g), axis=1))
+    k = round(share * len(norms))  # rows over the bound
+    c = float(norms[0] / 2 if k == len(norms) else norms[-k - 1])
+    before = g.copy()
+    out = clip(g, ClipParams(c))
+    assert np.array_equal(out, _clip_every_row(g, c))
+    assert int((np.linalg.norm(np.atleast_2d(g), axis=1) > c).sum()) == k
+    assert np.array_equal(g, before) and not np.shares_memory(out, g)
+
+
+@pytest.mark.parametrize("rows", [
+    [[1e200, 1.0], [0.3, 0.4], [0.1, 0.1]],  # an overflowing squared norm
+    [[math.inf, 1.0], [0.3, 0.4], [0.1, 0.1]],  # a row that holds inf gets factor 0
+    [[math.nan, 1.0], [3.0, 4.0], [0.1, 0.1]],  # a nan norm is never over the bound
+    [[1e200, 1.0], [3.0, 4.0], [-1e300, 1e300]],
+])
+def test_clip_overflow_rows_match_the_oracle(rows):
+    g = np.array(rows)
+    before = g.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = clip(g, ClipParams(2.0))
+        want = _clip_every_row(g, 2.0)
+    assert np.array_equal(out, want, equal_nan=True)
+    assert np.array_equal(g, before, equal_nan=True)
+
+
 def test_clipped_point_grads_bounded():
     ds = gaussian_blobs(4, 50, 6)
     model = logistic_model(6, lam=0.1)
