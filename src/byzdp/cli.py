@@ -3,7 +3,8 @@
 Configs are flat ``key = value`` text files; ``#`` starts a comment and grid
 axes take bracketed lists, e.g. ``grid_batch_size = [16, 512]``. Unknown keys
 and values of the wrong type (see ``KNOWN_KEYS``) are rejected. Exit codes:
-0 success, 2 configuration error, 3 runtime error.
+0 success, 2 configuration error, 3 runtime error, 141 (128 + SIGPIPE) when
+the reader closed stdout.
 The environment variable BYZDP_SEED overrides master_seed. Only ``run`` has a
 --seed flag, which overrides both; ``sweep`` and ``diagnose`` read only
 BYZDP_SEED.
@@ -307,12 +308,17 @@ def _resolved_id(cfg: dict, config: RunConfig) -> tuple[dict, str]:
     return resolved, cell_digest(resolved)
 
 
-def cmd_run(args) -> int:
-    cfg = parse_config(args.config)
+def _reject_grid(cfg: dict, command: str):
+    """Raise ConfigurationError if a command that takes one configuration got a grid key."""
     grid = [key for key in cfg if key.startswith("grid_")]
     if grid:
-        raise ConfigurationError(f"config key '{grid[0]}' is a sweep axis: 'byzdp run' "
-                                 f"runs one configuration; use 'byzdp sweep'")
+        raise ConfigurationError(f"config key '{grid[0]}' is a sweep axis: 'byzdp {command}' "
+                                 f"takes one configuration; use 'byzdp sweep'")
+
+
+def cmd_run(args) -> int:
+    cfg = parse_config(args.config)
+    _reject_grid(cfg, "run")
     seed = resolve_seed(args.seed)
     config = build_run_config(cfg, seed)
     resolved, run_id = _resolved_id(cfg, config)
@@ -405,6 +411,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_diagnose(args) -> int:
     cfg = parse_config(args.config)
+    _reject_grid(cfg, "diagnose")
     seed = resolve_seed(None)
     config = build_run_config(cfg, seed)
     kap, ups, bounds = theory_report(cfg, config)
@@ -471,12 +478,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    commands = {"run": cmd_run, "sweep": cmd_sweep, "diagnose": cmd_diagnose}
     try:
-        if args.command == "run":
-            return cmd_run(args)
-        if args.command == "sweep":
-            return cmd_sweep(args)
-        return cmd_diagnose(args)
+        code = commands[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: exit as a SIGPIPE kill would, and point
+        # stdout at devnull so that the flush at exit raises nothing either
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141  # 128 + SIGPIPE
     except CONFIG_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

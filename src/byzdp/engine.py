@@ -3,14 +3,16 @@
 Each round t every honest worker samples a batch without replacement,
 averages its clipped per-point gradients, adds Gaussian noise, optionally
 folds the result into a momentum buffer, and submits. One ``sample_batch``
-call draws the batches of all honest workers of the round, worker w's from
-its own batch stream. Forged workers all submit the attack vector computed
-from the honest submissions of the same round. The round builds the n
-messages in one fresh (n, d) array, honest rows first and the f forged rows
-last; the server aggregates it and takes the step theta <- theta - gamma_t *
-R_t. At b == m every batch is the whole dataset in canonical order: no batch
-stream is drawn, and the one clipped full-batch mean is summed over row
-blocks, as ``full_grad`` sums, and copied to every honest row.
+call draws the batches of all honest workers for a block of rounds, worker
+w's batch of round t from its own (w, t) batch stream; a batch never depends
+on theta, so drawing it ahead changes no bit. Forged workers all submit the
+attack vector computed from the honest submissions of the same round. The
+round builds the n messages in one fresh (n, d) array, honest rows first and
+the f forged rows last; the server aggregates it and takes the step
+theta <- theta - gamma_t * R_t. At b == m every batch is the whole dataset
+in canonical order: no batch stream is drawn, and the one clipped
+full-batch mean is summed over row blocks, as ``full_grad`` sums, and
+copied to every honest row.
 
 Randomness is drawn from counter-based streams keyed by
 (master_seed, worker_id, round, purpose), purpose 0 = batch, 1 = noise,
@@ -40,6 +42,8 @@ SCHEDULES = ("inv_sqrt", "constant")
 PURPOSE_BATCH, PURPOSE_NOISE, PURPOSE_INIT = 0, 1, 2
 
 _WORKER_BITS, _ROUND_BITS = 30, 32
+
+_DRAW_ENTRIES = 1 << 14  # batch indices per sample_batch call: 128 KB
 
 
 def _stream_key(master_seed: int, worker_id: int, round_no: int, purpose: int) -> np.ndarray:
@@ -217,6 +221,23 @@ def _point_grads(config: RunConfig, theta: np.ndarray, rows) -> np.ndarray:
     return grads if config.clip is None else clip(grads, config.clip)
 
 
+def _batches(config: RunConfig, pool: _StreamPool):
+    """Each round's (n_honest, b) batch matrix, in round order, for b < m.
+
+    One ``sample_batch`` call draws a block of rounds, about ``_DRAW_ENTRIES``
+    indices: row r of a block starting at round t0 is worker r % n_honest's
+    batch of round t0 + r // n_honest, drawn from that cell's batch stream.
+    The last block stops at ``config.steps``.
+    """
+    n_honest, b, steps = config.n - config.f, config.b, config.steps
+    rounds = max(1, _DRAW_ENTRIES // (n_honest * b))
+    for t0 in range(1, steps + 1, rounds):
+        count = min(rounds, steps + 1 - t0)
+        idx = sample_batch(config.dataset, b, count * n_honest,
+                           lambda r: pool.get(r % n_honest, t0 + r // n_honest, PURPOSE_BATCH))
+        yield from idx.reshape(count, n_honest, b)
+
+
 def run(config: RunConfig) -> RunResult:
     """Execute the configured number of rounds; see the module docstring.
 
@@ -225,8 +246,9 @@ def run(config: RunConfig) -> RunResult:
 
     Each round hands a fresh (n, d) message array, the f forged rows last, to
     this module's ``aggregate`` binding; wrapping that binding observes them.
-    Each round with b < m makes one call to this module's ``sample_batch``
-    binding; at b == m the single full batch is not drawn from the batch streams.
+    Each block of rounds with b < m makes one call to this module's
+    ``sample_batch`` binding (see ``_batches``); at b == m the single full
+    batch is not drawn from the batch streams.
     """
     model, dataset = config.model, config.dataset
     n, f, b, d = config.n, config.f, config.b, model.dim
@@ -240,7 +262,7 @@ def run(config: RunConfig) -> RunResult:
     records: list[MetricsRecord] = []
     min_sq = math.inf
     # at b == m the one batch is the whole dataset, drawn from no stream
-    full = b == m
+    batches = None if b == m else _batches(config, pool)
 
     for t in range(1, config.steps + 1):
         gamma_t = config.learning_rate(t)
@@ -260,13 +282,12 @@ def run(config: RunConfig) -> RunResult:
 
         messages = np.empty((n, d))
         honest = messages[:n_honest]
-        if full:
+        if batches is None:
             # one clipped mean over row blocks, summed in order as full_grad does
             honest[:] = row_sum(_point_grads(config, theta, slice(lo, hi))
                                 for lo, hi in sum_blocks(m, d)) / m
         else:
-            idx = sample_batch(dataset, b, n_honest,
-                               lambda w: pool.get(w, t, PURPOSE_BATCH))
+            idx = next(batches)
             # cache-sized blocks of whole workers; see model.row_blocks
             for lo, hi in row_blocks(n_honest, d, b):
                 grads = _point_grads(config, theta, idx[lo:hi].ravel())

@@ -5,12 +5,16 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from byzdp.cli import KNOWN_KEYS, build_run_config, main, parse_config
 from byzdp.engine import run
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 
 QUADRATIC_RUN = """
 model = quadratic
@@ -409,6 +413,39 @@ def test_run_rejects_grid_keys(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "config key 'grid_seed' is a sweep axis" in err and "byzdp sweep" in err
     assert not os.path.exists(tmp_path / "out")
+
+
+def test_diagnose_rejects_grid_keys(tmp_path, capsys):
+    # diagnose once reported the base batch size of a grid and exited 0
+    cfg = write(tmp_path, "sweep.cfg", _demo_config("sweep_batch_size.cfg"))
+    assert main(["diagnose", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "config key 'grid_batch_size' is a sweep axis" in captured.err
+    assert "'byzdp diagnose'" in captured.err and "byzdp sweep" in captured.err
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_stdout_exits_141_in_silence(tmp_path, unbuffered):
+    # a reader that closed its end of the pipe is not a runtime error (exit 3),
+    # and nothing may print a BrokenPipeError at exit (exit 120)
+    cfg = write(tmp_path, "diagnose.cfg", _demo_config("diagnose_mda.cfg"))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, byzdp.cli; sys.exit(byzdp.cli.main(sys.argv[1:]))", "diagnose", cfg],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141, proc.stderr.decode()
+    assert proc.stderr == b""
 
 
 def test_sweep_rejects_a_repeated_grid_value(tmp_path, capsys):

@@ -77,12 +77,19 @@ def test_stream_pool_matches_fresh_streams():
                               want.integers(0, 2**31, dtype=np.int32))
 
 
-@pytest.mark.parametrize("b", [10, 40])
-def test_round_loop_draws_through_module_bindings(monkeypatch, b):
-    # the benchmark's tracer wraps these bindings and needs them called; a
-    # round draws all its batches in one call, one rekey per honest worker,
-    # and at b == m = 40 the full batch is drawn from no stream
+@pytest.mark.parametrize("b,entries", [pytest.param(10, None, id="10"),
+                                       pytest.param(40, None, id="40"),
+                                       pytest.param(10, 200, id="10-blocks_of_4")])
+def test_round_loop_draws_through_module_bindings(monkeypatch, b, entries):
+    # the benchmark's tracer wraps these bindings and needs them called; one
+    # call draws the batches of a block of rounds, one rekey per honest worker
+    # and round, and at b == m = 40 the full batch is drawn from no stream.
+    # 200 entries make blocks of 4 rounds of 5 workers, so the second block
+    # stops at round 6 of 6
+    if entries is not None:
+        monkeypatch.setattr(byzdp.engine, "_DRAW_ENTRIES", entries)
     counts = {"batch": 0, "noise": 0, "rekey": 0, "grads": 0, "clip": 0, "full_grad": 0}
+    keys = []
 
     def counting(key, original):
         def wrapper(*args, **kwargs):
@@ -90,11 +97,15 @@ def test_round_loop_draws_through_module_bindings(monkeypatch, b):
             return original(*args, **kwargs)
         return wrapper
 
+    def keyed(pool, *key, get=_StreamPool.get):
+        keys.append(key)
+        return get(pool, *key)
+
     monkeypatch.setattr(byzdp.engine, "sample_batch",
                         counting("batch", byzdp.engine.sample_batch))
     monkeypatch.setattr(byzdp.engine, "gaussian_noise",
                         counting("noise", byzdp.engine.gaussian_noise))
-    monkeypatch.setattr(_StreamPool, "get", counting("rekey", _StreamPool.get))
+    monkeypatch.setattr(_StreamPool, "get", counting("rekey", keyed))
     for name, key in (("batch_grads", "grads"), ("clip", "clip"), ("full_grad", "full_grad")):
         monkeypatch.setattr(byzdp.engine, name, counting(key, getattr(byzdp.engine, name)))
     config = quadratic_config(gar=GarSpec("mda", 7, 2), b=b, steps=6,
@@ -105,8 +116,13 @@ def test_round_loop_draws_through_module_bindings(monkeypatch, b):
     n_honest, steps, eval_rounds = 5, 6, 3
     layered = {key: counts.pop(key) for key in ("grads", "clip", "full_grad")}
     drawn = b < 40
-    assert counts == {"batch": steps * drawn, "noise": n_honest * steps,
+    rounds = (entries or byzdp.engine._DRAW_ENTRIES) // (n_honest * b)
+    assert counts == {"batch": math.ceil(steps / rounds) * drawn, "noise": n_honest * steps,
                       "rekey": n_honest * steps * drawn + n_honest * steps}
+    # every (worker, round, purpose) cell is keyed once, and none past the last round
+    cells = [(w, t, p) for t in range(1, steps + 1) for w in range(n_honest)
+             for p in (PURPOSE_BATCH, PURPOSE_NOISE) if drawn or p == PURPOSE_NOISE]
+    assert sorted(keys) == sorted(cells)
     # per-point gradients and clipping may run in several blocks per round
     assert layered["grads"] >= steps and layered["clip"] >= steps
     assert layered["full_grad"] == eval_rounds
@@ -180,6 +196,37 @@ def test_full_batch_round_is_the_one_block_mean(monkeypatch, kind, binds, budget
     run(config)
     honest = seen[0][:config.n - config.f]
     assert all(np.array_equal(row, want) for row in honest)
+
+
+@pytest.mark.parametrize("b,m", [(1, 4000), (1, 4001), (25, 4000), (25, 4001),
+                                 (128, 4000), (128, 4001), (500, 20000), (4001, 4001)])
+@pytest.mark.parametrize("kind", ["quadratic", "logistic", "mlp1"])
+def test_block_of_rounds_keeps_every_bit(monkeypatch, kind, b, m):
+    # one round per sample_batch call draws as a round-by-round loop does;
+    # blocks of 3 rounds end mid-run at 7 steps; 1 << 62 draws the run in one
+    # call. m = 20000, b = 500 is outside Floyd's regime, drawn row by row
+    config = replace(_blocked_run_config(kind, b, m, "some"), steps=7)
+    default = run(config)
+    for entries in (1, 3 * 9 * b, 1 << 62):
+        monkeypatch.setattr(byzdp.engine, "_DRAW_ENTRIES", entries)
+        got = run(config)
+        assert np.array_equal(got.theta, default.theta), entries
+        assert got.records == default.records, entries
+
+
+def test_long_run_holds_one_block_of_batches():
+    # the whole run's batches would take 10,000 rounds x 3 workers x 25 indices,
+    # 6 MB; one block takes 16,384 indices, 128 KB
+    config = RunConfig(model=quadratic_model(np.eye(2)), dataset=regression_targets(0, 200, 2),
+                       gar=GarSpec("average", 3, 0), b=25, steps=10_000, schedule="constant",
+                       gamma=0.1, eval_every=10_000)
+    tracemalloc.start()
+    try:
+        run(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3e6
 
 
 def test_full_batch_round_stays_in_row_blocks():

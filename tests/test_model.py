@@ -448,6 +448,23 @@ def test_sample_batch_redraws_a_row_with_a_lemire_rejection():
         assert np.array_equal(got[w], _sorted_choice(m, b, worker_stream(0, w, 1589, 0)))
 
 
+def test_sample_batch_rows_span_rounds_as_per_round_calls():
+    # the engine's block of rounds 1588-1590 for 5 workers: row r is worker
+    # r % 5 in round 1588 + r // 5, and row 8 (worker 3, round 1589) holds the
+    # Lemire rejection above, drawn again from its own stream
+    m, b, ds = 4000, 512, Dataset(np.zeros((4000, 1)))
+    calls = []
+
+    def stream(r):
+        calls.append(r)
+        return worker_stream(0, r % 5, 1588 + r // 5, 0)
+
+    got = sample_batch(ds, b, 15, stream)
+    assert sorted(calls) == sorted([*range(15), 8])
+    want = np.concatenate([sample_batch(ds, b, 5, _streams(0, t)) for t in (1588, 1589, 1590)])
+    assert np.array_equal(got, want)
+
+
 def test_sample_batch_rejects_oversized():
     ds = regression_targets(0, 5, 1)
     for b, count in ((6, 1), (0, 1), (3, 0)):
