@@ -5,9 +5,9 @@ axes take bracketed lists, e.g. ``grid_batch_size = [16, 512]``. Unknown keys
 and values of the wrong type (see ``KNOWN_KEYS``) are rejected. Exit codes:
 0 success, 2 configuration error, 3 runtime error, 141 (128 + SIGPIPE) when
 the reader closed stdout.
-The environment variable BYZDP_SEED overrides master_seed. Only ``run`` has a
---seed flag, which overrides both; ``sweep`` and ``diagnose`` read only
-BYZDP_SEED.
+Every command loads its config through ``_load``, where the environment
+variable BYZDP_SEED overrides master_seed and ``run --seed`` overrides both;
+``theory_report`` is the one report that ``summary.json`` and ``diagnose`` read.
 """
 
 from __future__ import annotations
@@ -18,15 +18,15 @@ import math
 import os
 import sys
 import tempfile
+from dataclasses import asdict
 
 import numpy as np
 
 from .aggregation import GarSpec, kappa
 from .attack import AttackSpec
-from .diagnostics import (EtaBounds, convergence_bound, eta_bounds, find_vn_violation,
-                          sigma_total)
-from .engine import (CellResult, MetricsRecord, RunConfig, RunResult, cell_digest,
-                     initial_theta, run, sweep)
+from .diagnostics import convergence_bound, eta_bounds, find_vn_violation, sigma_total
+from .engine import (SWEEP_AXES, CellResult, MetricsRecord, RunConfig, RunResult,
+                     cell_digest, initial_theta, run, sweep)
 from .errors import ConfigurationError, ContractViolationError, DataLoadError
 from .model import (ClipParams, Dataset, Model, full_loss, gaussian_blobs, load_csv,
                     logistic_model, mlp1_model, estimate_min_loss, population_variance,
@@ -53,6 +53,10 @@ KNOWN_KEYS = {
     "grid_batch_size": int, "grid_epsilon": float, "grid_gar": str, "grid_attack": str,
     "grid_f": int, "grid_seed": int,
 }
+
+# the sweep axis each grid_ key names
+GRID_KEY_TO_AXIS = {"grid_batch_size": "b", "grid_epsilon": "epsilon", "grid_gar": "gar",
+                    "grid_attack": "attack", "grid_f": "f", "grid_seed": "seed"}
 
 CSV_COLUMNS = ("run_id", "round", "loss", "grad_norm", "min_sq_grad_norm", "accuracy",
                "s", "gamma", "gar", "attack", "f", "epsilon", "delta", "b", "seed")
@@ -157,7 +161,7 @@ def build_model(cfg: dict, dataset: Dataset) -> Model:
     raise ConfigurationError(f"unknown model kind '{kind}'")
 
 
-def build_run_config(cfg: dict, seed_override: int | None = None) -> RunConfig:
+def build_run_config(cfg: dict) -> RunConfig:
     kind = _require(cfg, "model")
     dataset = build_dataset(cfg, classification=kind != "quadratic")
     model = build_model(cfg, dataset)
@@ -174,22 +178,37 @@ def build_run_config(cfg: dict, seed_override: int | None = None) -> RunConfig:
     else:
         privacy = None
     options = _given(cfg, "schedule", "gamma", "momentum", "master_seed", "eval_every")
-    if seed_override is not None:
-        options["master_seed"] = seed_override
     return RunConfig(model=model, dataset=dataset, gar=gar, b=b, steps=_require(cfg, "steps"),
                      attack=attack, privacy=privacy, clip=clip_params, **options)
 
 
-def resolve_seed(flag_seed: int | None) -> int | None:
-    if flag_seed is not None:
-        return flag_seed
+def _load(args) -> tuple[dict, RunConfig, dict]:
+    """The config keys, their RunConfig and the sweep grid of ``args.config``.
+
+    ``sweep`` needs at least one grid_ key; ``run`` and ``diagnose`` take one
+    configuration and reject the first grid_ key of the file. The master seed
+    is ``run --seed``, else BYZDP_SEED, else the config's; the returned keys
+    hold it whenever it overrides the config.
+    """
+    cfg = parse_config(args.config)
+    grid_keys = [key for key in cfg if key.startswith("grid_")]
+    if args.command == "sweep" and not grid_keys:
+        raise ConfigurationError("sweep needs at least one grid_* field")
+    if args.command != "sweep" and grid_keys:
+        raise ConfigurationError(f"config key '{grid_keys[0]}' is a sweep axis: "
+                                 f"'byzdp {args.command}' takes one configuration; "
+                                 f"use 'byzdp sweep'")
+    seed = getattr(args, "seed", None)
     env = os.environ.get("BYZDP_SEED")
-    if env is not None:
+    if seed is None and env is not None:
         try:
-            return int(env)
-        except ValueError as exc:
-            raise ConfigurationError(f"BYZDP_SEED must be an integer, got '{env}'") from exc
-    return None
+            seed = int(env)
+        except ValueError:
+            raise ConfigurationError(f"BYZDP_SEED must be an integer, got '{env}'") from None
+    if seed is not None:
+        cfg["master_seed"] = seed
+    grid = {GRID_KEY_TO_AXIS[key]: cfg[key] for key in grid_keys}
+    return cfg, build_run_config(cfg), grid
 
 
 # ------------------------------------------------------------------- output
@@ -253,12 +272,13 @@ def _fmt_config_value(value) -> str:
     return str(value)
 
 
-def theory_report(cfg: dict, config: RunConfig) -> tuple[float, float, EtaBounds | None]:
-    """(kappa, upsilon, eta^2 thresholds) of a configuration.
+def theory_report(cfg: dict, config: RunConfig) -> dict:
+    """kappa, upsilon and, under a privacy budget, both eta^2 thresholds.
 
     upsilon is the config value when set, else the standard deviation of the
-    per-point gradients at theta_1. The thresholds are None without a privacy
-    budget. Raises ConfigurationError for a rule without a kappa (average).
+    per-point gradients at theta_1. The thresholds, ``eta_sq_necessary`` and
+    ``eta_sq_sufficient``, are left out without a privacy budget. Raises
+    ConfigurationError for a rule without a kappa (average).
     """
     kap = kappa(config.gar)
     if "upsilon" in cfg:
@@ -266,12 +286,12 @@ def theory_report(cfg: dict, config: RunConfig) -> tuple[float, float, EtaBounds
     else:
         theta1 = initial_theta(config)
         ups = math.sqrt(population_variance(config.model, theta1, config.dataset))
-    if config.privacy is None:
-        return kap, ups, None
+    report = {"kappa": kap, "upsilon": ups}
     privacy = config.privacy
-    bounds = eta_bounds(kap, privacy.c, config.model.dim, config.b, config.dataset.m,
-                        privacy.epsilon, privacy.delta, ups)
-    return kap, ups, bounds
+    if privacy is not None:
+        report.update(asdict(eta_bounds(kap, privacy.c, config.model.dim, config.b,
+                                        config.dataset.m, privacy.epsilon, privacy.delta, ups)))
+    return report
 
 
 def run_summary(cfg: dict, config: RunConfig, run_id: str, result) -> dict:
@@ -290,40 +310,29 @@ def run_summary(cfg: dict, config: RunConfig, run_id: str, result) -> dict:
         summary["composition"] = compose(
             config.privacy.epsilon, config.privacy.delta, config.steps)
         if config.gar.rule != "average":
-            kap, ups, bounds = theory_report(cfg, config)
-            summary["eta_bounds"] = {
-                "kappa": kap,
-                "upsilon": ups,
-                "eta_sq_necessary": bounds.eta_sq_necessary,
-                "eta_sq_sufficient": bounds.eta_sq_sufficient,
-            }
+            summary["eta_bounds"] = theory_report(cfg, config)
     return summary
 
 
 # ----------------------------------------------------------------- commands
 
-def _resolved_id(cfg: dict, config: RunConfig) -> tuple[dict, str]:
-    """The keys the config sets plus the master seed it runs under, and their digest."""
+def _out_dir(args, cfg: dict, config: RunConfig) -> tuple[str, str]:
+    """(id, directory) of a run or sweep: make the directory and write its config.resolved.
+
+    The id digests the keys the config sets plus the master seed, as config.resolved
+    records them; the directory is --out, else out, else byzdp-<command>-<id>.
+    """
     resolved = dict(cfg, master_seed=config.master_seed)
-    return resolved, cell_digest(resolved)
-
-
-def _reject_grid(cfg: dict, command: str):
-    """Raise ConfigurationError if a command that takes one configuration got a grid key."""
-    grid = [key for key in cfg if key.startswith("grid_")]
-    if grid:
-        raise ConfigurationError(f"config key '{grid[0]}' is a sweep axis: 'byzdp {command}' "
-                                 f"takes one configuration; use 'byzdp sweep'")
+    ident = cell_digest(resolved)
+    out_dir = args.out or cfg.get("out") or f"byzdp-{args.command}-{ident}"
+    os.makedirs(out_dir, exist_ok=True)
+    _atomic_write(os.path.join(out_dir, "config.resolved"), resolved_config_text(resolved))
+    return ident, out_dir
 
 
 def cmd_run(args) -> int:
-    cfg = parse_config(args.config)
-    _reject_grid(cfg, "run")
-    seed = resolve_seed(args.seed)
-    config = build_run_config(cfg, seed)
-    resolved, run_id = _resolved_id(cfg, config)
-    out_dir = args.out or cfg.get("out") or f"byzdp-run-{run_id}"
-    os.makedirs(out_dir, exist_ok=True)
+    cfg, config, _ = _load(args)
+    run_id, out_dir = _out_dir(args, cfg, config)
     result = run(config)
     _atomic_write(os.path.join(out_dir, "metrics.csv"),
                   metrics_csv_text(run_id, result.records, config))
@@ -331,7 +340,6 @@ def cmd_run(args) -> int:
     _atomic_write(os.path.join(out_dir, "summary.json"),
                   json.dumps(_json_value(summary), indent=2, sort_keys=True,
                              allow_nan=False) + "\n")
-    _atomic_write(os.path.join(out_dir, "config.resolved"), resolved_config_text(resolved))
     print(f"run {run_id}: {len(result.records)} metric rows -> {out_dir}")
     if result.max_accuracy is not None:
         print(f"max accuracy {result.max_accuracy:.6f}")
@@ -339,38 +347,27 @@ def cmd_run(args) -> int:
     return 0
 
 
-GRID_KEY_TO_AXIS = {
-    "grid_batch_size": "b",
-    "grid_epsilon": "epsilon",
-    "grid_gar": "gar",
-    "grid_attack": "attack",
-    "grid_f": "f",
-    "grid_seed": "seed",
-}
-
-
 def summary_csv_text(results: list[CellResult]) -> str:
-    cols = ("cell_id", "status", "b", "epsilon", "gar", "attack", "f", "seed",
-            "max_accuracy", "min_sq_grad_norm", "final_loss", "reason")
+    cols = ("cell_id", "status", *SWEEP_AXES, "max_accuracy", "min_sq_grad_norm",
+            "final_loss", "reason")
     rows = []
     for res in results:
-        p, r = res.params, res.result
+        r = res.result
         metrics = (r.max_accuracy, r.min_sq_grad_norm, r.final_loss) if res.ok else (None,) * 3
         reason = (res.reason or "").replace(",", ";").replace("\n", " ")
-        rows.append((res.cell_id, "ok" if res.ok else "failed", p["b"], p["epsilon"],
-                     p["gar"], p["attack"], p["f"], p["seed"], *metrics, reason))
+        rows.append((res.cell_id, "ok" if res.ok else "failed",
+                     *(res.params[axis] for axis in SWEEP_AXES), *metrics, reason))
     return _csv_text(cols, rows)
 
 
 def aggregate_csv_text(results: list[CellResult]) -> str:
     """Group cells over seeds; mean and population std of max accuracy."""
-    cols = ("b", "epsilon", "gar", "attack", "f", "runs", "mean_max_accuracy",
-            "std_max_accuracy", "mean_min_sq_grad_norm")
+    axes = tuple(axis for axis in SWEEP_AXES if axis != "seed")
+    cols = (*axes, "runs", "mean_max_accuracy", "std_max_accuracy", "mean_min_sq_grad_norm")
     groups: dict[tuple, list[RunResult]] = {}
     for res in results:
         if res.ok:
-            p = res.params
-            key = (p["b"], p["epsilon"], p["gar"], p["attack"], p["f"])
+            key = tuple(res.params[axis] for axis in axes)
             groups.setdefault(key, []).append(res.result)
     rows = []
     for key, runs in groups.items():
@@ -383,23 +380,16 @@ def aggregate_csv_text(results: list[CellResult]) -> str:
 
 
 def cmd_sweep(args) -> int:
-    cfg = parse_config(args.config)
-    seed = resolve_seed(None)
-    base = build_run_config(cfg, seed)
-    grid = {axis: cfg[key] for key, axis in GRID_KEY_TO_AXIS.items() if key in cfg}
-    if not grid:
-        raise ConfigurationError("sweep needs at least one grid_* field")
+    cfg, base, grid = _load(args)
     results = sweep(base, grid, jobs=args.jobs)
-    resolved, sweep_id = _resolved_id(cfg, base)
-    out_dir = args.out or cfg.get("out") or f"byzdp-sweep-{sweep_id}"
-    os.makedirs(out_dir, exist_ok=True)
+    # after the sweep, so that a grid it rejects leaves no directory
+    sweep_id, out_dir = _out_dir(args, cfg, base)
     for res in results:
         if res.ok:
             _atomic_write(os.path.join(out_dir, f"metrics-{res.cell_id}.csv"),
                           metrics_csv_text(res.cell_id, res.result.records, res.config))
     _atomic_write(os.path.join(out_dir, "summary.csv"), summary_csv_text(results))
     _atomic_write(os.path.join(out_dir, "aggregate.csv"), aggregate_csv_text(results))
-    _atomic_write(os.path.join(out_dir, "config.resolved"), resolved_config_text(resolved))
     n_ok = sum(res.ok for res in results)
     n_failed = len(results) - n_ok
     print(f"sweep {sweep_id}: {n_ok} cells ok, {n_failed} failed -> {out_dir}")
@@ -410,20 +400,18 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    cfg = parse_config(args.config)
-    _reject_grid(cfg, "diagnose")
-    seed = resolve_seed(None)
-    config = build_run_config(cfg, seed)
-    kap, ups, bounds = theory_report(cfg, config)
+    cfg, config, _ = _load(args)
+    report = theory_report(cfg, config)
+    kap, ups = report["kappa"], report["upsilon"]
     print(f"kappa({config.gar.rule}, n={config.n}, f={config.f}) = {kap:.8g}")
     print(f"s = {config.s:.8g}")
     if config.privacy is not None:
         print(f"epsilon_inner = {config.privacy.epsilon_inner:.8g}")
     print(f"upsilon = {ups:.8g} ({'config' if 'upsilon' in cfg else 'at theta_1'})")
-    if bounds is not None:
-        print(f"eta_sq_necessary = {bounds.eta_sq_necessary:.8g}")
-        print(f"eta_sq_sufficient = {bounds.eta_sq_sufficient:.8g}")
-        eta_sq = bounds.eta_sq_sufficient
+    if config.privacy is not None:
+        print(f"eta_sq_necessary = {report['eta_sq_necessary']:.8g}")
+        print(f"eta_sq_sufficient = {report['eta_sq_sufficient']:.8g}")
+        eta_sq = report["eta_sq_sufficient"]
     else:
         eta_sq = kap * kap * ups * ups
         print("eta bounds: not applicable (no privacy budget)")
@@ -441,6 +429,9 @@ def cmd_diagnose(args) -> int:
             exact = config.model.kind == "quadratic"
             print(f"theorem bound (T={config.steps}, alpha={alpha}, mu={mu}) = {bound:.8g}"
                   + ("" if exact else "  [q_star is an upper bound]"))
+        else:
+            print(f"theorem bound: not applicable (no smoothness constant for "
+                  f"{config.model.kind})")
     else:
         print("sigma, theorem bound: not applicable (no clip bound)")
     if config.model.kind == "quadratic":

@@ -44,9 +44,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, ContractViolationError, DataLoadError
+from .errors import ConfigurationError, ContractViolationError, DataLoadError, check_integers
 
-MODEL_KINDS = ("quadratic", "logistic", "mlp1")
+# the fields each model kind takes; quadratic derives n_features from its matrix
+MODEL_KINDS = {"quadratic": ("hessian",), "logistic": ("n_features",),
+               "mlp1": ("n_features", "hidden")}
 
 
 # ---------------------------------------------------------------- datasets
@@ -169,7 +171,10 @@ def load_csv(path: str, classification: bool) -> Dataset:
 class Model:
     """A differentiable point-wise loss family; see the module docstring.
 
-    The parameter count ``dim`` is derived from the other fields.
+    The parameter count ``dim`` is derived from the other fields. A kind
+    rejects the fields it does not take (see ``MODEL_KINDS``), and its counts
+    must be integers. A quadratic model's ``n_features`` is its matrix size:
+    one given must equal it, so that ``dataclasses.replace`` keeps working.
     """
 
     kind: str
@@ -182,6 +187,10 @@ class Model:
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
             raise ConfigurationError(f"unknown model kind '{self.kind}'")
+        takes = MODEL_KINDS[self.kind]
+        for name in ("hessian", "hidden"):
+            if name not in takes and getattr(self, name) is not None:
+                raise ConfigurationError(f"the {self.kind} model takes no {name}")
         if self.kind == "quadratic":
             h = np.asarray(self.hessian, dtype=np.float64)
             if h.ndim != 2 or h.shape[0] != h.shape[1] or h.shape[0] < 1:
@@ -190,15 +199,20 @@ class Model:
                 raise ConfigurationError("quadratic matrix must be symmetric")
             if np.linalg.eigvalsh(h)[0] < -1e-10:
                 raise ConfigurationError("quadratic matrix must be positive semidefinite")
+            if self.n_features not in (None, h.shape[0]):
+                raise ConfigurationError(f"the quadratic model's n_features is its matrix size "
+                                         f"{h.shape[0]}, got {self.n_features!r}")
             self.hessian = h
             self.n_features = self.dim = h.shape[0]
         elif self.kind == "logistic":
+            check_integers(self, *takes)
             self.dim = self.n_features
         else:
-            if not self.hidden or self.hidden < 1 or not self.n_features:
+            check_integers(self, *takes)
+            if self.hidden < 1 or self.n_features < 1:
                 raise ConfigurationError("mlp1 needs n_features and a positive hidden width")
             self.dim = self.n_features * self.hidden + 2 * self.hidden + 1
-        if self.dim is None or self.dim < 1:
+        if self.dim < 1:
             raise ConfigurationError("model dimension must be >= 1")
         if not 0 <= self.lam < math.inf:
             raise ConfigurationError(f"regularization must be finite and nonnegative, "
@@ -596,7 +610,9 @@ def estimate_min_loss(model: Model, dataset: Dataset) -> float:
                rank-deficient features) still gives a step. The step is halved
                until the loss does not increase; the loop ends when the
                gradient norm drops below ``MIN_LOSS_TOL``, when no step above
-               1e-10 helps, or after ``MIN_LOSS_MAX_STEPS`` steps. Every
+               1e-10 that moves theta helps, or after ``MIN_LOSS_MAX_STEPS``
+               steps. A step too small to move theta would repeat itself
+               every later step, so it ends the loop at once. Every
                iterate's loss is an upper bound on the minimum, and the
                estimate is exact to the gradient tolerance when the minimum
                is attained.
@@ -617,13 +633,13 @@ def estimate_min_loss(model: Model, dataset: Dataset) -> float:
         hess = (x.T * (w * (1.0 - w))) @ x / dataset.m + model.lam * np.eye(model.dim)
         step = np.linalg.lstsq(hess, g, rcond=None)[0]
         t = 1.0
-        while t > 1e-10:
+        while True:
             trial = theta - t * step
+            if t <= 1e-10 or np.array_equal(trial, theta):
+                return loss  # no step that moves theta lowers the loss
             trial_loss = full_loss(model, trial, dataset)
             if trial_loss <= loss:
                 break
             t *= 0.5
-        else:
-            break
         theta, loss = trial, trial_loss
     return loss

@@ -338,6 +338,43 @@ def test_seed_overrides(tmp_path, monkeypatch):
     assert rows[0]["seed"] == "123"  # the flag beats the environment
 
 
+@pytest.mark.parametrize("command, text", [
+    ("run", QUADRATIC_RUN), ("sweep", LOGISTIC_SWEEP), ("diagnose", DIAGNOSE_MDA),
+])
+def test_a_non_integer_seed_variable_is_a_config_error(tmp_path, monkeypatch, capsys,
+                                                       command, text):
+    cfg = write(tmp_path, "c.cfg", text)
+    monkeypatch.setenv("BYZDP_SEED", "abc")
+    out = ["--out", str(tmp_path / "out")] if command != "diagnose" else []
+    assert main([command, cfg, *out]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: BYZDP_SEED must be an integer, got 'abc'\n"
+    assert captured.out == ""
+    assert not os.path.exists(tmp_path / "out")
+    # run --seed overrides the variable, which is then never read
+    if command == "run":
+        assert main(["run", cfg, "--seed", "4", *out]) == 0
+        assert read_rows(os.path.join(tmp_path, "out", "metrics.csv"))[0]["seed"] == "4"
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("model = logistic\n", "model = quadratic\n",
+     "the blobs dataset is for classification models"),
+    ("dataset = blobs\n", "dataset = targets\n",
+     "the targets dataset is for the quadratic model"),
+    ("dataset = blobs\n", "dataset = spiral\n", "unknown dataset kind 'spiral'"),
+    ("model = logistic\n", "model = cubic\n", "unknown model kind 'cubic'"),
+], ids=["blobs_for_quadratic", "targets_for_classifier", "unknown_dataset",
+        "unknown_model"])
+def test_dataset_and_model_kinds_must_fit(tmp_path, capsys, old, new, message):
+    text = LOGISTIC_PRIVATE_RUN.replace(old, new)
+    assert text != LOGISTIC_PRIVATE_RUN
+    cfg = write(tmp_path, "c.cfg", text)
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not os.path.exists(tmp_path / "out")
+
+
 def test_run_from_csv_dataset(tmp_path):
     rng = np.random.default_rng(0)
     lines = []
@@ -448,6 +485,68 @@ def test_closed_stdout_exits_141_in_silence(tmp_path, unbuffered):
     assert proc.stderr == b""
 
 
+def test_sweep_needs_a_grid_key(tmp_path, capsys):
+    cfg = write(tmp_path, "run.cfg", QUADRATIC_RUN)
+    assert main(["sweep", cfg, "--out", str(tmp_path / "sw")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: sweep needs at least one grid_* field\n"
+    assert captured.out == ""
+    assert not os.path.exists(tmp_path / "sw")
+
+
+# zeta is left unset: a grid_attack cell whose kind differs from the config's
+# attack takes that kind's default zeta, so it matches no single run that sets zeta
+CELL_SWEEP = """
+model = logistic
+dim = 3
+reg = 1e-3
+dataset = blobs
+dataset_seed = 4
+dataset_size = 40
+n = 5
+f = 1
+gar = median
+attack = little
+epsilon = 0.5
+delta = 1e-4
+clip = 1.5
+batch_size = 8
+steps = 6
+schedule = constant
+gamma = 0.4
+momentum = 0.5
+eval_every = 2
+grid_batch_size = [8, 20]
+grid_epsilon = [0.5, none]
+grid_gar = [median, krum]
+grid_f = [0, 1]
+grid_seed = [1, 2]
+"""
+
+
+def _without_run_id(path):
+    with open(path, encoding="utf-8") as fh:
+        return [line.split(",", 1)[1] for line in fh.read().splitlines()]
+
+
+def test_a_sweep_cell_is_the_run_of_its_settings(tmp_path):
+    # cells resolve through engine._resolve_cell and runs through
+    # cli.build_run_config; a b or epsilon cell recalibrates the noise
+    sweep_dir = str(tmp_path / "sw")
+    assert main(["sweep", write(tmp_path, "sweep.cfg", CELL_SWEEP), "--out", sweep_dir]) == 0
+    cells = read_rows(os.path.join(sweep_dir, "summary.csv"))
+    assert len(cells) == 32 and all(cell["status"] == "ok" for cell in cells)
+    base = "".join(line + "\n" for line in CELL_SWEEP.strip().splitlines()
+                   if not line.startswith(("grid_", "batch_size", "epsilon", "gar", "f ")))
+    for cell in cells:
+        text = base + (f"batch_size = {cell['b']}\nepsilon = {cell['epsilon'] or 'none'}\n"
+                       f"gar = {cell['gar']}\nf = {cell['f']}\nmaster_seed = {cell['seed']}\n")
+        out = str(tmp_path / cell["cell_id"])
+        assert main(["run", write(tmp_path, "cell.cfg", text), "--out", out]) == 0
+        assert _without_run_id(os.path.join(out, "metrics.csv")) == _without_run_id(
+            os.path.join(sweep_dir, f"metrics-{cell['cell_id']}.csv")), cell
+
+
 def test_sweep_rejects_a_repeated_grid_value(tmp_path, capsys):
     cfg = write(tmp_path, "sweep.cfg", LOGISTIC_SWEEP.replace("[1, 2, 3, 4, 5]", "[1, 1]"))
     assert main(["sweep", cfg, "--out", str(tmp_path / "sw")]) == 2
@@ -505,6 +604,27 @@ def test_diagnose_prints_constants(tmp_path, capsys):
     assert "sigma" in out
     assert "vn violation witness" in out
     assert "satisfied = False" in out
+
+
+def test_diagnose_without_a_clip_bound(tmp_path, capsys):
+    text = DIAGNOSE_MDA.replace("epsilon = 0.1", "epsilon = none").replace(
+        "clip = 2.0", "clip = none")
+    cfg = write(tmp_path, "diag.cfg", text)
+    assert main(["diagnose", cfg]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "eta bounds: not applicable (no privacy budget)" in lines
+    assert "sigma, theorem bound: not applicable (no clip bound)" in lines
+    assert not any(line.startswith("sigma =") for line in lines)
+
+
+def test_diagnose_says_why_mlp1_has_no_theorem_bound(tmp_path, capsys):
+    text = LOGISTIC_PRIVATE_RUN.replace("model = logistic\n", "model = mlp1\nhidden = 4\n")
+    cfg = write(tmp_path, "diag.cfg", text)
+    assert main(["diagnose", cfg]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    # the bound needs a smoothness constant, which mlp1 does not have
+    assert lines[-2].startswith("sigma = ")
+    assert lines[-1] == "theorem bound: not applicable (no smoothness constant for mlp1)"
 
 
 def test_diagnose_average_has_no_kappa(tmp_path, capsys):

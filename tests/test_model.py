@@ -1,5 +1,6 @@
 """Losses, gradients, clipping, sampling."""
 
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -126,6 +127,56 @@ def test_regularization_must_be_finite_and_nonnegative(lam):
 def test_model_rejects_shapes_without_a_dimension(make, message):
     with pytest.raises(ConfigurationError, match=message):
         make()
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: quadratic_model(np.array([[1.0, 0.5], [0.0, 1.0]])), "must be symmetric"),
+    (lambda: quadratic_model(np.diag([1.0, -0.5])), "must be positive semidefinite"),
+    (lambda: Model("cubic", n_features=3), "unknown model kind 'cubic'"),
+], ids=["non_symmetric", "not_psd", "unknown_kind"])
+def test_model_rejects_bad_matrices_and_kinds(make, message):
+    with pytest.raises(ConfigurationError, match=message):
+        make()
+
+
+@pytest.mark.parametrize("make, name", [
+    # logistic_model(20.0) once gave dim == 20.0, and run then failed inside numpy
+    (lambda: logistic_model(20.0), "n_features"),
+    (lambda: logistic_model(True), "n_features"),
+    (lambda: mlp1_model(4.0, 3), "n_features"),
+    # mlp1_model(4, True) once ran as hidden = 1
+    (lambda: mlp1_model(4, True), "hidden"),
+    (lambda: mlp1_model(4, 2.0), "hidden"),
+    (lambda: Model("logistic"), "n_features"),
+], ids=["float_features", "bool_features", "mlp1_float_features", "bool_hidden",
+        "float_hidden", "no_features"])
+def test_model_counts_must_be_integers(make, name):
+    with pytest.raises(ConfigurationError, match=f"{name} must be an integer"):
+        make()
+
+
+@pytest.mark.parametrize("make, message", [
+    # the quadratic model once took n_features = 5 and silently kept its matrix size 3
+    (lambda: Model("quadratic", hessian=np.eye(3), n_features=5),
+     "n_features is its matrix size 3, got 5"),
+    (lambda: Model("quadratic", hessian=np.eye(3), hidden=2), "quadratic model takes no hidden"),
+    (lambda: Model("logistic", n_features=3, hidden=2), "logistic model takes no hidden"),
+    (lambda: Model("logistic", n_features=3, hessian=np.eye(3)),
+     "logistic model takes no hessian"),
+    (lambda: Model("mlp1", n_features=3, hidden=2, hessian=np.eye(2)),
+     "mlp1 model takes no hessian"),
+], ids=["quadratic_features", "quadratic_hidden", "logistic_hidden", "logistic_hessian",
+        "mlp1_hessian"])
+def test_model_rejects_fields_its_kind_does_not_take(make, message):
+    with pytest.raises(ConfigurationError, match=message):
+        make()
+
+
+def test_model_replace_keeps_working():
+    # a quadratic model's derived n_features goes back in through replace
+    model = dataclasses.replace(quadratic_model(np.eye(3)), lam=0.5)
+    assert (model.dim, model.n_features, model.lam) == (3, 3, 0.5)
+    assert dataclasses.replace(mlp1_model(np.int64(4), 3), lam=0.1).dim == 4 * 3 + 2 * 3 + 1
 
 
 # --------------------------------------------------------- input contract
@@ -586,17 +637,71 @@ def test_estimate_min_loss_unattained_minimum(ds):
     assert 0.0 <= q <= descent_min_loss(model, ds)
 
 
+def _count_min_loss_calls(monkeypatch):
+    """Route estimate_min_loss's full_grad and full_loss through recorders.
+
+    Returns the list of gradient norms it saw and the list of its loss calls.
+    """
+    norms, losses = [], []
+
+    def recording_full_grad(model, theta, dataset):
+        g = full_grad(model, theta, dataset)
+        norms.append(float(np.linalg.norm(g)))
+        return g
+
+    def recording_full_loss(model, theta, dataset):
+        losses.append(1)
+        return full_loss(model, theta, dataset)
+
+    monkeypatch.setattr(byzdp.model, "full_grad", recording_full_grad)
+    monkeypatch.setattr(byzdp.model, "full_loss", recording_full_loss)
+    return norms, losses
+
+
+def test_estimate_min_loss_halves_a_step_that_raises_the_loss(monkeypatch):
+    ds = gaussian_blobs(4, 13, 2)
+    model = logistic_model(2, lam=0.01)
+    oracle = descent_min_loss(model, ds)
+    norms, losses = _count_min_loss_calls(monkeypatch)
+    q = estimate_min_loss(model, ds)
+    # one loss at zero, one per step and one per halving; one gradient per step and
+    # the last one, under the tolerance
+    assert len(losses) - len(norms) >= 1
+    assert norms[-1] < byzdp.model.MIN_LOSS_TOL
+    assert q <= math.log(2.0)  # the loss at theta = 0
+    assert q == pytest.approx(oracle, rel=1e-12)
+
+
+def test_estimate_min_loss_stops_when_a_step_no_longer_moves_theta(monkeypatch):
+    # the gradient stalls just above the tolerance, where every step that moves
+    # theta raises the loss; the loop once repeated the unmoving step 20,000 times
+    ds = gaussian_blobs(89, 13, 2, half_sep=0.1)
+    model = logistic_model(2, lam=0.01)
+    oracle = descent_min_loss(model, ds)
+    norms, losses = _count_min_loss_calls(monkeypatch)
+    q = estimate_min_loss(model, ds)
+    assert norms[-1] >= byzdp.model.MIN_LOSS_TOL
+    assert len(norms) < 100
+    assert q <= math.log(2.0)
+    assert q == pytest.approx(oracle, rel=1e-12)
+
+
 def test_estimate_min_loss_steps_use_module_full_grad(monkeypatch):
-    calls = []
-
-    def counting_full_grad(model, theta, dataset):
-        calls.append(1)
-        return full_grad(model, theta, dataset)
-
-    monkeypatch.setattr(byzdp.model, "full_grad", counting_full_grad)
+    norms, _ = _count_min_loss_calls(monkeypatch)
     ds = gaussian_blobs(2, 4000, 20, half_sep=0.16, axis_std=0.088, cross_std=0.16)
     estimate_min_loss(logistic_model(20, lam=1e-4), ds)
-    assert 1 <= len(calls) < 20
+    assert 1 <= len(norms) < 20
+
+
+def test_quadratic_minimizer_of_a_singular_matrix_has_minimum_norm():
+    # H = diag(2, 0) at lam = 0: every theta with theta_0 = mean x_0 is a minimizer
+    # and the pseudo-inverse picks the one with theta_1 = 0
+    model = quadratic_model(np.diag([2.0, 0.0]))
+    ds = regression_targets(5, 20, 2)
+    theta = quadratic_minimizer(model, ds)
+    assert theta[0] == pytest.approx(ds.features[:, 0].mean(), rel=1e-12)
+    assert abs(theta[1]) < 1e-12
+    assert np.linalg.norm(full_grad(model, theta, ds)) < 1e-12
 
 
 def test_quadratic_gradient_is_lipschitz_with_exact_constant():
@@ -666,3 +771,25 @@ def test_csv_rejects_non_finite_values(tmp_path):
         path.write_text(f"1.0,2.0,1\n3.0,{bad},-1\n")
         with pytest.raises(DataLoadError, match="row 2"):
             load_csv(str(path), classification=True)
+
+
+def test_csv_skips_blank_lines(tmp_path):
+    path = tmp_path / "gaps.csv"
+    path.write_text("1.0,2.0,1\n\n   \n3.0,-1.0,-1\n")
+    ds = load_csv(str(path), classification=True)
+    assert ds.m == 2
+    assert np.array_equal(ds.labels, [1.0, -1.0])
+
+
+def test_csv_rejects_an_empty_file(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("")
+    with pytest.raises(DataLoadError, match="no data rows found"):
+        load_csv(str(path), classification=False)
+
+
+def test_csv_classification_needs_a_feature_and_a_label(tmp_path):
+    path = tmp_path / "labels.csv"
+    path.write_text("1\n-1\n")
+    with pytest.raises(DataLoadError, match="at least one feature and a label column"):
+        load_csv(str(path), classification=True)
