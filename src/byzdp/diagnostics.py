@@ -64,7 +64,7 @@ def monte_carlo_submission_variance(model: Model, theta: np.ndarray, dataset: Da
         idx = _sorted_choice(dataset.m, b, rng)
         g = batch_grads(model, theta, x[idx],
                         None if labels is None else labels[idx]).mean(axis=0)
-        g = g + gaussian_noise(model.dim, s, rng)
+        g = g + gaussian_noise(model.dim, s, 1, lambda _: rng)[0]
         diff = g - mean_grad
         total += float(diff @ diff)
     return total / samples

@@ -5,7 +5,10 @@ averages its clipped per-point gradients, adds Gaussian noise, optionally
 folds the result into a momentum buffer, and submits. One ``sample_batch``
 call draws the batches of all honest workers for a block of rounds, worker
 w's batch of round t from its own (w, t) batch stream; a batch never depends
-on theta, so drawing it ahead changes no bit. Forged workers all submit the
+on theta, so drawing it ahead changes no bit. The batch rows are gathered
+with ``take`` and their per-point gradients clipped in place. One
+``gaussian_noise`` call draws the noise of all honest workers of a round,
+worker w's row from its own (w, t) noise stream. Forged workers all submit the
 attack vector computed from the honest submissions of the same round. The
 round builds the n messages in one fresh (n, d) array, honest rows first and
 the f forged rows last; the server aggregates it and takes the step
@@ -214,11 +217,11 @@ class RunResult:
 
 # ---------------------------------------------------------------------- run
 
-def _point_grads(config: RunConfig, theta: np.ndarray, rows) -> np.ndarray:
-    """The per-point gradients of the given dataset rows, clipped when the run clips."""
-    x, labels = config.dataset.features, config.dataset.labels
-    grads = batch_grads(config.model, theta, x[rows], None if labels is None else labels[rows])
-    return grads if config.clip is None else clip(grads, config.clip)
+def _point_grads(config: RunConfig, theta: np.ndarray, features: np.ndarray,
+                 labels: np.ndarray | None) -> np.ndarray:
+    """The per-point gradients of the given rows, clipped in place when the run clips."""
+    grads = batch_grads(config.model, theta, features, labels)
+    return grads if config.clip is None else clip(grads, config.clip, out=grads)
 
 
 def _batches(config: RunConfig, pool: _StreamPool):
@@ -248,12 +251,14 @@ def run(config: RunConfig) -> RunResult:
     this module's ``aggregate`` binding; wrapping that binding observes them.
     Each block of rounds with b < m makes one call to this module's
     ``sample_batch`` binding (see ``_batches``); at b == m the single full
-    batch is not drawn from the batch streams.
+    batch is not drawn from the batch streams. Each round with s > 0 makes
+    one call to this module's ``gaussian_noise`` binding, which rekeys the
+    pooled generator once per honest worker.
     """
     model, dataset = config.model, config.dataset
     n, f, b, d = config.n, config.f, config.b, model.dim
     n_honest = n - f
-    m = dataset.m
+    m, x, labels = dataset.m, dataset.features, dataset.labels
     s = config.s
     pool = _StreamPool(config.master_seed)
 
@@ -284,17 +289,19 @@ def run(config: RunConfig) -> RunResult:
         honest = messages[:n_honest]
         if batches is None:
             # one clipped mean over row blocks, summed in order as full_grad does
-            honest[:] = row_sum(_point_grads(config, theta, slice(lo, hi))
+            honest[:] = row_sum(_point_grads(config, theta, x[lo:hi],
+                                             None if labels is None else labels[lo:hi])
                                 for lo, hi in sum_blocks(m, d)) / m
         else:
             idx = next(batches)
             # cache-sized blocks of whole workers; see model.row_blocks
             for lo, hi in row_blocks(n_honest, d, b):
-                grads = _point_grads(config, theta, idx[lo:hi].ravel())
+                rows = idx[lo:hi].ravel()
+                grads = _point_grads(config, theta, x.take(rows, axis=0),
+                                     None if labels is None else labels.take(rows))
                 honest[lo:hi] = grads.reshape(-1, b, d).mean(axis=1)
         if s > 0.0:
-            for w in range(n_honest):
-                honest[w] += gaussian_noise(d, s, pool.get(w, t, PURPOSE_NOISE))
+            honest += gaussian_noise(d, s, n_honest, lambda w: pool.get(w, t, PURPOSE_NOISE))
         if momenta is not None:
             momenta *= config.momentum
             momenta += honest

@@ -387,8 +387,10 @@ def batch_losses(model: Model, theta: np.ndarray, features: np.ndarray,
     else:
         losses = np.logaddexp(0.0, -y * out)
     if model.lam:
-        # skipped at lam = 0, where 0 * inf would turn an overflowed loss into nan
-        losses += 0.5 * model.lam * float(theta @ theta)
+        # skipped at lam = 0, where 0 * inf would turn an overflowed loss into nan;
+        # a diverged theta's |theta|^2 overflows to inf, and so does the loss
+        with np.errstate(over="ignore"):
+            losses += 0.5 * model.lam * float(theta @ theta)
     return losses
 
 
@@ -417,23 +419,29 @@ class ClipParams:
             raise ConfigurationError(f"clip bound must be positive and finite, got {self.c}")
 
 
-def clip(g: np.ndarray, clip_params: ClipParams) -> np.ndarray:
+def clip(g: np.ndarray, clip_params: ClipParams, out: np.ndarray | None = None) -> np.ndarray:
     """Rescale g onto the ball of radius c when its norm exceeds c.
 
     Accepts a single vector or a (k, d) matrix of row vectors; rows are
-    clipped independently. The zero vector is a fixed point. The result is a
-    new array, bit for bit ``rows * factors[:, None]`` with a factor of 1 for
-    every row within the bound. When at most half the rows are over it, the
-    rows are copied and only those over it are scaled (x * 1.0 == x), which
-    skips numpy's slow broadcast multiply; otherwise that multiply is used.
+    clipped independently. The zero vector is a fixed point. The result is
+    bit for bit ``rows * factors[:, None]`` with a factor of 1 for every row
+    within the bound. By default it is a new array: when at most half the
+    rows are over the bound, the rows are copied and only those over it are
+    scaled (x * 1.0 == x), which skips numpy's slow broadcast multiply;
+    otherwise that multiply is used. With ``out=g``, a float64 array, g is
+    clipped in place, the same way but without the copy, and g itself is
+    returned; any other ``out`` raises ContractViolationError.
     """
+    in_place = out is not None
+    if in_place and (out is not g or not isinstance(g, np.ndarray) or g.dtype != np.float64):
+        raise ContractViolationError("clip writes in place only with out=g, a float64 array")
     g = np.asarray(g, dtype=np.float64)
     c = clip_params.c
     rows = np.atleast_2d(g)
     norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
     over = np.flatnonzero(norms > c)
     if not over.size:
-        return g.copy()
+        return g if in_place else g.copy()
     factors = c / norms[over]
     huge = np.isinf(norms[over])
     if huge.any():
@@ -447,12 +455,13 @@ def clip(g: np.ndarray, clip_params: ClipParams) -> np.ndarray:
     if 2 * over.size > len(rows):
         scale = np.ones_like(norms)
         scale[over] = factors
-        return (rows * scale[:, None]).reshape(g.shape)
-    out = rows.copy()
-    sub = rows[over]
-    sub *= factors[:, None]  # in place: a second temporary costs page faults at mlp1 width
-    out[over] = sub
-    return out.reshape(g.shape)
+        result = np.multiply(rows, scale[:, None], out=rows if in_place else None)
+    else:
+        result = rows if in_place else rows.copy()
+        sub = rows[over]
+        sub *= factors[:, None]  # in place: a second temporary costs page faults at mlp1 width
+        result[over] = sub
+    return g if in_place else result.reshape(g.shape)
 
 
 # --------------------------------------------------------- sampling & stats

@@ -9,12 +9,14 @@ noise scale
 makes each such release (eps, delta)-DP: the mean-gradient sensitivity is
 2C/b, the Gaussian mechanism then gives an inner budget of
 (ln((e^eps - 1) m/b + 1), m delta / b), and sub-sampling amplification brings
-that back down to (eps, delta).
+that back down to (eps, delta). ``gaussian_noise`` draws that noise for
+several workers in one call, each worker's row from its own stream.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 
@@ -95,15 +97,41 @@ def noise_scale(c: float, b: int, m: int, epsilon: float, delta: float) -> float
     return (2.0 * c / (b * eps_inner)) * math.sqrt(2.0 * log_term)
 
 
-def gaussian_noise(d: int, s: float, rng: np.random.Generator) -> np.ndarray:
-    """d independent N(0, s^2) draws; s = 0 returns zeros without touching rng."""
+def _index(name: str, value) -> int:
+    """An integer argument as a Python int; bools, floats and other values raise."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ContractViolationError(f"{name} must be an integer, got {value!r}")
+
+
+def gaussian_noise(d: int, s: float, count: int, stream) -> np.ndarray:
+    """A (count, d) matrix of independent N(0, s^2) draws; row w comes from ``stream(w)``.
+
+    Row w equals ``stream(w).normal(0.0, s, d)`` bit for bit. It is drawn by
+    ``standard_normal`` into its row, which consumes the same words as
+    ``normal``, and the whole matrix is then scaled once. numpy's ``normal``
+    returns ``loc + scale * z``, so 0.0 is added after the scaling: it turns
+    a -0.0 product into +0.0. At s = 0 the result is zeros and ``stream`` is
+    never called.
+    """
+    d, count = _index("dimension", d), _index("count", count)
     if d < 1:
         raise ContractViolationError("dimension must be >= 1")
-    if s < 0:
-        raise ContractViolationError("noise scale must be nonnegative")
+    if count < 1:
+        raise ContractViolationError(f"need at least one noise row, got count={count}")
+    if not 0.0 <= s < math.inf:
+        raise ContractViolationError(f"noise scale must be nonnegative and finite, got {s}")
     if s == 0.0:
-        return np.zeros(d)
-    return rng.normal(0.0, s, d)
+        return np.zeros((count, d))
+    z = np.empty((count, d))
+    for w in range(count):
+        stream(w).standard_normal(out=z[w])
+    z *= s
+    z += 0.0
+    return z
 
 
 # ------------------------------------------------------------------- types

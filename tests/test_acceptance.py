@@ -96,7 +96,7 @@ def test_criterion_03_privacy_calibration():
     plain = (2 * c / (m * eps)) * math.sqrt(2 * math.log(1.25 / delta))
     reduction_ok = abs(noise_scale(c, m, m, eps, delta) - plain) <= 1e-12 * plain
     rng = worker_stream(7, 0, 1, 1)
-    draws = np.concatenate([gaussian_noise(100_000, s, rng) for _ in range(10)])
+    draws = gaussian_noise(100_000, s, 10, lambda _: rng).ravel()
     var_ok = abs(draws.var() - s * s) <= 0.01 * s * s
     elapsed = time.perf_counter() - start
     verdict(3, value_ok and reduction_ok and var_ok and elapsed < 10.0,

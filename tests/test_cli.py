@@ -305,6 +305,21 @@ def test_diverged_run_writes_strict_json(tmp_path):
     assert summary["composition"]["steps"] == 50
 
 
+def test_diverged_regularised_run_reads_inf_loss_without_a_warning(tmp_path):
+    # lam > 0: |theta|^2 of the diverged theta overflows in the regulariser,
+    # which gives the inf loss it should without an overflow warning; the
+    # suite turns RuntimeWarning into an error
+    demo = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                        "demos", "configs", "run_little_mda.cfg")
+    text = open(demo).read().replace("steps = 300", "steps = 20")
+    cfg = write(tmp_path, "diverge.cfg", text.replace("gamma = 0.5", "gamma = 1e300"))
+    out = str(tmp_path / "out")
+    assert main(["run", cfg, "--out", out]) == 0
+    rows = read_rows(os.path.join(out, "metrics.csv"))
+    assert len(rows) == 20 and float(rows[0]["loss"]) < math.inf
+    assert all(float(row["loss"]) == math.inf for row in rows[1:])
+
+
 def test_run_is_byte_deterministic(tmp_path):
     cfg = write(tmp_path, "run.cfg", QUADRATIC_RUN)
     out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")

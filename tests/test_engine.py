@@ -82,8 +82,9 @@ def test_stream_pool_matches_fresh_streams():
                                        pytest.param(10, 200, id="10-blocks_of_4")])
 def test_round_loop_draws_through_module_bindings(monkeypatch, b, entries):
     # the benchmark's tracer wraps these bindings and needs them called; one
-    # call draws the batches of a block of rounds, one rekey per honest worker
-    # and round, and at b == m = 40 the full batch is drawn from no stream.
+    # call draws the batches of a block of rounds and one the noise of a
+    # round, one rekey per honest worker and round for each, and at b == m = 40
+    # the full batch is drawn from no stream.
     # 200 entries make blocks of 4 rounds of 5 workers, so the second block
     # stops at round 6 of 6
     if entries is not None:
@@ -117,7 +118,7 @@ def test_round_loop_draws_through_module_bindings(monkeypatch, b, entries):
     layered = {key: counts.pop(key) for key in ("grads", "clip", "full_grad")}
     drawn = b < 40
     rounds = (entries or byzdp.engine._DRAW_ENTRIES) // (n_honest * b)
-    assert counts == {"batch": math.ceil(steps / rounds) * drawn, "noise": n_honest * steps,
+    assert counts == {"batch": math.ceil(steps / rounds) * drawn, "noise": steps,
                       "rekey": n_honest * steps * drawn + n_honest * steps}
     # every (worker, round, purpose) cell is keyed once, and none past the last round
     cells = [(w, t, p) for t in range(1, steps + 1) for w in range(n_honest)
@@ -299,7 +300,7 @@ def test_hand_rolled_round_matches_engine(b):
         grads = clip(batch_grads(model, theta1, ds.features[idx], ds.labels[idx]),
                      ClipParams(c))
         g = grads.mean(axis=0)
-        g = g + gaussian_noise(4, privacy.s, worker_stream(21, w, 1, PURPOSE_NOISE))
+        g = g + worker_stream(21, w, 1, PURPOSE_NOISE).normal(0.0, privacy.s, 4)
         subs.append(g)
     assert 0 < np.count_nonzero(clipped) < np.size(clipped)
     expected = theta1 - 0.3 * np.asarray(subs).mean(axis=0)
@@ -391,8 +392,8 @@ def test_honest_message_norm_bounded_without_momentum(monkeypatch):
     assert messages.shape == (4, 5, 5)
     for t, round_msgs in enumerate(messages, start=1):
         for worker_id, vector in enumerate(round_msgs):
-            noise = gaussian_noise(5, privacy.s,
-                                   worker_stream(11, worker_id, t, PURPOSE_NOISE))
+            noise = gaussian_noise(5, privacy.s, 1,
+                                   lambda _: worker_stream(11, worker_id, t, PURPOSE_NOISE))[0]
             assert np.linalg.norm(vector - noise) <= 0.8 * (1 + 1e-12)
 
 

@@ -378,6 +378,9 @@ def test_clip_scales_only_the_rows_over_the_bound_bit_for_bit(shape, share):
     assert np.array_equal(out, _clip_every_row(g, c))
     assert int((np.linalg.norm(np.atleast_2d(g), axis=1) > c).sum()) == k
     assert np.array_equal(g, before) and not np.shares_memory(out, g)
+    # out=g clips g itself to the same bits
+    assert clip(g, ClipParams(c), out=g) is g
+    assert np.array_equal(g, out)
 
 
 @pytest.mark.parametrize("rows", [
@@ -394,6 +397,21 @@ def test_clip_overflow_rows_match_the_oracle(rows):
         want = _clip_every_row(g, 2.0)
     assert np.array_equal(out, want, equal_nan=True)
     assert np.array_equal(g, before, equal_nan=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert clip(g, ClipParams(2.0), out=g) is g
+    assert np.array_equal(g, want, equal_nan=True)
+
+
+def test_clip_in_place_rejects_any_other_out():
+    g = np.array([[3.0, 4.0], [0.3, 0.4]])
+    before = g.copy()
+    for out in (g.copy(), np.empty_like(g), g[:], g.reshape(-1)):
+        with pytest.raises(ContractViolationError, match="out=g"):
+            clip(g, ClipParams(1.0), out=out)
+    assert np.array_equal(g, before)
+    for h in (g.astype(np.float32), [[3.0, 4.0]]):
+        with pytest.raises(ContractViolationError, match="float64"):
+            clip(h, ClipParams(1.0), out=h)
 
 
 def test_clipped_point_grads_bounded():

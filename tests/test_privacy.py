@@ -142,22 +142,75 @@ def test_delta_log_factor_is_the_one_budget_check():
 
 # ------------------------------------------------------------ gaussian noise
 
+def _one_stream(rng):
+    return lambda _: rng
+
+
+def _position(rng):
+    state = rng.bit_generator.state
+    return (tuple(state["state"]["counter"]), tuple(state["buffer"]), state["buffer_pos"],
+            state["has_uint32"], state["uinteger"])
+
+
 def test_gaussian_noise_zero_scale():
-    rng = worker_stream(0, 0, 1, 1)
-    before = rng.bit_generator.state["state"]["counter"].copy()
-    assert np.array_equal(gaussian_noise(3, 0.0, rng), np.zeros(3))
-    assert np.array_equal(rng.bit_generator.state["state"]["counter"], before)
+    def undrawn(w):
+        raise AssertionError(f"stream {w} drawn at s = 0")
+    noise = gaussian_noise(3, 0.0, 4, undrawn)
+    assert noise.shape == (4, 3) and not noise.any() and not np.signbit(noise).any()
 
 
 def test_gaussian_noise_deterministic():
-    a = gaussian_noise(8, 0.5, worker_stream(3, 1, 2, 1))
-    b = gaussian_noise(8, 0.5, worker_stream(3, 1, 2, 1))
+    a = gaussian_noise(8, 0.5, 1, _one_stream(worker_stream(3, 1, 2, 1)))
+    b = gaussian_noise(8, 0.5, 1, _one_stream(worker_stream(3, 1, 2, 1)))
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("s", [5e-324, 1.5e-323, 1e-300, 0.37, 1.0, 3.5e7, 1e300])
+@pytest.mark.parametrize("d,count", [(1, 1), (1, 6), (7, 1), (10, 15), (705, 3)])
+def test_gaussian_noise_rows_are_the_stream_normal_draws_bit_for_bit(s, d, count):
+    # row w is stream(w).normal(0.0, s, d); bit patterns are compared, since
+    # -0.0 == 0.0, and s = 5e-324 makes zero products, where a missing + 0.0
+    # would keep the sign of -0.0
+    got_streams = [worker_stream(5, w, 9, 1) for w in range(count)]
+    want_streams = [worker_stream(5, w, 9, 1) for w in range(count)]
+    got = gaussian_noise(d, s, count, lambda w: got_streams[w])
+    want = np.array([want_streams[w].normal(0.0, s, d) for w in range(count)])
+    assert got.shape == (count, d)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert [_position(g) for g in got_streams] == [_position(g) for g in want_streams]
+
+
+def test_gaussian_noise_leaves_a_shared_rng_where_normal_does():
+    # a generator shared by several calls, as monte_carlo_submission_variance shares one
+    got, want = worker_stream(8, 0, 0, 1), worker_stream(8, 0, 0, 1)
+    for d in (1, 3, 8, 1):
+        a = gaussian_noise(d, 0.7, 1, _one_stream(got))[0]
+        b = want.normal(0.0, 0.7, d)
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+    assert _position(got) == _position(want)
+
+
+@pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf, -1.0, -5e-324])
+def test_gaussian_noise_rejects_a_bad_scale(s):
+    with pytest.raises(ContractViolationError, match="noise scale"):
+        gaussian_noise(3, s, 1, _one_stream(worker_stream(0, 0, 1, 1)))
+
+
+@pytest.mark.parametrize("d,count", [(3.0, 1), (True, 1), ("3", 1), (3, 2.0), (3, False),
+                                     (0, 1), (3, 0)])
+def test_gaussian_noise_rejects_a_bad_dimension_or_count(d, count):
+    with pytest.raises(ContractViolationError):
+        gaussian_noise(d, 0.5, count, _one_stream(worker_stream(0, 0, 1, 1)))
+
+
+def test_gaussian_noise_takes_numpy_integers():
+    noise = gaussian_noise(np.int64(3), 0.5, np.int32(2), lambda w: worker_stream(0, w, 1, 1))
+    assert noise.shape == (2, 3)
 
 
 def test_gaussian_noise_moments():
     rng = worker_stream(42, 0, 1, 1)
-    draws = np.concatenate([gaussian_noise(10_000, 1.0, rng) for _ in range(100)])
+    draws = gaussian_noise(10_000, 1.0, 100, _one_stream(rng)).ravel()
     assert abs(draws.mean()) <= 0.005
     assert abs(draws.var() - 1.0) <= 0.01
 
@@ -166,10 +219,8 @@ def test_gaussian_noise_mean_squared_norm():
     # E|y|^2 = d s^2
     rng = worker_stream(43, 0, 1, 1)
     d, s, draws = 10, 0.5, 100_000
-    sq = np.fromiter((float(y @ y) for y in
-                      (gaussian_noise(d, s, rng) for _ in range(draws))),
-                     dtype=float, count=draws)
-    assert sq.mean() == pytest.approx(d * s * s, rel=0.02)
+    y = gaussian_noise(d, s, draws, _one_stream(rng))
+    assert np.einsum("ij,ij->i", y, y).mean() == pytest.approx(d * s * s, rel=0.02)
 
 
 # -------------------------------------------------------------- composition
