@@ -1,6 +1,7 @@
-"""Exception types shared across the package, and the integer field check."""
+"""Exception types shared across the package, and the integer checks."""
 
 import numbers
+import operator
 
 
 class ContractViolationError(ValueError):
@@ -23,12 +24,17 @@ class DataLoadError(ValueError):
     """A dataset file could not be parsed."""
 
 
-def check_integers(owner, *names: str) -> None:
-    """Raise ConfigurationError unless each named field of owner holds an integer.
+def as_integer(name: str, value, error: type[ValueError] = ContractViolationError) -> int:
+    """value as a Python int; raise error unless it is a Python or numpy integer.
 
-    Python and numpy integers pass; bools and integral floats such as 10.0 do not.
+    Bools and integral floats such as 10.0 are refused.
     """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise error(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
+
+
+def check_integers(owner, *names: str) -> None:
+    """Raise ConfigurationError unless each named field of owner holds an integer, as as_integer."""
     for name in names:
-        value = getattr(owner, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+        as_integer(name, getattr(owner, name), ConfigurationError)

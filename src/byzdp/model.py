@@ -39,12 +39,12 @@ other scipy function is imported where it is called, not at module level.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, ContractViolationError, DataLoadError, check_integers
+from .errors import (ConfigurationError, ContractViolationError, DataLoadError, as_integer,
+                     check_integers)
 
 # the fields each model kind takes; quadratic derives n_features from its matrix
 MODEL_KINDS = {"quadratic": ("hessian",), "logistic": ("n_features",),
@@ -425,23 +425,22 @@ def clip(g: np.ndarray, clip_params: ClipParams, out: np.ndarray | None = None) 
     Accepts a single vector or a (k, d) matrix of row vectors; rows are
     clipped independently. The zero vector is a fixed point. The result is
     bit for bit ``rows * factors[:, None]`` with a factor of 1 for every row
-    within the bound. By default it is a new array: when at most half the
-    rows are over the bound, the rows are copied and only those over it are
-    scaled (x * 1.0 == x), which skips numpy's slow broadcast multiply;
-    otherwise that multiply is used. With ``out=g``, a float64 array, g is
-    clipped in place, the same way but without the copy, and g itself is
-    returned; any other ``out`` raises ContractViolationError.
+    within the bound. By default g is copied first and the copy is clipped;
+    with ``out=g``, a float64 array, g itself is clipped and returned; any
+    other ``out`` raises ContractViolationError. Only the rows over the bound
+    are scaled (x * 1.0 == x) when they are at most half, which skips numpy's
+    slow broadcast multiply; otherwise every row is multiplied.
     """
-    in_place = out is not None
-    if in_place and (out is not g or not isinstance(g, np.ndarray) or g.dtype != np.float64):
+    if out is None:
+        g = np.array(g, dtype=np.float64)
+    elif out is not g or not isinstance(g, np.ndarray) or g.dtype != np.float64:
         raise ContractViolationError("clip writes in place only with out=g, a float64 array")
-    g = np.asarray(g, dtype=np.float64)
     c = clip_params.c
     rows = np.atleast_2d(g)
     norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
     over = np.flatnonzero(norms > c)
     if not over.size:
-        return g if in_place else g.copy()
+        return g
     factors = c / norms[over]
     huge = np.isinf(norms[over])
     if huge.any():
@@ -455,13 +454,12 @@ def clip(g: np.ndarray, clip_params: ClipParams, out: np.ndarray | None = None) 
     if 2 * over.size > len(rows):
         scale = np.ones_like(norms)
         scale[over] = factors
-        result = np.multiply(rows, scale[:, None], out=rows if in_place else None)
+        rows *= scale[:, None]
     else:
-        result = rows if in_place else rows.copy()
         sub = rows[over]
         sub *= factors[:, None]  # in place: a second temporary costs page faults at mlp1 width
-        result[over] = sub
-    return g if in_place else result.reshape(g.shape)
+        rows[over] = sub
+    return g
 
 
 # --------------------------------------------------------- sampling & stats
@@ -504,7 +502,7 @@ def sample_batch(dataset: Dataset, b: int, count: int, stream) -> np.ndarray:
     row's set is replaced by j. A row in which Lemire would reject a draw,
     and every row outside the Floyd regime, is drawn by ``choice`` itself.
     """
-    m, b, count = dataset.m, operator.index(b), operator.index(count)
+    m, b, count = dataset.m, as_integer("batch size", b), as_integer("count", count)
     _check_batch_size(m, b)
     if count < 1:
         raise ContractViolationError(f"need at least one batch, got count={count}")

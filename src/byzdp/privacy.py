@@ -16,13 +16,12 @@ several workers in one call, each worker's row from its own stream.
 from __future__ import annotations
 
 import math
-import operator
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CalibrationError, ContractViolationError, check_integers
+from .errors import CalibrationError, ContractViolationError, as_integer, check_integers
 
 
 class PrivacyRegimeWarning(UserWarning):
@@ -97,16 +96,6 @@ def noise_scale(c: float, b: int, m: int, epsilon: float, delta: float) -> float
     return (2.0 * c / (b * eps_inner)) * math.sqrt(2.0 * log_term)
 
 
-def _index(name: str, value) -> int:
-    """An integer argument as a Python int; bools, floats and other values raise."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ContractViolationError(f"{name} must be an integer, got {value!r}")
-
-
 def gaussian_noise(d: int, s: float, count: int, stream) -> np.ndarray:
     """A (count, d) matrix of independent N(0, s^2) draws; row w comes from ``stream(w)``.
 
@@ -117,7 +106,7 @@ def gaussian_noise(d: int, s: float, count: int, stream) -> np.ndarray:
     a -0.0 product into +0.0. At s = 0 the result is zeros and ``stream`` is
     never called.
     """
-    d, count = _index("dimension", d), _index("count", count)
+    d, count = as_integer("dimension", d), as_integer("count", count)
     if d < 1:
         raise ContractViolationError("dimension must be >= 1")
     if count < 1:

@@ -544,6 +544,15 @@ def test_sample_batch_rejects_oversized():
             _sorted_choice(5, b, worker_stream(0, 0, 1, 0))
 
 
+@pytest.mark.parametrize("b,count", [(True, 1), (3.0, 1), (3, True), (3, 2.0)])
+def test_sample_batch_rejects_a_bool_or_float_size(b, count):
+    # b=True once drew one-point batches, as operator.index lets bools through
+    ds = regression_targets(0, 5, 1)
+    with pytest.raises(ContractViolationError, match="must be an integer"):
+        sample_batch(ds, b, count, _streams(0, 1))
+    assert sample_batch(ds, np.int64(3), np.int32(2), _streams(0, 1)).shape == (2, 3)
+
+
 # ---------------------------------------------------- population variance
 
 def population_variance_oracle(model, theta, dataset):
