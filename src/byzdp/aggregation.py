@@ -29,15 +29,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
-from .errors import CapacityError, ConfigurationError, ContractViolationError, check_integers
+from .errors import ConfigurationError, ContractViolationError, check_integers
 
 RULES = ("average", "krum", "mda", "median", "bulyan")
-
-MDA_SUBSET_CAP = 200_000  # of the enumerating oracle, mda_bruteforce
 
 _FLOAT_MAX = float(np.finfo(np.float64).max)
 _SQUARE_FLOOR = 2.0 ** -511  # squares of smaller numbers are subnormal
@@ -285,34 +282,3 @@ def aggregate(spec: GarSpec, grads) -> np.ndarray:
     if spec.rule == "mda":
         return _mda(g, f)
     return _bulyan(g, f)
-
-
-# ------------------------------------------------------------------ oracles
-
-def mda_bruteforce(grads, n: int, f: int) -> np.ndarray:
-    """Reference minimum-diameter averaging by plain nested loops.
-
-    Kept independent of aggregate() so the two can cross-check each other.
-    Diameter ties resolve to the lexicographically smallest index set.
-    """
-    g = _as_matrix(grads, n)
-    size = n - f
-    if size < 1:
-        raise ContractViolationError("need n - f >= 1")
-    total = math.comb(n, size)
-    if total > MDA_SUBSET_CAP:
-        raise CapacityError(
-            f"mda would enumerate {total} subsets, above the cap of {MDA_SUBSET_CAP}")
-    best_diam = math.inf
-    best: tuple[int, ...] | None = None
-    for subset in combinations(range(n), size):
-        diam = 0.0
-        for a in range(size):
-            for b in range(a + 1, size):
-                dval = float(np.linalg.norm(g[subset[a]] - g[subset[b]]))
-                if dval > diam:
-                    diam = dval
-        if diam < best_diam:
-            best_diam = diam
-            best = subset
-    return g[list(best)].mean(axis=0)

@@ -217,11 +217,11 @@ class RunResult:
 
 # ---------------------------------------------------------------------- run
 
-def _point_grads(config: RunConfig, theta: np.ndarray, features: np.ndarray,
-                 labels: np.ndarray | None) -> np.ndarray:
+def _clipped_grads(config: RunConfig, theta: np.ndarray, features: np.ndarray,
+                   labels: np.ndarray | None) -> np.ndarray:
     """The per-point gradients of the given rows, clipped in place when the run clips."""
     grads = batch_grads(config.model, theta, features, labels)
-    return grads if config.clip is None else clip(grads, config.clip, out=grads)
+    return grads if config.clip is None else clip(grads, config.clip)
 
 
 def _batches(config: RunConfig, pool: _StreamPool):
@@ -289,16 +289,16 @@ def run(config: RunConfig) -> RunResult:
         honest = messages[:n_honest]
         if batches is None:
             # one clipped mean over row blocks, summed in order as full_grad does
-            honest[:] = row_sum(_point_grads(config, theta, x[lo:hi],
-                                             None if labels is None else labels[lo:hi])
+            honest[:] = row_sum(_clipped_grads(config, theta, x[lo:hi],
+                                               None if labels is None else labels[lo:hi])
                                 for lo, hi in sum_blocks(m, d)) / m
         else:
             idx = next(batches)
             # cache-sized blocks of whole workers; see model.row_blocks
             for lo, hi in row_blocks(n_honest, d, b):
                 rows = idx[lo:hi].ravel()
-                grads = _point_grads(config, theta, x.take(rows, axis=0),
-                                     None if labels is None else labels.take(rows))
+                grads = _clipped_grads(config, theta, x.take(rows, axis=0),
+                                       None if labels is None else labels.take(rows))
                 honest[lo:hi] = grads.reshape(-1, b, d).mean(axis=1)
         if s > 0.0:
             honest += gaussian_noise(d, s, n_honest, lambda w: pool.get(w, t, PURPOSE_NOISE))

@@ -16,10 +16,6 @@ class CalibrationError(ConfigurationError):
     """Privacy calibration preconditions do not hold; the message names the violated bound."""
 
 
-class CapacityError(RuntimeError):
-    """The enumerating mda oracle, `mda_bruteforce`, would exceed its subset cap."""
-
-
 class DataLoadError(ValueError):
     """A dataset file could not be parsed."""
 

@@ -340,12 +340,6 @@ def batch_grads(model: Model, theta: np.ndarray, features: np.ndarray,
     return grads
 
 
-def point_grad(model: Model, theta: np.ndarray, x: np.ndarray,
-               label: float | None = None) -> np.ndarray:
-    """Gradient of the point-wise loss q at one data point."""
-    return batch_grads(model, theta, x, label)[0]
-
-
 def sum_blocks(count: int, d: int):
     """The row blocks over which ``row_sum`` gives the bits of ``sum(axis=0)``.
 
@@ -419,22 +413,19 @@ class ClipParams:
             raise ConfigurationError(f"clip bound must be positive and finite, got {self.c}")
 
 
-def clip(g: np.ndarray, clip_params: ClipParams, out: np.ndarray | None = None) -> np.ndarray:
-    """Rescale g onto the ball of radius c when its norm exceeds c.
+def clip(g: np.ndarray, clip_params: ClipParams) -> np.ndarray:
+    """Rescale g in place onto the ball of radius c when its norm exceeds c; return g.
 
-    Accepts a single vector or a (k, d) matrix of row vectors; rows are
-    clipped independently. The zero vector is a fixed point. The result is
-    bit for bit ``rows * factors[:, None]`` with a factor of 1 for every row
-    within the bound. By default g is copied first and the copy is clipped;
-    with ``out=g``, a float64 array, g itself is clipped and returned; any
-    other ``out`` raises ContractViolationError. Only the rows over the bound
+    g is a float64 array, a single vector or a (k, d) matrix of row vectors;
+    rows are clipped independently. Any other g raises ContractViolationError,
+    so a caller that needs its input kept passes a copy. The zero vector is a
+    fixed point. The result is bit for bit ``rows * factors[:, None]`` with a
+    factor of 1 for every row within the bound. Only the rows over the bound
     are scaled (x * 1.0 == x) when they are at most half, which skips numpy's
     slow broadcast multiply; otherwise every row is multiplied.
     """
-    if out is None:
-        g = np.array(g, dtype=np.float64)
-    elif out is not g or not isinstance(g, np.ndarray) or g.dtype != np.float64:
-        raise ContractViolationError("clip writes in place only with out=g, a float64 array")
+    if not isinstance(g, np.ndarray) or g.dtype != np.float64:
+        raise ContractViolationError("clip works in place on a float64 array")
     c = clip_params.c
     rows = np.atleast_2d(g)
     norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))

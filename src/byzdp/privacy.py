@@ -83,17 +83,23 @@ def noise_scale(c: float, b: int, m: int, epsilon: float, delta: float) -> float
 
     Emits PrivacyRegimeWarning when the inner budget is >= 1, which happens
     for small b/m even with epsilon < 1; the closed form is still evaluated
-    as written.
+    as written. Raises CalibrationError, naming the clip bound, when the
+    closed form overflows to inf or underflows to 0 (no noise at all).
     """
     log_term = delta_log_factor(epsilon, delta, b, m)
     if not 0 < c < math.inf:
         raise CalibrationError(f"clip bound must be positive and finite, got {c}")
     eps_inner = inner_epsilon(epsilon, b, m)
+    s = (2.0 * c / (b * eps_inner)) * math.sqrt(2.0 * log_term)
+    if not 0.0 < s < math.inf:
+        raise CalibrationError(
+            f"noise scale s = {s} is not positive and finite: the clip bound {c} "
+            f"is out of range at b={b}, m={m}, epsilon={epsilon}, delta={delta}")
     if eps_inner >= 1.0:
         warnings.warn(
             f"inner budget {eps_inner:.4f} >= 1 is outside the stated range of the "
             "Gaussian-mechanism bound", PrivacyRegimeWarning, stacklevel=2)
-    return (2.0 * c / (b * eps_inner)) * math.sqrt(2.0 * log_term)
+    return s
 
 
 def gaussian_noise(d: int, s: float, count: int, stream) -> np.ndarray:

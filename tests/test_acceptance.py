@@ -18,12 +18,13 @@ import pytest
 from byzdp import (AttackSpec, GarSpec, PrivacyParams, RunConfig, aggregate,
                    batch_mean_variance, convergence_bound, eta_bounds,
                    find_vn_violation, full_loss, gaussian_blobs, gaussian_noise,
-                   initial_theta, kappa, logistic_model, mda_bruteforce,
-                   noise_scale, population_variance, quadratic_minimizer,
-                   quadratic_model, regression_targets, run, sigma_total,
-                   submission_variance, worker_stream)
+                   initial_theta, kappa, logistic_model, noise_scale,
+                   population_variance, quadratic_minimizer, quadratic_model,
+                   regression_targets, run, sigma_total, submission_variance,
+                   worker_stream)
 from byzdp.cli import main
 from byzdp.privacy import PrivacyRegimeWarning
+from oracles import mda_bruteforce
 
 mp.mp.dps = 50
 
@@ -66,7 +67,7 @@ def test_criterion_02_gar_oracle_equivalence():
         f = int(rng.integers(1, min(3, (n - 1) // 2) + 1))
         d = int(rng.integers(1, 6))
         g = rng.normal(0, 1, (n, d))
-        if np.array_equal(aggregate(GarSpec("mda", n, f), g), mda_bruteforce(g, n, f)):
+        if np.array_equal(aggregate(GarSpec("mda", n, f), g), mda_bruteforce(g, f)):
             exact_matches += 1
     median_ok = True
     for _ in range(200):

@@ -3,16 +3,16 @@
 import math
 import warnings
 from fractions import Fraction
-from itertools import combinations, islice
+from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from byzdp import (CapacityError, ConfigurationError, ContractViolationError,
-                   GarSpec, aggregate, kappa, mda_bruteforce)
+from byzdp import ConfigurationError, ContractViolationError, GarSpec, aggregate, kappa
 from byzdp.aggregation import RULES, _krum_scores, _mean_rows, _pairwise_sq_dists
+from oracles import mda_bruteforce, mda_enumerate
 
 
 def vecs(*scalars):
@@ -265,8 +265,8 @@ def test_krum_exact_tie_breaks_to_lower_index():
 def test_mda_examples():
     assert aggregate(GarSpec("mda", 3, 1), vecs(0, 1, 10)) == pytest.approx([0.5])
     assert aggregate(GarSpec("mda", 4, 1), vecs(0, 0, 0, 5)) == pytest.approx([0.0])
-    assert mda_bruteforce(vecs(0, 1, 10), 3, 1) == pytest.approx([0.5])
-    assert mda_bruteforce(vecs(0, 0, 0, 5), 4, 1) == pytest.approx([0.0])
+    assert mda_bruteforce(vecs(0, 1, 10), 1) == pytest.approx([0.5])
+    assert mda_bruteforce(vecs(0, 0, 0, 5), 1) == pytest.approx([0.0])
 
 
 def test_bulyan_outlier_example():
@@ -320,29 +320,6 @@ def test_bulyan_matches_loop_oracle(kind):
             g = random_instance(rng, n, d)
         got = aggregate(GarSpec("bulyan", n, f), g)
         assert np.array_equal(got, bulyan_loop(g, f))
-
-
-def mda_enumerate(g, f):
-    """Reference mda over all C(n, n - f) subsets of finite rows in lexicographic order."""
-    n = g.shape[0]
-    size = n - f
-    total = math.comb(n, size)
-    dist = np.sqrt(_pairwise_sq_dists(g))
-    best_diam = np.inf
-    best_subset = None
-    subset_iter = combinations(range(n), size)
-    chunk = max(1, min(4096, total))
-    while True:
-        block = np.array(list(islice(subset_iter, chunk)), dtype=np.intp)
-        if block.size == 0:
-            break
-        diams = dist[block[:, :, None], block[:, None, :]].max(axis=(1, 2))
-        i = int(np.argmin(diams))
-        # strict < keeps the first minimum, the lexicographically smallest set
-        if diams[i] < best_diam:
-            best_diam = float(diams[i])
-            best_subset = block[i]
-    return _mean_rows(g[best_subset])
 
 
 def mda_instance(rng, kind):
@@ -426,7 +403,7 @@ def test_mda_matches_bruteforce_on_random_instances():
         d = int(rng.integers(1, 6))
         g = random_instance(rng, n, d)
         got = aggregate(GarSpec("mda", n, f), g)
-        want = mda_bruteforce(g, n, f)
+        want = mda_bruteforce(g, f)
         assert np.array_equal(got, want)
 
 
@@ -441,6 +418,67 @@ def test_median_is_coordinate_wise():
             col = sorted(g[:, j].tolist())
             mid = (col[(n - 1) // 2] + col[n // 2]) / 2
             assert out[j] == pytest.approx(mid, rel=1e-15)
+
+
+# ------------------------------------------------------------ error bounds
+
+@st.composite
+def honest_and_forged(draw):
+    """(f, honest rows, all n rows): at least n - f moderate honest rows and up
+    to f forged rows of any floats, NaN, +-inf and 1e300 included, in any order."""
+    f = draw(st.integers(0, 3))
+    n = draw(st.integers(2 * f + 1, 2 * f + 6))
+    d = draw(st.integers(1, 4))
+    k = draw(st.integers(0, f))
+    honest = np.array(draw(st.lists(st.lists(st.floats(-1e3, 1e3), min_size=d, max_size=d),
+                                    min_size=n - k, max_size=n - k)))
+    value = st.one_of(st.sampled_from([-1e300, 1e300, np.nan, np.inf, -np.inf]), st.floats())
+    forged = draw(st.lists(st.lists(value, min_size=d, max_size=d), min_size=k, max_size=k))
+    order = draw(st.permutations(range(n)))
+    g = np.empty((n, d))
+    g[order[:n - k]] = honest
+    g[order[n - k:]] = np.reshape(forged, (k, d))
+    return f, honest, g
+
+
+@settings(max_examples=300, deadline=None)
+@given(honest_and_forged())
+def test_median_stays_inside_the_honest_range(instance):
+    # more than half of the finite rows are honest, so both middle values of
+    # each coordinate, and their mean, lie between honest values
+    f, honest, g = instance
+    out = aggregate(GarSpec("median", g.shape[0], f), g)
+    assert np.all(honest.min(axis=0) <= out) and np.all(out <= honest.max(axis=0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(honest_and_forged())
+def test_mda_error_is_at_most_twice_the_honest_diameter(instance):
+    """|R - mean(H)| <= 2 diam(H) for the mda output R and the honest rows H.
+
+    H holds at least n - f rows and the chosen set S holds n - f, and
+    n >= 2f + 1, so S and H share a row h. Any n - f rows of H have a
+    diameter of at most diam(H), so diam(S) <= diam(H): R, a mean of rows
+    within diam(H) of h, lies within diam(H) of h, and so does mean(H).
+
+    The allowance covers rounding: relative error in the distances, the
+    means and the norms, and the absolute resolution of the distances, whose
+    squares are taken on rows shrunk by up to 2 top / limit as
+    ``_pairwise_sq_dists`` shrinks them, with subnormal spacing 2^-1074.
+    """
+    f, honest, g = instance
+    n, d = g.shape
+    out = aggregate(GarSpec("mda", n, f), g)
+    mean = honest.mean(axis=0)
+    diam = max((float(np.linalg.norm(u - v)) for u in honest for v in honest), default=0.0)
+    finite = g[np.isfinite(g).all(axis=1)]
+    top = float(np.abs(finite).max())
+    limit = math.sqrt(np.finfo(np.float64).max / (4 * finite.size))
+    resolution = math.sqrt(d * 2.0 ** -1074) * max(1.0, 2 * top / limit)
+    eps = np.finfo(np.float64).eps
+    scale = float(np.abs(honest).max()) + diam
+    allowance = 8 * (d + 3) * eps * diam + 4 * resolution + 4 * n * math.sqrt(d) * eps * scale
+    assert float(np.linalg.norm(out - mean)) <= 2 * diam + allowance
 
 
 # ---------------------------------------------------------------- invariants
@@ -494,7 +532,7 @@ def test_mda_skips_a_non_finite_row(bad):
     g = np.random.default_rng(17).normal(0, 1, (7, 3))
     g[2, 1] = bad
     out = aggregate(GarSpec("mda", 7, 2), g)
-    assert np.array_equal(out, mda_bruteforce(np.delete(g, 2, 0), 6, 1))
+    assert np.array_equal(out, mda_bruteforce(np.delete(g, 2, 0), 1))
 
 
 def test_mda_rejects_more_than_f_non_finite_rows():
@@ -504,13 +542,7 @@ def test_mda_rejects_more_than_f_non_finite_rows():
         aggregate(GarSpec("mda", 7, 2), g)
 
 
-# ------------------------------------------------------------------- caps
-
-def test_enumeration_cap():
-    rng = np.random.default_rng(3)
-    g = random_instance(rng, 21, 2)
-    # C(21, 11) = 352,716 subsets; the cap is checked before any enumeration
-    with pytest.raises(CapacityError, match="above the cap of 200000"):
-        mda_bruteforce(g, 21, 10)
-    # aggregate has no cap: C(20, 11) = 167,960 subsets agree with the oracle
-    assert np.array_equal(aggregate(GarSpec("mda", 20, 9), g[:20]), mda_enumerate(g[:20], 9))
+def test_mda_matches_enumeration_at_20_9():
+    # C(20, 11) = 167,960 subsets, the largest instance the suite enumerates
+    g = random_instance(np.random.default_rng(3), 20, 2)
+    assert np.array_equal(aggregate(GarSpec("mda", 20, 9), g), mda_enumerate(g, 9))

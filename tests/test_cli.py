@@ -477,6 +477,21 @@ def test_diagnose_rejects_grid_keys(tmp_path, capsys):
     assert "'byzdp diagnose'" in captured.err and "byzdp sweep" in captured.err
 
 
+@pytest.mark.parametrize("command", ["run", "diagnose"])
+def test_an_infinite_noise_scale_is_a_calibration_error(tmp_path, capsys, command):
+    # s = inf once passed diagnose (exit 0) and failed run only in round 1
+    text = (_demo_config("run_little_mda.cfg").replace("clip = 2.0", "clip = 1e308")
+            .replace("batch_size = 512", "batch_size = 1"))
+    cfg = write(tmp_path, "run.cfg", text)
+    out = ["--out", str(tmp_path / "out")] if command == "run" else []
+    assert main([command, cfg, *out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: noise scale s = inf is not positive and finite: "
+                                   "the clip bound 1e+308 is out of range")
+    assert not os.path.exists(tmp_path / "out")
+
+
 @pytest.mark.parametrize("unbuffered", [False, True])
 def test_closed_stdout_exits_141_in_silence(tmp_path, unbuffered):
     # a reader that closed its end of the pipe is not a runtime error (exit 3),

@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 
 from byzdp import (ClipParams, ContractViolationError, ConfigurationError, DataLoadError,
                    Dataset, Model, accuracy, batch_grads, clip, full_grad, full_loss,
-                   gaussian_blobs, load_csv,
-                   logistic_model, mlp1_model, point_grad, population_variance,
+                   gaussian_blobs, load_csv, logistic_model, mlp1_model, population_variance,
                    quadratic_minimizer, quadratic_model, regression_targets,
                    sample_batch, smoothness_constant, worker_stream)
 import byzdp.model
@@ -44,11 +43,11 @@ def fd_full_grad(model, theta, dataset, h=1e-6):
     return grad
 
 
-# ------------------------------------------------------------- point_grad
+# ------------------------------------------------------ per-point gradients
 
 def test_point_grad_scalar_quadratic():
     model = quadratic_model(np.eye(1))
-    assert point_grad(model, np.array([3.0]), np.array([1.0])) == pytest.approx([2.0])
+    assert batch_grads(model, np.array([3.0]), np.array([[1.0]]))[0] == pytest.approx([2.0])
 
 
 def test_mean_point_grad_vanishes_at_minimizer():
@@ -64,7 +63,7 @@ def test_logistic_point_grad_matches_finite_differences_at_zero():
     model = logistic_model(4, lam=1e-4)
     theta = np.zeros(4)
     for i in range(5):
-        g = point_grad(model, theta, ds.features[i], ds.labels[i])
+        g = batch_grads(model, theta, ds.features[i:i + 1], ds.labels[i:i + 1])[0]
         oracle = fd_point_grad(model, theta, ds.features[i], ds.labels[i])
         assert np.linalg.norm(g - oracle) <= 1e-6 * max(1.0, np.linalg.norm(oracle))
 
@@ -93,9 +92,9 @@ def test_point_grad_matches_finite_differences_everywhere():
 def test_point_grad_dimension_mismatch():
     model = logistic_model(4)
     with pytest.raises(ContractViolationError):
-        point_grad(model, np.zeros(3), np.zeros(4), 1.0)
+        batch_grads(model, np.zeros(3), np.zeros((1, 4)), np.ones(1))
     with pytest.raises(ContractViolationError):
-        point_grad(model, np.zeros(4), np.zeros(5), 1.0)
+        batch_grads(model, np.zeros(4), np.zeros((1, 5)), np.ones(1))
 
 
 # --------------------------------------------------------- model objects
@@ -240,7 +239,7 @@ def test_full_grad_single_point_equals_point_grad():
     ds = Dataset(np.array([[1.0, -2.0, 0.5]]), np.array([1.0]))
     theta = np.array([0.3, -0.1, 0.2])
     assert np.array_equal(full_grad(model, theta, ds),
-                          point_grad(model, theta, ds.features[0], 1.0))
+                          batch_grads(model, theta, ds.features, ds.labels)[0])
 
 
 def test_full_grad_zero_at_quadratic_minimizer():
@@ -320,8 +319,8 @@ def test_clip_bound_must_be_positive_and_finite(c):
 
 def test_clip_examples():
     g = np.array([3.0, 4.0])
-    assert np.array_equal(clip(g, ClipParams(10.0)), g)
-    np.testing.assert_allclose(clip(g, ClipParams(1.0)), [0.6, 0.8], rtol=1e-15)
+    assert np.array_equal(clip(g.copy(), ClipParams(10.0)), g)
+    np.testing.assert_allclose(clip(g.copy(), ClipParams(1.0)), [0.6, 0.8], rtol=1e-15)
     assert np.array_equal(clip(np.zeros(3), ClipParams(0.5)), np.zeros(3))
 
 
@@ -345,7 +344,7 @@ def test_clip_overflowing_norm_lands_on_the_ball():
 
 def test_clip_rows():
     g = np.array([[3.0, 4.0], [0.3, 0.4]])
-    out = clip(g, ClipParams(1.0))
+    out = clip(g.copy(), ClipParams(1.0))
     np.testing.assert_allclose(out[0], [0.6, 0.8], rtol=1e-15)
     assert np.array_equal(out[1], g[1])
 
@@ -373,14 +372,10 @@ def test_clip_scales_only_the_rows_over_the_bound_bit_for_bit(shape, share):
     norms = np.sort(np.linalg.norm(np.atleast_2d(g), axis=1))
     k = round(share * len(norms))  # rows over the bound
     c = float(norms[0] / 2 if k == len(norms) else norms[-k - 1])
-    before = g.copy()
-    out = clip(g, ClipParams(c))
-    assert np.array_equal(out, _clip_every_row(g, c))
     assert int((np.linalg.norm(np.atleast_2d(g), axis=1) > c).sum()) == k
-    assert np.array_equal(g, before) and not np.shares_memory(out, g)
-    # out=g clips g itself to the same bits
-    assert clip(g, ClipParams(c), out=g) is g
-    assert np.array_equal(g, out)
+    want = _clip_every_row(g, c)
+    assert clip(g, ClipParams(c)) is g
+    assert np.array_equal(g, want)
 
 
 @pytest.mark.parametrize("rows", [
@@ -391,27 +386,17 @@ def test_clip_scales_only_the_rows_over_the_bound_bit_for_bit(shape, share):
 ])
 def test_clip_overflow_rows_match_the_oracle(rows):
     g = np.array(rows)
-    before = g.copy()
     with np.errstate(over="ignore", invalid="ignore"):
-        out = clip(g, ClipParams(2.0))
         want = _clip_every_row(g, 2.0)
-    assert np.array_equal(out, want, equal_nan=True)
-    assert np.array_equal(g, before, equal_nan=True)
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert clip(g, ClipParams(2.0), out=g) is g
+        assert clip(g, ClipParams(2.0)) is g
     assert np.array_equal(g, want, equal_nan=True)
 
 
-def test_clip_in_place_rejects_any_other_out():
-    g = np.array([[3.0, 4.0], [0.3, 0.4]])
-    before = g.copy()
-    for out in (g.copy(), np.empty_like(g), g[:], g.reshape(-1)):
-        with pytest.raises(ContractViolationError, match="out=g"):
-            clip(g, ClipParams(1.0), out=out)
-    assert np.array_equal(g, before)
-    for h in (g.astype(np.float32), [[3.0, 4.0]]):
+def test_clip_rejects_anything_but_a_float64_array():
+    # clip works in place, so it cannot convert its input
+    for h in (np.array([[3.0, 4.0]], dtype=np.float32), np.array([[3, 4]]), [[3.0, 4.0]]):
         with pytest.raises(ContractViolationError, match="float64"):
-            clip(h, ClipParams(1.0), out=h)
+            clip(h, ClipParams(1.0))
 
 
 def test_clipped_point_grads_bounded():

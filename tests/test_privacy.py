@@ -8,6 +8,7 @@ import dataclasses
 import json
 import math
 import pickle
+import re
 
 import mpmath as mp
 import numpy as np
@@ -125,6 +126,14 @@ def test_noise_scale_precondition_errors():
             noise_scale(c, 25, 1000, 0.1, 1e-5)
         with pytest.raises(CalibrationError, match="clip bound must be positive and finite"):
             PrivacyParams(0.1, 1e-5, c, 25, 1000)
+
+
+def test_noise_scale_must_be_positive_and_finite():
+    # a finite clip bound once calibrated to s = inf, which failed only in
+    # round 1 of a run; one that underflows to s = 0 would add no noise
+    for c, b, m in ((1e308, 1, 60), (5e-324, 1000, 1000)):
+        with pytest.raises(CalibrationError, match=re.escape(f"the clip bound {c} is out of range")):
+            PrivacyParams(0.5, 1e-4, c, b, m)
 
 
 def test_delta_log_factor_is_the_one_budget_check():
