@@ -8,8 +8,8 @@ an explicit failing point for a quadratic objective.
 
 import numpy as np
 
-from byzdp import (GarSpec, PrivacyParams, find_vn_violation, kappa,
-                   monte_carlo_submission_variance, quadratic_minimizer, quadratic_model,
+from byzdp import (GarSpec, PrivacyParams, batch_grads, find_vn_violation, full_grad,
+                   gaussian_noise, kappa, quadratic_minimizer, quadratic_model,
                    regression_targets, vn_margin, worker_stream)
 
 model = quadratic_model(np.eye(10))
@@ -27,12 +27,21 @@ for radius in (8.0, 4.0, 2.0, 1.0, 0.5):
     flag = "ok " if margin.satisfied else "VIOLATED"
     print(f"  radius {radius:4.1f}: lhs = {margin.lhs:8.3f}  rhs = {margin.rhs:8.3f}  {flag}")
 
-witness = find_vn_violation(model, data, spec, privacy.s)
+witness = find_vn_violation(model, data, spec, privacy.s, b=data.m)
 print("\nconstructed witness:")
 print(f"  distance from minimizer  {np.linalg.norm(witness.theta - theta_star):.4f}")
 print(f"  lhs = {witness.lhs:.3f} >= rhs = {witness.rhs:.3f}, "
       f"satisfied = {witness.satisfied}")
 
-mc_var = monte_carlo_submission_variance(model, witness.theta, data, b=data.m, s=privacy.s,
-                                         samples=20_000, rng=worker_stream(1, 0, 1, 1))
+# E|G - grad Q|^2 over simulated submissions: a full batch drawn without
+# replacement, then the noise, both from one generator
+rng = worker_stream(1, 0, 1, 1)
+mean_grad = full_grad(model, witness.theta, data)
+samples, total = 20_000, 0.0
+for _ in range(samples):
+    idx = np.sort(rng.choice(data.m, size=data.m, replace=False))
+    g = batch_grads(model, witness.theta, data.features[idx]).mean(axis=0)
+    diff = g + gaussian_noise(model.dim, privacy.s, 1, lambda _: rng)[0] - mean_grad
+    total += float(diff @ diff)
+mc_var = total / samples
 print(f"  monte-carlo cross-check of the variance: lhs = {kappa(spec) ** 2 * mc_var:.3f}")

@@ -28,9 +28,8 @@ from .diagnostics import convergence_bound, eta_bounds, find_vn_violation, sigma
 from .engine import (SWEEP_AXES, CellResult, MetricsRecord, RunConfig, RunResult,
                      cell_digest, initial_theta, run, sweep)
 from .errors import ConfigurationError, ContractViolationError, DataLoadError
-from .model import (ClipParams, Dataset, Model, full_loss, gaussian_blobs, load_csv,
-                    logistic_model, mlp1_model, estimate_min_loss, population_variance,
-                    quadratic_model, regression_targets, smoothness_constant)
+from .model import (ClipParams, Dataset, Model, estimate_min_loss, full_loss, gaussian_blobs,
+                    load_csv, population_variance, regression_targets, smoothness_constant)
 from .privacy import PrivacyParams, compose
 
 CONFIG_ERRORS = (ConfigurationError, ContractViolationError, DataLoadError,
@@ -150,15 +149,15 @@ def build_dataset(cfg: dict, classification: bool) -> Dataset:
 
 
 def build_model(cfg: dict, dataset: Dataset) -> Model:
+    """The configured model; ``Model`` refuses the fields its kind does not take."""
     kind = _require(cfg, "model")
-    lam = cfg.get("reg", 0.0)
-    if kind == "quadratic":
-        return quadratic_model(np.eye(cfg.get("dim", dataset.n_features)), lam)
-    if kind == "logistic":
-        return logistic_model(dataset.n_features, lam)
     if kind == "mlp1":
-        return mlp1_model(dataset.n_features, _require(cfg, "hidden"), lam)
-    raise ConfigurationError(f"unknown model kind '{kind}'")
+        _require(cfg, "hidden")
+    # a quadratic model's size is its dim, which RunConfig checks against the dataset
+    quadratic = kind == "quadratic"
+    hessian = np.eye(cfg.get("dim", dataset.n_features)) if quadratic else None
+    n_features = None if quadratic else dataset.n_features
+    return Model(kind, cfg.get("reg", 0.0), hessian, n_features, cfg.get("hidden"))
 
 
 def build_run_config(cfg: dict) -> RunConfig:

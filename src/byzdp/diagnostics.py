@@ -24,9 +24,9 @@ import numpy as np
 
 from .aggregation import GarSpec, kappa
 from .errors import CalibrationError, ContractViolationError
-from .model import (Dataset, Model, _sorted_choice, batch_grads, full_grad,
-                    population_variance, quadratic_minimizer, smoothness_constant)
-from .privacy import delta_log_factor, gaussian_noise
+from .model import (Dataset, Model, full_grad, population_variance, quadratic_minimizer,
+                    smoothness_constant)
+from .privacy import delta_log_factor
 
 
 # ---------------------------------------------------------------- variance
@@ -49,25 +49,6 @@ def submission_variance(model: Model, theta: np.ndarray, dataset: Dataset,
                         b: int, s: float) -> float:
     """Total variance of one honest submission: sampling part plus d s^2."""
     return batch_mean_variance(model, theta, dataset, b) + model.dim * s * s
-
-
-def monte_carlo_submission_variance(model: Model, theta: np.ndarray, dataset: Dataset,
-                                    b: int, s: float, samples: int,
-                                    rng: np.random.Generator) -> float:
-    """Estimate E|G(theta) - grad Q(theta)|^2 from i.i.d. simulated submissions."""
-    if samples < 1:
-        raise ContractViolationError("need at least one sample")
-    mean_grad = full_grad(model, theta, dataset)
-    x, labels = dataset.features, dataset.labels
-    total = 0.0
-    for _ in range(samples):
-        idx = _sorted_choice(dataset.m, b, rng)
-        g = batch_grads(model, theta, x[idx],
-                        None if labels is None else labels[idx]).mean(axis=0)
-        g = g + gaussian_noise(model.dim, s, 1, lambda _: rng)[0]
-        diff = g - mean_grad
-        total += float(diff @ diff)
-    return total / samples
 
 
 # ------------------------------------------------------------------- margin
@@ -97,13 +78,15 @@ def vn_margin(model: Model, dataset: Dataset, theta: np.ndarray, spec: GarSpec,
 
 
 def find_vn_violation(model: Model, dataset: Dataset, spec: GarSpec, s: float,
-                      b: int | None = None) -> VnMargin:
+                      b: int) -> VnMargin:
     """A non-critical point where the variance-to-norm check provably fails.
 
     Quadratic models only. Walks a distance kappa sqrt(d) s / (2L) from the
     exact minimizer along the top eigenvector of the regularized curvature,
     so the gradient norm there is exactly half of kappa sqrt(d) s while the
-    noise floor alone puts the left side at kappa^2 d s^2.
+    noise floor alone puts the left side at kappa^2 d s^2. The batch size b
+    only adds its sampling variance to the left side; b = m adds none and
+    leaves the noise floor alone.
     """
     if model.kind != "quadratic":
         raise ContractViolationError("the violation construction needs a quadratic model")
@@ -111,8 +94,6 @@ def find_vn_violation(model: Model, dataset: Dataset, spec: GarSpec, s: float,
         raise ContractViolationError("no violation is guaranteed with s = 0")
     kap = kappa(spec)
     lips = smoothness_constant(model)
-    if b is None:
-        b = dataset.m
     theta_star = quadratic_minimizer(model, dataset)
     curvature = model.hessian + model.lam * np.eye(model.dim)
     eigvals, eigvecs = np.linalg.eigh(curvature)
@@ -158,10 +139,17 @@ def eta_bounds(kap: float, c: float, d: int, b: int, m: int,
 # ------------------------------------------------------------- convergence
 
 def sigma_total(upsilon: float, d: int, s: float, c: float) -> float:
-    """sqrt(upsilon^2 + d s^2 + C^2), the second-moment constant of a submission."""
+    """sqrt(upsilon^2 + d s^2 + C^2), the second-moment constant of a submission.
+
+    Where the squares overflow, hypot gives the same root without them;
+    wherever the plain root is finite, it is returned as it is.
+    """
     if upsilon < 0 or s < 0 or d < 1 or not c > 0:
         raise ContractViolationError("need upsilon, s >= 0, d >= 1, C > 0")
-    return math.sqrt(upsilon * upsilon + d * s * s + c * c)
+    sigma = math.sqrt(upsilon * upsilon + d * s * s + c * c)
+    if math.isinf(sigma):
+        return math.hypot(upsilon, math.sqrt(d) * s, c)
+    return sigma
 
 
 def convergence_bound(eta_sq: float, steps: int, alpha: float, mu: float,

@@ -109,7 +109,7 @@ def test_criterion_04_violation_witness():
     start = time.perf_counter()
     model = quadratic_model(np.eye(10))
     ds = regression_targets(11, 200, 10, spread=0.3)
-    witness = find_vn_violation(model, ds, GarSpec("median", 15, 6), S_REFERENCE)
+    witness = find_vn_violation(model, ds, GarSpec("median", 15, 6), S_REFERENCE, b=ds.m)
     grad_norm_sq = witness.rhs
     lhs = witness.lhs
     ok = (grad_norm_sq <= 3.41 and lhs >= 13.6 and not witness.satisfied

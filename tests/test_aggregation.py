@@ -7,7 +7,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, target
 from hypothesis import strategies as st
 
 from byzdp import ConfigurationError, ContractViolationError, GarSpec, aggregate, kappa
@@ -423,11 +423,14 @@ def test_median_is_coordinate_wise():
 # ------------------------------------------------------------ error bounds
 
 @st.composite
-def honest_and_forged(draw):
+def honest_and_forged(draw, per_f=2, extra=1):
     """(f, honest rows, all n rows): at least n - f moderate honest rows and up
-    to f forged rows of any floats, NaN, +-inf and 1e300 included, in any order."""
+    to f forged rows of any floats, NaN, +-inf and 1e300 included, in any order.
+
+    n is at least per_f f + extra, the least n the rule accepts.
+    """
     f = draw(st.integers(0, 3))
-    n = draw(st.integers(2 * f + 1, 2 * f + 6))
+    n = draw(st.integers(per_f * f + extra, per_f * f + extra + 5))
     d = draw(st.integers(1, 4))
     k = draw(st.integers(0, f))
     honest = np.array(draw(st.lists(st.lists(st.floats(-1e3, 1e3), min_size=d, max_size=d),
@@ -479,6 +482,49 @@ def test_mda_error_is_at_most_twice_the_honest_diameter(instance):
     scale = float(np.abs(honest).max()) + diam
     allowance = 8 * (d + 3) * eps * diam + 4 * resolution + 4 * n * math.sqrt(d) * eps * scale
     assert float(np.linalg.norm(out - mean)) <= 2 * diam + allowance
+
+
+@settings(max_examples=300, deadline=None)
+@given(honest_and_forged(per_f=4, extra=3))
+def test_bulyan_stays_within_the_honest_width_of_the_honest_range(instance):
+    """Per coordinate, lo - w <= R <= hi + w for the honest range [lo, hi], w = hi - lo.
+
+    After the k non-finite rows are dropped, n' = n - k rows remain with at
+    most f' = f - k forged, and n' >= 4f' + 3. The selection holds
+    n' - 2f' - 2 >= 2f' + 1 rows, at most f' of them forged, so more than
+    half are honest and its median lies between honest values, in [lo, hi].
+    It holds at least n' - 3f' - 2 >= beta = n' - 4f' - 2 honest values,
+    each within w of the median, so the beta values closest to the median
+    lie within w of it, and so does their mean.
+
+    The allowance covers rounding: distances to the median tie at one
+    rounding of w, and the mean of beta values rounds by a few ulps of their
+    magnitude, at most max|H| + 2w.
+    """
+    f, honest, g = instance
+    n = g.shape[0]
+    out = aggregate(GarSpec("bulyan", n, f), g)
+    lo, hi = honest.min(axis=0), honest.max(axis=0)
+    width = hi - lo
+    beta = n - 4 * f - 2 + 3 * (n - np.isfinite(g).all(axis=1).sum())
+    eps = np.finfo(np.float64).eps
+    allowance = 4 * (beta + 2) * eps * (np.abs(honest).max(axis=0) + 2 * width)
+    assert np.all(lo - width - allowance <= out) and np.all(out <= hi + width + allowance)
+
+
+@settings(max_examples=300, deadline=None)
+@given(honest_and_forged(per_f=2, extra=3))
+def test_krum_returns_a_submitted_row_and_targets_its_error(instance):
+    # no bound is asserted on krum's error; target() steers the search toward
+    # a large |R - mean(H)| / diam(H), which hypothesis reports with --hypothesis-show-statistics
+    f, honest, g = instance
+    out = aggregate(GarSpec("krum", g.shape[0], f), g)
+    finite = g[np.isfinite(g).all(axis=1)]
+    assert any(np.array_equal(out, row) for row in finite)
+    diam = max((float(np.linalg.norm(u - v)) for u in honest for v in honest), default=0.0)
+    if diam > 0:
+        target(float(np.linalg.norm(out - honest.mean(axis=0))) / diam,
+               label="krum |R - mean(H)| / diam(H)")
 
 
 # ---------------------------------------------------------------- invariants

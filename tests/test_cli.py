@@ -11,7 +11,9 @@ import sys
 import numpy as np
 import pytest
 
-from byzdp.cli import KNOWN_KEYS, build_run_config, main, parse_config
+from byzdp import logistic_model, mlp1_model, quadratic_model
+from byzdp.cli import (KNOWN_KEYS, build_dataset, build_model, build_run_config, main,
+                       parse_config)
 from byzdp.engine import run
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
@@ -390,6 +392,75 @@ def test_dataset_and_model_kinds_must_fit(tmp_path, capsys, old, new, message):
     assert not os.path.exists(tmp_path / "out")
 
 
+@pytest.mark.parametrize("kind, text", [
+    ("logistic", LOGISTIC_PRIVATE_RUN), ("quadratic", QUADRATIC_PRIVATE_RUN),
+    ("logistic", _demo_config("run_little_mda.cfg")),
+], ids=["logistic", "quadratic", "run_little_mda"])
+def test_hidden_is_refused_unless_the_model_is_mlp1(tmp_path, capsys, kind, text):
+    # hidden would change nothing but the run id of such a run
+    cfg = write(tmp_path, "c.cfg", text + "hidden = 5\n")
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: the {kind} model takes no hidden\n"
+    assert not os.path.exists(tmp_path / "out")
+
+
+def test_mlp1_needs_hidden(tmp_path, capsys):
+    cfg = write(tmp_path, "c.cfg", LOGISTIC_PRIVATE_RUN.replace("model = logistic\n",
+                                                                "model = mlp1\n"))
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: missing required config field 'hidden'\n"
+
+
+def _bench_config(name):
+    sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                                    "bench"))
+    try:
+        from workloads import DEFAULT_SEED, WORKLOADS
+    finally:
+        sys.path.pop(0)
+    return WORKLOADS[name].config_text(DEFAULT_SEED)
+
+
+@pytest.mark.parametrize("text", [
+    *(_demo_config(name) for name in ("diagnose_mda.cfg", "run_little_mda.cfg",
+                                      "run_quadratic_baseline.cfg", "sweep_batch_size.cfg")),
+    *(_bench_config(name) for name in ("sweep_mlp1", "diagnose_logistic")),
+], ids=["diagnose_mda", "run_little_mda", "run_quadratic_baseline", "sweep_batch_size",
+        "bench_sweep_mlp1", "bench_diagnose_logistic"])
+def test_build_model_is_the_factory_model(tmp_path, text):
+    cfg = parse_config(write(tmp_path, "c.cfg", text))
+    kind, lam = cfg["model"], cfg.get("reg", 0.0)
+    dataset = build_dataset(cfg, classification=kind != "quadratic")
+    got = build_model(cfg, dataset)
+    want = {"quadratic": lambda: quadratic_model(np.eye(cfg["dim"]), lam),
+            "logistic": lambda: logistic_model(dataset.n_features, lam),
+            "mlp1": lambda: mlp1_model(dataset.n_features, cfg["hidden"], lam)}[kind]()
+    for name in ("kind", "lam", "n_features", "hidden", "dim"):
+        assert getattr(got, name) == getattr(want, name), name
+    assert (got.hessian is None) == (want.hessian is None)
+    assert want.hessian is None or np.array_equal(got.hessian, want.hessian)
+
+
+def test_quadratic_dim_must_fit_a_csv_dataset(tmp_path, capsys):
+    rng = np.random.default_rng(0)
+    data = write(tmp_path, "points.csv", "\n".join(
+        ",".join(str(v) for v in row) for row in rng.normal(0.0, 1.0, (12, 3))) + "\n")
+    cfg = write(tmp_path, "csv.cfg", f"""
+model = quadratic
+dim = 4
+dataset = csv
+dataset_path = {data}
+n = 3
+f = 0
+gar = average
+batch_size = 12
+steps = 2
+""")
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == ("error: dataset has 3 features, "
+                                       "the quadratic model takes 4\n")
+
+
 def test_run_from_csv_dataset(tmp_path):
     rng = np.random.default_rng(0)
     lines = []
@@ -670,3 +741,15 @@ def test_diagnose_reports_inapplicable_violation_without_noise(tmp_path, capsys)
     assert main(["diagnose", cfg]) == 0
     out = capsys.readouterr().out
     assert "not applicable (s = 0)" in out
+
+
+def test_diagnose_sigma_does_not_overflow_with_a_huge_clip_bound(tmp_path, capsys):
+    # C^2 overflows at C = 1e308, sigma itself does not; the bound squares sigma
+    text = (_demo_config("run_little_mda.cfg").replace("clip = 2.0", "clip = 1e308")
+            .replace("batch_size = 512", "batch_size = 1")
+            .replace("epsilon = 0.2", "epsilon = none"))
+    cfg = write(tmp_path, "diag.cfg", text)
+    assert main(["diagnose", cfg]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "sigma = 1e+308" in lines
+    assert lines[-1].startswith("theorem bound (T=300, alpha=0.0, mu=1.0) = inf")

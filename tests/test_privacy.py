@@ -190,7 +190,7 @@ def test_gaussian_noise_rows_are_the_stream_normal_draws_bit_for_bit(s, d, count
 
 
 def test_gaussian_noise_leaves_a_shared_rng_where_normal_does():
-    # a generator shared by several calls, as monte_carlo_submission_variance shares one
+    # a generator shared by several calls, as demo 03 shares one
     got, want = worker_stream(8, 0, 0, 1), worker_stream(8, 0, 0, 1)
     for d in (1, 3, 8, 1):
         a = gaussian_noise(d, 0.7, 1, _one_stream(got))[0]

@@ -7,6 +7,9 @@ or removal show up in a diff. The module names (``aggregation``,
 the package.
 """
 
+import ast
+import os
+
 import byzdp
 
 PUBLIC = [
@@ -18,7 +21,7 @@ PUBLIC = [
     "delta_log_factor", "diagnostics", "engine", "errors", "eta_bounds", "find_vn_violation",
     "forge", "full_grad", "full_loss", "gaussian_blobs", "gaussian_noise", "initial_theta",
     "inner_epsilon", "kappa", "load_csv", "logistic_model", "mlp1_model", "model",
-    "monte_carlo_submission_variance", "noise_scale", "population_variance", "privacy",
+    "noise_scale", "population_variance", "privacy",
     "quadratic_minimizer", "quadratic_model", "regression_targets", "run", "sample_batch",
     "sensitivity_mean_grad", "sigma_total", "smoothness_constant", "submission_variance",
     "sweep", "vn_margin", "worker_stream",
@@ -27,3 +30,21 @@ PUBLIC = [
 
 def test_public_names_are_the_pinned_list():
     assert sorted(byzdp.__all__) == PUBLIC
+
+
+def test_no_module_imports_a_private_name_from_a_sibling():
+    # a name with a leading underscore belongs to its own module; a sibling
+    # that needs it should get a public name or its own copy
+    src = os.path.dirname(byzdp.__file__)
+    found = []
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(src, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.level > 0
+                                                     or node.module.startswith("byzdp")):
+                found.extend(f"{name}: {alias.name} from {'.' * node.level}{node.module}"
+                             for alias in node.names if alias.name.startswith("_"))
+    assert found == []
