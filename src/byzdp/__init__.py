@@ -3,9 +3,8 @@ private at the honest workers and Byzantine-resilient at the server."""
 
 from .aggregation import GarSpec, aggregate, kappa
 from .attack import AttackSpec, forge
-from .diagnostics import (EtaBounds, VnMargin, batch_mean_variance, convergence_bound,
-                          eta_bounds, find_vn_violation, sigma_total, submission_variance,
-                          vn_margin)
+from .diagnostics import (VnMargin, batch_mean_variance, convergence_bound, eta_bounds,
+                          find_vn_violation, sigma_total, submission_variance, vn_margin)
 from .engine import (CellResult, MetricsRecord, RunConfig, RunResult, initial_theta,
                      run, sweep, worker_stream)
 from .errors import (CalibrationError, ConfigurationError, ContractViolationError,

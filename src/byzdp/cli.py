@@ -18,7 +18,6 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import asdict
 
 import numpy as np
 
@@ -52,6 +51,14 @@ KNOWN_KEYS = {
     "grid_batch_size": int, "grid_epsilon": float, "grid_gar": str, "grid_attack": str,
     "grid_f": int, "grid_seed": int,
 }
+
+# the keys each dataset kind reads
+DATASET_KEYS = {"blobs": ("dataset_seed", "dataset_size", "half_sep", "axis_std", "cross_std"),
+                "targets": ("dataset_seed", "dataset_size", "spread"),
+                "csv": ("dataset_path",)}
+
+# keys that no run or sweep reads, and so leave the run id alone
+UNDIGESTED_KEYS = ("out", "alpha", "mu")
 
 # the sweep axis each grid_ key names
 GRID_KEY_TO_AXIS = {"grid_batch_size": "b", "grid_epsilon": "epsilon", "grid_gar": "gar",
@@ -131,21 +138,26 @@ def _given(cfg: dict, *keys: str) -> dict:
 
 
 def build_dataset(cfg: dict, classification: bool) -> Dataset:
+    """The configured dataset; a key of another dataset kind is refused."""
     kind = _require(cfg, "dataset")
+    if kind not in DATASET_KEYS:
+        raise ConfigurationError(f"unknown dataset kind '{kind}'")
+    if kind == "blobs" and not classification:
+        raise ConfigurationError("the blobs dataset is for classification models")
+    if kind == "targets" and classification:
+        raise ConfigurationError("the targets dataset is for the quadratic model")
+    for keys in DATASET_KEYS.values():
+        for key in keys:
+            if key in cfg and key not in DATASET_KEYS[kind]:
+                raise ConfigurationError(f"the {kind} dataset takes no {key}")
     if kind == "csv":
         return load_csv(_require(cfg, "dataset_path"), classification)
     seed = cfg.get("dataset_seed", 0)
     m = _require(cfg, "dataset_size")
     dim = _require(cfg, "dim")
     if kind == "blobs":
-        if not classification:
-            raise ConfigurationError("the blobs dataset is for classification models")
         return gaussian_blobs(seed, m, dim, **_given(cfg, "half_sep", "axis_std", "cross_std"))
-    if kind == "targets":
-        if classification:
-            raise ConfigurationError("the targets dataset is for the quadratic model")
-        return regression_targets(seed, m, dim, **_given(cfg, "spread"))
-    raise ConfigurationError(f"unknown dataset kind '{kind}'")
+    return regression_targets(seed, m, dim, **_given(cfg, "spread"))
 
 
 def build_model(cfg: dict, dataset: Dataset) -> Model:
@@ -288,8 +300,8 @@ def theory_report(cfg: dict, config: RunConfig) -> dict:
     report = {"kappa": kap, "upsilon": ups}
     privacy = config.privacy
     if privacy is not None:
-        report.update(asdict(eta_bounds(kap, privacy.c, config.model.dim, config.b,
-                                        config.dataset.m, privacy.epsilon, privacy.delta, ups)))
+        report.update(eta_bounds(kap, privacy.c, config.model.dim, config.b,
+                                 config.dataset.m, privacy.epsilon, privacy.delta, ups))
     return report
 
 
@@ -318,11 +330,13 @@ def run_summary(cfg: dict, config: RunConfig, run_id: str, result) -> dict:
 def _out_dir(args, cfg: dict, config: RunConfig) -> tuple[str, str]:
     """(id, directory) of a run or sweep: make the directory and write its config.resolved.
 
-    The id digests the keys the config sets plus the master seed, as config.resolved
-    records them; the directory is --out, else out, else byzdp-<command>-<id>.
+    config.resolved records the keys the config sets plus the master seed; the
+    id digests them all but ``UNDIGESTED_KEYS``. The directory is --out, else
+    out, else byzdp-<command>-<id>.
     """
     resolved = dict(cfg, master_seed=config.master_seed)
-    ident = cell_digest(resolved)
+    ident = cell_digest({key: value for key, value in resolved.items()
+                         if key not in UNDIGESTED_KEYS})
     out_dir = args.out or cfg.get("out") or f"byzdp-{args.command}-{ident}"
     os.makedirs(out_dir, exist_ok=True)
     _atomic_write(os.path.join(out_dir, "config.resolved"), resolved_config_text(resolved))

@@ -105,25 +105,16 @@ def find_vn_violation(model: Model, dataset: Dataset, spec: GarSpec, s: float,
 
 # --------------------------------------------------------------- eta bounds
 
-@dataclass(frozen=True)
-class EtaBounds:
-    """Necessary and sufficient thresholds for the relaxed check to hold."""
-
-    eta_sq_necessary: float
-    eta_sq_sufficient: float
-
-    def __post_init__(self):
-        if self.eta_sq_necessary > self.eta_sq_sufficient:
-            raise AssertionError("threshold ordering violated; this is a bug")
-
-
 def eta_bounds(kap: float, c: float, d: int, b: int, m: int,
-               epsilon: float, delta: float, upsilon: float) -> EtaBounds:
-    """Both closed-form thresholds on eta^2.
+               epsilon: float, delta: float, upsilon: float) -> dict:
+    """Both closed-form thresholds on eta^2, keyed as ``summary.json`` stores them.
 
-    necessary:  4 kappa^2 C^2 d ln(1.25 b / (m delta)) / (b m (e^eps - 1))
-    sufficient: kappa^2 (8 C^2 d ln(1.25 b / (m delta))
-                         (1/(m (e^eps - 1)) + 1/b)^2 + upsilon^2)
+    eta_sq_necessary:  4 kappa^2 C^2 d ln(1.25 b / (m delta)) / (b m (e^eps - 1))
+    eta_sq_sufficient: kappa^2 (8 C^2 d ln(1.25 b / (m delta))
+                                (1/(m (e^eps - 1)) + 1/b)^2 + upsilon^2)
+
+    Since (x + y)^2 >= 4xy, the sufficient threshold is at least 8 times the
+    necessary one in exact arithmetic.
     """
     log_term = delta_log_factor(epsilon, delta, b, m)
     if not (kap >= 0 and c > 0 and d >= 1 and upsilon >= 0):
@@ -133,7 +124,7 @@ def eta_bounds(kap: float, c: float, d: int, b: int, m: int,
     sufficient = kap * kap * (
         8.0 * c * c * d * log_term * (1.0 / (m * e_term) + 1.0 / b) ** 2
         + upsilon * upsilon)
-    return EtaBounds(necessary, sufficient)
+    return {"eta_sq_necessary": necessary, "eta_sq_sufficient": sufficient}
 
 
 # ------------------------------------------------------------- convergence

@@ -37,7 +37,7 @@ from .aggregation import GarSpec, aggregate
 from .attack import AttackSpec, forge
 from .errors import ConfigurationError, ContractViolationError, check_integers
 from .model import (ClipParams, Dataset, Model, accuracy, batch_grads, clip,
-                    full_grad, full_loss, row_blocks, row_sum, sample_batch, sum_blocks)
+                    full_grad, full_loss, row_blocks, row_sum, sample_batch)
 from .privacy import PrivacyParams, gaussian_noise
 
 SCHEDULES = ("inv_sqrt", "constant")
@@ -289,9 +289,8 @@ def run(config: RunConfig) -> RunResult:
         honest = messages[:n_honest]
         if batches is None:
             # one clipped mean over row blocks, summed in order as full_grad does
-            honest[:] = row_sum(_clipped_grads(config, theta, x[lo:hi],
-                                               None if labels is None else labels[lo:hi])
-                                for lo, hi in sum_blocks(m, d)) / m
+            honest[:] = row_sum(lambda lo, hi: _clipped_grads(
+                config, theta, x[lo:hi], None if labels is None else labels[lo:hi]), m, d) / m
         else:
             idx = next(batches)
             # cache-sized blocks of whole workers; see model.row_blocks

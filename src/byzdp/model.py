@@ -22,9 +22,11 @@ least 4 unless it is the only one. OpenBLAS computes ``x @ theta`` and
 ``x @ W1'`` four rows at a time and sends the rows left over to a different
 kernel, and numpy sends a one-row product to another routine again, so any
 other cut would change the bits of some rows. With this cut every row, and so
-every output, is bit for bit the one-block result. ``row_sum`` adds such
-blocks in the order of ``mean(axis=0)``, for ``full_grad`` and for a round
-whose batch is the whole dataset.
+every output, is bit for bit the one-block result. ``row_sum(block_rows,
+count, d)`` cuts ``count`` rows into such blocks (one block at d = 1), asks
+``block_rows(lo, hi)`` for each and adds them in the order of
+``mean(axis=0)``, for ``full_grad`` and for a round whose batch is the whole
+dataset.
 
 ``sample_batch`` draws the batches of all honest workers of a round in one
 call, each row bit for bit the sorted ``choice`` of its worker's stream.
@@ -340,20 +342,18 @@ def batch_grads(model: Model, theta: np.ndarray, features: np.ndarray,
     return grads
 
 
-def sum_blocks(count: int, d: int):
-    """The row blocks over which ``row_sum`` gives the bits of ``sum(axis=0)``.
+def row_sum(block_rows, count: int, d: int) -> np.ndarray:
+    """The bits of ``sum(axis=0)`` of a (count, d) matrix that is never built whole.
 
-    numpy sums axis 0 of a C-contiguous matrix of width d >= 2 one row at a
-    time, so carrying the sum so far into each block's first row adds in its
-    order. At d = 1 numpy sums pairwise, so one block is used.
+    ``block_rows(lo, hi)`` returns the fresh (hi - lo, d) block of rows
+    [lo, hi). numpy sums axis 0 of a C-contiguous matrix of width d >= 2 one
+    row at a time, so the rows are cut by ``row_blocks`` and each block's
+    first row carries the sum so far, which adds in that order. At d = 1
+    numpy sums pairwise, so one block is used.
     """
-    return row_blocks(count, d) if d > 1 else [(0, count)]
-
-
-def row_sum(blocks) -> np.ndarray:
-    """Sum of the rows of fresh (k, d) blocks, each block's first row carrying the sum so far."""
     total = None
-    for g in blocks:
+    for lo, hi in row_blocks(count, d) if d > 1 else [(0, count)]:
+        g = block_rows(lo, hi)
         if total is not None:
             g[0] += total
         total = g.sum(axis=0)
@@ -363,12 +363,13 @@ def row_sum(blocks) -> np.ndarray:
 def full_grad(model: Model, theta: np.ndarray, dataset: Dataset) -> np.ndarray:
     """Exact gradient of the empirical loss, the mean of per-point gradients.
 
-    The rows are summed over ``sum_blocks``, which gives the bits of
-    ``mean(axis=0)`` without building the whole (m, d) matrix.
+    ``row_sum`` gives the bits of ``mean(axis=0)`` without building the whole
+    (m, d) matrix.
     """
     x, y = dataset.features, dataset.labels
-    return row_sum(batch_grads(model, theta, x[lo:hi], None if y is None else y[lo:hi])
-                   for lo, hi in sum_blocks(dataset.m, model.dim)) / dataset.m
+    return row_sum(lambda lo, hi: batch_grads(model, theta, x[lo:hi],
+                                              None if y is None else y[lo:hi]),
+                   dataset.m, model.dim) / dataset.m
 
 
 def batch_losses(model: Model, theta: np.ndarray, features: np.ndarray,

@@ -39,24 +39,26 @@ def sensitivity_mean_grad(c: float, b: int) -> float:
     return 2.0 * c / b
 
 
+def _check_amplification(epsilon: float, b: int, m: int) -> None:
+    """The domain of the amplification map and of its inverse."""
+    if not epsilon > 0:
+        raise ContractViolationError("epsilon must be positive")
+    if not 1 <= b <= m:
+        raise ContractViolationError("need 1 <= b <= m")
+
+
 def amplified_epsilon(epsilon: float, b: int, m: int) -> float:
     """Sub-sampling amplification: ln(1 + (b/m)(e^eps - 1)).
 
     Strictly below epsilon for b < m, equal at b = m.
     """
-    if not epsilon > 0:
-        raise ContractViolationError("epsilon must be positive")
-    if not 1 <= b <= m:
-        raise ContractViolationError("need 1 <= b <= m")
+    _check_amplification(epsilon, b, m)
     return math.log1p((b / m) * math.expm1(epsilon))
 
 
 def inner_epsilon(epsilon: float, b: int, m: int) -> float:
     """Inverse of the amplification map: the budget the inner mechanism must meet."""
-    if not epsilon > 0:
-        raise ContractViolationError("epsilon must be positive")
-    if not 1 <= b <= m:
-        raise ContractViolationError("need 1 <= b <= m")
+    _check_amplification(epsilon, b, m)
     return math.log1p((m / b) * math.expm1(epsilon))
 
 

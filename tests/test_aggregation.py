@@ -73,6 +73,9 @@ def test_gar_spec_constraints():
     for n, f in ((5.0, 1), (5, 1.0), (5, 1.5), (True, 0), (5, False)):
         with pytest.raises(ConfigurationError, match="must be an integer"):
             GarSpec("median", n, f)
+    for n, f in ((0, 0), (5, -1), (5, 5), (5, 6)):
+        with pytest.raises(ConfigurationError, match="need n >= 1 and 0 <= f < n"):
+            GarSpec("median", n, f)
     GarSpec("bulyan", 15, 3)
     GarSpec("krum", 5, 1)
 
@@ -83,6 +86,9 @@ def test_aggregate_rejects_bad_shapes():
         aggregate(spec, vecs(1, 2))
     with pytest.raises(ContractViolationError):
         aggregate(spec, [np.array([1.0]), np.array([2.0]), np.array([3.0, 4.0])])
+    for grads in (np.ones(3), np.ones((3, 2, 1))):
+        with pytest.raises(ContractViolationError, match="must form an \\(n, d\\) matrix"):
+            aggregate(spec, grads)
 
 
 # ---------------------------------------------------------------- examples

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from byzdp import logistic_model, mlp1_model, quadratic_model
-from byzdp.cli import (KNOWN_KEYS, build_dataset, build_model, build_run_config, main,
-                       parse_config)
+from byzdp.cli import (KNOWN_KEYS, _atomic_write, build_dataset, build_model,
+                       build_run_config, main, parse_config)
 from byzdp.engine import run
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
@@ -135,6 +135,14 @@ def test_ill_typed_value_is_a_config_error(tmp_path, capsys, line):
     assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert f"{path}:{len(lines)}: config key '{key}'" in err
+
+
+def test_a_line_without_an_equals_sign_is_a_config_error(tmp_path, capsys):
+    path = write(tmp_path, "c.cfg", QUADRATIC_RUN.strip() + "\nsteps 20\n")
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
+    lineno = len(QUADRATIC_RUN.strip().splitlines()) + 1
+    assert capsys.readouterr().err == f"error: {path}:{lineno}: expected 'key = value'\n"
+    assert not os.path.exists(tmp_path / "out")
 
 
 def test_unknown_key_rejected(tmp_path, capsys):
@@ -322,6 +330,25 @@ def test_diverged_regularised_run_reads_inf_loss_without_a_warning(tmp_path):
     assert all(float(row["loss"]) == math.inf for row in rows[1:])
 
 
+def test_an_out_path_that_names_a_file_is_a_runtime_error(tmp_path, capsys):
+    cfg = write(tmp_path, "run.cfg", QUADRATIC_RUN)
+    taken = write(tmp_path, "taken", "kept\n")
+    assert main(["run", cfg, "--out", taken]) == 3
+    assert capsys.readouterr().err == f"runtime error: [Errno 17] File exists: '{taken}'\n"
+    assert open(taken).read() == "kept\n"
+
+
+def test_a_failed_atomic_write_leaves_no_temporary_file(tmp_path, monkeypatch):
+    def refuse(src, dst):
+        raise OSError("replace refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    target = str(tmp_path / "metrics.csv")
+    with pytest.raises(OSError, match="replace refused"):
+        _atomic_write(target, "a,b\n")
+    assert os.listdir(tmp_path) == []
+
+
 def test_run_is_byte_deterministic(tmp_path):
     cfg = write(tmp_path, "run.cfg", QUADRATIC_RUN)
     out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")
@@ -381,8 +408,18 @@ def test_a_non_integer_seed_variable_is_a_config_error(tmp_path, monkeypatch, ca
      "the targets dataset is for the quadratic model"),
     ("dataset = blobs\n", "dataset = spiral\n", "unknown dataset kind 'spiral'"),
     ("model = logistic\n", "model = cubic\n", "unknown model kind 'cubic'"),
+    # a key of another dataset kind would change nothing but the run id
+    ("half_sep = 0.8\n", "spread = 0.8\n", "the blobs dataset takes no spread"),
+    ("model = logistic\ndim = 3\nreg = 1e-3\ndataset = blobs\n",
+     "model = quadratic\ndim = 3\nreg = 1e-3\ndataset = targets\n",
+     "the targets dataset takes no half_sep"),
+    ("dataset = blobs\n", "dataset = csv\ndataset_path = x.csv\n",
+     "the csv dataset takes no dataset_seed"),
+    ("dataset = blobs\ndataset_seed = 4\n", "dataset = csv\ndataset_path = x.csv\n",
+     "the csv dataset takes no dataset_size"),
 ], ids=["blobs_for_quadratic", "targets_for_classifier", "unknown_dataset",
-        "unknown_model"])
+        "unknown_model", "spread_for_blobs", "half_sep_for_targets",
+        "dataset_seed_for_csv", "dataset_size_for_csv"])
 def test_dataset_and_model_kinds_must_fit(tmp_path, capsys, old, new, message):
     text = LOGISTIC_PRIVATE_RUN.replace(old, new)
     assert text != LOGISTIC_PRIVATE_RUN
@@ -409,6 +446,42 @@ def test_mlp1_needs_hidden(tmp_path, capsys):
                                                                 "model = mlp1\n"))
     assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == "error: missing required config field 'hidden'\n"
+
+
+# run_little_mda.cfg cut to 5 steps runs as 9db2877fc861; each extra line either
+# leaves that run id alone, because no run reads it, or is refused
+RUN_ID_WITNESSES = {
+    "plain": "",
+    "out": "out = {tmp}/a\n",
+    "another_out": "out = {tmp}/b\n",
+    "alpha": "alpha = 0.3\n",
+    "mu": "mu = 2.0\n",
+    "spread": "spread = 7.0\n",
+    "dataset_path": "dataset_path = nowhere.csv\n",
+}
+
+
+@pytest.mark.parametrize("case", list(RUN_ID_WITNESSES))
+def test_one_run_has_one_id(tmp_path, capsys, case):
+    plain = _demo_config("run_little_mda.cfg").replace("steps = 300\n", "steps = 5\n")
+    extra = RUN_ID_WITNESSES[case].format(tmp=tmp_path)
+    cfg = write(tmp_path, "c.cfg", plain + extra)
+    out = str(tmp_path / "out")
+    if case in ("spread", "dataset_path"):
+        assert main(["run", cfg, "--out", out]) == 2
+        assert capsys.readouterr().err == f"error: the blobs dataset takes no {case}\n"
+        assert not os.path.exists(out)
+        return
+    assert main(["run", cfg, "--out", out]) == 0
+    rows = read_rows(os.path.join(out, "metrics.csv"))
+    assert len(rows) == 5 and {row["run_id"] for row in rows} == {"9db2877fc861"}
+    # config.resolved still lists the key that the id leaves out
+    assert extra in open(os.path.join(out, "config.resolved")).read()
+    if case != "plain":
+        reference = str(tmp_path / "plain")
+        assert main(["run", write(tmp_path, "plain.cfg", plain), "--out", reference]) == 0
+        assert open(os.path.join(out, "metrics.csv"), "rb").read() == \
+            open(os.path.join(reference, "metrics.csv"), "rb").read()
 
 
 def _bench_config(name):
@@ -527,6 +600,16 @@ def test_sweep_marks_invalid_cells(tmp_path, capsys):
     rows = read_rows(os.path.join(out, "summary.csv"))
     assert [r["gar"] for r in rows if r["status"] == "failed"] == [""] * 5
     assert all(r["gar"] == "median" for r in rows if r["status"] == "ok")
+
+
+def test_a_sweep_in_which_every_cell_fails_exits_3(tmp_path, capsys):
+    cfg = write(tmp_path, "sweep.cfg", LOGISTIC_SWEEP.replace(
+        "grid_batch_size = [8, 20]", "grid_gar = [bulyan]"))
+    out = str(tmp_path / "sw")
+    assert main(["sweep", cfg, "--out", out]) == 3
+    assert "0 cells ok, 5 failed" in capsys.readouterr().out
+    rows = read_rows(os.path.join(out, "summary.csv"))
+    assert len(rows) == 5 and {r["status"] for r in rows} == {"failed"}
 
 
 def test_run_rejects_grid_keys(tmp_path, capsys):

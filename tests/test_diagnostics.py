@@ -39,6 +39,9 @@ def test_batch_mean_variance_vanishes_at_full_batch():
     model = quadratic_model(np.eye(3))
     ds = regression_targets(1, 25, 3)
     assert batch_mean_variance(model, np.zeros(3), ds, 25) == 0.0
+    for b in (0, 26):
+        with pytest.raises(ContractViolationError, match=f"need 1 <= b <= m, got b={b}, m=25"):
+            batch_mean_variance(model, np.zeros(3), ds, b)
 
 
 def mc_submission_second_moment(model, ds, theta, b, s, samples, rng):
@@ -152,17 +155,17 @@ def test_violation_needs_noise_and_quadratic():
 
 def test_eta_bounds_reference_values():
     bounds = eta_bounds(0.70710678, 2.0, 10, 25, 1000, 0.1, 1e-5, 1.0)
-    assert bounds.eta_sq_necessary == pytest.approx(0.2449, abs=1e-3)
-    assert bounds.eta_sq_sufficient == pytest.approx(3.656, abs=1e-2)
+    assert bounds["eta_sq_necessary"] == pytest.approx(0.2449, abs=1e-3)
+    assert bounds["eta_sq_sufficient"] == pytest.approx(3.656, abs=1e-2)
     # 50-digit evaluations of the same closed forms
-    assert bounds.eta_sq_necessary == pytest.approx(0.24484911865486761, rel=1e-7)
-    assert bounds.eta_sq_sufficient == pytest.approx(3.6558823373629236, rel=1e-7)
+    assert bounds["eta_sq_necessary"] == pytest.approx(0.24484911865486761, rel=1e-7)
+    assert bounds["eta_sq_sufficient"] == pytest.approx(3.6558823373629236, rel=1e-7)
 
 
 def test_eta_necessary_shrinks_with_population():
     small = eta_bounds(1.0, 2.0, 10, 1000, 1000, 0.1, 1e-5, 0.0)
     large = eta_bounds(1.0, 2.0, 10, 10**6, 10**6, 0.1, 1e-5, 0.0)
-    assert large.eta_sq_necessary < small.eta_sq_necessary
+    assert large["eta_sq_necessary"] < small["eta_sq_necessary"]
 
 
 def test_eta_ordering_on_random_tuples():
@@ -180,7 +183,7 @@ def test_eta_ordering_on_random_tuples():
         if not 1.25 * b / (m * delta) > 1:
             continue
         bounds = eta_bounds(kap, c, d, b, m, eps, delta, ups)
-        assert bounds.eta_sq_necessary <= bounds.eta_sq_sufficient
+        assert bounds["eta_sq_necessary"] <= bounds["eta_sq_sufficient"]
         done += 1
 
 
@@ -192,8 +195,8 @@ def test_eta_bounds_increase_with_kappa():
     for kap in (k_mda, k_med, k_kru):
         bounds = eta_bounds(kap, 2.0, 10, 25, 1000, 0.1, 1e-5, 1.0)
         if prev is not None:
-            assert bounds.eta_sq_necessary > prev.eta_sq_necessary
-            assert bounds.eta_sq_sufficient > prev.eta_sq_sufficient
+            assert bounds["eta_sq_necessary"] > prev["eta_sq_necessary"]
+            assert bounds["eta_sq_sufficient"] > prev["eta_sq_sufficient"]
         prev = bounds
 
 
@@ -201,7 +204,7 @@ def test_eta_sufficient_decreases_with_batch_size_on_reference_grid():
     grid = [25, 50, 150, 300, 500, 750, 1000, 1250, 1500]
     for m in (1000, 10_000):
         for eps in (0.05, 0.1, 0.2):
-            values = [eta_bounds(1.0, 2.0, 10, b, m, eps, 1e-5, 1.0).eta_sq_sufficient
+            values = [eta_bounds(1.0, 2.0, 10, b, m, eps, 1e-5, 1.0)["eta_sq_sufficient"]
                       for b in grid if b <= m]
             assert all(later < earlier for earlier, later in zip(values, values[1:]))
 
@@ -213,6 +216,10 @@ def test_eta_bounds_precondition_errors():
         eta_bounds(1.0, 2.0, 10, 1, 1000, 0.1, 0.9, 1.0)
     with pytest.raises(CalibrationError, match="b"):
         eta_bounds(1.0, 2.0, 10, 2000, 1000, 0.1, 1e-5, 1.0)
+    for kap, c, d, ups in ((-0.1, 2.0, 10, 1.0), (1.0, 0.0, 10, 1.0), (1.0, -2.0, 10, 1.0),
+                           (1.0, 2.0, 0, 1.0), (1.0, 2.0, 10, -1.0)):
+        with pytest.raises(CalibrationError, match="need kappa >= 0, C > 0, d >= 1"):
+            eta_bounds(kap, c, d, 25, 1000, 0.1, 1e-5, ups)
 
 
 # ------------------------------------------------------------- convergence
@@ -243,12 +250,21 @@ def test_convergence_bound_preconditions():
         convergence_bound(0.0, 10, 0.0, -1.0, 1.0, 1.0, 1.0, 0.0)
     with pytest.raises(ContractViolationError):
         convergence_bound(0.0, 10, 0.0, 1.0, 1.0, 1.0, 0.0, 1.0)
+    with pytest.raises(ContractViolationError, match="steps must be >= 1"):
+        convergence_bound(0.0, 0, 0.0, 1.0, 1.0, 1.0, 1.0, 0.0)
+    for lips in (0.0, -1.0, math.nan):
+        with pytest.raises(ContractViolationError, match="smoothness constant must be positive"):
+            convergence_bound(0.0, 10, 0.0, 1.0, 1.0, lips, 1.0, 0.0)
 
 
 def test_sigma_total_values():
     assert sigma_total(1.0, 10, 0.389, 2.0) == pytest.approx(2.552, abs=1e-3)
     assert sigma_total(0.0, 7, 0.0, 2.0) == 2.0
     assert sigma_total(3.0, 10, 0.0, 4.0) == pytest.approx(5.0, rel=1e-15)
+    for ups, d, s, c in ((-1.0, 10, 0.1, 2.0), (1.0, 10, -0.1, 2.0), (1.0, 0, 0.1, 2.0),
+                         (1.0, 10, 0.1, 0.0), (1.0, 10, 0.1, math.nan)):
+        with pytest.raises(ContractViolationError, match="need upsilon, s >= 0, d >= 1, C > 0"):
+            sigma_total(ups, d, s, c)
 
 
 def test_sigma_total_does_not_overflow_where_the_root_is_finite():

@@ -452,6 +452,20 @@ def test_config_fail_fast():
         RunConfig(**{**good, "privacy": PrivacyParams(0.5, 1e-4, 1.0, 10, 20)})  # b mismatch
     with pytest.raises(ConfigurationError):
         RunConfig(**{**good, "eval_every": 6})
+    with pytest.raises(ConfigurationError, match="steps must be >= 1"):
+        RunConfig(**{**good, "steps": 0})
+    with pytest.raises(ConfigurationError, match="eval_every must be >= 1"):
+        RunConfig(**{**good, "eval_every": 0})
+    with pytest.raises(ConfigurationError, match="unknown schedule 'cosine'"):
+        RunConfig(**{**good, "schedule": "cosine"})
+    for seed in (-1, 2**64):
+        with pytest.raises(ConfigurationError, match="master_seed must fit in 64"):
+            RunConfig(**{**good, "master_seed": seed})
+    with pytest.raises(ConfigurationError, match="calibrated for m=40, dataset has m=20"):
+        RunConfig(**{**good, "privacy": PrivacyParams(0.5, 1e-4, 1.0, 20, 40)})
+    with pytest.raises(ConfigurationError, match="clip bound differs"):
+        RunConfig(**{**good, "privacy": PrivacyParams(0.5, 1e-4, 1.0, 20, 20),
+                     "clip": ClipParams(2.0)})
     # counts and the seed are integers: master_seed=9.5 once ran as seed 9,
     # eval_every=2.0 ran, and b=10.0, steps=4.0 and b=True raised a bare TypeError
     for name in ("b", "steps", "eval_every", "master_seed"):
@@ -467,6 +481,9 @@ def test_config_rejects_runs_past_the_stream_key_budget():
     assert np.array_equal(alias, worker_stream(3, 1, 0, PURPOSE_BATCH).integers(0, 2**62, 4))
     with pytest.raises(ContractViolationError):
         worker_stream(3, 0, 2**32, PURPOSE_BATCH)
+    for seed in (-1, 2**64):
+        with pytest.raises(ContractViolationError, match="master seed must fit"):
+            worker_stream(seed, 0, 0, PURPOSE_BATCH)
     ds = regression_targets(0, 20, 3)
     good = dict(model=quadratic_model(np.eye(3)), dataset=ds, gar=GarSpec("average", 5, 0),
                 b=20, steps=5, schedule="constant", gamma=0.5)
@@ -728,3 +745,5 @@ def test_sweep_rejects_bad_grid():
         sweep(base, {})
     with pytest.raises(ConfigurationError):
         sweep(base, {"learning_rate": [0.1]})
+    with pytest.raises(ContractViolationError, match="sweep axis 'seed' has no values"):
+        sweep(base, {"f": [0], "seed": []})

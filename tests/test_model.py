@@ -606,6 +606,8 @@ def test_smoothness_closed_forms():
     assert smoothness_constant(logistic_model(2, lam=0.2), ds) == pytest.approx(0.25 * 25 + 0.2)
     with pytest.raises(ConfigurationError):
         smoothness_constant(mlp1_model(2, 3))
+    with pytest.raises(ContractViolationError, match="logistic smoothness needs the dataset"):
+        smoothness_constant(logistic_model(2, lam=0.2))
 
 
 def test_estimate_min_loss_descent_step():
@@ -716,6 +718,11 @@ def test_quadratic_minimizer_of_a_singular_matrix_has_minimum_norm():
     assert np.linalg.norm(full_grad(model, theta, ds)) < 1e-12
 
 
+def test_quadratic_minimizer_needs_a_quadratic_model():
+    with pytest.raises(ContractViolationError, match="quadratic kind only"):
+        quadratic_minimizer(logistic_model(2), gaussian_blobs(0, 10, 2))
+
+
 def test_quadratic_gradient_is_lipschitz_with_exact_constant():
     model = quadratic_model(np.diag([0.5, 2.0, 4.0]), lam=0.3)
     ds = regression_targets(6, 30, 3)
@@ -744,6 +751,26 @@ def test_dataset_features_must_be_finite(bad):
     x[1, 0] = bad
     with pytest.raises(ContractViolationError, match="dataset features must be finite"):
         Dataset(x)
+
+
+@pytest.mark.parametrize("features, labels, message", [
+    (np.ones(3), None, "at least one point with shape"),
+    (np.ones((0, 2)), None, "at least one point with shape"),
+    (np.ones((3, 2, 1)), None, "at least one point with shape"),
+    (np.ones((3, 2)), np.ones(2), "labels must be a vector of length m"),
+    (np.ones((3, 2)), np.ones((3, 1)), "labels must be a vector of length m"),
+    (np.ones((3, 2)), np.array([1.0, 0.0, -1.0]), "labels must be \\+1 or -1"),
+], ids=["vector", "no_points", "3d", "short_labels", "column_labels", "zero_label"])
+def test_dataset_rejects_bad_shapes_and_labels(features, labels, message):
+    with pytest.raises(ContractViolationError, match=message):
+        Dataset(features, labels)
+
+
+@pytest.mark.parametrize("make", [gaussian_blobs, regression_targets])
+@pytest.mark.parametrize("m, dim", [(0, 2), (3, 0)])
+def test_generators_need_a_point_and_a_dimension(make, m, dim):
+    with pytest.raises(ContractViolationError, match="need m >= 1 and dim >= 1"):
+        make(0, m, dim)
 
 
 def test_blobs_reproducible_and_balanced():

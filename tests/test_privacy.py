@@ -38,7 +38,27 @@ def test_sensitivity_values():
     assert sensitivity_mean_grad(3.0, 50) == pytest.approx(sensitivity_mean_grad(3.0, 25) / 2)
 
 
+@pytest.mark.parametrize("c, b, message", [
+    (0.0, 5, "clip bound must be positive"), (-1.0, 5, "clip bound must be positive"),
+    (math.nan, 5, "clip bound must be positive"), (1.0, 0, "batch size must be >= 1"),
+])
+def test_sensitivity_precondition_errors(c, b, message):
+    with pytest.raises(ContractViolationError, match=message):
+        sensitivity_mean_grad(c, b)
+
+
 # ------------------------------------------------------------ amplification
+
+@pytest.mark.parametrize("amplification", [amplified_epsilon, inner_epsilon])
+@pytest.mark.parametrize("epsilon, b, m, message", [
+    (0.0, 5, 10, "epsilon must be positive"), (-0.1, 5, 10, "epsilon must be positive"),
+    (math.nan, 5, 10, "epsilon must be positive"), (0.1, 0, 10, "need 1 <= b <= m"),
+    (0.1, 11, 10, "need 1 <= b <= m"),
+])
+def test_amplification_maps_share_one_domain(amplification, epsilon, b, m, message):
+    with pytest.raises(ContractViolationError, match=message):
+        amplification(epsilon, b, m)
+
 
 def test_amplified_epsilon_identity_at_full_batch():
     assert amplified_epsilon(0.2, 1000, 1000) == pytest.approx(0.2, rel=1e-15)

@@ -14,7 +14,7 @@ import byzdp
 
 PUBLIC = [
     "AttackSpec", "CalibrationError", "CellResult", "ClipParams", "ConfigurationError",
-    "ContractViolationError", "DataLoadError", "Dataset", "EtaBounds", "GarSpec",
+    "ContractViolationError", "DataLoadError", "Dataset", "GarSpec",
     "MetricsRecord", "Model", "PrivacyParams", "PrivacyRegimeWarning", "RunConfig",
     "RunResult", "VnMargin", "accuracy", "aggregate", "aggregation", "amplified_epsilon",
     "attack", "batch_grads", "batch_mean_variance", "clip", "compose", "convergence_bound",
