@@ -8,6 +8,8 @@ the reader closed stdout.
 Every command loads its config through ``_load``, where the environment
 variable BYZDP_SEED overrides master_seed and ``run --seed`` overrides both;
 ``theory_report`` is the one report that ``summary.json`` and ``diagnose`` read.
+The builders decide what a run depends on: ``_load`` records each key they
+read, and the run id digests the master seed and those keys alone.
 """
 
 from __future__ import annotations
@@ -31,8 +33,7 @@ from .model import (ClipParams, Dataset, Model, estimate_min_loss, full_loss, ga
                     load_csv, population_variance, regression_targets, smoothness_constant)
 from .privacy import PrivacyParams, compose
 
-CONFIG_ERRORS = (ConfigurationError, ContractViolationError, DataLoadError,
-                 FileNotFoundError)
+CONFIG_ERRORS = (ConfigurationError, ContractViolationError, DataLoadError)
 
 # Every config key and the type of its value: an int key takes an integer, a
 # float key any finite number, read as a float, and a str key keeps its raw
@@ -57,9 +58,6 @@ DATASET_KEYS = {"blobs": ("dataset_seed", "dataset_size", "half_sep", "axis_std"
                 "targets": ("dataset_seed", "dataset_size", "spread"),
                 "csv": ("dataset_path",)}
 
-# keys that no run or sweep reads, and so leave the run id alone
-UNDIGESTED_KEYS = ("out", "alpha", "mu")
-
 # the sweep axis each grid_ key names
 GRID_KEY_TO_AXIS = {"grid_batch_size": "b", "grid_epsilon": "epsilon", "grid_gar": "gar",
                     "grid_attack": "attack", "grid_f": "f", "grid_seed": "seed"}
@@ -76,6 +74,8 @@ def _parse_scalar(tok: str, kind: type):
     A float key takes finite numbers only, so nan, inf and 1e999 raise.
     """
     tok = tok.strip()
+    if not tok:
+        raise ValueError(tok)
     if tok.lower() == "none":
         return None
     value = kind(tok)
@@ -97,33 +97,54 @@ def _parse_value(tok: str, kind: type, grid: bool):
 def parse_config(path: str) -> dict:
     """Read a flat key = value file, rejecting unknown keys and ill-typed values.
 
-    A scalar key set to none is left out, as if its line were absent.
+    A scalar key set to none is left out, as if its line were absent. A file
+    that cannot be read as UTF-8 text is a ConfigurationError too.
     """
     cfg: dict = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigurationError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in KNOWN_KEYS:
-                raise ConfigurationError(f"{path}:{lineno}: unknown config key '{key}'")
-            if key in cfg:
-                raise ConfigurationError(f"{path}:{lineno}: duplicate key '{key}'")
-            kind, grid = KNOWN_KEYS[key], key.startswith("grid_")
-            try:
-                cfg[key] = _parse_value(value, kind, grid)
-            except ValueError:
-                one, many = {int: ("an integer", "integers"),
-                             float: ("a finite number", "finite numbers"),
-                             str: ("text", "words")}[kind]
-                want = f"a bracketed list of {many}" if grid else one
-                raise ConfigurationError(f"{path}:{lineno}: config key '{key}' must be "
-                                         f"{want}, got '{value.strip()}'") from None
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(str(exc)) from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigurationError(f"{path}:{lineno}: expected 'key = value'")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key not in KNOWN_KEYS:
+            raise ConfigurationError(f"{path}:{lineno}: unknown config key '{key}'")
+        if key in cfg:
+            raise ConfigurationError(f"{path}:{lineno}: duplicate key '{key}'")
+        kind, grid = KNOWN_KEYS[key], key.startswith("grid_")
+        try:
+            cfg[key] = _parse_value(value, kind, grid)
+        except ValueError:
+            one, many = {int: ("an integer", "integers"),
+                         float: ("a finite number", "finite numbers"),
+                         str: ("text", "words")}[kind]
+            want = f"a bracketed list of {many}" if grid else one
+            raise ConfigurationError(f"{path}:{lineno}: config key '{key}' must be "
+                                     f"{want}, got '{value.strip()}'") from None
     return {key: value for key, value in cfg.items() if value is not None}
+
+
+class _ReadKeys(dict):
+    """Config keys that record each key looked up by value; ``key in cfg`` reads none."""
+
+    def __init__(self, keys: dict):
+        super().__init__(keys)
+        self.read: set = set()
+
+    def __getitem__(self, key):
+        value = super().__getitem__(key)
+        self.read.add(key)
+        return value
+
+    def get(self, key, default=None):
+        return self[key] if key in self else default
 
 
 def _require(cfg: dict, key: str):
@@ -165,10 +186,11 @@ def build_model(cfg: dict, dataset: Dataset) -> Model:
     kind = _require(cfg, "model")
     if kind == "mlp1":
         _require(cfg, "hidden")
-    # a quadratic model's size is its dim, which RunConfig checks against the dataset
+    # the model's width is dim, which RunConfig checks against the dataset
+    width = cfg.get("dim", dataset.n_features)
     quadratic = kind == "quadratic"
-    hessian = np.eye(cfg.get("dim", dataset.n_features)) if quadratic else None
-    n_features = None if quadratic else dataset.n_features
+    hessian = np.eye(width) if quadratic else None
+    n_features = None if quadratic else width
     return Model(kind, cfg.get("reg", 0.0), hessian, n_features, cfg.get("hidden"))
 
 
@@ -177,6 +199,8 @@ def build_run_config(cfg: dict) -> RunConfig:
     dataset = build_dataset(cfg, classification=kind != "quadratic")
     model = build_model(cfg, dataset)
     gar = GarSpec(_require(cfg, "gar"), _require(cfg, "n"), _require(cfg, "f"))
+    if "zeta" in cfg and "attack" not in cfg:
+        raise ConfigurationError("the none attack takes no zeta")
     attack = AttackSpec(cfg.get("attack", "none"), cfg.get("zeta"))
     b = _require(cfg, "batch_size")
     clip_c = cfg.get("clip")
@@ -193,15 +217,15 @@ def build_run_config(cfg: dict) -> RunConfig:
                      attack=attack, privacy=privacy, clip=clip_params, **options)
 
 
-def _load(args) -> tuple[dict, RunConfig, dict]:
+def _load(args) -> tuple[_ReadKeys, RunConfig, dict]:
     """The config keys, their RunConfig and the sweep grid of ``args.config``.
 
     ``sweep`` needs at least one grid_ key; ``run`` and ``diagnose`` take one
     configuration and reject the first grid_ key of the file. The master seed
     is ``run --seed``, else BYZDP_SEED, else the config's; the returned keys
-    hold it whenever it overrides the config.
+    hold it whenever it overrides the config, and record each key read.
     """
-    cfg = parse_config(args.config)
+    cfg = _ReadKeys(parse_config(args.config))
     grid_keys = [key for key in cfg if key.startswith("grid_")]
     if args.command == "sweep" and not grid_keys:
         raise ConfigurationError("sweep needs at least one grid_* field")
@@ -305,7 +329,7 @@ def theory_report(cfg: dict, config: RunConfig) -> dict:
     return report
 
 
-def run_summary(cfg: dict, config: RunConfig, run_id: str, result) -> dict:
+def run_summary(config: RunConfig, run_id: str, result, eta_bounds: dict | None) -> dict:
     records = result.records
     summary: dict = {
         "run_id": run_id,
@@ -320,23 +344,24 @@ def run_summary(cfg: dict, config: RunConfig, run_id: str, result) -> dict:
         summary["epsilon_inner"] = config.privacy.epsilon_inner
         summary["composition"] = compose(
             config.privacy.epsilon, config.privacy.delta, config.steps)
-        if config.gar.rule != "average":
-            summary["eta_bounds"] = theory_report(cfg, config)
+    if eta_bounds is not None:
+        summary["eta_bounds"] = eta_bounds
     return summary
 
 
 # ----------------------------------------------------------------- commands
 
-def _out_dir(args, cfg: dict, config: RunConfig) -> tuple[str, str]:
+def _out_dir(args, cfg: _ReadKeys, config: RunConfig) -> tuple[str, str]:
     """(id, directory) of a run or sweep: make the directory and write its config.resolved.
 
-    config.resolved records the keys the config sets plus the master seed; the
-    id digests them all but ``UNDIGESTED_KEYS``. The directory is --out, else
-    out, else byzdp-<command>-<id>.
+    The id digests the master seed and the keys read so far, so it is taken
+    before ``out`` is read; config.resolved records every key the config sets
+    plus the master seed. The directory is --out, else out, else
+    byzdp-<command>-<id>.
     """
+    ident = cell_digest(dict({key: cfg[key] for key in cfg.read},
+                             master_seed=config.master_seed))
     resolved = dict(cfg, master_seed=config.master_seed)
-    ident = cell_digest({key: value for key, value in resolved.items()
-                         if key not in UNDIGESTED_KEYS})
     out_dir = args.out or cfg.get("out") or f"byzdp-{args.command}-{ident}"
     os.makedirs(out_dir, exist_ok=True)
     _atomic_write(os.path.join(out_dir, "config.resolved"), resolved_config_text(resolved))
@@ -345,11 +370,14 @@ def _out_dir(args, cfg: dict, config: RunConfig) -> tuple[str, str]:
 
 def cmd_run(args) -> int:
     cfg, config, _ = _load(args)
+    # before the directory is made, so that a report that fails leaves none
+    eta_bounds = (theory_report(cfg, config)
+                  if config.privacy is not None and config.gar.rule != "average" else None)
     run_id, out_dir = _out_dir(args, cfg, config)
     result = run(config)
     _atomic_write(os.path.join(out_dir, "metrics.csv"),
                   metrics_csv_text(run_id, result.records, config))
-    summary = run_summary(cfg, config, run_id, result)
+    summary = run_summary(config, run_id, result, eta_bounds)
     _atomic_write(os.path.join(out_dir, "summary.json"),
                   json.dumps(_json_value(summary), indent=2, sort_keys=True,
                              allow_nan=False) + "\n")

@@ -129,11 +129,15 @@ def load_csv(path: str, classification: bool) -> Dataset:
 
     The last column is the label when ``classification`` is true. A header
     row is skipped if its first field is not a number. Malformed rows and
-    non-finite values (``nan``, ``inf``) raise DataLoadError naming the row.
+    non-finite values (``nan``, ``inf``) raise DataLoadError naming the row,
+    and a file that cannot be read as UTF-8 text raises DataLoadError too.
     """
     rows: list[list[float]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.readlines()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataLoadError(str(exc)) from None
     start = 0
     if lines:
         first = lines[0].strip().split(",")

@@ -13,6 +13,8 @@ def test_attack_spec_defaults():
     assert AttackSpec("empire").zeta == 1.1
     assert AttackSpec("none").zeta == 0.0
     assert AttackSpec("little", 2.5).zeta == 2.5
+    # the none kind takes any zeta: a sweep cell passes it the base config's
+    assert AttackSpec("none", 3.0).zeta == 3.0
     for zeta in (-0.5, math.inf, -math.inf, math.nan):
         with pytest.raises(ConfigurationError, match="zeta must be finite and nonnegative"):
             AttackSpec("little", zeta)

@@ -90,6 +90,11 @@ def read_rows(path):
         return list(csv.DictReader(fh))
 
 
+def _without_keys(text, keys):
+    return "".join(line + "\n" for line in text.strip().splitlines()
+                   if line.partition("=")[0].strip() not in keys)
+
+
 # ----------------------------------------------------------------- parsing
 
 def test_parse_config_values(tmp_path):
@@ -126,6 +131,8 @@ def test_readme_lists_every_config_key():
     # a float key takes finite numbers only
     "clip = inf", "spread = nan", "reg = inf", "gamma = 1e999", "zeta = -inf",
     "grid_epsilon = [0.5, nan]",
+    # an empty value is no value of any type; [median, ] once ran a phantom '' cell
+    "gar = ", "grid_gar = [median, ]",
 ])
 def test_ill_typed_value_is_a_config_error(tmp_path, capsys, line):
     key = line.split(" = ")[0]
@@ -143,6 +150,27 @@ def test_a_line_without_an_equals_sign_is_a_config_error(tmp_path, capsys):
     lineno = len(QUADRATIC_RUN.strip().splitlines()) + 1
     assert capsys.readouterr().err == f"error: {path}:{lineno}: expected 'key = value'\n"
     assert not os.path.exists(tmp_path / "out")
+
+
+UNREADABLE = {
+    "directory": "[Errno 21] Is a directory: '.'",
+    "not_utf8": "'utf-8' codec can't decode byte 0xff in position 12: invalid start byte",
+    "missing": "[Errno 2] No such file or directory: 'nowhere'",
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE))
+@pytest.mark.parametrize("role", ["config", "dataset"])
+def test_an_unreadable_input_file_is_a_config_error(tmp_path, monkeypatch, capsys, role, case):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad").write_bytes(b"model = quad\xffratic\n")
+    path = {"directory": ".", "not_utf8": "bad", "missing": "nowhere"}[case]
+    if role == "dataset":
+        text = "model = logistic\ndataset = csv\ndataset_path = {}\n"
+        path = write(tmp_path, "c.cfg", text.format(path))
+    assert main(["run", path, "--out", "out"]) == 2
+    assert capsys.readouterr().err == f"error: {UNREADABLE[case]}\n"
+    assert not os.path.exists("out")
 
 
 def test_unknown_key_rejected(tmp_path, capsys):
@@ -245,8 +273,7 @@ def _cli_outputs(workdir, monkeypatch, capsys, command, text):
 @pytest.mark.parametrize("case", sorted(NONE_CASES))
 def test_none_runs_as_an_absent_key(tmp_path, monkeypatch, capsys, case, key):
     command, text = NONE_CASES[case]
-    absent = "".join(line + "\n" for line in text.strip().splitlines()
-                     if line.partition("=")[0].strip() != key)
+    absent = _without_keys(text, (key,))
     unset = absent + f"{key} = none\n"
     assert _cli_outputs(tmp_path / "none", monkeypatch, capsys, command, unset) == \
         _cli_outputs(tmp_path / "absent", monkeypatch, capsys, command, absent)
@@ -448,40 +475,87 @@ def test_mlp1_needs_hidden(tmp_path, capsys):
     assert capsys.readouterr().err == "error: missing required config field 'hidden'\n"
 
 
-# run_little_mda.cfg cut to 5 steps runs as 9db2877fc861; each extra line either
-# leaves that run id alone, because no run reads it, or is refused
-RUN_ID_WITNESSES = {
-    "plain": "",
-    "out": "out = {tmp}/a\n",
-    "another_out": "out = {tmp}/b\n",
-    "alpha": "alpha = 0.3\n",
-    "mu": "mu = 2.0\n",
-    "spread": "spread = 7.0\n",
-    "dataset_path": "dataset_path = nowhere.csv\n",
+# Each case drops keys from a base config, adds lines and names the id it
+# expects, or the error that refuses it before any directory is made. A key
+# that the command does not read leaves the id alone, a key read only for
+# summary.json moves the id with it, and a key the run would ignore is
+# refused. run_little_mda.cfg cut to 5 steps runs as 9db2877fc861, and as
+# 8c0c03b787a8 without its privacy budget.
+ONE_ID_BASES = {
+    "run": _demo_config("run_little_mda.cfg").replace("steps = 300\n", "steps = 5\n"),
+    "sweep": _demo_config("sweep_batch_size.cfg").replace("steps = 300\n", "steps = 5\n")
+    .replace("[16, 128, 512]", "[16, 512]").replace("[1, 2, 3, 4, 5]", "[1, 2]"),
 }
+NO_PRIVACY = ("epsilon", "delta")
+NO_ZETA = "error: the none attack takes no zeta\n"
+RUN_ID_WITNESSES = {
+    "plain": ("run", (), "", "9db2877fc861"),
+    "out": ("run", (), "out = {tmp}/a\n", "9db2877fc861"),
+    "another_out": ("run", (), "out = {tmp}/b\n", "9db2877fc861"),
+    "alpha": ("run", (), "alpha = 0.3\n", "9db2877fc861"),
+    "mu": ("run", (), "mu = 2.0\n", "9db2877fc861"),
+    "spread": ("run", (), "spread = 7.0\n", "error: the blobs dataset takes no spread\n"),
+    "dataset_path": ("run", (), "dataset_path = nowhere.csv\n",
+                     "error: the blobs dataset takes no dataset_path\n"),
+    "delta_without_epsilon": ("run", NO_PRIVACY, "delta = 1e-5\n", "8c0c03b787a8"),
+    "another_delta_without_epsilon": ("run", NO_PRIVACY, "delta = 1e-3\n", "8c0c03b787a8"),
+    "upsilon_without_privacy": ("run", NO_PRIVACY, "upsilon = 0.5\n", "8c0c03b787a8"),
+    "upsilon_with_privacy": ("run", (), "upsilon = 0.5\n", "b3ad6380d9de"),
+    "sweep_upsilon": ("sweep", (), "upsilon = 0.5\n", "5219dbaf3c10"),
+    # summary.json's report fails after the run, so it is computed before it
+    "negative_upsilon": ("run", (), "upsilon = -1.0\n",
+                         "error: need kappa >= 0, C > 0, d >= 1, upsilon >= 0\n"),
+    # the run would ignore zeta, and so would every grid_attack cell of a sweep
+    "zeta_without_attack": ("run", ("attack", "f"), "f = 0\n", NO_ZETA),
+    "zeta_under_attack_none": ("run", ("attack", "f"), "f = 0\nattack = none\n", NO_ZETA),
+    "sweep_zeta_without_attack": ("sweep", ("attack",),
+                                  "zeta = 3.0\ngrid_attack = [little, empire]\n", NO_ZETA),
+}
+
+
+def _command_id(command, cfg, out, capsys):
+    """The id that ``byzdp command cfg --out out`` prints, and every file it wrote
+    but config.resolved, each csv without its first (id) column and summary.json
+    without its run_id."""
+    assert main([command, cfg, "--out", out]) == 0
+    ident = capsys.readouterr().out.split()[1].rstrip(":")
+    files = {}
+    for name in sorted(os.listdir(out)):
+        path = os.path.join(out, name)
+        if name.endswith(".csv"):
+            files[name] = _without_run_id(path)
+        elif name == "summary.json":
+            files[name] = dict(json.load(open(path)), run_id=None)
+    return ident, files
 
 
 @pytest.mark.parametrize("case", list(RUN_ID_WITNESSES))
 def test_one_run_has_one_id(tmp_path, capsys, case):
-    plain = _demo_config("run_little_mda.cfg").replace("steps = 300\n", "steps = 5\n")
-    extra = RUN_ID_WITNESSES[case].format(tmp=tmp_path)
+    command, drop, extra, want = RUN_ID_WITNESSES[case]
+    plain = _without_keys(ONE_ID_BASES[command], drop)
+    extra = extra.format(tmp=tmp_path)
     cfg = write(tmp_path, "c.cfg", plain + extra)
     out = str(tmp_path / "out")
-    if case in ("spread", "dataset_path"):
-        assert main(["run", cfg, "--out", out]) == 2
-        assert capsys.readouterr().err == f"error: the blobs dataset takes no {case}\n"
+    if want.startswith("error: "):
+        assert main([command, cfg, "--out", out]) == 2
+        assert capsys.readouterr().err == want
         assert not os.path.exists(out)
         return
-    assert main(["run", cfg, "--out", out]) == 0
-    rows = read_rows(os.path.join(out, "metrics.csv"))
-    assert len(rows) == 5 and {row["run_id"] for row in rows} == {"9db2877fc861"}
-    # config.resolved still lists the key that the id leaves out
-    assert extra in open(os.path.join(out, "config.resolved")).read()
-    if case != "plain":
+    ident, files = _command_id(command, cfg, out, capsys)
+    assert ident == want
+    if command == "run":
+        rows = read_rows(os.path.join(out, "metrics.csv"))
+        assert len(rows) == 5 and {row["run_id"] for row in rows} == {want}
+    # config.resolved still lists every key, whether the id digests it or not
+    assert parse_config(os.path.join(out, "config.resolved")) == parse_config(cfg)
+    if extra:
         reference = str(tmp_path / "plain")
-        assert main(["run", write(tmp_path, "plain.cfg", plain), "--out", reference]) == 0
-        assert open(os.path.join(out, "metrics.csv"), "rb").read() == \
-            open(os.path.join(reference, "metrics.csv"), "rb").read()
+        plain_id, plain_files = _command_id(command, write(tmp_path, "plain.cfg", plain),
+                                            reference, capsys)
+        # the extra key changes no metric; it moves the id exactly when it
+        # changes summary.json
+        assert files.get("metrics.csv") == plain_files.get("metrics.csv")
+        assert (files == plain_files) == (ident == plain_id)
 
 
 def _bench_config(name):
@@ -514,13 +588,19 @@ def test_build_model_is_the_factory_model(tmp_path, text):
     assert want.hessian is None or np.array_equal(got.hessian, want.hessian)
 
 
-def test_quadratic_dim_must_fit_a_csv_dataset(tmp_path, capsys):
+@pytest.mark.parametrize("kind, dim", [("quadratic", 4), ("logistic", 999), ("mlp1", 7)])
+def test_quadratic_dim_must_fit_a_csv_dataset(tmp_path, capsys, kind, dim):
+    # a classifier's csv carries a label column after its 3 features
     rng = np.random.default_rng(0)
+    points = rng.normal(0.0, 1.0, (12, 3 if kind == "quadratic" else 4))
+    if kind != "quadratic":
+        points[:, -1] = np.where(np.arange(12) % 2 == 0, 1.0, -1.0)
     data = write(tmp_path, "points.csv", "\n".join(
-        ",".join(str(v) for v in row) for row in rng.normal(0.0, 1.0, (12, 3))) + "\n")
+        ",".join(str(v) for v in row) for row in points) + "\n")
+    hidden = "hidden = 4\n" if kind == "mlp1" else ""
     cfg = write(tmp_path, "csv.cfg", f"""
-model = quadratic
-dim = 4
+model = {kind}
+{hidden}dim = {dim}
 dataset = csv
 dataset_path = {data}
 n = 3
@@ -531,7 +611,7 @@ steps = 2
 """)
     assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == ("error: dataset has 3 features, "
-                                       "the quadratic model takes 4\n")
+                                       f"the {kind} model takes {dim}\n")
 
 
 def test_run_from_csv_dataset(tmp_path):
