@@ -30,15 +30,17 @@ from .engine import (SWEEP_AXES, CellResult, MetricsRecord, RunConfig, RunResult
                      cell_digest, initial_theta, run, sweep)
 from .errors import ConfigurationError, ContractViolationError, DataLoadError
 from .model import (ClipParams, Dataset, Model, estimate_min_loss, full_loss, gaussian_blobs,
-                    load_csv, population_variance, regression_targets, smoothness_constant)
+                    load_csv, population_variance, read_lines, regression_targets,
+                    smoothness_constant)
 from .privacy import PrivacyParams, compose
 
 CONFIG_ERRORS = (ConfigurationError, ContractViolationError, DataLoadError)
 
 # Every config key and the type of its value: an int key takes an integer, a
 # float key any finite number, read as a float, and a str key keeps its raw
-# text. A grid_ key takes a bracketed list of such values; none is a grid value
-# or leaves a scalar key unset.
+# text. A grid_ key takes a bracketed list of such values. none leaves a
+# scalar key unset; in a grid list it is the cell without privacy or without
+# an attack, and the other grid keys refuse it.
 KNOWN_KEYS = {
     "model": str, "dim": int, "hidden": int, "reg": float,
     "dataset": str, "dataset_seed": int, "dataset_size": int, "dataset_path": str,
@@ -98,15 +100,10 @@ def parse_config(path: str) -> dict:
     """Read a flat key = value file, rejecting unknown keys and ill-typed values.
 
     A scalar key set to none is left out, as if its line were absent. A file
-    that cannot be read as UTF-8 text is a ConfigurationError too.
+    that cannot be read as UTF-8 text is a ConfigurationError too, naming it.
     """
     cfg: dict = {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigurationError(str(exc)) from None
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(read_lines(path, ConfigurationError), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -233,6 +230,10 @@ def _load(args) -> tuple[_ReadKeys, RunConfig, dict]:
         raise ConfigurationError(f"config key '{grid_keys[0]}' is a sweep axis: "
                                  f"'byzdp {args.command}' takes one configuration; "
                                  f"use 'byzdp sweep'")
+    for key in grid_keys:
+        if GRID_KEY_TO_AXIS[key] not in ("epsilon", "attack") and None in cfg[key]:
+            raise ConfigurationError(f"config key '{key}' cannot list none: every cell "
+                                     f"needs a value")
     seed = getattr(args, "seed", None)
     env = os.environ.get("BYZDP_SEED")
     if seed is None and env is not None:
@@ -374,7 +375,11 @@ def cmd_run(args) -> int:
     eta_bounds = (theory_report(cfg, config)
                   if config.privacy is not None and config.gar.rule != "average" else None)
     run_id, out_dir = _out_dir(args, cfg, config)
-    result = run(config)
+    try:
+        result = run(config)
+    except CONFIG_ERRORS as exc:
+        # the config passed its checks, so a run that stops is a runtime failure
+        raise RuntimeError(str(exc)) from exc
     _atomic_write(os.path.join(out_dir, "metrics.csv"),
                   metrics_csv_text(run_id, result.records, config))
     summary = run_summary(config, run_id, result, eta_bounds)

@@ -86,7 +86,6 @@ class _StreamPool:
 
     def __init__(self, master_seed: int):
         self._seed = master_seed
-        _stream_key(master_seed, 0, 0, 0)
         self._bg = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
         self._gen = np.random.Generator(self._bg)
         self._cell = {"counter": self._ZEROS, "key": (master_seed, 0)}
@@ -115,9 +114,14 @@ class MetricsRecord:
     gamma: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    """Everything a run depends on; bit-identical runs follow from equal configs."""
+    """Everything a run depends on; bit-identical runs follow from equal configs.
+
+    Frozen, so a config keeps the checks its constructor ran, the privacy
+    calibration's b, m and C among them; ``dataclasses.replace`` builds a
+    checked variant.
+    """
 
     model: Model
     dataset: Dataset
@@ -186,7 +190,7 @@ class RunConfig:
                 raise ConfigurationError(
                     f"privacy calibrated for m={self.privacy.m}, dataset has m={self.dataset.m}")
             if self.clip is None:
-                self.clip = ClipParams(self.privacy.c)
+                object.__setattr__(self, "clip", ClipParams(self.privacy.c))
             elif self.clip.c != self.privacy.c:
                 raise ConfigurationError("clip bound differs from the privacy calibration")
 
@@ -196,7 +200,7 @@ class RunConfig:
         return 1.0 / math.sqrt(t)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunResult:
     records: list[MetricsRecord]
     theta: np.ndarray
@@ -319,7 +323,7 @@ def run(config: RunConfig) -> RunResult:
 SWEEP_AXES = ("b", "epsilon", "gar", "attack", "f", "seed")
 
 
-@dataclass
+@dataclass(frozen=True)
 class CellResult:
     params: dict
     # the resolved configuration; None when the cell's overrides did not resolve
@@ -344,8 +348,14 @@ def cell_digest(params: dict) -> str:
 
 
 def _axis_value(axis: str, value):
-    """The Python value a grid value names: np.int64(9) is 9, and "none" is no epsilon."""
+    """The Python value a grid value names.
+
+    np.int64(9) is 9, "none" on the epsilon axis is no privacy, and None on
+    the attack axis is the "none" attack.
+    """
     value = value.item() if isinstance(value, np.generic) else value
+    if axis == "attack" and value is None:
+        return "none"
     return None if axis == "epsilon" and value == "none" else value
 
 
@@ -392,7 +402,8 @@ def sweep(base: RunConfig, grid: dict, jobs: int = 1) -> list[CellResult]:
 
     Recognized axes: b, epsilon, gar, attack, f, seed. Changing b or epsilon
     recalibrates the noise scale from the base privacy budget; the string
-    "none" on the epsilon axis disables privacy for that cell. A value named
+    "none" on the epsilon axis disables privacy for that cell, and None on
+    the attack axis is the "none" attack. A value named
     twice on one axis, after a numpy scalar becomes its Python value, raises
     ConfigurationError. Invalid cells are reported as failed and do not stop
     the sweep. Every cell resolves to its RunConfig in the caller; only the

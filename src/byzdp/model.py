@@ -55,25 +55,28 @@ MODEL_KINDS = {"quadratic": ("hessian",), "logistic": ("n_features",),
 
 # ---------------------------------------------------------------- datasets
 
-@dataclass
+@dataclass(frozen=True)
 class Dataset:
     """An immutable in-memory dataset of m points.
 
     ``features`` has shape (m, p). ``labels`` is None for regression-style
-    data and a vector in {-1, +1} for classification.
+    data and a vector in {-1, +1} for classification. The arrays are
+    read-only float64, and the dataclass is frozen.
     """
 
     features: np.ndarray
     labels: np.ndarray | None = None
 
     def __post_init__(self):
-        self.features = np.ascontiguousarray(np.asarray(self.features, dtype=np.float64))
+        object.__setattr__(self, "features", np.ascontiguousarray(
+            np.asarray(self.features, dtype=np.float64)))
         if self.features.ndim != 2 or self.features.shape[0] < 1:
             raise ContractViolationError("dataset needs at least one point with shape (m, p)")
         if not np.isfinite(self.features).all():
             raise ContractViolationError("dataset features must be finite")
         if self.labels is not None:
-            self.labels = np.ascontiguousarray(np.asarray(self.labels, dtype=np.float64))
+            object.__setattr__(self, "labels", np.ascontiguousarray(
+                np.asarray(self.labels, dtype=np.float64)))
             if self.labels.shape != (self.features.shape[0],):
                 raise ContractViolationError("labels must be a vector of length m")
             if not np.all(np.abs(self.labels) == 1.0):
@@ -124,20 +127,31 @@ def regression_targets(seed: int, m: int, dim: int, spread: float = 1.0) -> Data
     return Dataset(x, None)
 
 
+def read_lines(path: str, error: type[ValueError]) -> list[str]:
+    """The lines of a UTF-8 text file; raise error when it cannot be read.
+
+    The message is the OSError's, which names the path, or the path and then
+    the UnicodeDecodeError's, which does not.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.readlines()
+    except OSError as exc:
+        raise error(str(exc)) from None
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: {exc}") from None
+
+
 def load_csv(path: str, classification: bool) -> Dataset:
     """Load one point per row of comma-separated floats.
 
     The last column is the label when ``classification`` is true. A header
     row is skipped if its first field is not a number. Malformed rows and
     non-finite values (``nan``, ``inf``) raise DataLoadError naming the row,
-    and a file that cannot be read as UTF-8 text raises DataLoadError too.
+    and a file that cannot be read as UTF-8 text raises DataLoadError naming it.
     """
     rows: list[list[float]] = []
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataLoadError(str(exc)) from None
+    lines = read_lines(path, DataLoadError)
     start = 0
     if lines:
         first = lines[0].strip().split(",")
@@ -173,11 +187,12 @@ def load_csv(path: str, classification: bool) -> Dataset:
 
 # ---------------------------------------------------------------- models
 
-@dataclass
+@dataclass(frozen=True)
 class Model:
     """A differentiable point-wise loss family; see the module docstring.
 
-    The parameter count ``dim`` is derived from the other fields. A kind
+    The parameter count ``dim`` is derived from the other fields, and the
+    dataclass is frozen, so ``dim`` cannot fall out of step with them. A kind
     rejects the fields it does not take (see ``MODEL_KINDS``), and its counts
     must be integers. A quadratic model's ``n_features`` is its matrix size:
     one given must equal it, so that ``dataclasses.replace`` keeps working.
@@ -208,16 +223,18 @@ class Model:
             if self.n_features not in (None, h.shape[0]):
                 raise ConfigurationError(f"the quadratic model's n_features is its matrix size "
                                          f"{h.shape[0]}, got {self.n_features!r}")
-            self.hessian = h
-            self.n_features = self.dim = h.shape[0]
+            object.__setattr__(self, "hessian", h)
+            object.__setattr__(self, "n_features", h.shape[0])
+            dim = h.shape[0]
         elif self.kind == "logistic":
             check_integers(self, *takes)
-            self.dim = self.n_features
+            dim = self.n_features
         else:
             check_integers(self, *takes)
             if self.hidden < 1 or self.n_features < 1:
                 raise ConfigurationError("mlp1 needs n_features and a positive hidden width")
-            self.dim = self.n_features * self.hidden + 2 * self.hidden + 1
+            dim = self.n_features * self.hidden + 2 * self.hidden + 1
+        object.__setattr__(self, "dim", dim)
         if self.dim < 1:
             raise ConfigurationError("model dimension must be >= 1")
         if not 0 <= self.lam < math.inf:

@@ -154,7 +154,7 @@ def test_a_line_without_an_equals_sign_is_a_config_error(tmp_path, capsys):
 
 UNREADABLE = {
     "directory": "[Errno 21] Is a directory: '.'",
-    "not_utf8": "'utf-8' codec can't decode byte 0xff in position 12: invalid start byte",
+    "not_utf8": "bad: 'utf-8' codec can't decode byte 0xff in position 12: invalid start byte",
     "missing": "[Errno 2] No such file or directory: 'nowhere'",
 }
 
@@ -355,6 +355,37 @@ def test_diverged_regularised_run_reads_inf_loss_without_a_warning(tmp_path):
     rows = read_rows(os.path.join(out, "metrics.csv"))
     assert len(rows) == 20 and float(rows[0]["loss"]) < math.inf
     assert all(float(row["loss"]) == math.inf for row in rows[1:])
+
+
+DIVERGING_AVERAGE = """
+model = quadratic
+dim = 3
+dataset = targets
+dataset_size = 40
+batch_size = 40
+schedule = constant
+gamma = 3.0
+steps = 1200
+gar = average
+n = 5
+f = 0
+"""
+
+
+# numpy warns as the submissions overflow; the suite turns that warning into
+# an error, which would stop the run before the aggregator does
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_a_run_stopped_by_non_finite_submissions_is_a_runtime_error(tmp_path, capsys):
+    # theta <- 3 xbar - 2 theta doubles each round; it once exited 2, as a config error
+    out = str(tmp_path / "out")
+    assert main(["run", write(tmp_path, "run.cfg", DIVERGING_AVERAGE), "--out", out]) == 3
+    message = "5 submissions are non-finite, more than f=0"
+    assert capsys.readouterr().err == f"runtime error: {message}\n"
+    # a sweep marks the cell failed
+    cfg = write(tmp_path, "sweep.cfg", DIVERGING_AVERAGE + "grid_seed = [1]\n")
+    assert main(["sweep", cfg, "--out", str(tmp_path / "sw")]) == 3
+    [cell] = read_rows(str(tmp_path / "sw" / "summary.csv"))
+    assert (cell["status"], cell["reason"]) == ("failed", message.replace(",", ";"))
 
 
 def test_an_out_path_that_names_a_file_is_a_runtime_error(tmp_path, capsys):
@@ -673,13 +704,49 @@ def test_sweep_marks_invalid_cells(tmp_path, capsys):
     status = {(r["gar"], r["seed"]): r["status"] for r in rows}
     assert all(status[("median", str(s))] == "ok" for s in range(1, 6))
     assert all(status[("bulyan", str(s))] == "failed" for s in range(1, 6))
-    # "none" parses to None, which is no rule; like an unset epsilon, its field is empty
+    # "none" is no rule: it once ran 5 failed cells whose gar field was empty
     cfg = write(tmp_path, "none.cfg", text.replace("[median, bulyan]", "[median, none]"))
     out = str(tmp_path / "none")
-    assert main(["sweep", cfg, "--out", out]) == 0
-    rows = read_rows(os.path.join(out, "summary.csv"))
-    assert [r["gar"] for r in rows if r["status"] == "failed"] == [""] * 5
-    assert all(r["gar"] == "median" for r in rows if r["status"] == "ok")
+    assert main(["sweep", cfg, "--out", out]) == 2
+    assert "config key 'grid_gar' cannot list none" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_none_in_grid_attack_is_the_cell_without_an_attack(tmp_path, capsys):
+    # it once failed with "unknown attack kind 'None'"
+    text = LOGISTIC_SWEEP.replace("grid_batch_size = [8, 20]", "grid_attack = [none, little]")
+    out = str(tmp_path / "none")
+    assert main(["sweep", write(tmp_path, "none.cfg", text), "--out", out]) == 0
+    cells = read_rows(os.path.join(out, "summary.csv"))
+    assert [c["attack"] for c in cells] == ["none"] * 5 + ["little"] * 5
+    assert all(c["status"] == "ok" for c in cells)
+    # the same cells as a sweep whose config sets no attack
+    unset = _without_keys(text, ("attack", "grid_attack"))
+    out_unset = str(tmp_path / "unset")
+    assert main(["sweep", write(tmp_path, "unset.cfg", unset), "--out", out_unset]) == 0
+    for cell in read_rows(os.path.join(out_unset, "summary.csv")):
+        assert cell in cells
+        name = f"metrics-{cell['cell_id']}.csv"
+        assert (open(os.path.join(out_unset, name)).read()
+                == open(os.path.join(out, name)).read())
+
+
+@pytest.mark.parametrize("key, values", [("grid_gar", "[median, none]"),
+                                         ("grid_batch_size", "[none, 8]"),
+                                         ("grid_f", "[none, 0]"),
+                                         ("grid_seed", "[none, 2]")])
+def test_none_in_a_grid_that_needs_a_value_is_a_config_error(tmp_path, capsys, key, values):
+    # each once ran a failed cell; the missing csv file shows that the grid
+    # is refused before the dataset is built
+    text = _without_keys(LOGISTIC_SWEEP, ("grid_batch_size", "grid_seed", "dataset_seed",
+                                          "dataset_size"))
+    text = text.replace("dataset = blobs", "dataset = csv\ndataset_path = nowhere.csv")
+    cfg = write(tmp_path, "sweep.cfg", text + f"{key} = {values}\n")
+    out = str(tmp_path / "sw")
+    assert main(["sweep", cfg, "--out", out]) == 2
+    assert capsys.readouterr().err == (f"error: config key '{key}' cannot list none: "
+                                       f"every cell needs a value\n")
+    assert not os.path.exists(out)
 
 
 def test_a_sweep_in_which_every_cell_fails_exits_3(tmp_path, capsys):

@@ -3,7 +3,7 @@
 import math
 import sys
 import tracemalloc
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -493,6 +493,24 @@ def test_config_rejects_runs_past_the_stream_key_budget():
         RunConfig(**{**good, "steps": 2**32})
     with pytest.raises(ConfigurationError, match="n must be below 2\\*\\*30"):
         RunConfig(**{**good, "gar": GarSpec("average", 2**30, 0)})
+
+
+def test_a_checked_value_cannot_drift_from_its_checks():
+    # these types were mutable: b = 5 on a config calibrated for b = 20 ran
+    # 5-point batches under the noise of 20, eval_every = 0 stopped the run
+    # with ZeroDivisionError, and n_features = 5 left a model's dim at 20
+    config = quadratic_config(b=20, steps=4, privacy=PrivacyParams(0.5, 1e-4, 1.0, 20, 40))
+    assignments = [(config, "b", 5), (config, "eval_every", 0), (config, "privacy", None),
+                   (logistic_model(20), "n_features", 5),
+                   (gaussian_blobs(0, 6, 3), "labels", None),
+                   (run(config), "theta", np.zeros(4))]
+    for owner, name, value in assignments:
+        with pytest.raises(FrozenInstanceError):
+            setattr(owner, name, value)
+        assert getattr(owner, name) is not value
+    # a variant is built through the checks
+    with pytest.raises(ConfigurationError, match="privacy calibrated for b=20, run uses b=5"):
+        replace(config, b=5)
 
 
 def test_integer_fields_accept_numpy_integers():

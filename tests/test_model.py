@@ -196,7 +196,7 @@ def evaluate_on(name, model, theta, x, y):
     if name == "batch_losses":
         return batch_losses(model, theta, x, y)
     ds = Dataset(x)
-    ds.labels = y  # past Dataset's own label check, to reach the function's
+    object.__setattr__(ds, "labels", y)  # past Dataset's own label check, to reach the function's
     return {"full_loss": full_loss, "accuracy": accuracy}[name](model, theta, ds)
 
 

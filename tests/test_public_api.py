@@ -8,6 +8,7 @@ the package.
 """
 
 import ast
+import dataclasses
 import os
 
 import byzdp
@@ -30,6 +31,18 @@ PUBLIC = [
 
 def test_public_names_are_the_pinned_list():
     assert sorted(byzdp.__all__) == PUBLIC
+
+
+def test_every_public_dataclass_is_frozen():
+    # a field assigned after the constructor ran would skip its checks;
+    # dataclasses.replace builds a checked variant instead
+    found = {name: getattr(byzdp, name) for name in byzdp.__all__
+             if isinstance(getattr(byzdp, name), type)
+             and dataclasses.is_dataclass(getattr(byzdp, name))}
+    assert sorted(found) == [
+        "AttackSpec", "CellResult", "ClipParams", "Dataset", "GarSpec", "MetricsRecord",
+        "Model", "PrivacyParams", "RunConfig", "RunResult", "VnMargin"]
+    assert [name for name, cls in found.items() if not cls.__dataclass_params__.frozen] == []
 
 
 def test_no_module_imports_a_private_name_from_a_sibling():
