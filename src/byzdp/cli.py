@@ -285,7 +285,7 @@ def _csv_text(columns, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def metrics_csv_text(run_id: str, records: list[MetricsRecord], config: RunConfig) -> str:
+def metrics_csv_text(run_id: str, records: tuple[MetricsRecord, ...], config: RunConfig) -> str:
     eps = config.privacy.epsilon if config.privacy else None
     delta = config.privacy.delta if config.privacy else None
     return _csv_text(CSV_COLUMNS, (

@@ -25,7 +25,7 @@ import numpy as np
 from .aggregation import GarSpec, kappa
 from .errors import CalibrationError, ContractViolationError
 from .model import (Dataset, Model, full_grad, population_variance, quadratic_minimizer,
-                    smoothness_constant)
+                    read_only_copy, smoothness_constant)
 from .privacy import delta_log_factor
 
 
@@ -61,6 +61,9 @@ class VnMargin:
     lhs: float
     rhs: float
 
+    def __post_init__(self):
+        object.__setattr__(self, "theta", read_only_copy(self.theta))
+
     @property
     def satisfied(self) -> bool:
         return self.lhs < self.rhs
@@ -70,7 +73,6 @@ def vn_margin(model: Model, dataset: Dataset, theta: np.ndarray, spec: GarSpec,
               s: float, b: int) -> VnMargin:
     """kappa^2 Var[G(theta)] versus |grad Q(theta)|^2 at one point."""
     kap = kappa(spec)
-    theta = np.asarray(theta, dtype=np.float64)
     lhs = kap * kap * submission_variance(model, theta, dataset, b, s)
     g = full_grad(model, theta, dataset)
     rhs = float(g @ g)

@@ -36,8 +36,8 @@ import numpy as np
 from .aggregation import GarSpec, aggregate
 from .attack import AttackSpec, forge
 from .errors import ConfigurationError, ContractViolationError, check_integers
-from .model import (ClipParams, Dataset, Model, accuracy, batch_grads, clip,
-                    full_grad, full_loss, row_blocks, row_sum, sample_batch)
+from .model import (ClipParams, Dataset, Model, accuracy, batch_grads, clip, full_grad,
+                    full_loss, read_only_copy, row_blocks, row_sum, sample_batch)
 from .privacy import PrivacyParams, gaussian_noise
 
 SCHEDULES = ("inv_sqrt", "constant")
@@ -202,8 +202,16 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class RunResult:
-    records: list[MetricsRecord]
+    records: tuple[MetricsRecord, ...]
     theta: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "records", tuple(self.records))
+        object.__setattr__(self, "theta", read_only_copy(self.theta))
+
+    def __reduce__(self):
+        # unpickled through the constructor, so a sweep worker's result holds copies too
+        return RunResult, (self.records, self.theta)
 
     @property
     def max_accuracy(self) -> float | None:
@@ -325,12 +333,16 @@ SWEEP_AXES = ("b", "epsilon", "gar", "attack", "f", "seed")
 
 @dataclass(frozen=True)
 class CellResult:
+    # a copy of the dict given, and a plain dict, since sweep results are pickled
     params: dict
     # the resolved configuration; None when the cell's overrides did not resolve
     config: RunConfig | None = field(compare=False, repr=False)
     # the run's result; None when the cell failed, for the reason given
     result: RunResult | None = field(compare=False, repr=False)
     reason: str | None
+
+    def __post_init__(self):
+        object.__setattr__(self, "params", dict(self.params))
 
     @property
     def ok(self) -> bool:

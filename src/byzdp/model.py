@@ -55,34 +55,37 @@ MODEL_KINDS = {"quadratic": ("hessian",), "logistic": ("n_features",),
 
 # ---------------------------------------------------------------- datasets
 
+def read_only_copy(values) -> np.ndarray:
+    """The read-only, C-contiguous float64 copy a value type stores of an array given."""
+    copy = np.array(values, dtype=np.float64, order="C")
+    copy.flags.writeable = False
+    return copy
+
+
 @dataclass(frozen=True)
 class Dataset:
     """An immutable in-memory dataset of m points.
 
     ``features`` has shape (m, p). ``labels`` is None for regression-style
-    data and a vector in {-1, +1} for classification. The arrays are
-    read-only float64, and the dataclass is frozen.
+    data and a vector in {-1, +1} for classification. The dataclass is frozen
+    and holds read-only float64 copies of the arrays it is given.
     """
 
     features: np.ndarray
     labels: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "features", np.ascontiguousarray(
-            np.asarray(self.features, dtype=np.float64)))
+        object.__setattr__(self, "features", read_only_copy(self.features))
         if self.features.ndim != 2 or self.features.shape[0] < 1:
             raise ContractViolationError("dataset needs at least one point with shape (m, p)")
         if not np.isfinite(self.features).all():
             raise ContractViolationError("dataset features must be finite")
         if self.labels is not None:
-            object.__setattr__(self, "labels", np.ascontiguousarray(
-                np.asarray(self.labels, dtype=np.float64)))
+            object.__setattr__(self, "labels", read_only_copy(self.labels))
             if self.labels.shape != (self.features.shape[0],):
                 raise ContractViolationError("labels must be a vector of length m")
             if not np.all(np.abs(self.labels) == 1.0):
                 raise ContractViolationError("classification labels must be +1 or -1")
-            self.labels.flags.writeable = False
-        self.features.flags.writeable = False
 
     @property
     def m(self) -> int:
@@ -213,7 +216,7 @@ class Model:
             if name not in takes and getattr(self, name) is not None:
                 raise ConfigurationError(f"the {self.kind} model takes no {name}")
         if self.kind == "quadratic":
-            h = np.asarray(self.hessian, dtype=np.float64)
+            h = read_only_copy(self.hessian)
             if h.ndim != 2 or h.shape[0] != h.shape[1] or h.shape[0] < 1:
                 raise ConfigurationError("quadratic model needs a (d, d) matrix, d >= 1")
             if not np.allclose(h, h.T, atol=1e-12):

@@ -10,7 +10,7 @@ import pytest
 
 from byzdp import (AttackSpec, ClipParams, ConfigurationError, ContractViolationError,
                    Dataset, GarSpec, PrivacyParams, RunConfig, aggregate, clip, forge,
-                   full_grad, gaussian_blobs, gaussian_noise, initial_theta, logistic_model,
+                   full_grad, full_loss, gaussian_blobs, gaussian_noise, initial_theta, logistic_model,
                    mlp1_model, quadratic_model, regression_targets, run,
                    sweep, worker_stream)
 from byzdp.engine import (PURPOSE_BATCH, PURPOSE_INIT, PURPOSE_NOISE, _StreamPool,
@@ -500,10 +500,11 @@ def test_a_checked_value_cannot_drift_from_its_checks():
     # 5-point batches under the noise of 20, eval_every = 0 stopped the run
     # with ZeroDivisionError, and n_features = 5 left a model's dim at 20
     config = quadratic_config(b=20, steps=4, privacy=PrivacyParams(0.5, 1e-4, 1.0, 20, 40))
+    result = run(config)
     assignments = [(config, "b", 5), (config, "eval_every", 0), (config, "privacy", None),
                    (logistic_model(20), "n_features", 5),
                    (gaussian_blobs(0, 6, 3), "labels", None),
-                   (run(config), "theta", np.zeros(4))]
+                   (result, "theta", np.zeros(4))]
     for owner, name, value in assignments:
         with pytest.raises(FrozenInstanceError):
             setattr(owner, name, value)
@@ -511,6 +512,17 @@ def test_a_checked_value_cannot_drift_from_its_checks():
     # a variant is built through the checks
     with pytest.raises(ConfigurationError, match="privacy calibrated for b=20, run uses b=5"):
         replace(config, b=5)
+    # nor can an array reach a checked value: the caller's Hessian edit once
+    # made the model asymmetric with no check run again, and theta was writable
+    h, ds = np.eye(3), regression_targets(0, 5, 3)
+    model = quadratic_model(h)
+    loss = full_loss(model, np.ones(3), ds)
+    h[0, 0], h[0, 1] = 50.0, 7.0
+    assert np.array_equal(model.hessian, model.hessian.T)
+    assert full_loss(model, np.ones(3), ds) == loss
+    with pytest.raises(ValueError):
+        result.theta[0] = 0.0
+    assert isinstance(result.records, tuple)
 
 
 def test_integer_fields_accept_numpy_integers():
@@ -651,6 +663,11 @@ def test_sweep_parallel_matches_serial():
         assert a.result.max_accuracy == b.result.max_accuracy
         assert a.result.min_sq_grad_norm == b.result.min_sq_grad_norm
         assert a.config.dataset is b.config.dataset is base.dataset  # no copy per cell
+        # a worker's result is unpickled through RunResult, so it is read-only too
+        assert a.result.records == b.result.records
+        assert np.array_equal(a.result.theta, b.result.theta)
+        for result in (a.result, b.result):
+            assert isinstance(result.records, tuple) and not result.theta.flags.writeable
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

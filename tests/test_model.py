@@ -743,6 +743,15 @@ def test_dataset_immutable():
         ds.features[0, 0] = 1.0
     with pytest.raises(ValueError):
         ds.labels[0] = -1.0
+    # the dataset holds copies: it once froze its caller's array, and followed
+    # an edit to the base of a view it was given
+    x = np.ones((4, 2))
+    Dataset(x)
+    assert x.flags.writeable
+    big = np.zeros((10, 2))
+    ds = Dataset(big[:4])
+    big[0, 0] = 5.0
+    assert ds.features[0, 0] == 0.0
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -11,6 +11,8 @@ import ast
 import dataclasses
 import os
 
+import numpy as np
+
 import byzdp
 
 PUBLIC = [
@@ -43,6 +45,32 @@ def test_every_public_dataclass_is_frozen():
         "AttackSpec", "CellResult", "ClipParams", "Dataset", "GarSpec", "MetricsRecord",
         "Model", "PrivacyParams", "RunConfig", "RunResult", "VnMargin"]
     assert [name for name, cls in found.items() if not cls.__dataclass_params__.frozen] == []
+
+
+def test_every_array_a_public_dataclass_holds_is_its_own_read_only_copy():
+    # a frozen value that kept its caller's array could still change after its
+    # checks ran: a caller's edit to a Hessian left the model asymmetric
+    held = sorted((name, f.name) for name in byzdp.__all__
+                  if isinstance(getattr(byzdp, name), type)
+                  and dataclasses.is_dataclass(getattr(byzdp, name))
+                  for f in dataclasses.fields(getattr(byzdp, name)) if "ndarray" in str(f.type))
+    assert held == [("Dataset", "features"), ("Dataset", "labels"), ("Model", "hessian"),
+                    ("RunResult", "theta"), ("VnMargin", "theta")]
+    builds = {
+        ("Dataset", "features"): (np.eye(3), byzdp.Dataset),
+        ("Dataset", "labels"): (np.ones(3), lambda a: byzdp.Dataset(np.eye(3), a)),
+        ("Model", "hessian"): (np.eye(3), lambda a: byzdp.Model("quadratic", hessian=a)),
+        ("RunResult", "theta"): (np.ones(3), lambda a: byzdp.RunResult([], a)),
+        ("VnMargin", "theta"): (np.ones(3), lambda a: byzdp.VnMargin(a, 0.0, 1.0)),
+    }
+    assert sorted(builds) == held
+    for (name, field), (given, build) in builds.items():
+        stored = getattr(build(given), field)
+        assert given.flags.writeable, (name, field)
+        assert not stored.flags.writeable, (name, field)
+        assert not np.shares_memory(stored, given), (name, field)
+        assert stored.flags.c_contiguous and stored.dtype == np.float64, (name, field)
+        assert np.array_equal(stored, given), (name, field)
 
 
 def test_no_module_imports_a_private_name_from_a_sibling():
