@@ -330,7 +330,7 @@ def theory_report(cfg: dict, config: RunConfig) -> dict:
     return report
 
 
-def run_summary(config: RunConfig, run_id: str, result, eta_bounds: dict | None) -> dict:
+def run_summary(config: RunConfig, run_id: str, result, report: dict | None) -> dict:
     records = result.records
     summary: dict = {
         "run_id": run_id,
@@ -345,8 +345,8 @@ def run_summary(config: RunConfig, run_id: str, result, eta_bounds: dict | None)
         summary["epsilon_inner"] = config.privacy.epsilon_inner
         summary["composition"] = compose(
             config.privacy.epsilon, config.privacy.delta, config.steps)
-    if eta_bounds is not None:
-        summary["eta_bounds"] = eta_bounds
+    if report is not None:
+        summary["eta_bounds"] = report
     return summary
 
 
@@ -372,8 +372,8 @@ def _out_dir(args, cfg: _ReadKeys, config: RunConfig) -> tuple[str, str]:
 def cmd_run(args) -> int:
     cfg, config, _ = _load(args)
     # before the directory is made, so that a report that fails leaves none
-    eta_bounds = (theory_report(cfg, config)
-                  if config.privacy is not None and config.gar.rule != "average" else None)
+    report = (theory_report(cfg, config)
+              if config.privacy is not None and config.gar.rule != "average" else None)
     run_id, out_dir = _out_dir(args, cfg, config)
     try:
         result = run(config)
@@ -382,7 +382,7 @@ def cmd_run(args) -> int:
         raise RuntimeError(str(exc)) from exc
     _atomic_write(os.path.join(out_dir, "metrics.csv"),
                   metrics_csv_text(run_id, result.records, config))
-    summary = run_summary(config, run_id, result, eta_bounds)
+    summary = run_summary(config, run_id, result, report)
     _atomic_write(os.path.join(out_dir, "summary.json"),
                   json.dumps(_json_value(summary), indent=2, sort_keys=True,
                              allow_nan=False) + "\n")

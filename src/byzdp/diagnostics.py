@@ -24,8 +24,8 @@ import numpy as np
 
 from .aggregation import GarSpec, kappa
 from .errors import CalibrationError, ContractViolationError
-from .model import (Dataset, Model, full_grad, population_variance, quadratic_minimizer,
-                    read_only_copy, smoothness_constant)
+from .model import (Dataset, Model, ReadOnlyArrays, full_grad, population_variance,
+                    quadratic_minimizer, read_only_copy, smoothness_constant)
 from .privacy import delta_log_factor
 
 
@@ -53,8 +53,8 @@ def submission_variance(model: Model, theta: np.ndarray, dataset: Dataset,
 
 # ------------------------------------------------------------------- margin
 
-@dataclass(frozen=True)
-class VnMargin:
+@dataclass(frozen=True, eq=False)
+class VnMargin(ReadOnlyArrays):
     """One evaluation of the variance-to-norm inequality at a parameter vector."""
 
     theta: np.ndarray

@@ -36,8 +36,8 @@ import numpy as np
 from .aggregation import GarSpec, aggregate
 from .attack import AttackSpec, forge
 from .errors import ConfigurationError, ContractViolationError, check_integers
-from .model import (ClipParams, Dataset, Model, accuracy, batch_grads, clip, full_grad,
-                    full_loss, read_only_copy, row_blocks, row_sum, sample_batch)
+from .model import (ClipParams, Dataset, Model, ReadOnlyArrays, accuracy, batch_grads, clip,
+                    full_grad, full_loss, read_only_copy, row_blocks, row_sum, sample_batch)
 from .privacy import PrivacyParams, gaussian_noise
 
 SCHEDULES = ("inv_sqrt", "constant")
@@ -200,18 +200,14 @@ class RunConfig:
         return 1.0 / math.sqrt(t)
 
 
-@dataclass(frozen=True)
-class RunResult:
+@dataclass(frozen=True, eq=False)
+class RunResult(ReadOnlyArrays):
     records: tuple[MetricsRecord, ...]
     theta: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "records", tuple(self.records))
         object.__setattr__(self, "theta", read_only_copy(self.theta))
-
-    def __reduce__(self):
-        # unpickled through the constructor, so a sweep worker's result holds copies too
-        return RunResult, (self.records, self.theta)
 
     @property
     def max_accuracy(self) -> float | None:
@@ -331,14 +327,14 @@ def run(config: RunConfig) -> RunResult:
 SWEEP_AXES = ("b", "epsilon", "gar", "attack", "f", "seed")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CellResult:
-    # a copy of the dict given, and a plain dict, since sweep results are pickled
+    # a copy of the dict given, so an edit of the caller's dict moves no cell_id
     params: dict
     # the resolved configuration; None when the cell's overrides did not resolve
-    config: RunConfig | None = field(compare=False, repr=False)
+    config: RunConfig | None = field(repr=False)
     # the run's result; None when the cell failed, for the reason given
-    result: RunResult | None = field(compare=False, repr=False)
+    result: RunResult | None = field(repr=False)
     reason: str | None
 
     def __post_init__(self):

@@ -62,8 +62,18 @@ def read_only_copy(values) -> np.ndarray:
     return copy
 
 
-@dataclass(frozen=True)
-class Dataset:
+class ReadOnlyArrays:
+    """A value type whose copies by pickle or copy.deepcopy hold read-only arrays too."""
+
+    def __setstate__(self, state: dict):
+        for value in state.values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+        self.__dict__.update(state)
+
+
+@dataclass(frozen=True, eq=False)
+class Dataset(ReadOnlyArrays):
     """An immutable in-memory dataset of m points.
 
     ``features`` has shape (m, p). ``labels`` is None for regression-style
@@ -190,8 +200,8 @@ def load_csv(path: str, classification: bool) -> Dataset:
 
 # ---------------------------------------------------------------- models
 
-@dataclass(frozen=True)
-class Model:
+@dataclass(frozen=True, eq=False)
+class Model(ReadOnlyArrays):
     """A differentiable point-wise loss family; see the module docstring.
 
     The parameter count ``dim`` is derived from the other fields, and the

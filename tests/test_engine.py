@@ -663,7 +663,7 @@ def test_sweep_parallel_matches_serial():
         assert a.result.max_accuracy == b.result.max_accuracy
         assert a.result.min_sq_grad_norm == b.result.min_sq_grad_norm
         assert a.config.dataset is b.config.dataset is base.dataset  # no copy per cell
-        # a worker's result is unpickled through RunResult, so it is read-only too
+        # a worker's result comes back by pickle, which keeps its arrays read-only
         assert a.result.records == b.result.records
         assert np.array_equal(a.result.theta, b.result.theta)
         for result in (a.result, b.result):

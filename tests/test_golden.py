@@ -6,6 +6,7 @@ on purpose must say why and record the new digests.
 """
 
 import hashlib
+import json
 import os
 
 import pytest
@@ -13,6 +14,7 @@ import pytest
 from byzdp.cli import main
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "demos", "configs")
+BENCH = os.path.join(os.path.dirname(__file__), os.pardir, "bench")
 
 RUN_LITTLE_MDA = {
     "metrics.csv": "39fef0a2cd95afe2a32d70e1fcdeffcd6d48e6793a78957aa72d9d2ba9275439",
@@ -28,8 +30,6 @@ DIAGNOSE_MDA_STDOUT = {
     "privacy": "decdb64c9032cb6ee2d74d513fc9d9ffb3e257b6b7d680d0f82a4630dfd5f9bc",
     "no_privacy": "6549462be39109dc141e03244ea8d6579437e468a8de1405d50d7aa16c3b3105",
 }
-
-DIAGNOSE_LITTLE_MDA_STDOUT = "3285e285ea68fa22369f75c3d20d9370321450f47201752ad71b05a65dc5ffa2"
 
 SWEEP_SMALL = {
     "aggregate.csv": "33c5c9acb79eddc570fea12e98b235924777e4e2843fd8839a6e879eaa217cd8",
@@ -181,7 +181,9 @@ def test_golden_diagnose_mda(tmp_path, capsys, variant):
 def test_golden_diagnose_logistic(capsys):
     """The logistic theorem-bound path: Q* comes from estimate_min_loss."""
     assert main(["diagnose", os.path.join(CONFIGS, "run_little_mda.cfg")]) == 0
-    assert _sha256(capsys.readouterr().out.encode("utf-8")) == DIAGNOSE_LITTLE_MDA_STDOUT
+    with open(os.path.join(BENCH, "golden.json"), encoding="utf-8") as fh:
+        digest = json.load(fh)["diagnose_logistic"][0]  # the bench's seed-0 run of this config
+    assert _sha256(capsys.readouterr().out.encode("utf-8")) == digest
 
 
 def test_golden_sweep(tmp_path):

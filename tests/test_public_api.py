@@ -8,8 +8,10 @@ the package.
 """
 
 import ast
+import copy
 import dataclasses
 import os
+import pickle
 
 import numpy as np
 
@@ -29,6 +31,9 @@ PUBLIC = [
     "sensitivity_mean_grad", "sigma_total", "smoothness_constant", "submission_variance",
     "sweep", "vn_margin", "worker_stream",
 ]
+
+
+RECORD = byzdp.MetricsRecord(1, 0.5, 1.0, 1.0, None, 0.0, 0.1)
 
 
 def test_public_names_are_the_pinned_list():
@@ -60,17 +65,49 @@ def test_every_array_a_public_dataclass_holds_is_its_own_read_only_copy():
         ("Dataset", "features"): (np.eye(3), byzdp.Dataset),
         ("Dataset", "labels"): (np.ones(3), lambda a: byzdp.Dataset(np.eye(3), a)),
         ("Model", "hessian"): (np.eye(3), lambda a: byzdp.Model("quadratic", hessian=a)),
-        ("RunResult", "theta"): (np.ones(3), lambda a: byzdp.RunResult([], a)),
+        ("RunResult", "theta"): (np.ones(3), lambda a: byzdp.RunResult([RECORD], a)),
         ("VnMargin", "theta"): (np.ones(3), lambda a: byzdp.VnMargin(a, 0.0, 1.0)),
     }
     assert sorted(builds) == held
     for (name, field), (given, build) in builds.items():
-        stored = getattr(build(given), field)
+        value = build(given)
+        stored = getattr(value, field)
         assert given.flags.writeable, (name, field)
-        assert not stored.flags.writeable, (name, field)
         assert not np.shares_memory(stored, given), (name, field)
-        assert stored.flags.c_contiguous and stored.dtype == np.float64, (name, field)
-        assert np.array_equal(stored, given), (name, field)
+        # pickle (a sweep's process pool) and deepcopy skip the constructor
+        for copied in (value, pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+            stored = getattr(copied, field)
+            assert not stored.flags.writeable, (name, field)
+            assert stored.flags.c_contiguous and stored.dtype == np.float64, (name, field)
+            assert np.array_equal(stored, given), (name, field)
+            if name == "RunResult":
+                assert copied.records == (RECORD,)  # a tuple, not a list
+
+
+def test_value_types_that_hold_arrays_or_dicts_are_equal_only_to_themselves():
+    # a generated == would raise ValueError on an ndarray field, and hash()
+    # TypeError on a dict or ndarray field; these compare and hash by identity
+    def config():
+        return byzdp.RunConfig(model=byzdp.logistic_model(3), dataset=byzdp.gaussian_blobs(0, 8, 3),
+                               gar=byzdp.GarSpec("average", 2, 0), b=2, steps=1)
+
+    builds = {
+        "Dataset": lambda: byzdp.Dataset(np.eye(3)),
+        "quadratic Model": lambda: byzdp.quadratic_model(np.eye(3)),
+        "logistic Model": lambda: byzdp.logistic_model(3),
+        "RunResult": lambda: byzdp.RunResult([RECORD], np.ones(3)),
+        "VnMargin": lambda: byzdp.VnMargin(np.ones(3), 0.0, 1.0),
+        "CellResult": lambda: byzdp.CellResult({"b": 2}, None, None, "refused"),
+        "RunConfig": config,
+    }
+    for name, build in builds.items():
+        value, twin = build(), build()
+        assert value == value and not value != value, name
+        assert value != twin and not value == twin, name
+        assert hash(value) == hash(value), name
+    base = config()
+    variant = dataclasses.replace(base)
+    assert variant is not base and variant == base and hash(variant) == hash(base)
 
 
 def test_no_module_imports_a_private_name_from_a_sibling():
