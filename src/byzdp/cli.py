@@ -27,7 +27,7 @@ from .aggregation import GarSpec, kappa
 from .attack import AttackSpec
 from .diagnostics import convergence_bound, eta_bounds, find_vn_violation, sigma_total
 from .engine import (SWEEP_AXES, CellResult, MetricsRecord, RunConfig, RunResult,
-                     cell_digest, initial_theta, run, sweep)
+                     cell_digest, grid_values, initial_theta, run, sweep)
 from .errors import ConfigurationError, ContractViolationError, DataLoadError
 from .model import (ClipParams, Dataset, Model, estimate_min_loss, full_loss, gaussian_blobs,
                     load_csv, population_variance, read_lines, regression_targets,
@@ -40,7 +40,7 @@ CONFIG_ERRORS = (ConfigurationError, ContractViolationError, DataLoadError)
 # float key any finite number, read as a float, and a str key keeps its raw
 # text. A grid_ key takes a bracketed list of such values. none leaves a
 # scalar key unset; in a grid list it is the cell without privacy or without
-# an attack, and the other grid keys refuse it.
+# an attack, and engine.grid_values refuses it on the other axes.
 KNOWN_KEYS = {
     "model": str, "dim": int, "hidden": int, "reg": float,
     "dataset": str, "dataset_seed": int, "dataset_size": int, "dataset_path": str,
@@ -218,7 +218,8 @@ def _load(args) -> tuple[_ReadKeys, RunConfig, dict]:
     """The config keys, their RunConfig and the sweep grid of ``args.config``.
 
     ``sweep`` needs at least one grid_ key; ``run`` and ``diagnose`` take one
-    configuration and reject the first grid_ key of the file. The master seed
+    configuration and reject the first grid_ key of the file. ``grid_values``
+    checks the grid before any dataset is built. The master seed
     is ``run --seed``, else BYZDP_SEED, else the config's; the returned keys
     hold it whenever it overrides the config, and record each key read.
     """
@@ -230,10 +231,7 @@ def _load(args) -> tuple[_ReadKeys, RunConfig, dict]:
         raise ConfigurationError(f"config key '{grid_keys[0]}' is a sweep axis: "
                                  f"'byzdp {args.command}' takes one configuration; "
                                  f"use 'byzdp sweep'")
-    for key in grid_keys:
-        if GRID_KEY_TO_AXIS[key] not in ("epsilon", "attack") and None in cfg[key]:
-            raise ConfigurationError(f"config key '{key}' cannot list none: every cell "
-                                     f"needs a value")
+    grid = grid_values({GRID_KEY_TO_AXIS[key]: cfg[key] for key in grid_keys}) if grid_keys else {}
     seed = getattr(args, "seed", None)
     env = os.environ.get("BYZDP_SEED")
     if seed is None and env is not None:
@@ -243,7 +241,6 @@ def _load(args) -> tuple[_ReadKeys, RunConfig, dict]:
             raise ConfigurationError(f"BYZDP_SEED must be an integer, got '{env}'") from None
     if seed is not None:
         cfg["master_seed"] = seed
-    grid = {GRID_KEY_TO_AXIS[key]: cfg[key] for key in grid_keys}
     return cfg, build_run_config(cfg), grid
 
 

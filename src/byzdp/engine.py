@@ -329,24 +329,22 @@ SWEEP_AXES = ("b", "epsilon", "gar", "attack", "f", "seed")
 
 @dataclass(frozen=True, eq=False)
 class CellResult:
-    # a copy of the dict given, so an edit of the caller's dict moves no cell_id
+    # a copy of the dict given; cell_id digests it once, when the cell is made
     params: dict
     # the resolved configuration; None when the cell's overrides did not resolve
     config: RunConfig | None = field(repr=False)
     # the run's result; None when the cell failed, for the reason given
     result: RunResult | None = field(repr=False)
     reason: str | None
+    cell_id: str = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "params", dict(self.params))
+        object.__setattr__(self, "cell_id", cell_digest(self.params))
 
     @property
     def ok(self) -> bool:
         return self.result is not None
-
-    @property
-    def cell_id(self) -> str:
-        return cell_digest(self.params)
 
 
 def cell_digest(params: dict) -> str:
@@ -367,18 +365,44 @@ def _axis_value(axis: str, value):
     return None if axis == "epsilon" and value == "none" else value
 
 
+def grid_values(grid: dict) -> dict:
+    """The grid's axes in SWEEP_AXES order, each value made its Python value once.
+
+    Raises for an empty grid or axis, an unknown axis, None on any axis but
+    epsilon, and a value named twice.
+    """
+    if not grid:
+        raise ContractViolationError("sweep grid must not be empty")
+    unknown = set(grid) - set(SWEEP_AXES)
+    if unknown:
+        raise ConfigurationError(f"unknown sweep axes: {sorted(unknown)}")
+    values = {}
+    for axis in (axis for axis in SWEEP_AXES if axis in grid):
+        if not grid[axis]:
+            raise ContractViolationError(f"sweep axis '{axis}' has no values")
+        values[axis] = [_axis_value(axis, value) for value in grid[axis]]
+        if axis != "epsilon" and None in values[axis]:
+            raise ConfigurationError(f"sweep axis '{axis}' cannot list none: every cell "
+                                     f"needs a value")
+        # a repeated value would run one cell twice and count it twice in aggregate.csv
+        named = [repr(value) for value in values[axis]]
+        for i, value in enumerate(named):
+            if value in named[:i]:
+                raise ConfigurationError(f"sweep axis '{axis}' names the value {value} twice")
+    return values
+
+
 def _cell_params(base: RunConfig, overrides: dict) -> dict:
     """Every axis of a cell: its override, else the base value."""
-    params = {
+    return {
         "b": base.b,
         "epsilon": None if base.privacy is None else base.privacy.epsilon,
         "gar": base.gar.rule,
         "attack": base.attack.kind,
         "f": base.f,
         "seed": base.master_seed,
+        **overrides,
     }
-    params.update((axis, _axis_value(axis, value)) for axis, value in overrides.items())
-    return params
 
 
 def _resolve_cell(base: RunConfig, params: dict) -> RunConfig:
@@ -411,33 +435,20 @@ def sweep(base: RunConfig, grid: dict, jobs: int = 1) -> list[CellResult]:
     Recognized axes: b, epsilon, gar, attack, f, seed. Changing b or epsilon
     recalibrates the noise scale from the base privacy budget; the string
     "none" on the epsilon axis disables privacy for that cell, and None on
-    the attack axis is the "none" attack. A value named
-    twice on one axis, after a numpy scalar becomes its Python value, raises
-    ConfigurationError. Invalid cells are reported as failed and do not stop
-    the sweep. Every cell resolves to its RunConfig in the caller; only the
-    runs go to the ``jobs`` worker processes, at most one per cell that
-    resolved. Results are returned in deterministic product order regardless
-    of the job count.
+    the attack axis is the "none" attack. ``grid_values`` raises
+    ConfigurationError before any cell is made for None on another axis, or
+    for a value named twice on one axis. Invalid cells are reported as failed
+    and do not stop the sweep. Every cell resolves to its RunConfig in the
+    caller; only the runs go to the ``jobs`` worker processes, at most one
+    per cell that resolved. Results are returned in deterministic product
+    order regardless of the job count.
     """
     if jobs < 1:
         raise ContractViolationError(f"sweep jobs must be at least 1, got {jobs}")
-    if not grid:
-        raise ContractViolationError("sweep grid must not be empty")
-    unknown = set(grid) - set(SWEEP_AXES)
-    if unknown:
-        raise ConfigurationError(f"unknown sweep axes: {sorted(unknown)}")
-    axes = [axis for axis in SWEEP_AXES if axis in grid]
-    for axis in axes:
-        if not grid[axis]:
-            raise ContractViolationError(f"sweep axis '{axis}' has no values")
-        # a repeated value would run one cell twice and count it twice in aggregate.csv
-        named = [repr(_axis_value(axis, value)) for value in grid[axis]]
-        for i, value in enumerate(named):
-            if value in named[:i]:
-                raise ConfigurationError(f"sweep axis '{axis}' names the value {value} twice")
+    grid = grid_values(grid)
     cells = []
-    for combo in product(*(grid[a] for a in axes)):
-        params = _cell_params(base, dict(zip(axes, combo)))
+    for combo in product(*grid.values()):
+        params = _cell_params(base, dict(zip(grid, combo)))
         try:
             cells.append((params, _resolve_cell(base, params), None))
         except (ConfigurationError, ContractViolationError) as exc:

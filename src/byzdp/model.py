@@ -106,6 +106,15 @@ class Dataset(ReadOnlyArrays):
         return self.features.shape[1]
 
 
+def _dataset_rng(seed: int, m: int, dim: int, stream: int) -> np.random.Generator:
+    """The generator of a seeded dataset of m points in dim dimensions."""
+    if m < 1 or dim < 1:
+        raise ContractViolationError("need m >= 1 and dim >= 1")
+    if seed < 0:
+        raise ContractViolationError(f"dataset seed must be non-negative, got {seed}")
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(stream,)))
+
+
 def gaussian_blobs(seed: int, m: int, dim: int, half_sep: float = 1.5,
                    axis_std: float = 1.0, cross_std: float = 1.0) -> Dataset:
     """Two Gaussian classes at +-half_sep * u for a seeded random unit u.
@@ -117,9 +126,7 @@ def gaussian_blobs(seed: int, m: int, dim: int, half_sep: float = 1.5,
     classes are balanced. Regenerating with the same arguments is bit-for-bit
     reproducible.
     """
-    if m < 1 or dim < 1:
-        raise ContractViolationError("need m >= 1 and dim >= 1")
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
+    rng = _dataset_rng(seed, m, dim, 1)
     u = rng.standard_normal(dim)
     u /= np.linalg.norm(u)
     labels = np.where(np.arange(m) % 2 == 0, 1.0, -1.0)
@@ -133,21 +140,19 @@ def gaussian_blobs(seed: int, m: int, dim: int, half_sep: float = 1.5,
 
 def regression_targets(seed: int, m: int, dim: int, spread: float = 1.0) -> Dataset:
     """Seeded Gaussian target points for the quadratic model."""
-    if m < 1 or dim < 1:
-        raise ContractViolationError("need m >= 1 and dim >= 1")
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(2,)))
+    rng = _dataset_rng(seed, m, dim, 2)
     x = spread * rng.standard_normal((m, dim))
     return Dataset(x, None)
 
 
 def read_lines(path: str, error: type[ValueError]) -> list[str]:
-    """The lines of a UTF-8 text file; raise error when it cannot be read.
+    """The lines of a UTF-8 text file, a leading BOM dropped; raise error when it cannot be read.
 
     The message is the OSError's, which names the path, or the path and then
     the UnicodeDecodeError's, which does not.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             return fh.readlines()
     except OSError as exc:
         raise error(str(exc)) from None

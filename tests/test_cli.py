@@ -144,6 +144,21 @@ def test_ill_typed_value_is_a_config_error(tmp_path, capsys, line):
     assert f"{path}:{len(lines)}: config key '{key}'" in err
 
 
+def test_a_config_with_a_byte_order_mark_reads_as_without(tmp_path):
+    # the mark once became part of the first key: "unknown config key '\ufeffmodel'"
+    path = tmp_path / "bom.cfg"
+    path.write_bytes(b"\xef\xbb\xbf" + QUADRATIC_RUN.lstrip().encode())
+    assert parse_config(str(path)) == parse_config(write(tmp_path, "plain.cfg", QUADRATIC_RUN))
+
+
+def test_a_negative_dataset_seed_is_a_config_error(tmp_path, capsys):
+    # it once exited 3 with numpy's "expected non-negative integer"
+    cfg = write(tmp_path, "c.cfg", QUADRATIC_RUN.replace("dataset_seed = 3", "dataset_seed = -1"))
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: dataset seed must be non-negative, got -1\n"
+    assert not os.path.exists(tmp_path / "out")
+
+
 def test_a_line_without_an_equals_sign_is_a_config_error(tmp_path, capsys):
     path = write(tmp_path, "c.cfg", QUADRATIC_RUN.strip() + "\nsteps 20\n")
     assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
@@ -708,7 +723,8 @@ def test_sweep_marks_invalid_cells(tmp_path, capsys):
     cfg = write(tmp_path, "none.cfg", text.replace("[median, bulyan]", "[median, none]"))
     out = str(tmp_path / "none")
     assert main(["sweep", cfg, "--out", out]) == 2
-    assert "config key 'grid_gar' cannot list none" in capsys.readouterr().err
+    assert ("sweep axis 'gar' cannot list none: every cell needs a value"
+            in capsys.readouterr().err)
     assert not os.path.exists(out)
 
 
@@ -731,21 +747,30 @@ def test_none_in_grid_attack_is_the_cell_without_an_attack(tmp_path, capsys):
                 == open(os.path.join(out, name)).read())
 
 
-@pytest.mark.parametrize("key, values", [("grid_gar", "[median, none]"),
-                                         ("grid_batch_size", "[none, 8]"),
-                                         ("grid_f", "[none, 0]"),
-                                         ("grid_seed", "[none, 2]")])
-def test_none_in_a_grid_that_needs_a_value_is_a_config_error(tmp_path, capsys, key, values):
-    # each once ran a failed cell; the missing csv file shows that the grid
-    # is refused before the dataset is built
+NO_VALUE = "cannot list none: every cell needs a value"
+BAD_GRIDS = [
+    ("grid_gar", "[median, none]", f"sweep axis 'gar' {NO_VALUE}"),
+    ("grid_batch_size", "[none, 8]", f"sweep axis 'b' {NO_VALUE}"),
+    ("grid_f", "[none, 0]", f"sweep axis 'f' {NO_VALUE}"),
+    ("grid_seed", "[none, 2]", f"sweep axis 'seed' {NO_VALUE}"),
+    ("grid_seed", "[1, 1]", "sweep axis 'seed' names the value 1 twice"),
+    ("grid_gar", "[]", "sweep axis 'gar' has no values"),
+]
+
+
+@pytest.mark.parametrize("key, values, message", BAD_GRIDS,
+                         ids=[f"{key}-{values}" for key, values, _ in BAD_GRIDS])
+def test_none_in_a_grid_that_needs_a_value_is_a_config_error(tmp_path, capsys, key, values,
+                                                             message):
+    # each once ran a failed cell, or failed on the dataset first; the missing
+    # csv file shows that the grid is refused before the dataset is built
     text = _without_keys(LOGISTIC_SWEEP, ("grid_batch_size", "grid_seed", "dataset_seed",
                                           "dataset_size"))
     text = text.replace("dataset = blobs", "dataset = csv\ndataset_path = nowhere.csv")
     cfg = write(tmp_path, "sweep.cfg", text + f"{key} = {values}\n")
     out = str(tmp_path / "sw")
     assert main(["sweep", cfg, "--out", out]) == 2
-    assert capsys.readouterr().err == (f"error: config key '{key}' cannot list none: "
-                                       f"every cell needs a value\n")
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not os.path.exists(out)
 
 

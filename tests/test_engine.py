@@ -652,6 +652,23 @@ def test_sweep_rejects_a_grid_that_names_one_cell_twice():
             sweep(base, grid)
 
 
+@pytest.mark.parametrize("axis, value", [("gar", "median"), ("b", 8), ("f", 1), ("seed", 1)])
+def test_sweep_refuses_none_on_an_axis_that_needs_a_value(axis, value):
+    # None on gar once ran a failed cell ("unknown aggregation rule 'None'"),
+    # while the same grid in a config exited 2
+    with pytest.raises(ConfigurationError,
+                       match=f"sweep axis '{axis}' cannot list none: every cell needs a value"):
+        sweep(small_sweep_base(), {axis: [value, None]})
+
+
+def test_a_cell_id_is_fixed_when_the_cell_is_made():
+    # the id was once digested on every read, so an edit of params moved it
+    [cell] = sweep(small_sweep_base(), {"seed": [1]})
+    made = cell.cell_id
+    cell.params["b"] = 3
+    assert cell.cell_id == made
+
+
 def test_sweep_parallel_matches_serial():
     base = small_sweep_base()
     grid = {"b": [8, 20], "seed": [1, 2]}

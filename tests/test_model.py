@@ -782,6 +782,13 @@ def test_generators_need_a_point_and_a_dimension(make, m, dim):
         make(0, m, dim)
 
 
+@pytest.mark.parametrize("make", [gaussian_blobs, regression_targets])
+def test_generators_refuse_a_negative_seed(make):
+    # it once reached numpy's SeedSequence, whose ValueError names no seed
+    with pytest.raises(ContractViolationError, match="dataset seed must be non-negative, got -1"):
+        make(-1, 3, 2)
+
+
 def test_blobs_reproducible_and_balanced():
     a = gaussian_blobs(5, 100, 4)
     b = gaussian_blobs(5, 100, 4)
@@ -800,6 +807,17 @@ def test_csv_roundtrip(tmp_path):
     plain.write_text("0.5,1.5\n-0.25,0.75\n")
     ds2 = load_csv(str(plain), classification=False)
     assert ds2.labels is None and ds2.m == 2
+
+
+def test_csv_drops_a_byte_order_mark(tmp_path):
+    # with the mark, the first row once read as a header and was skipped
+    rows = "1.0,2.0\n3.0,4.0\n5.0,6.0\n"
+    marked, plain = tmp_path / "marked.csv", tmp_path / "plain.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + rows.encode())
+    plain.write_text(rows)
+    ds = load_csv(str(marked), classification=False)
+    assert ds.m == 3
+    assert np.array_equal(ds.features, load_csv(str(plain), classification=False).features)
 
 
 def test_csv_malformed_row_names_row(tmp_path):
