@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, ContractViolationError, check_integers
+from .errors import ConfigurationError, ContractViolationError, as_integer
 
 RULES = ("average", "krum", "mda", "median", "bulyan")
 
@@ -51,9 +51,8 @@ class GarSpec:
     def __post_init__(self):
         if self.rule not in RULES:
             raise ConfigurationError(f"unknown aggregation rule '{self.rule}'")
-        check_integers(self, "n", "f")
-        if self.n < 1 or self.f < 0 or self.f >= self.n:
-            raise ConfigurationError(f"need n >= 1 and 0 <= f < n, got n={self.n}, f={self.f}")
+        as_integer("n", self.n, ConfigurationError, low=1)
+        as_integer("f", self.f, ConfigurationError, low=0, high=self.n - 1)
         if self.rule == "average" and self.f != 0:
             raise ConfigurationError("average tolerates no forged vectors: f = 0 required")
         if self.rule == "krum" and self.n < 2 * self.f + 3:

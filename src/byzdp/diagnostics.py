@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aggregation import GarSpec, kappa
-from .errors import CalibrationError, ContractViolationError
+from .errors import CalibrationError, ContractViolationError, as_integer
 from .model import (Dataset, Model, ReadOnlyArrays, full_grad, population_variance,
                     quadratic_minimizer, read_only_copy, smoothness_constant)
 from .privacy import delta_log_factor
@@ -38,8 +38,7 @@ def batch_mean_variance(model: Model, theta: np.ndarray, dataset: Dataset, b: in
     variance; zero when b = m. Never exceeds the population variance.
     """
     m = dataset.m
-    if not 1 <= b <= m:
-        raise ContractViolationError(f"need 1 <= b <= m, got b={b}, m={m}")
+    as_integer("b", b, low=1, high=m)
     if b == m:
         return 0.0
     return (m - b) / (b * (m - 1)) * population_variance(model, theta, dataset)
@@ -119,8 +118,9 @@ def eta_bounds(kap: float, c: float, d: int, b: int, m: int,
     necessary one in exact arithmetic.
     """
     log_term = delta_log_factor(epsilon, delta, b, m)
-    if not (kap >= 0 and c > 0 and d >= 1 and upsilon >= 0):
-        raise CalibrationError("need kappa >= 0, C > 0, d >= 1, upsilon >= 0")
+    as_integer("d", d, CalibrationError, low=1)
+    if not (kap >= 0 and c > 0 and upsilon >= 0):
+        raise CalibrationError("need kappa >= 0, C > 0, upsilon >= 0")
     e_term = math.expm1(epsilon)
     necessary = 4.0 * kap * kap * c * c * d * log_term / (b * m * e_term)
     sufficient = kap * kap * (
@@ -137,8 +137,9 @@ def sigma_total(upsilon: float, d: int, s: float, c: float) -> float:
     Where the squares overflow, hypot gives the same root without them;
     wherever the plain root is finite, it is returned as it is.
     """
-    if upsilon < 0 or s < 0 or d < 1 or not c > 0:
-        raise ContractViolationError("need upsilon, s >= 0, d >= 1, C > 0")
+    as_integer("d", d, low=1)
+    if upsilon < 0 or s < 0 or not c > 0:
+        raise ContractViolationError("need upsilon, s >= 0, C > 0")
     sigma = math.sqrt(upsilon * upsilon + d * s * s + c * c)
     if math.isinf(sigma):
         return math.hypot(upsilon, math.sqrt(d) * s, c)
@@ -158,8 +159,7 @@ def convergence_bound(eta_sq: float, steps: int, alpha: float, mu: float,
         raise ContractViolationError("alpha must lie in [0, pi/2)")
     if mu < 0 or eta_sq < 0:
         raise ContractViolationError("mu and eta^2 must be nonnegative")
-    if steps < 1:
-        raise ContractViolationError("steps must be >= 1")
+    as_integer("steps", steps, low=1)
     if not smoothness > 0:
         raise ContractViolationError("smoothness constant must be positive")
     if q_init < q_star:

@@ -35,7 +35,7 @@ import numpy as np
 
 from .aggregation import GarSpec, aggregate
 from .attack import AttackSpec, forge
-from .errors import ConfigurationError, ContractViolationError, check_integers
+from .errors import ConfigurationError, ContractViolationError, as_integer
 from .model import (ClipParams, Dataset, Model, ReadOnlyArrays, accuracy, batch_grads, clip,
                     full_grad, full_loss, read_only_copy, row_blocks, row_sum, sample_batch)
 from .privacy import PrivacyParams, gaussian_noise
@@ -44,17 +44,19 @@ SCHEDULES = ("inv_sqrt", "constant")
 
 PURPOSE_BATCH, PURPOSE_NOISE, PURPOSE_INIT = 0, 1, 2
 
-_WORKER_BITS, _ROUND_BITS = 30, 32
+_WORKER_BITS, _ROUND_BITS, _PURPOSE_BITS = 30, 32, 2
 
 _DRAW_ENTRIES = 1 << 14  # batch indices per sample_batch call: 128 KB
 
 
 def _stream_key(master_seed: int, worker_id: int, round_no: int, purpose: int) -> np.ndarray:
-    if not 0 <= master_seed < 2 ** 64:
-        raise ContractViolationError("master seed must fit in 64 unsigned bits")
-    if worker_id >= 2 ** _WORKER_BITS or round_no >= 2 ** _ROUND_BITS:
-        raise ContractViolationError("worker id or round exceeds the stream key budget")
-    packed = (worker_id << (_ROUND_BITS + 2)) | (round_no << 2) | purpose
+    # the key is the 64-bit seed and one 64-bit word packing the other three fields
+    master_seed = as_integer("master_seed", master_seed, low=0, high=2 ** 64 - 1)
+    worker_id = as_integer("worker_id", worker_id, low=0, high=2 ** _WORKER_BITS - 1)
+    round_no = as_integer("round_no", round_no, low=0, high=2 ** _ROUND_BITS - 1)
+    purpose = as_integer("purpose", purpose, low=0, high=2 ** _PURPOSE_BITS - 1)
+    packed = ((worker_id << (_ROUND_BITS + _PURPOSE_BITS)) | (round_no << _PURPOSE_BITS)
+              | purpose)
     return np.array([master_seed, packed], dtype=np.uint64)
 
 
@@ -150,22 +152,14 @@ class RunConfig:
         return self.privacy.s if self.privacy is not None else 0.0
 
     def __post_init__(self):
-        check_integers(self, "b", "steps", "eval_every", "master_seed")
-        if not 1 <= self.b <= self.dataset.m:
-            raise ConfigurationError(f"need 1 <= b <= m, got b={self.b}, m={self.dataset.m}")
-        if self.steps < 1:
-            raise ConfigurationError("steps must be >= 1")
-        # _StreamPool packs stream keys unchecked: every round and worker must fit
-        if self.steps >= 2 ** _ROUND_BITS:
-            raise ConfigurationError(f"steps must be below 2**{_ROUND_BITS}, the stream key's "
-                                     f"round budget, got {self.steps}")
-        if self.n >= 2 ** _WORKER_BITS:
-            raise ConfigurationError(f"n must be below 2**{_WORKER_BITS}, the stream key's "
-                                     f"worker budget, got {self.n}")
-        if self.eval_every < 1:
-            raise ConfigurationError("eval_every must be >= 1")
-        if self.eval_every > self.steps:
-            raise ConfigurationError("eval_every cannot exceed steps")
+        as_integer("b", self.b, ConfigurationError, low=1, high=self.dataset.m)
+        # _StreamPool packs stream keys unchecked, so every round must fit the
+        # key's round budget and every worker its worker budget
+        as_integer("steps", self.steps, ConfigurationError, low=1, high=2 ** _ROUND_BITS - 1)
+        as_integer("n", self.n, ConfigurationError, high=2 ** _WORKER_BITS - 1)
+        as_integer("eval_every", self.eval_every, ConfigurationError, low=1, high=self.steps)
+        # the stream key's seed word
+        as_integer("master_seed", self.master_seed, ConfigurationError, low=0, high=2 ** 64 - 1)
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigurationError("momentum must lie in [0, 1)")
         if self.schedule not in SCHEDULES:
@@ -175,8 +169,6 @@ class RunConfig:
                 raise ConfigurationError("constant schedule needs a positive, finite gamma")
         elif self.gamma is not None:
             raise ConfigurationError("inv_sqrt uses gamma_t = 1/sqrt(t); do not set gamma")
-        if not 0 <= self.master_seed < 2 ** 64:
-            raise ConfigurationError("master_seed must fit in 64 unsigned bits")
         if self.model.is_classifier and self.dataset.labels is None:
             raise ConfigurationError(f"{self.model.kind} model needs labeled data")
         if self.dataset.n_features != self.model.n_features:
@@ -368,8 +360,9 @@ def _axis_value(axis: str, value):
 def grid_values(grid: dict) -> dict:
     """The grid's axes in SWEEP_AXES order, each value made its Python value once.
 
-    Raises for an empty grid or axis, an unknown axis, None on any axis but
-    epsilon, and a value named twice.
+    Raises for an empty grid or axis, an axis whose values are not a list or
+    tuple, an unknown axis, None on any axis but epsilon, and a value named
+    twice.
     """
     if not grid:
         raise ContractViolationError("sweep grid must not be empty")
@@ -378,6 +371,10 @@ def grid_values(grid: dict) -> dict:
         raise ConfigurationError(f"unknown sweep axes: {sorted(unknown)}")
     values = {}
     for axis in (axis for axis in SWEEP_AXES if axis in grid):
+        # a string would run one cell per character, a set in hash order
+        if not isinstance(grid[axis], (list, tuple)):
+            raise ContractViolationError(f"sweep axis '{axis}' must list its values in a list "
+                                         f"or tuple, got {grid[axis]!r}")
         if not grid[axis]:
             raise ContractViolationError(f"sweep axis '{axis}' has no values")
         values[axis] = [_axis_value(axis, value) for value in grid[axis]]
@@ -443,8 +440,7 @@ def sweep(base: RunConfig, grid: dict, jobs: int = 1) -> list[CellResult]:
     per cell that resolved. Results are returned in deterministic product
     order regardless of the job count.
     """
-    if jobs < 1:
-        raise ContractViolationError(f"sweep jobs must be at least 1, got {jobs}")
+    as_integer("jobs", jobs, low=1)
     grid = grid_values(grid)
     cells = []
     for combo in product(*grid.values()):

@@ -1,4 +1,26 @@
-"""Exception types shared across the package, and the integer checks."""
+"""Exception types shared across the package, and the one rule for integer sizes.
+
+Four exception types, all ValueErrors, tell the callers of the package what
+went wrong:
+
+* ContractViolationError - a function was called outside its preconditions;
+* ConfigurationError     - a value type (a RunConfig, GarSpec, Model, ...)
+  was built with fields that break its invariants;
+* CalibrationError       - the ConfigurationError of the privacy calibration
+  and of the theory thresholds built on it;
+* DataLoadError          - a dataset file could not be read or parsed.
+
+``byzdp run``, ``sweep`` and ``diagnose`` print any of them and exit 2.
+
+Every integer size the package takes (a batch size b, a dataset size m, a
+dimension, a step count, a seed, a stream key field, a job count, ...) is
+checked by ``as_integer`` and nowhere else. It refuses a bool and any
+non-integer, floats such as 10.0 included, with "{name} must be an integer,
+got {value!r}", and a value outside the caller's bounds with
+"need low <= name <= high, got value", or the one-sided "need name >= low" or
+"need name <= high". The caller names the exception type, so every call site
+keeps the type its callers expect.
+"""
 
 import numbers
 import operator
@@ -20,17 +42,23 @@ class DataLoadError(ValueError):
     """A dataset file could not be parsed."""
 
 
-def as_integer(name: str, value, error: type[ValueError] = ContractViolationError) -> int:
-    """value as a Python int; raise error unless it is a Python or numpy integer.
+def as_integer(name: str, value, error: type[ValueError] = ContractViolationError, *,
+               low: int | None = None, high: int | None = None) -> int:
+    """value as a Python int; raise error unless it is an integer in [low, high].
 
-    Bools and integral floats such as 10.0 are refused.
+    Python and numpy integers are accepted; bools and integral floats such as
+    10.0 are refused. A bound left as None is not checked.
     """
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    # a plain int skips the much slower abstract-class check: gaussian_noise and
+    # sample_batch call this once per round or block of rounds
+    if type(value) is not int and (isinstance(value, bool)
+                                   or not isinstance(value, numbers.Integral)):
         raise error(f"{name} must be an integer, got {value!r}")
-    return operator.index(value)
-
-
-def check_integers(owner, *names: str) -> None:
-    """Raise ConfigurationError unless each named field of owner holds an integer, as as_integer."""
-    for name in names:
-        as_integer(name, getattr(owner, name), ConfigurationError)
+    value = operator.index(value)
+    if (low is not None and value < low) or (high is not None and value > high):
+        if high is None:
+            raise error(f"need {name} >= {low}, got {value}")
+        if low is None:
+            raise error(f"need {name} <= {high}, got {value}")
+        raise error(f"need {low} <= {name} <= {high}, got {value}")
+    return value

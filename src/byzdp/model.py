@@ -45,8 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (ConfigurationError, ContractViolationError, DataLoadError, as_integer,
-                     check_integers)
+from .errors import ConfigurationError, ContractViolationError, DataLoadError, as_integer
 
 # the fields each model kind takes; quadratic derives n_features from its matrix
 MODEL_KINDS = {"quadratic": ("hessian",), "logistic": ("n_features",),
@@ -108,10 +107,9 @@ class Dataset(ReadOnlyArrays):
 
 def _dataset_rng(seed: int, m: int, dim: int, stream: int) -> np.random.Generator:
     """The generator of a seeded dataset of m points in dim dimensions."""
-    if m < 1 or dim < 1:
-        raise ContractViolationError("need m >= 1 and dim >= 1")
-    if seed < 0:
-        raise ContractViolationError(f"dataset seed must be non-negative, got {seed}")
+    as_integer("m", m, low=1)
+    as_integer("dim", dim, low=1)
+    as_integer("seed", seed, low=0)
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(stream,)))
 
 
@@ -163,9 +161,10 @@ def read_lines(path: str, error: type[ValueError]) -> list[str]:
 def load_csv(path: str, classification: bool) -> Dataset:
     """Load one point per row of comma-separated floats.
 
-    The last column is the label when ``classification`` is true. A header
-    row is skipped if its first field is not a number. Malformed rows and
-    non-finite values (``nan``, ``inf``) raise DataLoadError naming the row,
+    The last column is the label when ``classification`` is true, and must
+    be +1 or -1 (a 0/1 label is refused, not mapped). A header row is skipped
+    if its first field is not a number. Malformed rows, non-finite values
+    (``nan``, ``inf``) and other labels raise DataLoadError naming the row,
     and a file that cannot be read as UTF-8 text raises DataLoadError naming it.
     """
     rows: list[list[float]] = []
@@ -190,15 +189,18 @@ def load_csv(path: str, classification: bool) -> Dataset:
             raise DataLoadError(f"row {i}: non-finite value in '{line}'")
         if width is None:
             width = len(vals)
+            if classification and width < 2:
+                raise DataLoadError("classification data needs at least one feature and a "
+                                    "label column")
         elif len(vals) != width:
             raise DataLoadError(f"row {i}: expected {width} columns, got {len(vals)}")
+        if classification and abs(vals[-1]) != 1.0:
+            raise DataLoadError(f"row {i}: label {vals[-1]} is not +1 or -1")
         rows.append(vals)
     if not rows:
         raise DataLoadError("no data rows found")
     data = np.asarray(rows, dtype=np.float64)
     if classification:
-        if data.shape[1] < 2:
-            raise DataLoadError("classification data needs at least one feature and a label column")
         return Dataset(data[:, :-1], data[:, -1])
     return Dataset(data, None)
 
@@ -212,8 +214,9 @@ class Model(ReadOnlyArrays):
     The parameter count ``dim`` is derived from the other fields, and the
     dataclass is frozen, so ``dim`` cannot fall out of step with them. A kind
     rejects the fields it does not take (see ``MODEL_KINDS``), and its counts
-    must be integers. A quadratic model's ``n_features`` is its matrix size:
-    one given must equal it, so that ``dataclasses.replace`` keeps working.
+    must be integers >= 1, so ``dim`` is too. A quadratic model's
+    ``n_features`` is its matrix size: one given must equal it, so that
+    ``dataclasses.replace`` keeps working.
     """
 
     kind: str
@@ -244,17 +247,12 @@ class Model(ReadOnlyArrays):
             object.__setattr__(self, "hessian", h)
             object.__setattr__(self, "n_features", h.shape[0])
             dim = h.shape[0]
-        elif self.kind == "logistic":
-            check_integers(self, *takes)
-            dim = self.n_features
         else:
-            check_integers(self, *takes)
-            if self.hidden < 1 or self.n_features < 1:
-                raise ConfigurationError("mlp1 needs n_features and a positive hidden width")
-            dim = self.n_features * self.hidden + 2 * self.hidden + 1
+            for name in takes:
+                as_integer(name, getattr(self, name), ConfigurationError, low=1)
+            dim = (self.n_features if self.kind == "logistic"
+                   else self.n_features * self.hidden + 2 * self.hidden + 1)
         object.__setattr__(self, "dim", dim)
-        if self.dim < 1:
-            raise ConfigurationError("model dimension must be >= 1")
         if not 0 <= self.lam < math.inf:
             raise ConfigurationError(f"regularization must be finite and nonnegative, "
                                      f"got {self.lam}")
@@ -495,18 +493,13 @@ def clip(g: np.ndarray, clip_params: ClipParams) -> np.ndarray:
 
 # --------------------------------------------------------- sampling & stats
 
-def _check_batch_size(m: int, b: int) -> None:
-    if not 1 <= b <= m:
-        raise ContractViolationError(f"batch size must satisfy 1 <= b <= m, got b={b}, m={m}")
-
-
 def _sorted_choice(m: int, b: int, rng: np.random.Generator) -> np.ndarray:
     """One stream's batch, ``np.sort(rng.choice(m, b, replace=False))``.
 
     The fresh result of ``choice`` is sorted in place, saving the copy
-    ``np.sort`` would make; ``rng`` ends where ``choice`` leaves it.
+    ``np.sort`` would make; ``rng`` ends where ``choice`` leaves it. The
+    caller, ``sample_batch``, has checked b.
     """
-    _check_batch_size(m, b)
     idx = rng.choice(m, size=b, replace=False)
     idx.sort()
     return idx
@@ -533,10 +526,8 @@ def sample_batch(dataset: Dataset, b: int, count: int, stream) -> np.ndarray:
     row's set is replaced by j. A row in which Lemire would reject a draw,
     and every row outside the Floyd regime, is drawn by ``choice`` itself.
     """
-    m, b, count = dataset.m, as_integer("batch size", b), as_integer("count", count)
-    _check_batch_size(m, b)
-    if count < 1:
-        raise ContractViolationError(f"need at least one batch, got count={count}")
+    m = dataset.m
+    b, count = as_integer("b", b, low=1, high=m), as_integer("count", count, low=1)
     if b == m:
         return np.tile(np.arange(m), (count, 1))
     if m >= 2 ** 32 or (m > _FLOYD_MAX_M and b > m // _TAIL_SHUFFLE_DIV):

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CalibrationError, ContractViolationError, as_integer, check_integers
+from .errors import CalibrationError, ContractViolationError, as_integer
 
 
 class PrivacyRegimeWarning(UserWarning):
@@ -34,8 +34,7 @@ def sensitivity_mean_grad(c: float, b: int) -> float:
     """Worst-case change of the b-point mean of norm-C-clipped gradients: 2C/b."""
     if not c > 0:
         raise ContractViolationError("clip bound must be positive")
-    if b < 1:
-        raise ContractViolationError("batch size must be >= 1")
+    as_integer("b", b, low=1)
     return 2.0 * c / b
 
 
@@ -43,8 +42,8 @@ def _check_amplification(epsilon: float, b: int, m: int) -> None:
     """The domain of the amplification map and of its inverse."""
     if not epsilon > 0:
         raise ContractViolationError("epsilon must be positive")
-    if not 1 <= b <= m:
-        raise ContractViolationError("need 1 <= b <= m")
+    m = as_integer("m", m, low=1)
+    as_integer("b", b, low=1, high=m)
 
 
 def amplified_epsilon(epsilon: float, b: int, m: int) -> float:
@@ -65,14 +64,15 @@ def inner_epsilon(epsilon: float, b: int, m: int) -> float:
 def delta_log_factor(epsilon: float, delta: float, b: int, m: int) -> float:
     """ln(1.25 b / (m delta)), after checking the budget and batch it is stated for.
 
-    Needs 0 < epsilon < 1, 0 < delta < 1, 1 <= b <= m and 1.25 b / (m delta) > 1.
+    Needs 0 < epsilon < 1, 0 < delta < 1, integers m >= 1 and b in [1, m], and
+    1.25 b / (m delta) > 1.
     """
     if not 0 < epsilon < 1:
         raise CalibrationError(f"epsilon must lie in (0, 1), got {epsilon}")
     if not 0 < delta < 1:
         raise CalibrationError(f"delta must lie in (0, 1), got {delta}")
-    if not 1 <= b <= m:
-        raise CalibrationError(f"need 1 <= b <= m, got b={b}, m={m}")
+    m = as_integer("m", m, CalibrationError, low=1)
+    as_integer("b", b, CalibrationError, low=1, high=m)
     log_arg = 1.25 * b / (m * delta)
     if not log_arg > 1.0:
         raise CalibrationError(
@@ -114,11 +114,7 @@ def gaussian_noise(d: int, s: float, count: int, stream) -> np.ndarray:
     a -0.0 product into +0.0. At s = 0 the result is zeros and ``stream`` is
     never called.
     """
-    d, count = as_integer("dimension", d), as_integer("count", count)
-    if d < 1:
-        raise ContractViolationError("dimension must be >= 1")
-    if count < 1:
-        raise ContractViolationError(f"need at least one noise row, got count={count}")
+    d, count = as_integer("d", d, low=1), as_integer("count", count, low=1)
     if not 0.0 <= s < math.inf:
         raise ContractViolationError(f"noise scale must be nonnegative and finite, got {s}")
     if s == 0.0:
@@ -150,7 +146,6 @@ class PrivacyParams:
     epsilon_inner: float = field(init=False)
 
     def __post_init__(self):
-        check_integers(self, "b", "m")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", PrivacyRegimeWarning)
             s = noise_scale(self.c, self.b, self.m, self.epsilon, self.delta)
@@ -169,8 +164,7 @@ def compose(epsilon: float, delta: float, steps: int) -> dict:
 
     Returns the ``composition`` entry of a run's summary, slack included.
     """
-    if steps < 1:
-        raise ContractViolationError("steps must be >= 1")
+    steps = as_integer("steps", steps, low=1)
     adv_eps = (epsilon * math.sqrt(2.0 * steps * math.log(1.0 / DELTA_SLACK))
                + steps * epsilon * math.expm1(epsilon))
     return {

@@ -73,8 +73,9 @@ def test_gar_spec_constraints():
     for n, f in ((5.0, 1), (5, 1.0), (5, 1.5), (True, 0), (5, False)):
         with pytest.raises(ConfigurationError, match="must be an integer"):
             GarSpec("median", n, f)
-    for n, f in ((0, 0), (5, -1), (5, 5), (5, 6)):
-        with pytest.raises(ConfigurationError, match="need n >= 1 and 0 <= f < n"):
+    for n, f, message in ((0, 0, "need n >= 1, got 0"), (5, -1, "need 0 <= f <= 4, got -1"),
+                          (5, 5, "need 0 <= f <= 4, got 5"), (5, 6, "need 0 <= f <= 4, got 6")):
+        with pytest.raises(ConfigurationError, match=message):
             GarSpec("median", n, f)
     GarSpec("bulyan", 15, 3)
     GarSpec("krum", 5, 1)

@@ -155,7 +155,7 @@ def test_a_negative_dataset_seed_is_a_config_error(tmp_path, capsys):
     # it once exited 3 with numpy's "expected non-negative integer"
     cfg = write(tmp_path, "c.cfg", QUADRATIC_RUN.replace("dataset_seed = 3", "dataset_seed = -1"))
     assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr().err == "error: dataset seed must be non-negative, got -1\n"
+    assert capsys.readouterr().err == "error: need seed >= 0, got -1\n"
     assert not os.path.exists(tmp_path / "out")
 
 
@@ -550,7 +550,7 @@ RUN_ID_WITNESSES = {
     "sweep_upsilon": ("sweep", (), "upsilon = 0.5\n", "5219dbaf3c10"),
     # summary.json's report fails after the run, so it is computed before it
     "negative_upsilon": ("run", (), "upsilon = -1.0\n",
-                         "error: need kappa >= 0, C > 0, d >= 1, upsilon >= 0\n"),
+                         "error: need kappa >= 0, C > 0, upsilon >= 0\n"),
     # the run would ignore zeta, and so would every grid_attack cell of a sweep
     "zeta_without_attack": ("run", ("attack", "f"), "f = 0\n", NO_ZETA),
     "zeta_under_attack_none": ("run", ("attack", "f"), "f = 0\nattack = none\n", NO_ZETA),
@@ -685,6 +685,24 @@ gamma = 0.5
     rows = read_rows(os.path.join(out, "metrics.csv"))
     assert len(rows) == 5
     assert rows[0]["accuracy"] != ""
+
+
+def test_a_csv_label_other_than_plus_or_minus_one_names_its_row(tmp_path, capsys):
+    # a 0/1 label once reached Dataset, whose message named neither file nor row
+    data = write(tmp_path, "points.csv", "x,y,label\n0.5,1.0,1\n-0.5,0.2,0\n0.1,0.3,1\n")
+    cfg = write(tmp_path, "csv.cfg", f"""
+model = logistic
+dataset = csv
+dataset_path = {data}
+n = 3
+f = 0
+gar = average
+batch_size = 3
+steps = 5
+""")
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: row 3: label 0.0 is not +1 or -1\n"
+    assert not os.path.exists(tmp_path / "out")
 
 
 # ------------------------------------------------------------------- sweep
@@ -927,7 +945,7 @@ def test_sweep_jobs_do_not_change_results(tmp_path):
 def test_sweep_rejects_fewer_than_one_job(tmp_path, capsys):
     cfg = write(tmp_path, "sweep.cfg", LOGISTIC_SWEEP)
     assert main(["sweep", cfg, "--jobs", "0", "--out", str(tmp_path / "sw")]) == 2
-    assert "jobs must be at least 1, got 0" in capsys.readouterr().err
+    assert "need jobs >= 1, got 0" in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "sw")
 
 

@@ -40,7 +40,7 @@ def test_batch_mean_variance_vanishes_at_full_batch():
     ds = regression_targets(1, 25, 3)
     assert batch_mean_variance(model, np.zeros(3), ds, 25) == 0.0
     for b in (0, 26):
-        with pytest.raises(ContractViolationError, match=f"need 1 <= b <= m, got b={b}, m=25"):
+        with pytest.raises(ContractViolationError, match=f"need 1 <= b <= 25, got {b}"):
             batch_mean_variance(model, np.zeros(3), ds, b)
 
 
@@ -218,7 +218,8 @@ def test_eta_bounds_precondition_errors():
         eta_bounds(1.0, 2.0, 10, 2000, 1000, 0.1, 1e-5, 1.0)
     for kap, c, d, ups in ((-0.1, 2.0, 10, 1.0), (1.0, 0.0, 10, 1.0), (1.0, -2.0, 10, 1.0),
                            (1.0, 2.0, 0, 1.0), (1.0, 2.0, 10, -1.0)):
-        with pytest.raises(CalibrationError, match="need kappa >= 0, C > 0, d >= 1"):
+        message = "need d >= 1, got 0" if d == 0 else "need kappa >= 0, C > 0, upsilon >= 0"
+        with pytest.raises(CalibrationError, match=message):
             eta_bounds(kap, c, d, 25, 1000, 0.1, 1e-5, ups)
 
 
@@ -250,7 +251,7 @@ def test_convergence_bound_preconditions():
         convergence_bound(0.0, 10, 0.0, -1.0, 1.0, 1.0, 1.0, 0.0)
     with pytest.raises(ContractViolationError):
         convergence_bound(0.0, 10, 0.0, 1.0, 1.0, 1.0, 0.0, 1.0)
-    with pytest.raises(ContractViolationError, match="steps must be >= 1"):
+    with pytest.raises(ContractViolationError, match="need steps >= 1, got 0"):
         convergence_bound(0.0, 0, 0.0, 1.0, 1.0, 1.0, 1.0, 0.0)
     for lips in (0.0, -1.0, math.nan):
         with pytest.raises(ContractViolationError, match="smoothness constant must be positive"):
@@ -263,7 +264,8 @@ def test_sigma_total_values():
     assert sigma_total(3.0, 10, 0.0, 4.0) == pytest.approx(5.0, rel=1e-15)
     for ups, d, s, c in ((-1.0, 10, 0.1, 2.0), (1.0, 10, -0.1, 2.0), (1.0, 0, 0.1, 2.0),
                          (1.0, 10, 0.1, 0.0), (1.0, 10, 0.1, math.nan)):
-        with pytest.raises(ContractViolationError, match="need upsilon, s >= 0, d >= 1, C > 0"):
+        message = "need d >= 1, got 0" if d == 0 else "need upsilon, s >= 0, C > 0"
+        with pytest.raises(ContractViolationError, match=message):
             sigma_total(ups, d, s, c)
 
 

@@ -452,14 +452,15 @@ def test_config_fail_fast():
         RunConfig(**{**good, "privacy": PrivacyParams(0.5, 1e-4, 1.0, 10, 20)})  # b mismatch
     with pytest.raises(ConfigurationError):
         RunConfig(**{**good, "eval_every": 6})
-    with pytest.raises(ConfigurationError, match="steps must be >= 1"):
+    with pytest.raises(ConfigurationError, match="need 1 <= steps <= 4294967295, got 0"):
         RunConfig(**{**good, "steps": 0})
-    with pytest.raises(ConfigurationError, match="eval_every must be >= 1"):
+    with pytest.raises(ConfigurationError, match="need 1 <= eval_every <= 5, got 0"):
         RunConfig(**{**good, "eval_every": 0})
     with pytest.raises(ConfigurationError, match="unknown schedule 'cosine'"):
         RunConfig(**{**good, "schedule": "cosine"})
     for seed in (-1, 2**64):
-        with pytest.raises(ConfigurationError, match="master_seed must fit in 64"):
+        with pytest.raises(ConfigurationError,
+                           match=f"need 0 <= master_seed <= {2**64 - 1}, got {seed}"):
             RunConfig(**{**good, "master_seed": seed})
     with pytest.raises(ConfigurationError, match="calibrated for m=40, dataset has m=20"):
         RunConfig(**{**good, "privacy": PrivacyParams(0.5, 1e-4, 1.0, 20, 40)})
@@ -482,16 +483,17 @@ def test_config_rejects_runs_past_the_stream_key_budget():
     with pytest.raises(ContractViolationError):
         worker_stream(3, 0, 2**32, PURPOSE_BATCH)
     for seed in (-1, 2**64):
-        with pytest.raises(ContractViolationError, match="master seed must fit"):
+        with pytest.raises(ContractViolationError,
+                           match=f"need 0 <= master_seed <= {2**64 - 1}, got {seed}"):
             worker_stream(seed, 0, 0, PURPOSE_BATCH)
     ds = regression_targets(0, 20, 3)
     good = dict(model=quadratic_model(np.eye(3)), dataset=ds, gar=GarSpec("average", 5, 0),
                 b=20, steps=5, schedule="constant", gamma=0.5)
     RunConfig(**{**good, "steps": 2**32 - 1})
     RunConfig(**{**good, "gar": GarSpec("average", 2**30 - 1, 0)})
-    with pytest.raises(ConfigurationError, match="steps must be below 2\\*\\*32"):
+    with pytest.raises(ConfigurationError, match=f"need 1 <= steps <= {2**32 - 1}, got {2**32}"):
         RunConfig(**{**good, "steps": 2**32})
-    with pytest.raises(ConfigurationError, match="n must be below 2\\*\\*30"):
+    with pytest.raises(ConfigurationError, match=f"need n <= {2**30 - 1}, got {2**30}"):
         RunConfig(**{**good, "gar": GarSpec("average", 2**30, 0)})
 
 
@@ -732,7 +734,7 @@ def test_sweep_starts_at_most_one_worker_per_runnable_cell(monkeypatch):
     assert [r.ok for r in results] == [True, False]
     assert started == [2]  # one runnable cell runs here, without a pool
     for jobs in (0, -1):
-        with pytest.raises(ContractViolationError, match="at least 1"):
+        with pytest.raises(ContractViolationError, match=f"need jobs >= 1, got {jobs}"):
             sweep(base, {"seed": [1]}, jobs=jobs)
 
 
@@ -799,3 +801,12 @@ def test_sweep_rejects_bad_grid():
         sweep(base, {"learning_rate": [0.1]})
     with pytest.raises(ContractViolationError, match="sweep axis 'seed' has no values"):
         sweep(base, {"f": [0], "seed": []})
+
+
+@pytest.mark.parametrize("values", ["mda", {"median", "mda", "krum"}], ids=["str", "set"])
+def test_a_sweep_axis_must_be_a_list_or_tuple(values):
+    # a string once ran one failed cell per character ('m', 'd', 'a'), and a
+    # set ran its cells in an order set by the hash seed
+    with pytest.raises(ContractViolationError,
+                       match="sweep axis 'gar' must list its values in a list or tuple"):
+        sweep(small_sweep_base(), {"seed": [1], "gar": values})

@@ -119,9 +119,9 @@ def test_regularization_must_be_finite_and_nonnegative(lam):
 @pytest.mark.parametrize("make, message", [
     (lambda: quadratic_model(np.ones((2, 3))), "needs a \\(d, d\\) matrix"),
     (lambda: quadratic_model(np.zeros((0, 0))), "needs a \\(d, d\\) matrix"),
-    (lambda: logistic_model(0), "model dimension must be >= 1"),
-    (lambda: mlp1_model(3, 0), "mlp1 needs n_features and a positive hidden width"),
-    (lambda: mlp1_model(0, 2), "mlp1 needs n_features and a positive hidden width"),
+    (lambda: logistic_model(0), "need n_features >= 1, got 0"),
+    (lambda: mlp1_model(3, 0), "need hidden >= 1, got 0"),
+    (lambda: mlp1_model(0, 2), "need n_features >= 1, got 0"),
 ], ids=["non_square", "empty", "no_features", "no_hidden", "mlp1_no_features"])
 def test_model_rejects_shapes_without_a_dimension(make, message):
     with pytest.raises(ConfigurationError, match=message):
@@ -521,12 +521,11 @@ def test_sample_batch_rows_span_rounds_as_per_round_calls():
 
 def test_sample_batch_rejects_oversized():
     ds = regression_targets(0, 5, 1)
-    for b, count in ((6, 1), (0, 1), (3, 0)):
-        with pytest.raises(ContractViolationError):
+    # sample_batch checks b for _sorted_choice, its only caller
+    for b, count, message in ((6, 1, "need 1 <= b <= 5, got 6"), (0, 1, "need 1 <= b <= 5, got 0"),
+                              (3, 0, "need count >= 1, got 0")):
+        with pytest.raises(ContractViolationError, match=message):
             sample_batch(ds, b, count, _streams(0, 1))
-    for b in (0, 6):
-        with pytest.raises(ContractViolationError):
-            _sorted_choice(5, b, worker_stream(0, 0, 1, 0))
 
 
 @pytest.mark.parametrize("b,count", [(True, 1), (3.0, 1), (3, True), (3, 2.0)])
@@ -778,14 +777,15 @@ def test_dataset_rejects_bad_shapes_and_labels(features, labels, message):
 @pytest.mark.parametrize("make", [gaussian_blobs, regression_targets])
 @pytest.mark.parametrize("m, dim", [(0, 2), (3, 0)])
 def test_generators_need_a_point_and_a_dimension(make, m, dim):
-    with pytest.raises(ContractViolationError, match="need m >= 1 and dim >= 1"):
+    with pytest.raises(ContractViolationError, match="need m >= 1, got 0" if m == 0
+                       else "need dim >= 1, got 0"):
         make(0, m, dim)
 
 
 @pytest.mark.parametrize("make", [gaussian_blobs, regression_targets])
 def test_generators_refuse_a_negative_seed(make):
     # it once reached numpy's SeedSequence, whose ValueError names no seed
-    with pytest.raises(ContractViolationError, match="dataset seed must be non-negative, got -1"):
+    with pytest.raises(ContractViolationError, match="need seed >= 0, got -1"):
         make(-1, 3, 2)
 
 
@@ -852,6 +852,16 @@ def test_csv_rejects_an_empty_file(tmp_path):
     path.write_text("")
     with pytest.raises(DataLoadError, match="no data rows found"):
         load_csv(str(path), classification=False)
+
+
+@pytest.mark.parametrize("label", ["0", "2", "0.5", "-0"])
+def test_csv_refuses_a_label_other_than_plus_or_minus_one(tmp_path, label):
+    # 0 is refused, not mapped to -1: a 0/1 file is a different labelling
+    path = tmp_path / "labels.csv"
+    path.write_text(f"1.0,2.0,1\n3.0,4.0,{label}\n")
+    with pytest.raises(DataLoadError, match=f"row 2: label {float(label)!r} is not \\+1 or -1"):
+        load_csv(str(path), classification=True)
+    assert load_csv(str(path), classification=False).m == 2
 
 
 def test_csv_classification_needs_a_feature_and_a_label(tmp_path):

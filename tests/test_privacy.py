@@ -40,7 +40,9 @@ def test_sensitivity_values():
 
 @pytest.mark.parametrize("c, b, message", [
     (0.0, 5, "clip bound must be positive"), (-1.0, 5, "clip bound must be positive"),
-    (math.nan, 5, "clip bound must be positive"), (1.0, 0, "batch size must be >= 1"),
+    (math.nan, 5, "clip bound must be positive"),
+    # the id is the one this case had when it matched an older message
+    pytest.param(1.0, 0, "need b >= 1, got 0", id="1.0-0-batch size must be >= 1"),
 ])
 def test_sensitivity_precondition_errors(c, b, message):
     with pytest.raises(ContractViolationError, match=message):
@@ -52,8 +54,10 @@ def test_sensitivity_precondition_errors(c, b, message):
 @pytest.mark.parametrize("amplification", [amplified_epsilon, inner_epsilon])
 @pytest.mark.parametrize("epsilon, b, m, message", [
     (0.0, 5, 10, "epsilon must be positive"), (-0.1, 5, 10, "epsilon must be positive"),
-    (math.nan, 5, 10, "epsilon must be positive"), (0.1, 0, 10, "need 1 <= b <= m"),
-    (0.1, 11, 10, "need 1 <= b <= m"),
+    (math.nan, 5, 10, "epsilon must be positive"),
+    # the ids are the ones these cases had when they matched an older message
+    pytest.param(0.1, 0, 10, "need 1 <= b <= 10, got 0", id="0.1-0-10-need 1 <= b <= m"),
+    pytest.param(0.1, 11, 10, "need 1 <= b <= 10, got 11", id="0.1-11-10-need 1 <= b <= m"),
 ])
 def test_amplification_maps_share_one_domain(amplification, epsilon, b, m, message):
     with pytest.raises(ContractViolationError, match=message):
