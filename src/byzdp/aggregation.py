@@ -51,8 +51,10 @@ class GarSpec:
     def __post_init__(self):
         if self.rule not in RULES:
             raise ConfigurationError(f"unknown aggregation rule '{self.rule}'")
-        as_integer("n", self.n, ConfigurationError, low=1)
-        as_integer("f", self.f, ConfigurationError, low=0, high=self.n - 1)
+        # stored as checked, so a numpy integer never reaches a cell's params or digest
+        object.__setattr__(self, "n", as_integer("n", self.n, ConfigurationError, low=1))
+        object.__setattr__(self, "f", as_integer("f", self.f, ConfigurationError, low=0,
+                                                 high=self.n - 1))
         if self.rule == "average" and self.f != 0:
             raise ConfigurationError("average tolerates no forged vectors: f = 0 required")
         if self.rule == "krum" and self.n < 2 * self.f + 3:

@@ -6,15 +6,16 @@ folds the result into a momentum buffer, and submits. One ``sample_batch``
 call draws the batches of all honest workers for a block of rounds, worker
 w's batch of round t from its own (w, t) batch stream; a batch never depends
 on theta, so drawing it ahead changes no bit. The batch rows are gathered
-with ``take`` and their per-point gradients clipped in place. One
-``gaussian_noise`` call draws the noise of all honest workers of a round,
-worker w's row from its own (w, t) noise stream. Forged workers all submit the
-attack vector computed from the honest submissions of the same round. The
-round builds the n messages in one fresh (n, d) array, honest rows first and
-the f forged rows last; the server aggregates it and takes the step
-theta <- theta - gamma_t * R_t. At b == m every batch is the whole dataset
-in canonical order: no batch stream is drawn, and the one clipped
-full-batch mean is summed over row blocks, as ``full_grad`` sums, and
+with ``take`` and their per-point gradients clipped in place. A worker's mean
+is ``model.sum_rows`` of its b rows divided by b, the bits of numpy's
+``mean(axis=1)``. One ``gaussian_noise`` call draws the noise of all honest
+workers of a round, worker w's row from its own (w, t) noise stream. Forged
+workers all submit the attack vector computed from the honest submissions of
+the same round. The round builds the n messages in one fresh (n, d) array,
+honest rows first and the f forged rows last; the server aggregates it and
+takes the step theta <- theta - gamma_t * R_t. At b == m every batch is the
+whole dataset in canonical order: no batch stream is drawn, and the one
+clipped full-batch mean is summed over row blocks, as ``full_grad`` sums, and
 copied to every honest row.
 
 Randomness is drawn from counter-based streams keyed by
@@ -37,7 +38,8 @@ from .aggregation import GarSpec, aggregate
 from .attack import AttackSpec, forge
 from .errors import ConfigurationError, ContractViolationError, as_integer
 from .model import (ClipParams, Dataset, Model, ReadOnlyArrays, accuracy, batch_grads, clip,
-                    full_grad, full_loss, read_only_copy, row_blocks, row_sum, sample_batch)
+                    full_grad, full_loss, read_only_copy, row_blocks, row_sum, sample_batch,
+                    sum_rows)
 from .privacy import PrivacyParams, gaussian_noise
 
 SCHEDULES = ("inv_sqrt", "constant")
@@ -152,14 +154,19 @@ class RunConfig:
         return self.privacy.s if self.privacy is not None else 0.0
 
     def __post_init__(self):
-        as_integer("b", self.b, ConfigurationError, low=1, high=self.dataset.m)
+        # stored as checked, so a numpy integer never reaches a cell's params or digest
+        def size(name, **bounds):
+            object.__setattr__(self, name, as_integer(name, getattr(self, name),
+                                                      ConfigurationError, **bounds))
+
+        size("b", low=1, high=self.dataset.m)
         # _StreamPool packs stream keys unchecked, so every round must fit the
         # key's round budget and every worker its worker budget
-        as_integer("steps", self.steps, ConfigurationError, low=1, high=2 ** _ROUND_BITS - 1)
+        size("steps", low=1, high=2 ** _ROUND_BITS - 1)
         as_integer("n", self.n, ConfigurationError, high=2 ** _WORKER_BITS - 1)
-        as_integer("eval_every", self.eval_every, ConfigurationError, low=1, high=self.steps)
+        size("eval_every", low=1, high=self.steps)
         # the stream key's seed word
-        as_integer("master_seed", self.master_seed, ConfigurationError, low=0, high=2 ** 64 - 1)
+        size("master_seed", low=0, high=2 ** 64 - 1)
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigurationError("momentum must lie in [0, 1)")
         if self.schedule not in SCHEDULES:
@@ -298,7 +305,8 @@ def run(config: RunConfig) -> RunResult:
                 rows = idx[lo:hi].ravel()
                 grads = _clipped_grads(config, theta, x.take(rows, axis=0),
                                        None if labels is None else labels.take(rows))
-                honest[lo:hi] = grads.reshape(-1, b, d).mean(axis=1)
+                # the bits of mean(axis=1), which is this sum divided by b
+                honest[lo:hi] = sum_rows(grads.reshape(-1, b, d)) / b
         if s > 0.0:
             honest += gaussian_noise(d, s, n_honest, lambda w: pool.get(w, t, PURPOSE_NOISE))
         if momenta is not None:

@@ -22,11 +22,16 @@ least 4 unless it is the only one. OpenBLAS computes ``x @ theta`` and
 ``x @ W1'`` four rows at a time and sends the rows left over to a different
 kernel, and numpy sends a one-row product to another routine again, so any
 other cut would change the bits of some rows. With this cut every row, and so
-every output, is bit for bit the one-block result. ``row_sum(block_rows,
-count, d)`` cuts ``count`` rows into such blocks (one block at d = 1), asks
-``block_rows(lo, hi)`` for each and adds them in the order of
-``mean(axis=0)``, for ``full_grad`` and for a round whose batch is the whole
-dataset.
+every output, is bit for bit the one-block result.
+
+``sum_rows(g)`` is every sum over the rows of a per-point gradient matrix,
+with the bits of ``g.sum(axis=-2)``. At width d >= 2 numpy adds the rows one
+after another, and ``sum_rows`` adds them in that order with einsum, one
+vector add per row; at d = 1 numpy sums pairwise, and ``sum_rows`` leaves that
+sum, like one that holds a nan, to numpy. ``row_sum(block_rows, count, d)`` cuts ``count`` rows into such
+blocks (one block at d = 1), asks ``block_rows(lo, hi)`` for each and adds
+them with ``sum_rows`` in the order of ``sum(axis=0)``, for ``full_grad`` and
+for a round whose batch is the whole dataset.
 
 ``sample_batch`` draws the batches of all honest workers of a round in one
 call, each row bit for bit the sorted ``choice`` of its worker's stream.
@@ -241,7 +246,8 @@ class Model(ReadOnlyArrays):
                 raise ConfigurationError("quadratic matrix must be symmetric")
             if np.linalg.eigvalsh(h)[0] < -1e-10:
                 raise ConfigurationError("quadratic matrix must be positive semidefinite")
-            if self.n_features not in (None, h.shape[0]):
+            if self.n_features is not None and as_integer(
+                    "n_features", self.n_features, ConfigurationError, low=1) != h.shape[0]:
                 raise ConfigurationError(f"the quadratic model's n_features is its matrix size "
                                          f"{h.shape[0]}, got {self.n_features!r}")
             object.__setattr__(self, "hessian", h)
@@ -249,7 +255,8 @@ class Model(ReadOnlyArrays):
             dim = h.shape[0]
         else:
             for name in takes:
-                as_integer(name, getattr(self, name), ConfigurationError, low=1)
+                object.__setattr__(self, name, as_integer(name, getattr(self, name),
+                                                          ConfigurationError, low=1))
             dim = (self.n_features if self.kind == "logistic"
                    else self.n_features * self.hidden + 2 * self.hidden + 1)
         object.__setattr__(self, "dim", dim)
@@ -363,7 +370,10 @@ def batch_grads(model: Model, theta: np.ndarray, features: np.ndarray,
     if model.kind == "quadratic":
         grads = out
     elif model.kind == "logistic":
-        grads = (-y * _expit(-(y * out)))[:, None] * x
+        # each point's coefficient repeated along its row, then scaled by x in
+        # place: the products of coef[:, None] * x without a narrow-row broadcast
+        grads = np.repeat(-y * _expit(-(y * out)), x.shape[1]).reshape(x.shape)
+        grads *= x
     else:
         # mlp1 backprop, each parameter block written into its columns of grads
         w2 = _unpack_mlp(model, theta)[2]
@@ -379,21 +389,40 @@ def batch_grads(model: Model, theta: np.ndarray, features: np.ndarray,
     return grads
 
 
+def sum_rows(g: np.ndarray) -> np.ndarray:
+    """The bits of ``g.sum(axis=-2)``: the sum over the rows of each (k, d) matrix in g.
+
+    numpy sums the rows of a C-contiguous array of width d >= 2 one after
+    another, with one call of its add loop per row. einsum's one-operand sum
+    adds the rows in that same order, one vector add per row, without the
+    per-row call cost. It is never given ``optimize``, which may route the sum
+    through BLAS. At width 1 numpy sums the contiguous column pairwise, which
+    einsum does not, so a width-1 input, like any input that is not
+    C-contiguous, is summed by numpy itself. So is a sum that holds a nan:
+    when two nans meet, the add keeps one of them, and numpy's SIMD lanes and
+    einsum do not agree on which, so the nan's sign bit could differ.
+    """
+    if g.shape[-1] < 2 or not g.flags.c_contiguous:
+        return g.sum(axis=-2)
+    total = np.einsum("...kd->...d", g)
+    return g.sum(axis=-2) if np.isnan(total).any() else total
+
+
 def row_sum(block_rows, count: int, d: int) -> np.ndarray:
     """The bits of ``sum(axis=0)`` of a (count, d) matrix that is never built whole.
 
     ``block_rows(lo, hi)`` returns the fresh (hi - lo, d) block of rows
-    [lo, hi). numpy sums axis 0 of a C-contiguous matrix of width d >= 2 one
-    row at a time, so the rows are cut by ``row_blocks`` and each block's
-    first row carries the sum so far, which adds in that order. At d = 1
-    numpy sums pairwise, so one block is used.
+    [lo, hi). ``sum_rows`` adds the rows of a block of width d >= 2 one after
+    another, so the rows are cut by ``row_blocks`` and each block's first row
+    carries the sum so far, which adds in that order. At d = 1 the sum is
+    numpy's pairwise one, so one block is used.
     """
     total = None
     for lo, hi in row_blocks(count, d) if d > 1 else [(0, count)]:
         g = block_rows(lo, hi)
         if total is not None:
             g[0] += total
-        total = g.sum(axis=0)
+        total = sum_rows(g)
     return total
 
 

@@ -279,14 +279,28 @@ def test_full_batch_descent_converges_monotonically():
     assert norms[120] < 1e-12
 
 
-@pytest.mark.parametrize("b", [10, 60])
-def test_hand_rolled_round_matches_engine(b):
+def hand_rolled_case(kind):
+    """A model and its 60-point dataset; each engine path of the worker mean is hit by one."""
+    if kind == "quadratic_d1":  # width 1: numpy's own pairwise sum
+        return quadratic_model(np.array([[1.5]]), lam=1e-4), regression_targets(3, 60, 1)
+    if kind == "mlp1":  # width 705: einsum over wide rows
+        return mlp1_model(20, 32, lam=1e-4), gaussian_blobs(3, 60, 20)
+    return logistic_model(4, lam=1e-4), gaussian_blobs(3, 60, 4)
+
+
+@pytest.mark.parametrize("kind, b", [pytest.param("logistic", 10, id="10"),
+                                     pytest.param("logistic", 60, id="60"),
+                                     pytest.param("quadratic_d1", 20, id="quadratic_d1"),
+                                     # a multiple of 4 rows, as one worker's x @ W1'
+                                     # takes the BLAS kernels of the engine's block
+                                     pytest.param("mlp1", 12, id="mlp1")])
+def test_hand_rolled_round_matches_engine(kind, b):
     # at b == m = 60 the one batch is the whole dataset in canonical order
-    ds = gaussian_blobs(3, 60, 4)
-    model = logistic_model(4, lam=1e-4)
+    model, ds = hand_rolled_case(kind)
+    d, y = model.dim, ds.labels
     theta1 = initial_theta(RunConfig(model=model, dataset=ds, gar=GarSpec("average", 4, 0),
                                      b=b, steps=1, master_seed=21))
-    norms = np.linalg.norm(batch_grads(model, theta1, ds.features, ds.labels), axis=1)
+    norms = np.linalg.norm(batch_grads(model, theta1, ds.features, y), axis=1)
     c = float(np.median(norms))  # binds about half the rows
     privacy = PrivacyParams(0.5, 1e-4, c, b, 60)
     config = RunConfig(model=model, dataset=ds, gar=GarSpec("average", 4, 0),
@@ -297,10 +311,10 @@ def test_hand_rolled_round_matches_engine(b):
         idx = (np.arange(60) if b == 60 else
                np.sort(worker_stream(21, w, 1, PURPOSE_BATCH).choice(60, b, replace=False)))
         clipped.append(norms[idx] > c)
-        grads = clip(batch_grads(model, theta1, ds.features[idx], ds.labels[idx]),
+        grads = clip(batch_grads(model, theta1, ds.features[idx], None if y is None else y[idx]),
                      ClipParams(c))
         g = grads.mean(axis=0)
-        g = g + worker_stream(21, w, 1, PURPOSE_NOISE).normal(0.0, privacy.s, 4)
+        g = g + worker_stream(21, w, 1, PURPOSE_NOISE).normal(0.0, privacy.s, d)
         subs.append(g)
     assert 0 < np.count_nonzero(clipped) < np.size(clipped)
     expected = theta1 - 0.3 * np.asarray(subs).mean(axis=0)
@@ -640,6 +654,23 @@ def test_sweep_numpy_scalars_name_the_python_cell():
     [res] = sweep(base, {"seed": [np.float64(9.5)]})
     assert not res.ok
     assert "master_seed must be an integer, got 9.5" in res.reason
+
+
+def test_a_base_of_numpy_integers_names_the_python_cell():
+    # a base with b = np.int64(8) once gave its cell the id 10926502b9a1, and
+    # one with f = np.int64(1) the id 5df6bc7caeb2, for the run of b = 8, f = 1
+    base = small_sweep_base()
+    [plain] = sweep(base, {"seed": [1]})
+    assert plain.cell_id == "fe5c4deb3fbf"
+    for typed in (replace(base, b=np.int64(8)),
+                  replace(base, gar=GarSpec("median", np.int64(5), np.int64(1)))):
+        [cell] = sweep(typed, {"seed": [1]})
+        assert (cell.cell_id, cell.params) == (plain.cell_id, plain.params)
+        assert np.array_equal(cell.result.theta, plain.result.theta)
+    config = replace(base, b=np.int64(8), steps=np.int32(6), eval_every=np.int64(2),
+                     master_seed=np.uint64(9), gar=GarSpec("median", np.int64(5), np.int64(1)))
+    for name in ("b", "steps", "eval_every", "master_seed", "n", "f"):
+        assert type(getattr(config, name)) is int
 
 
 def test_sweep_rejects_a_grid_that_names_one_cell_twice():

@@ -2,6 +2,11 @@
 
 import dataclasses
 import math
+import os
+import platform
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 import warnings
 
@@ -147,8 +152,11 @@ def test_model_rejects_bad_matrices_and_kinds(make, message):
     (lambda: mlp1_model(4, True), "hidden"),
     (lambda: mlp1_model(4, 2.0), "hidden"),
     (lambda: Model("logistic"), "n_features"),
+    # a quadratic model of a 1x1 matrix once took n_features = True, as True == 1
+    (lambda: Model("quadratic", hessian=np.eye(1), n_features=True), "n_features"),
+    (lambda: Model("quadratic", hessian=np.eye(1), n_features=1.0), "n_features"),
 ], ids=["float_features", "bool_features", "mlp1_float_features", "bool_hidden",
-        "float_hidden", "no_features"])
+        "float_hidden", "no_features", "quadratic_bool_features", "quadratic_float_features"])
 def test_model_counts_must_be_integers(make, name):
     with pytest.raises(ConfigurationError, match=f"{name} must be an integer"):
         make()
@@ -176,6 +184,14 @@ def test_model_replace_keeps_working():
     model = dataclasses.replace(quadratic_model(np.eye(3)), lam=0.5)
     assert (model.dim, model.n_features, model.lam) == (3, 3, 0.5)
     assert dataclasses.replace(mlp1_model(np.int64(4), 3), lam=0.1).dim == 4 * 3 + 2 * 3 + 1
+
+
+def test_model_stores_its_counts_as_python_ints():
+    for given in (None, 1, np.int64(1)):
+        model = Model("quadratic", hessian=np.eye(1), n_features=given)
+        assert (type(model.n_features), type(model.dim), model.dim) == (int, int, 1)
+    model = mlp1_model(np.int64(4), np.int32(3))
+    assert [type(v) for v in (model.n_features, model.hidden, model.dim)] == [int] * 3
 
 
 # --------------------------------------------------------- input contract
@@ -307,6 +323,122 @@ def test_full_grad_is_the_one_block_mean_bit_for_bit(monkeypatch, kind, m, budge
     theta = np.random.default_rng(m).normal(0.0, 0.5, model.dim)
     want = batch_grads(model, theta, ds.features, ds.labels).mean(axis=0)
     assert np.array_equal(full_grad(model, theta, ds), want)
+
+
+# --------------------------------------------------------------- sum_rows
+
+# values whose sums round, underflow, overflow or turn to nan
+SPECIAL_VALUES = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1e308, -1e308,
+                           math.inf, -math.inf, math.nan])
+
+
+def row_stack(seed, lead, k, d, special, spread, finite=False):
+    """A C-contiguous (*lead, k, d) float64 array of seeded values.
+
+    Normal values times a common power of ten, or one power per entry when
+    ``spread``; a share ``special`` of the entries are SPECIAL_VALUES, or
+    only their finite ones when ``finite``.
+    """
+    rng = np.random.default_rng(seed)
+    shape = (*lead, k, d)
+    power = rng.integers(-320, 300, size=shape if spread else ())
+    with np.errstate(all="ignore"):
+        g = rng.standard_normal(shape) * 10.0 ** power
+    mask = rng.random(shape) < special
+    specials = SPECIAL_VALUES[np.isfinite(SPECIAL_VALUES)] if finite else SPECIAL_VALUES
+    g[mask] = rng.choice(specials, size=int(mask.sum()))
+    return g
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype == np.float64
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+row_stacks = st.builds(row_stack, seed=st.integers(0, 2**32 - 1),
+                       lead=st.sampled_from([(), (1,), (3,)]), k=st.integers(1, 300),
+                       d=st.integers(1, 64),
+                       special=st.sampled_from([0.0, 0.001, 0.01, 0.05, 0.5]),
+                       spread=st.booleans(), finite=st.booleans())
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(row_stacks)
+def test_sum_rows_has_the_bits_of_numpys_row_sum(g):
+    with np.errstate(all="ignore"):
+        assert_same_bits(byzdp.model.sum_rows(g), g.sum(axis=-2))
+        # a transposed or strided input is not C-contiguous, and numpy sums it
+        for view in (np.swapaxes(g, -1, -2), g[..., ::2, :], g[..., ::2]):
+            assert_same_bits(byzdp.model.sum_rows(view), view.sum(axis=-2))
+
+
+def test_sum_rows_never_lets_einsum_optimize(monkeypatch):
+    # optimize may route a sum through BLAS, whose bits depend on the CPU's kernel
+    calls, einsum = [], np.einsum
+
+    def spy(*operands, **kwargs):
+        calls.append(kwargs)
+        return einsum(*operands, **kwargs)
+    monkeypatch.setattr(np, "einsum", spy)
+    byzdp.model.sum_rows(row_stack(0, (2,), 9, 5, 0.0, False))
+    assert calls == [{}]
+
+
+# the seeded inputs of the dispatch guard: every width from 1 to 64 at some row count
+DISPATCH_CASES = [(seed, lead, k, d, *values)
+                  for seed, (lead, k, d) in enumerate(
+                      [((), 1, 2), ((), 7, 1), ((), 300, 1), ((3,), 5, 1), ((), 2, 3),
+                       ((3,), 33, 20), ((), 4001, 20), ((2,), 512, 20), ((), 40, 705)]
+                      + [((), 97, d) for d in range(2, 65)])
+                  for values in ((0.0, False), (0.0, True), (0.05, True), (0.05, True, True))]
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="numpy's X86 dispatch levels exist on x86 only")
+def test_sum_rows_keeps_its_bits_under_numpys_x86_v3_dispatch(tmp_path):
+    from numpy._core._multiarray_umath import __cpu_features__
+    if not __cpu_features__.get("AVX512F"):
+        pytest.skip("numpy runs its X86_V3 loops on this host already")
+    stacks = [row_stack(*case) for case in DISPATCH_CASES]
+    with np.errstate(all="ignore"):
+        here = [byzdp.model.sum_rows(g) for g in stacks]
+    np.savez(tmp_path / "stacks.npz", *stacks)
+    code = textwrap.dedent("""
+        import sys
+        import numpy as np
+        from numpy._core._multiarray_umath import __cpu_features__
+        from byzdp.model import sum_rows
+        assert not __cpu_features__["X86_V4"], "numpy still runs its AVX-512 loops"
+        sums = []
+        with np.errstate(all="ignore"), np.load(sys.argv[1]) as stacks:
+            for name in stacks.files:
+                g = stacks[name]
+                sums.append(sum_rows(g))
+                assert np.array_equal(sums[-1].view(np.int64), g.sum(axis=-2).view(np.int64)), name
+        np.savez(sys.argv[2], *sums)
+        """)
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR",
+               PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "stacks.npz"),
+                           str(tmp_path / "sums.npz")], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    # each add rounds once at either level, so the sums agree across them
+    with np.load(tmp_path / "sums.npz") as there:
+        for i, want in enumerate(here):
+            assert_same_bits(there[f"arr_{i}"], want)
+
+
+@pytest.mark.parametrize("lam", [0.0, 1e-3])
+@pytest.mark.parametrize("k", [1, 3, 4001])
+def test_logistic_batch_grads_are_numpys_broadcast_products(k, lam):
+    from scipy.special import expit
+    ds = gaussian_blobs(7, k, 20)
+    model = logistic_model(20, lam=lam)
+    theta = np.random.default_rng(k).normal(0.0, 0.5, 20)
+    x, y = ds.features, ds.labels
+    want = (-y * expit(-y * (x @ theta)))[:, None] * x + lam * theta
+    assert_same_bits(batch_grads(model, theta, x, y), want)
 
 
 # ------------------------------------------------------------------- clip
