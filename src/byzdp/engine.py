@@ -18,6 +18,17 @@ whole dataset in canonical order: no batch stream is drawn, and the one
 clipped full-batch mean is summed over row blocks, as ``full_grad`` sums, and
 copied to every honest row.
 
+The shared pass: when b < m and a round's batches hold at least m rows
+(n_honest * b >= m), each point's gradient is computed once per round, at
+theta_t, into one (m, d) buffer that the run allocates once, if m * d is at
+most ``model.SHARED_PASS_FLOATS`` (2 MB). The buffer is filled in
+``full_grad``'s row blocks; on an eval round its rows are summed, which gives
+the bits of ``full_grad``, then it is clipped in place, and each block of
+workers gathers its rows from it. The rows that BLAS computes in its tail
+kernel, past the last group of 4 of a block, are computed again where the
+per-worker path computes them, so the pass keeps every output bit. A larger
+buffer would leave the cache, and such a run stays on the per-worker path.
+
 Randomness is drawn from counter-based streams keyed by
 (master_seed, worker_id, round, purpose), purpose 0 = batch, 1 = noise,
 2 = the theta_1 initializer. Runs are therefore bit-reproducible and
@@ -37,9 +48,9 @@ import numpy as np
 from .aggregation import GarSpec, aggregate
 from .attack import AttackSpec, forge
 from .errors import ConfigurationError, ContractViolationError, as_integer
-from .model import (ClipParams, Dataset, Model, ReadOnlyArrays, accuracy, batch_grads, clip,
-                    full_grad, full_loss, read_only_copy, row_blocks, row_sum, sample_batch,
-                    sum_rows)
+from .model import (ROW_ALIGN, SHARED_PASS_FLOATS, ClipParams, Dataset, Model, ReadOnlyArrays,
+                    accuracy, batch_grads, clip, full_grad, full_loss, read_only_copy,
+                    row_blocks, row_sum, sample_batch, sum_rows)
 from .privacy import PrivacyParams, gaussian_noise
 
 SCHEDULES = ("inv_sqrt", "constant")
@@ -224,11 +235,58 @@ class RunResult(ReadOnlyArrays):
 
 # ---------------------------------------------------------------------- run
 
-def _clipped_grads(config: RunConfig, theta: np.ndarray, features: np.ndarray,
-                   labels: np.ndarray | None) -> np.ndarray:
-    """The per-point gradients of the given rows, clipped in place when the run clips."""
-    grads = batch_grads(config.model, theta, features, labels)
-    return grads if config.clip is None else clip(grads, config.clip)
+def _point_grads(config: RunConfig, theta: np.ndarray, rows, clipped: bool = True) -> np.ndarray:
+    """The per-point gradients of the dataset rows ``rows``, a slice or an index array.
+
+    A slice views the data and an index array is gathered with ``take``. The
+    gradients are clipped in place when ``clipped`` is set and the run clips.
+    """
+    x, y = config.dataset.features, config.dataset.labels
+    if isinstance(rows, slice):
+        x, y = x[rows], None if y is None else y[rows]
+    else:
+        x, y = x.take(rows, axis=0), None if y is None else y.take(rows)
+    grads = batch_grads(config.model, theta, x, y)
+    return grads if config.clip is None or not clipped else clip(grads, config.clip)
+
+
+def _shared_pass(config: RunConfig, theta: np.ndarray, shared: np.ndarray,
+                 evaluate: bool) -> np.ndarray | None:
+    """Fill ``shared`` with every data point's clipped gradient at theta.
+
+    Returns the metrics' gradient on an eval round, else None: the rows are
+    computed in ``full_grad``'s row blocks and summed before they are
+    clipped, so it has the bits of ``full_grad``. Those blocks leave the last
+    m % 4 rows to BLAS's tail kernel (see the model docstring), where a
+    worker's block computes them in an aligned group; they are computed so
+    again, with the rows before them (cycled when m < 4), before clipping.
+    """
+    m, d = shared.shape
+    for lo, hi in row_blocks(m, d):
+        shared[lo:hi] = _point_grads(config, theta, slice(lo, hi), clipped=False)
+    grad = sum_rows(shared) / m if evaluate else None
+    tail = m % ROW_ALIGN
+    if tail:
+        shared[-tail:] = _point_grads(config, theta, np.arange(m - ROW_ALIGN, m) % m,
+                                      clipped=False)[-tail:]
+    if config.clip is not None:
+        clip(shared, config.clip)
+    return grad
+
+
+def _gathered_grads(config: RunConfig, theta: np.ndarray, shared: np.ndarray,
+                    rows: np.ndarray) -> np.ndarray:
+    """The clipped gradients of ``rows``, with the bits one block of them computes.
+
+    They are read from ``shared``, but for the rows past the block's last
+    aligned group, which BLAS computes in its tail kernel: those are computed
+    again at the end of a block of their own.
+    """
+    grads = shared.take(rows, axis=0)
+    tail = len(rows) % ROW_ALIGN
+    if tail:
+        grads[-tail:] = _point_grads(config, theta, rows[-(ROW_ALIGN + tail):])[-tail:]
+    return grads
 
 
 def _batches(config: RunConfig, pool: _StreamPool):
@@ -261,12 +319,21 @@ def run(config: RunConfig) -> RunResult:
     batch is not drawn from the batch streams. Each round with s > 0 makes
     one call to this module's ``gaussian_noise`` binding, which rekeys the
     pooled generator once per honest worker.
+
+    Per-point gradients go through this module's ``batch_grads`` and ``clip``
+    bindings, and every eval round calls its ``full_loss`` binding, and its
+    ``accuracy`` binding for a classifier. On the shared pass (see the module
+    docstring) a round calls ``batch_grads`` on every row block of the
+    dataset, and once more for each tail that is not empty: the last m % 4
+    rows, and the rows past the last group of 4 of the workers' last block.
+    It calls ``clip`` on the buffer and on the workers' tail; ``full_grad``
+    is never called. Otherwise each block of
+    workers, or at b == m each row block, makes one call of each, and every
+    eval round calls ``full_grad``.
     """
     model, dataset = config.model, config.dataset
     n, f, b, d = config.n, config.f, config.b, model.dim
-    n_honest = n - f
-    m, x, labels = dataset.m, dataset.features, dataset.labels
-    s = config.s
+    n_honest, m, s = n - f, dataset.m, config.s
     pool = _StreamPool(config.master_seed)
 
     theta = initial_theta(config)
@@ -275,13 +342,19 @@ def run(config: RunConfig) -> RunResult:
     min_sq = math.inf
     # at b == m the one batch is the whole dataset, drawn from no stream
     batches = None if b == m else _batches(config, pool)
+    # the run's one buffer for the shared pass, when it fits the cap
+    shared = (np.empty((m, d)) if b < m <= n_honest * b and m * d <= SHARED_PASS_FLOATS
+              else None)
 
     for t in range(1, config.steps + 1):
         gamma_t = config.learning_rate(t)
+        evaluate = t % config.eval_every == 0
+        grad = None if shared is None else _shared_pass(config, theta, shared, evaluate)
 
-        if t % config.eval_every == 0:
+        if evaluate:
             loss = full_loss(model, theta, dataset)
-            grad = full_grad(model, theta, dataset)
+            if grad is None:
+                grad = full_grad(model, theta, dataset)
             with np.errstate(over="ignore"):
                 gnorm = float(np.linalg.norm(grad))
             if math.isinf(gnorm) and np.isfinite(grad).all():
@@ -296,15 +369,15 @@ def run(config: RunConfig) -> RunResult:
         honest = messages[:n_honest]
         if batches is None:
             # one clipped mean over row blocks, summed in order as full_grad does
-            honest[:] = row_sum(lambda lo, hi: _clipped_grads(
-                config, theta, x[lo:hi], None if labels is None else labels[lo:hi]), m, d) / m
+            honest[:] = row_sum(lambda lo, hi: _point_grads(config, theta, slice(lo, hi)),
+                                m, d) / m
         else:
             idx = next(batches)
             # cache-sized blocks of whole workers; see model.row_blocks
             for lo, hi in row_blocks(n_honest, d, b):
                 rows = idx[lo:hi].ravel()
-                grads = _clipped_grads(config, theta, x.take(rows, axis=0),
-                                       None if labels is None else labels.take(rows))
+                grads = (_point_grads(config, theta, rows) if shared is None
+                         else _gathered_grads(config, theta, shared, rows))
                 # the bits of mean(axis=1), which is this sum divided by b
                 honest[lo:hi] = sum_rows(grads.reshape(-1, b, d)) / b
         if s > 0.0:

@@ -20,8 +20,16 @@ got {value!r}", and a value outside the caller's bounds with
 "need low <= name <= high, got value", or the one-sided "need name >= low" or
 "need name <= high". The caller names the exception type, so every call site
 keeps the type its callers expect.
+
+``as_real`` is the same rule for a real-valued parameter (a clip bound, a
+privacy budget, ...). It refuses a bool and any non-real with "{name} must be
+a real number, got {value!r}", and nan, an infinity unless the caller allows
+it, and a value outside the caller's bounds with "{name} must be positive and
+finite, got value" or the interval it must lie in. It returns a Python float,
+so a numpy scalar is never stored.
 """
 
+import math
 import numbers
 import operator
 
@@ -62,3 +70,39 @@ def as_integer(name: str, value, error: type[ValueError] = ContractViolationErro
             raise error(f"need {name} <= {high}, got {value}")
         raise error(f"need {low} <= {name} <= {high}, got {value}")
     return value
+
+
+def as_real(name: str, value, error: type[ValueError] = ContractViolationError, *,
+            low: float | None = None, high: float | None = None, open_low: bool = False,
+            open_high: bool = False, finite: bool = True) -> float:
+    """value as a Python float; raise error unless it is a real number in the bounds.
+
+    Python and numpy reals and integers are accepted; bools, other types and
+    nan are refused, and so are infinities when ``finite`` is set. A bound
+    left as None is not checked; ``open_low`` and ``open_high`` exclude it.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise error(f"{name} must be a real number, got {value!r}")
+    try:
+        value = float(value)
+    except OverflowError:  # an int past the float range
+        value = math.inf if value > 0 else -math.inf
+    if (math.isnan(value) or (finite and math.isinf(value))
+            or (low is not None and (value <= low if open_low else value < low))
+            or (high is not None and (value >= high if open_high else value > high))):
+        raise error(f"{name} must be {_real_range(low, high, open_low, open_high, finite)}, "
+                    f"got {value!r}")
+    return value
+
+
+def _real_range(low, high, open_low: bool, open_high: bool, finite: bool) -> str:
+    """The values as_real accepts, in words: "positive and finite", "in (0, 1)", ..."""
+    if low is None and high is None:
+        return "finite" if finite else "a number"
+    if high is None and low == 0:
+        words = "positive" if open_low else "nonnegative"
+    else:
+        words = (f"in {'(' if open_low or low is None else '['}"
+                 f"{'-inf' if low is None else low}, {'inf' if high is None else high}"
+                 f"{')' if open_high or high is None else ']'}")
+    return f"{words} and finite" if finite and (low is None or high is None) else words

@@ -17,12 +17,16 @@ accuracy and the Newton weights of ``estimate_min_loss`` are tails on it.
 Per-point gradient matrices are built in row blocks of about
 ``_BLOCK_FLOATS`` float64s (512 KB), which stay in a 2 MB L2 cache, rather than
 as one (k, d) matrix of many megabytes; ``row_blocks`` cuts them. Every block
-but the last holds a multiple of ``_ROW_ALIGN`` = 4 rows, and the last holds at
+but the last holds a multiple of ``ROW_ALIGN`` = 4 rows, and the last holds at
 least 4 unless it is the only one. OpenBLAS computes ``x @ theta`` and
 ``x @ W1'`` four rows at a time and sends the rows left over to a different
 kernel, and numpy sends a one-row product to another routine again, so any
 other cut would change the bits of some rows. With this cut every row, and so
-every output, is bit for bit the one-block result.
+every output, is bit for bit the one-block result. A run whose round batches
+hold at least every data point builds one (m, d) matrix of all per-point
+gradients per round, filled in such blocks, when it takes at most
+``SHARED_PASS_FLOATS`` = 4 ``_BLOCK_FLOATS`` float64s (2 MB, the L2 size
+above); a larger one stays in blocks (see ``engine.run``).
 
 ``sum_rows(g)`` is every sum over the rows of a per-point gradient matrix,
 with the bits of ``g.sum(axis=-2)``. At width d >= 2 numpy adds the rows one
@@ -50,7 +54,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, ContractViolationError, DataLoadError, as_integer
+from .errors import (ConfigurationError, ContractViolationError, DataLoadError, as_integer,
+                     as_real)
 
 # the fields each model kind takes; quadratic derives n_features from its matrix
 MODEL_KINDS = {"quadratic": ("hessian",), "logistic": ("n_features",),
@@ -340,7 +345,8 @@ def _forward(model: Model, theta: np.ndarray, x: np.ndarray):
 # ------------------------------------------------------- losses & gradients
 
 _BLOCK_FLOATS = 1 << 16  # float64s per row block: 512 KB
-_ROW_ALIGN = 4  # rows per BLAS kernel group; see the module docstring
+ROW_ALIGN = 4  # rows per BLAS kernel group; see the module docstring
+SHARED_PASS_FLOATS = 4 * _BLOCK_FLOATS  # float64s in a round's shared gradient matrix: 2 MB
 
 
 def row_blocks(count: int, d: int, unit: int = 1):
@@ -348,15 +354,15 @@ def row_blocks(count: int, d: int, unit: int = 1):
 
     Each block holds whole groups and about ``_BLOCK_FLOATS`` floats of width
     d, and at least one aligned step. Every block but the last holds a
-    multiple of ``_ROW_ALIGN`` rows; a tail shorter than that joins the block
+    multiple of ``ROW_ALIGN`` rows; a tail shorter than that joins the block
     before it.
     """
-    step = math.lcm(unit, _ROW_ALIGN) // unit
+    step = math.lcm(unit, ROW_ALIGN) // unit
     per = max(1, _BLOCK_FLOATS // (step * unit * d)) * step
     lo = 0
     while lo < count:
         hi = lo + per
-        if (count - hi) * unit < _ROW_ALIGN:
+        if (count - hi) * unit < ROW_ALIGN:
             hi = count
         yield lo, hi
         lo = hi
@@ -471,13 +477,13 @@ def accuracy(model: Model, theta: np.ndarray, dataset: Dataset) -> float:
 
 @dataclass(frozen=True)
 class ClipParams:
-    """Per-point gradient norm cap."""
+    """Per-point gradient norm cap, stored as a Python float."""
 
     c: float
 
     def __post_init__(self):
-        if not 0 < self.c < math.inf:
-            raise ConfigurationError(f"clip bound must be positive and finite, got {self.c}")
+        object.__setattr__(self, "c", as_real("clip bound", self.c, ConfigurationError,
+                                              low=0, open_low=True))
 
 
 def clip(g: np.ndarray, clip_params: ClipParams) -> np.ndarray:

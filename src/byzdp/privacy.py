@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CalibrationError, ContractViolationError, as_integer
+from .errors import CalibrationError, ContractViolationError, as_integer, as_real
 
 
 class PrivacyRegimeWarning(UserWarning):
@@ -163,7 +163,11 @@ def compose(epsilon: float, delta: float, steps: int) -> dict:
     advanced: (eps sqrt(2 T ln(1/slack)) + T eps (e^eps - 1), T delta + slack)
 
     Returns the ``composition`` entry of a run's summary, slack included.
+    Raises ContractViolationError unless epsilon is positive and finite and
+    delta lies in (0, 1).
     """
+    epsilon = as_real("epsilon", epsilon, low=0, open_low=True)
+    delta = as_real("delta", delta, low=0, high=1, open_low=True, open_high=True)
     steps = as_integer("steps", steps, low=1)
     adv_eps = (epsilon * math.sqrt(2.0 * steps * math.log(1.0 / DELTA_SLACK))
                + steps * epsilon * math.expm1(epsilon))

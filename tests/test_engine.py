@@ -7,6 +7,8 @@ from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from byzdp import (AttackSpec, ClipParams, ConfigurationError, ContractViolationError,
                    Dataset, GarSpec, PrivacyParams, RunConfig, aggregate, clip, forge,
@@ -77,19 +79,33 @@ def test_stream_pool_matches_fresh_streams():
                               want.integers(0, 2**31, dtype=np.int32))
 
 
-@pytest.mark.parametrize("b,entries", [pytest.param(10, None, id="10"),
-                                       pytest.param(40, None, id="40"),
-                                       pytest.param(10, 200, id="10-blocks_of_4")])
-def test_round_loop_draws_through_module_bindings(monkeypatch, b, entries):
+# per case: calls of batch_grads, clip, full_grad and full_loss per run
+SHARED = {"grads": 12, "clip": 12, "full_grad": 0, "full_loss": 3}
+
+
+@pytest.mark.parametrize("b,entries,calls", [
+    pytest.param(10, None, SHARED, id="10"),
+    pytest.param(40, None, {"grads": 6, "clip": 6, "full_grad": 3, "full_loss": 3}, id="40"),
+    pytest.param(10, 200, SHARED, id="10-blocks_of_4"),
+    pytest.param(7, None, {"grads": 6, "clip": 6, "full_grad": 3, "full_loss": 3},
+                 id="7-per_worker")])
+def test_round_loop_draws_through_module_bindings(monkeypatch, b, entries, calls):
     # the benchmark's tracer wraps these bindings and needs them called; one
     # call draws the batches of a block of rounds and one the noise of a
     # round, one rekey per honest worker and round for each, and at b == m = 40
     # the full batch is drawn from no stream.
     # 200 entries make blocks of 4 rounds of 5 workers, so the second block
-    # stops at round 6 of 6
+    # stops at round 6 of 6.
+    # At b = 10 the 50 batch rows hold all 40 points: each round fills the
+    # shared matrix in one batch_grads call and clips it in one, and computes
+    # the 2 rows past the last aligned group of the one block of workers again
+    # in one more of each; the metrics sum that matrix, so full_grad is never
+    # called. At b = 7 the 35 rows take one block per round, and the metrics
+    # call full_grad
     if entries is not None:
         monkeypatch.setattr(byzdp.engine, "_DRAW_ENTRIES", entries)
-    counts = {"batch": 0, "noise": 0, "rekey": 0, "grads": 0, "clip": 0, "full_grad": 0}
+    counts = {"batch": 0, "noise": 0, "rekey": 0, "grads": 0, "clip": 0, "full_grad": 0,
+              "full_loss": 0}
     keys = []
 
     def counting(key, original):
@@ -107,7 +123,8 @@ def test_round_loop_draws_through_module_bindings(monkeypatch, b, entries):
     monkeypatch.setattr(byzdp.engine, "gaussian_noise",
                         counting("noise", byzdp.engine.gaussian_noise))
     monkeypatch.setattr(_StreamPool, "get", counting("rekey", keyed))
-    for name, key in (("batch_grads", "grads"), ("clip", "clip"), ("full_grad", "full_grad")):
+    for name, key in (("batch_grads", "grads"), ("clip", "clip"), ("full_grad", "full_grad"),
+                      ("full_loss", "full_loss")):
         monkeypatch.setattr(byzdp.engine, name, counting(key, getattr(byzdp.engine, name)))
     config = quadratic_config(gar=GarSpec("mda", 7, 2), b=b, steps=6,
                               attack=AttackSpec("little"), eval_every=2,
@@ -115,7 +132,7 @@ def test_round_loop_draws_through_module_bindings(monkeypatch, b, entries):
     assert config.s > 0
     run(config)
     n_honest, steps, eval_rounds = 5, 6, 3
-    layered = {key: counts.pop(key) for key in ("grads", "clip", "full_grad")}
+    layered = {key: counts.pop(key) for key in ("grads", "clip", "full_grad", "full_loss")}
     drawn = b < 40
     rounds = (entries or byzdp.engine._DRAW_ENTRIES) // (n_honest * b)
     assert counts == {"batch": math.ceil(steps / rounds) * drawn, "noise": steps,
@@ -126,7 +143,9 @@ def test_round_loop_draws_through_module_bindings(monkeypatch, b, entries):
     assert sorted(keys) == sorted(cells)
     # per-point gradients and clipping may run in several blocks per round
     assert layered["grads"] >= steps and layered["clip"] >= steps
-    assert layered["full_grad"] == eval_rounds
+    # one loss pass per eval round on every path
+    assert layered["full_loss"] == eval_rounds
+    assert layered == calls
 
 
 def test_stream_pool_choice_matches():
@@ -246,6 +265,103 @@ def test_full_batch_round_stays_in_row_blocks():
     assert peak < 8e6
 
 
+# ------------------------------------------------------------- shared pass
+
+@st.composite
+def shared_pass_configs(draw):
+    """A short run whose batches hold every point: b < m <= n_honest * b, m <= 64."""
+    kind = draw(st.sampled_from(["quadratic", "logistic", "mlp1"]))
+    m = draw(st.integers(2, 64))
+    n_honest = draw(st.integers(2, 8))
+    b = draw(st.integers(-(-m // n_honest), m - 1))
+    seed = draw(st.integers(0, 1000))
+    width = draw(st.integers(1, 20))
+    if kind == "quadratic":
+        model = quadratic_model(np.diag(np.linspace(0.5, 2.0, width)), lam=1e-3)
+        ds = regression_targets(seed, m, width, spread=0.5)
+    elif kind == "logistic":
+        model, ds = logistic_model(width, lam=1e-3), gaussian_blobs(seed, m, width)
+    else:
+        # 8 or more hidden units take BLAS kernels whose tail rows differ
+        model = mlp1_model(width, draw(st.integers(1, 32)), lam=1e-3)
+        ds = gaussian_blobs(seed, m, width)
+    f = draw(st.integers(1, min(3, n_honest - 1))) if draw(st.booleans()) else 0
+    gar = GarSpec("mda", n_honest + f, f) if f else GarSpec("average", n_honest, 0)
+    config = RunConfig(model=model, dataset=ds, gar=gar, b=b, steps=3,
+                       attack=AttackSpec("little"), schedule="constant", gamma=0.5,
+                       momentum=draw(st.sampled_from([0.0, 0.5])),
+                       eval_every=draw(st.integers(1, 3)), master_seed=seed)
+    binds = draw(st.sampled_from(["off", "none", "some", "all"]))
+    if binds == "off":
+        return config
+    grads = batch_grads(model, initial_theta(config), ds.features, ds.labels)
+    norms = np.sqrt(np.einsum("ij,ij->i", grads, grads))
+    c = {"none": 2.0 * norms.max(), "some": float(np.median(norms)),
+         "all": 0.5 * norms.min()}[binds]
+    return replace(config, clip=ClipParams(c))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(config=shared_pass_configs(), one_row_blocks=st.booleans())
+def test_shared_pass_keeps_every_bit(config, one_row_blocks):
+    # the shared pass computes every point's gradient once per round and
+    # gathers the batches from it; the per-worker path computes each block of
+    # batches itself. A row-block budget of one float cuts blocks of 4 rows
+    # and of the fewest whole workers, so a round has several of each
+    cap, budget = byzdp.engine.SHARED_PASS_FLOATS, byzdp.model._BLOCK_FLOATS
+    assert config.dataset.m * config.model.dim <= cap
+    byzdp.model._BLOCK_FLOATS = 1 if one_row_blocks else budget
+    try:
+        shared = run(config)
+        byzdp.engine.SHARED_PASS_FLOATS = 0
+        per_worker = run(config)
+    finally:
+        byzdp.engine.SHARED_PASS_FLOATS, byzdp.model._BLOCK_FLOATS = cap, budget
+    assert np.array_equal(shared.theta, per_worker.theta)
+    assert shared.records == per_worker.records
+
+
+@pytest.mark.parametrize("rule, f", [("mda", 3), ("average", 0)])
+def test_criterion_7_at_b_512_takes_the_shared_pass(monkeypatch, rule, f):
+    # 12 or 15 honest workers at b = 512 draw 6,144 or 7,680 rows of 4,000
+    # points: each round computes every point's gradient once, and the metrics
+    # sum those rows instead of calling full_grad. The config is criterion 7's
+    # (demos/configs/run_little_mda.cfg at b = 512), cut to 3 rounds
+    blobs = gaussian_blobs(2, 4000, 20, half_sep=0.16, axis_std=0.088, cross_std=0.16)
+    config = RunConfig(model=logistic_model(20, lam=1e-4), dataset=blobs,
+                       gar=GarSpec(rule, 15, f), attack=AttackSpec("little" if f else "none"),
+                       b=512, steps=3, privacy=PrivacyParams(0.2, 1e-5, 2.0, 512, blobs.m),
+                       schedule="constant", gamma=0.5, momentum=0.99)
+    rows, full = [], []
+
+    def counting(model, theta, features, labels=None):
+        rows.append(len(features))
+        return batch_grads(model, theta, features, labels)
+
+    monkeypatch.setattr(byzdp.engine, "batch_grads", counting)
+    monkeypatch.setattr(byzdp.engine, "full_grad", lambda *args: full.append(args))
+    result = run(config)
+    assert full == [] and len(result.records) == 3
+    assert sum(rows) == 3 * config.dataset.m
+
+
+def test_a_shared_matrix_over_the_cap_stays_in_row_blocks():
+    # 15 workers at b = 512 draw every point, but the (4000, 705) mlp1 matrix
+    # would take 22.5 MB: the round stays on the per-worker path
+    model, ds = mlp1_model(20, 32, lam=1e-3), gaussian_blobs(3, 4000, 20)
+    config = RunConfig(model=model, dataset=ds, gar=GarSpec("average", 15, 0), b=512,
+                       steps=2, schedule="constant", gamma=0.1, clip=ClipParams(0.5),
+                       eval_every=2)
+    assert ds.m <= 15 * 512 and ds.m * model.dim > byzdp.engine.SHARED_PASS_FLOATS
+    tracemalloc.start()
+    try:
+        run(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
 # ------------------------------------------------------------- single steps
 
 def test_one_step_is_exact_gradient_descent():
@@ -293,14 +409,22 @@ def hand_rolled_case(kind):
                                      pytest.param("quadratic_d1", 20, id="quadratic_d1"),
                                      # a multiple of 4 rows, as one worker's x @ W1'
                                      # takes the BLAS kernels of the engine's block
-                                     pytest.param("mlp1", 12, id="mlp1")])
+                                     pytest.param("mlp1", 12, id="mlp1"),
+                                     pytest.param("quadratic_d1", 12,
+                                                  id="quadratic_d1_per_worker"),
+                                     pytest.param("logistic", 15, id="logistic_shared"),
+                                     pytest.param("mlp1", 20, id="mlp1_shared")])
 def test_hand_rolled_round_matches_engine(kind, b):
-    # at b == m = 60 the one batch is the whole dataset in canonical order
+    # at b == m = 60 the one batch is the whole dataset in canonical order; the
+    # 4 workers' batches hold all 60 points at b >= 15, so the engine computes
+    # each point's gradient once, in the shared pass, and gathers the batches
+    # from it; at b = 10 and 12 it computes each block of batches itself
     model, ds = hand_rolled_case(kind)
     d, y = model.dim, ds.labels
     theta1 = initial_theta(RunConfig(model=model, dataset=ds, gar=GarSpec("average", 4, 0),
                                      b=b, steps=1, master_seed=21))
-    norms = np.linalg.norm(batch_grads(model, theta1, ds.features, y), axis=1)
+    every = batch_grads(model, theta1, ds.features, y)
+    norms = np.linalg.norm(every, axis=1)
     c = float(np.median(norms))  # binds about half the rows
     privacy = PrivacyParams(0.5, 1e-4, c, b, 60)
     config = RunConfig(model=model, dataset=ds, gar=GarSpec("average", 4, 0),
@@ -320,6 +444,8 @@ def test_hand_rolled_round_matches_engine(kind, b):
     expected = theta1 - 0.3 * np.asarray(subs).mean(axis=0)
     result = run(config)
     assert np.array_equal(result.theta, expected)
+    # the metrics take the mean of the unclipped rows
+    assert result.records[0].grad_norm == float(np.linalg.norm(every.mean(axis=0)))
 
 
 def record_messages(monkeypatch):

@@ -8,23 +8,28 @@ parameter must refuse a bool, a fractional float and an integral float with
 with its "need ..." message, and accept a numpy integer. The drift guard at
 the end fails when a public function or dataclass takes a parameter with a
 size's name that has no row here.
+
+``REALS`` starts the same table for real parameters, which follow
+``errors.as_real``: the clip bound and ``compose``'s budget so far.
 """
 
 import dataclasses
 import inspect
+import math
 
 import numpy as np
 import pytest
 
 import byzdp
-from byzdp import (CalibrationError, ConfigurationError, ContractViolationError, GarSpec, Model,
-                   PrivacyParams, RunConfig, amplified_epsilon, batch_mean_variance, compose,
-                   convergence_bound, delta_log_factor, eta_bounds, find_vn_violation,
+from byzdp import (CalibrationError, ClipParams, ConfigurationError, ContractViolationError,
+                   GarSpec, Model, PrivacyParams, RunConfig, amplified_epsilon, batch_mean_variance,
+                   compose, convergence_bound, delta_log_factor, eta_bounds, find_vn_violation,
                    gaussian_blobs, gaussian_noise, inner_epsilon, logistic_model, mlp1_model,
                    noise_scale, quadratic_model, regression_targets, sample_batch,
                    sensitivity_mean_grad, sigma_total, submission_variance, sweep, vn_margin,
                    worker_stream)
 from byzdp.engine import PURPOSE_BATCH
+from byzdp.errors import as_real
 
 DATA = regression_targets(0, 20, 3)
 QUAD = quadratic_model(np.eye(3))
@@ -195,3 +200,50 @@ def test_every_public_size_parameter_has_a_row():
     assert sorted(found - covered - NOT_SIZES) == []
     # and no row names a parameter that is gone
     assert sorted((covered | NOT_SIZES) - found) == []
+
+
+# (callable, valid keyword arguments, error type, parameter, its name in messages,
+# the value it gives back, ((bad value, message), ...))
+REALS = [
+    (ClipParams, dict(c=2.0), ConfigurationError, "c", "clip bound", lambda clip: clip.c,
+     tuple((value, f"clip bound must be positive and finite, got {value!r}")
+           for value in (0.0, -1.0, math.inf, math.nan))),
+    (compose, dict(epsilon=0.5, delta=1e-5, steps=3), ContractViolationError, "epsilon",
+     "epsilon", lambda report: report["per_step_epsilon"],
+     tuple((value, f"epsilon must be positive and finite, got {value!r}")
+           for value in (0.0, -0.5, math.inf, math.nan))),
+    (compose, dict(epsilon=0.5, delta=1e-5, steps=3), ContractViolationError, "delta",
+     "delta", lambda report: report["per_step_delta"],
+     tuple((value, f"delta must be in (0, 1), got {value!r}")
+           for value in (0.0, 1.0, -1e-5, math.inf, math.nan))),
+]
+
+
+@pytest.mark.parametrize("fn, kwargs, error, param, name, stored, bad", REALS,
+                         ids=[f"{row[0].__name__}-{row[3]}" for row in REALS])
+def test_a_real_parameter_is_a_float_in_its_range(fn, kwargs, error, param, name, stored, bad):
+    for value in (True, "2", None, 1j):
+        assert refusal(fn, {**kwargs, param: value}, error) == (
+            f"{name} must be a real number, got {value!r}")
+    for value, message in bad:
+        assert refusal(fn, {**kwargs, param: value}, error) == message
+    # a numpy scalar is stored as the Python float it equals
+    for value in (np.float64(kwargs[param]), np.float32(0.5)):
+        got = stored(fn(**{**kwargs, param: value}))
+        assert type(got) is float and got == value
+
+
+def test_as_real_names_the_range_it_takes():
+    assert as_real("x", 10 ** 400, finite=False) == math.inf
+    assert as_real("x", -math.inf, finite=False) == -math.inf
+    for value, bounds, message in [
+            (math.nan, {}, "x must be finite, got nan"),
+            (math.nan, dict(finite=False), "x must be a number, got nan"),
+            (10 ** 400, {}, "x must be finite, got inf"),
+            (-1, dict(low=0), "x must be nonnegative and finite, got -1.0"),
+            (2, dict(low=0, high=1), "x must be in [0, 1], got 2.0"),
+            (1, dict(low=0, high=1, open_high=True), "x must be in [0, 1), got 1.0"),
+            (5, dict(high=1), "x must be in (-inf, 1] and finite, got 5.0")]:
+        with pytest.raises(ContractViolationError) as info:
+            as_real("x", value, **bounds)
+        assert str(info.value) == message
