@@ -9,12 +9,11 @@ submissions; ``empire`` scales the honest mean by (1 - zeta).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, ContractViolationError
+from .errors import ConfigurationError, ContractViolationError, as_real
 
 ATTACK_KINDS = ("none", "little", "empire")
 
@@ -31,10 +30,8 @@ class AttackSpec:
     def __post_init__(self):
         if self.kind not in ATTACK_KINDS:
             raise ConfigurationError(f"unknown attack kind '{self.kind}'")
-        if self.zeta is None:
-            object.__setattr__(self, "zeta", DEFAULT_ZETA[self.kind])
-        if not 0 <= self.zeta < math.inf:
-            raise ConfigurationError(f"zeta must be finite and nonnegative, got {self.zeta}")
+        zeta = DEFAULT_ZETA[self.kind] if self.zeta is None else self.zeta
+        object.__setattr__(self, "zeta", as_real("zeta", zeta, ConfigurationError, low=0))
 
 
 def forge(spec: AttackSpec, honest_grads) -> np.ndarray:

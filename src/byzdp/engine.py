@@ -24,10 +24,10 @@ theta_t, into one (m, d) buffer that the run allocates once, if m * d is at
 most ``model.SHARED_PASS_FLOATS`` (2 MB). The buffer is filled in
 ``full_grad``'s row blocks; on an eval round its rows are summed, which gives
 the bits of ``full_grad``, then it is clipped in place, and each block of
-workers gathers its rows from it. The rows that BLAS computes in its tail
-kernel, past the last group of 4 of a block, are computed again where the
-per-worker path computes them, so the pass keeps every output bit. A larger
-buffer would leave the cache, and such a run stays on the per-worker path.
+workers gathers its rows from it. A point's gradient does not depend on the
+other rows of its block (see the model docstring for the limit), so the pass
+keeps every output bit. A larger buffer would leave the cache, and such a run
+stays on the per-worker path.
 
 Randomness is drawn from counter-based streams keyed by
 (master_seed, worker_id, round, purpose), purpose 0 = batch, 1 = noise,
@@ -47,8 +47,8 @@ import numpy as np
 
 from .aggregation import GarSpec, aggregate
 from .attack import AttackSpec, forge
-from .errors import ConfigurationError, ContractViolationError, as_integer
-from .model import (ROW_ALIGN, SHARED_PASS_FLOATS, ClipParams, Dataset, Model, ReadOnlyArrays,
+from .errors import ConfigurationError, ContractViolationError, as_integer, as_real
+from .model import (SHARED_PASS_FLOATS, ClipParams, Dataset, Model, ReadOnlyArrays,
                     accuracy, batch_grads, clip, full_grad, full_loss, read_only_copy,
                     row_blocks, row_sum, sample_batch, sum_rows)
 from .privacy import PrivacyParams, gaussian_noise
@@ -108,7 +108,8 @@ class _StreamPool:
                        "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
     def get(self, worker_id: int, round_no: int, purpose: int) -> np.random.Generator:
-        packed = (worker_id << (_ROUND_BITS + 2)) | (round_no << 2) | purpose
+        packed = ((worker_id << (_ROUND_BITS + _PURPOSE_BITS)) | (round_no << _PURPOSE_BITS)
+                  | purpose)
         self._cell["key"] = (self._seed, packed)
         self._bg.state = self._state
         return self._gen
@@ -178,13 +179,16 @@ class RunConfig:
         size("eval_every", low=1, high=self.steps)
         # the stream key's seed word
         size("master_seed", low=0, high=2 ** 64 - 1)
-        if not 0.0 <= self.momentum < 1.0:
-            raise ConfigurationError("momentum must lie in [0, 1)")
+        object.__setattr__(self, "momentum", as_real("momentum", self.momentum,
+                                                     ConfigurationError, low=0, high=1,
+                                                     open_high=True))
         if self.schedule not in SCHEDULES:
             raise ConfigurationError(f"unknown schedule '{self.schedule}'")
         if self.schedule == "constant":
-            if self.gamma is None or not 0 < self.gamma < math.inf:
+            if self.gamma is None:
                 raise ConfigurationError("constant schedule needs a positive, finite gamma")
+            object.__setattr__(self, "gamma", as_real("gamma", self.gamma, ConfigurationError,
+                                                      low=0, open_low=True))
         elif self.gamma is not None:
             raise ConfigurationError("inv_sqrt uses gamma_t = 1/sqrt(t); do not set gamma")
         if self.model.is_classifier and self.dataset.labels is None:
@@ -256,37 +260,15 @@ def _shared_pass(config: RunConfig, theta: np.ndarray, shared: np.ndarray,
 
     Returns the metrics' gradient on an eval round, else None: the rows are
     computed in ``full_grad``'s row blocks and summed before they are
-    clipped, so it has the bits of ``full_grad``. Those blocks leave the last
-    m % 4 rows to BLAS's tail kernel (see the model docstring), where a
-    worker's block computes them in an aligned group; they are computed so
-    again, with the rows before them (cycled when m < 4), before clipping.
+    clipped, so it has the bits of ``full_grad``.
     """
     m, d = shared.shape
     for lo, hi in row_blocks(m, d):
         shared[lo:hi] = _point_grads(config, theta, slice(lo, hi), clipped=False)
     grad = sum_rows(shared) / m if evaluate else None
-    tail = m % ROW_ALIGN
-    if tail:
-        shared[-tail:] = _point_grads(config, theta, np.arange(m - ROW_ALIGN, m) % m,
-                                      clipped=False)[-tail:]
     if config.clip is not None:
         clip(shared, config.clip)
     return grad
-
-
-def _gathered_grads(config: RunConfig, theta: np.ndarray, shared: np.ndarray,
-                    rows: np.ndarray) -> np.ndarray:
-    """The clipped gradients of ``rows``, with the bits one block of them computes.
-
-    They are read from ``shared``, but for the rows past the block's last
-    aligned group, which BLAS computes in its tail kernel: those are computed
-    again at the end of a block of their own.
-    """
-    grads = shared.take(rows, axis=0)
-    tail = len(rows) % ROW_ALIGN
-    if tail:
-        grads[-tail:] = _point_grads(config, theta, rows[-(ROW_ALIGN + tail):])[-tail:]
-    return grads
 
 
 def _batches(config: RunConfig, pool: _StreamPool):
@@ -324,12 +306,9 @@ def run(config: RunConfig) -> RunResult:
     bindings, and every eval round calls its ``full_loss`` binding, and its
     ``accuracy`` binding for a classifier. On the shared pass (see the module
     docstring) a round calls ``batch_grads`` on every row block of the
-    dataset, and once more for each tail that is not empty: the last m % 4
-    rows, and the rows past the last group of 4 of the workers' last block.
-    It calls ``clip`` on the buffer and on the workers' tail; ``full_grad``
-    is never called. Otherwise each block of
-    workers, or at b == m each row block, makes one call of each, and every
-    eval round calls ``full_grad``.
+    dataset and ``clip`` once on the buffer; ``full_grad`` is never called.
+    Otherwise each block of workers, or at b == m each row block, makes one
+    call of each, and every eval round calls ``full_grad``.
     """
     model, dataset = config.model, config.dataset
     n, f, b, d = config.n, config.f, config.b, model.dim
@@ -377,7 +356,7 @@ def run(config: RunConfig) -> RunResult:
             for lo, hi in row_blocks(n_honest, d, b):
                 rows = idx[lo:hi].ravel()
                 grads = (_point_grads(config, theta, rows) if shared is None
-                         else _gathered_grads(config, theta, shared, rows))
+                         else shared.take(rows, axis=0))
                 # the bits of mean(axis=1), which is this sum divided by b
                 honest[lo:hi] = sum_rows(grads.reshape(-1, b, d)) / b
         if s > 0.0:

@@ -14,17 +14,17 @@ regularizer is folded into every per-point gradient. ``_forward`` is the one
 place where data meets the parameters: per-point losses and gradients,
 accuracy and the Newton weights of ``estimate_min_loss`` are tails on it.
 
+Each row-wise product of ``_forward`` goes through ``_rows_times``, which
+gives every row the bits it gets inside an aligned group of 4 rows. So a
+point's loss and gradient have the same bits alone, among any neighbours and
+anywhere in a block, as long as the products stay below about 10**6
+multiply-adds, past which BLAS may switch to a kernel that rounds differently.
+
 Per-point gradient matrices are built in row blocks of about
 ``_BLOCK_FLOATS`` float64s (512 KB), which stay in a 2 MB L2 cache, rather than
-as one (k, d) matrix of many megabytes; ``row_blocks`` cuts them. Every block
-but the last holds a multiple of ``ROW_ALIGN`` = 4 rows, and the last holds at
-least 4 unless it is the only one. OpenBLAS computes ``x @ theta`` and
-``x @ W1'`` four rows at a time and sends the rows left over to a different
-kernel, and numpy sends a one-row product to another routine again, so any
-other cut would change the bits of some rows. With this cut every row, and so
-every output, is bit for bit the one-block result. A run whose round batches
-hold at least every data point builds one (m, d) matrix of all per-point
-gradients per round, filled in such blocks, when it takes at most
+as one (k, d) matrix of many megabytes; ``row_blocks`` cuts them. A run whose
+round batches hold at least every data point builds one (m, d) matrix of all
+per-point gradients per round, filled in such blocks, when it takes at most
 ``SHARED_PASS_FLOATS`` = 4 ``_BLOCK_FLOATS`` float64s (2 MB, the L2 size
 above); a larger one stays in blocks (see ``engine.run``).
 
@@ -265,9 +265,8 @@ class Model(ReadOnlyArrays):
             dim = (self.n_features if self.kind == "logistic"
                    else self.n_features * self.hidden + 2 * self.hidden + 1)
         object.__setattr__(self, "dim", dim)
-        if not 0 <= self.lam < math.inf:
-            raise ConfigurationError(f"regularization must be finite and nonnegative, "
-                                     f"got {self.lam}")
+        object.__setattr__(self, "lam", as_real("regularization", self.lam, ConfigurationError,
+                                                low=0))
         if self.is_classifier:
             # loaded with the model that needs it, so a quadratic run never pays
             # for it and forked sweep workers inherit it; see _expit
@@ -325,6 +324,21 @@ def _inputs(model: Model, theta: np.ndarray, features: np.ndarray,
     return theta, x, y
 
 
+def _rows_times(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``x @ w``, each row with the bits it gets inside an aligned group of 4 rows.
+
+    The k % 4 rows past the last whole group are taken from the product of
+    the last 4 rows; an input of fewer than 4 rows is repeated up to 4.
+    """
+    out = x @ w
+    k = x.shape[0]
+    tail = k % 4
+    if tail:
+        last = x[k - 4:] if k > 4 else x.take(np.arange(k - 4, k) % k, axis=0)
+        out[k - tail:] = (last @ w)[4 - tail:]
+    return out
+
+
 def _forward(model: Model, theta: np.ndarray, x: np.ndarray):
     """The per-point products that a loss and its gradient share, as a pair.
 
@@ -334,38 +348,29 @@ def _forward(model: Model, theta: np.ndarray, x: np.ndarray):
     """
     if model.kind == "quadratic":
         diff = theta[None, :] - x
-        return diff, diff @ model.hessian
+        return diff, _rows_times(diff, model.hessian)
     if model.kind == "logistic":
-        return None, x @ theta
+        return None, _rows_times(x, theta)
     w1, b1, w2, b2 = _unpack_mlp(model, theta)
-    a = np.tanh(x @ w1.T + b1[None, :])
-    return a, a @ w2 + b2
+    a = np.tanh(_rows_times(x, w1.T) + b1[None, :])
+    return a, _rows_times(a, w2) + b2
 
 
 # ------------------------------------------------------- losses & gradients
 
 _BLOCK_FLOATS = 1 << 16  # float64s per row block: 512 KB
-ROW_ALIGN = 4  # rows per BLAS kernel group; see the module docstring
 SHARED_PASS_FLOATS = 4 * _BLOCK_FLOATS  # float64s in a round's shared gradient matrix: 2 MB
 
 
 def row_blocks(count: int, d: int, unit: int = 1):
     """Half-open ranges [lo, hi) that cover ``count`` groups of ``unit`` rows.
 
-    Each block holds whole groups and about ``_BLOCK_FLOATS`` floats of width
-    d, and at least one aligned step. Every block but the last holds a
-    multiple of ``ROW_ALIGN`` rows; a tail shorter than that joins the block
-    before it.
+    Each block holds whole groups, at least one, and about ``_BLOCK_FLOATS``
+    floats of width d.
     """
-    step = math.lcm(unit, ROW_ALIGN) // unit
-    per = max(1, _BLOCK_FLOATS // (step * unit * d)) * step
-    lo = 0
-    while lo < count:
-        hi = lo + per
-        if (count - hi) * unit < ROW_ALIGN:
-            hi = count
-        yield lo, hi
-        lo = hi
+    per = max(1, _BLOCK_FLOATS // (unit * d))
+    for lo in range(0, count, per):
+        yield lo, min(lo + per, count)
 
 
 def batch_grads(model: Model, theta: np.ndarray, features: np.ndarray,

@@ -16,7 +16,7 @@ def test_attack_spec_defaults():
     # the none kind takes any zeta: a sweep cell passes it the base config's
     assert AttackSpec("none", 3.0).zeta == 3.0
     for zeta in (-0.5, math.inf, -math.inf, math.nan):
-        with pytest.raises(ConfigurationError, match="zeta must be finite and nonnegative"):
+        with pytest.raises(ConfigurationError, match="zeta must be nonnegative and finite"):
             AttackSpec("little", zeta)
     with pytest.raises(ConfigurationError):
         AttackSpec("signflip")

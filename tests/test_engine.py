@@ -80,7 +80,7 @@ def test_stream_pool_matches_fresh_streams():
 
 
 # per case: calls of batch_grads, clip, full_grad and full_loss per run
-SHARED = {"grads": 12, "clip": 12, "full_grad": 0, "full_loss": 3}
+SHARED = {"grads": 6, "clip": 6, "full_grad": 0, "full_loss": 3}
 
 
 @pytest.mark.parametrize("b,entries,calls", [
@@ -97,11 +97,9 @@ def test_round_loop_draws_through_module_bindings(monkeypatch, b, entries, calls
     # 200 entries make blocks of 4 rounds of 5 workers, so the second block
     # stops at round 6 of 6.
     # At b = 10 the 50 batch rows hold all 40 points: each round fills the
-    # shared matrix in one batch_grads call and clips it in one, and computes
-    # the 2 rows past the last aligned group of the one block of workers again
-    # in one more of each; the metrics sum that matrix, so full_grad is never
-    # called. At b = 7 the 35 rows take one block per round, and the metrics
-    # call full_grad
+    # shared matrix in one batch_grads call and clips it in one, and the
+    # metrics sum that matrix, so full_grad is never called. At b = 7 the 35
+    # rows take one block per round, and the metrics call full_grad
     if entries is not None:
         monkeypatch.setattr(byzdp.engine, "_DRAW_ENTRIES", entries)
     counts = {"batch": 0, "noise": 0, "rekey": 0, "grads": 0, "clip": 0, "full_grad": 0,
@@ -184,8 +182,7 @@ def _blocked_run_config(kind, b, m, binds):
 @pytest.mark.parametrize("b", [1, 3, 25, 128])
 @pytest.mark.parametrize("kind", ["quadratic", "logistic", "mlp1"])
 def test_blocked_round_matches_one_block(monkeypatch, kind, b, m, binds):
-    # nine honest workers: at the smallest budget every block is one aligned
-    # group of whole workers, and the last block holds a leftover
+    # nine honest workers: at the smallest budget every block is one worker
     config = _blocked_run_config(kind, b, m, binds)
     monkeypatch.setattr(byzdp.model, "_BLOCK_FLOATS", 1 << 62)
     whole = run(config)
@@ -282,7 +279,6 @@ def shared_pass_configs(draw):
     elif kind == "logistic":
         model, ds = logistic_model(width, lam=1e-3), gaussian_blobs(seed, m, width)
     else:
-        # 8 or more hidden units take BLAS kernels whose tail rows differ
         model = mlp1_model(width, draw(st.integers(1, 32)), lam=1e-3)
         ds = gaussian_blobs(seed, m, width)
     f = draw(st.integers(1, min(3, n_honest - 1))) if draw(st.booleans()) else 0
@@ -306,8 +302,8 @@ def shared_pass_configs(draw):
 def test_shared_pass_keeps_every_bit(config, one_row_blocks):
     # the shared pass computes every point's gradient once per round and
     # gathers the batches from it; the per-worker path computes each block of
-    # batches itself. A row-block budget of one float cuts blocks of 4 rows
-    # and of the fewest whole workers, so a round has several of each
+    # batches itself. A row-block budget of one float cuts blocks of one row
+    # and of one worker, so a round has several of each
     cap, budget = byzdp.engine.SHARED_PASS_FLOATS, byzdp.model._BLOCK_FLOATS
     assert config.dataset.m * config.model.dim <= cap
     byzdp.model._BLOCK_FLOATS = 1 if one_row_blocks else budget
@@ -407,9 +403,10 @@ def hand_rolled_case(kind):
 @pytest.mark.parametrize("kind, b", [pytest.param("logistic", 10, id="10"),
                                      pytest.param("logistic", 60, id="60"),
                                      pytest.param("quadratic_d1", 20, id="quadratic_d1"),
-                                     # a multiple of 4 rows, as one worker's x @ W1'
-                                     # takes the BLAS kernels of the engine's block
                                      pytest.param("mlp1", 12, id="mlp1"),
+                                     # a worker's rows start mid-group in the engine's block
+                                     pytest.param("mlp1", 10, id="mlp1_b10"),
+                                     pytest.param("mlp1", 7, id="mlp1_b7"),
                                      pytest.param("quadratic_d1", 12,
                                                   id="quadratic_d1_per_worker"),
                                      pytest.param("logistic", 15, id="logistic_shared"),
@@ -418,7 +415,7 @@ def test_hand_rolled_round_matches_engine(kind, b):
     # at b == m = 60 the one batch is the whole dataset in canonical order; the
     # 4 workers' batches hold all 60 points at b >= 15, so the engine computes
     # each point's gradient once, in the shared pass, and gathers the batches
-    # from it; at b = 10 and 12 it computes each block of batches itself
+    # from it; at b = 7, 10 and 12 it computes each block of batches itself
     model, ds = hand_rolled_case(kind)
     d, y = model.dim, ds.labels
     theta1 = initial_theta(RunConfig(model=model, dataset=ds, gar=GarSpec("average", 4, 0),
@@ -581,8 +578,10 @@ def test_config_fail_fast():
     with pytest.raises(ConfigurationError):
         RunConfig(**{**good, "momentum": 1.0})
     # gamma = inf once ran, and stopped on non-finite submissions in round 2
-    for gamma in (None, 0.0, math.inf, math.nan):
-        with pytest.raises(ConfigurationError, match="needs a positive, finite gamma"):
+    with pytest.raises(ConfigurationError, match="needs a positive, finite gamma"):
+        RunConfig(**{**good, "schedule": "constant", "gamma": None})
+    for gamma in (0.0, math.inf, math.nan):
+        with pytest.raises(ConfigurationError, match="gamma must be positive and finite"):
             RunConfig(**{**good, "schedule": "constant", "gamma": gamma})
     with pytest.raises(ConfigurationError):
         RunConfig(**{**good, "schedule": "inv_sqrt"})  # gamma set but unused

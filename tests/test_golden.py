@@ -107,12 +107,12 @@ SWEEP_ODD_ROWS = {
         "summary.csv": "1be93ad62786b4bc897b6b5e522e4805ae4cbae85fa5205ec5d2f514bab35094",
     },
     "mlp1": {
-        "aggregate.csv": "a1c3138da704ed7993c367c5dcb4d6aab4c876efe1aa7c678eeb382717d92108",
+        "aggregate.csv": "4292649f7a55e24729cb133b67d35f8d6d16f97d467fe7e4e8caaeee6595c41a",
         "metrics-06d43a196a73.csv": "fed1bafa0adadd752f188e5e8fed44c22d063658cc5aaafc94c713bcd7077a92",
         "metrics-198372d7774a.csv": "c552b299088cc3b2cfb825ef9a7a9c22f88c7e6ef350e37c7ff110115fa05746",
-        "metrics-35bf0b6a7e5c.csv": "8700a2a0404a6bd7b39da48f6a7c4f8c1fa2d68e299d4bfc96f3a5b719aac449",
+        "metrics-35bf0b6a7e5c.csv": "b447db9c2da62481563b15b4731dfa40682062116896a1ea3c26c8ad68cfd569",
         "metrics-d4a316511cf6.csv": "31f6fec22b926d08f936a7afb26b7bac26591025ff24258bf32912c9af1d44d1",
-        "summary.csv": "fbc26713c78dbe784205e3b55d5ea8a7df1738c4a7ea669054d048c5b4189cb6",
+        "summary.csv": "a2cef417c8e686a8b7344269f7ba3d479b3eea1a57cfda8135ea045cf6dfe3a4",
     },
 }
 

@@ -117,7 +117,7 @@ def test_regularization_must_be_finite_and_nonnegative(lam):
     for make in (lambda: quadratic_model(np.eye(2), lam=lam),
                  lambda: logistic_model(3, lam=lam), lambda: mlp1_model(3, 2, lam=lam)):
         with pytest.raises(ConfigurationError,
-                           match="regularization must be finite and nonnegative"):
+                           match="regularization must be nonnegative and finite"):
             make()
 
 
@@ -280,7 +280,7 @@ def test_full_grad_matches_finite_differences():
 @settings(max_examples=300, deadline=None)
 @given(count=st.integers(1, 300), unit=st.integers(1, 130), d=st.integers(1, 800),
        budget=st.sampled_from([1, 7, 64, 1000, 1 << 16]))
-def test_row_blocks_cover_whole_groups_in_aligned_blocks(count, unit, d, budget):
+def test_row_blocks_cut_whole_groups_of_about_the_budget(count, unit, d, budget):
     original = byzdp.model._BLOCK_FLOATS
     byzdp.model._BLOCK_FLOATS = budget
     try:
@@ -289,13 +289,55 @@ def test_row_blocks_cover_whole_groups_in_aligned_blocks(count, unit, d, budget)
         byzdp.model._BLOCK_FLOATS = original
     assert blocks[0][0] == 0 and blocks[-1][1] == count
     assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
-    step = math.lcm(unit, 4)
-    for lo, hi in blocks[:-1]:
-        rows = (hi - lo) * unit
-        assert rows % 4 == 0
-        assert rows * d <= max(budget, step * d)
-    lo, hi = blocks[-1]
-    assert len(blocks) == 1 or (hi - lo) * unit >= 4
+    # every block but the last holds the most groups whose floats fit the
+    # budget, and at least one; the last holds the rest
+    sizes = [hi - lo for lo, hi in blocks]
+    per = sizes[0]
+    assert all(size == per for size in sizes[:-1]) and 1 <= sizes[-1] <= per
+    assert per == 1 or per * unit * d <= budget
+    assert len(blocks) == 1 or (per + 1) * unit * d > budget
+
+
+@st.composite
+def row_products(draw):
+    """A model, theta and a seeded (lead + k + trail, p) block with labels."""
+    kind = draw(st.sampled_from(["quadratic", "logistic", "mlp1"]))
+    width = draw(st.integers(1, 20))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "quadratic":
+        # a dense matrix: every entry of (theta - x) H is a sum of width products
+        a = rng.standard_normal((width, width))
+        model = quadratic_model(a @ a.T / width, lam=1e-3)
+    elif kind == "logistic":
+        model = logistic_model(width, lam=1e-3)
+    else:
+        model = mlp1_model(width, draw(st.integers(1, 32)), lam=1e-3)
+    k, lead, trail = draw(st.integers(1, 40)), draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    x = rng.standard_normal((lead + k + trail, width))
+    y = np.where(rng.random(len(x)) < 0.5, 1.0, -1.0)
+    return model, rng.normal(0.0, 0.5, model.dim), x, y, lead, k
+
+
+def _forward_rows(model, theta, x, y):
+    return [part for part in byzdp.model._forward(model, theta, x) if part is not None]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(row_products())
+def test_a_rows_bits_do_not_depend_on_the_other_rows(case):
+    # a point's products, loss and gradient are the same bits alone, in a
+    # block of k rows and inside a larger block that starts before it
+    model, theta, x, y, lead, k = case
+    for f in (batch_grads, batch_losses, _forward_rows):
+        def parts(lo, hi):
+            got = f(model, theta, x[lo:hi], y[lo:hi])
+            return got if isinstance(got, list) else [got]
+        larger, block = parts(0, len(x)), parts(lead, lead + k)
+        for i in range(k):
+            alone = parts(lead + i, lead + i + 1)
+            for whole, part, one in zip(larger, block, alone):
+                assert np.array_equal(part[i], one[0]), (f.__name__, i)
+                assert np.array_equal(part[i], whole[lead + i]), (f.__name__, i)
 
 
 def _model_and_data(kind, m):
@@ -437,7 +479,9 @@ def test_logistic_batch_grads_are_numpys_broadcast_products(k, lam):
     model = logistic_model(20, lam=lam)
     theta = np.random.default_rng(k).normal(0.0, 0.5, 20)
     x, y = ds.features, ds.labels
-    want = (-y * expit(-y * (x @ theta)))[:, None] * x + lam * theta
+    # the scores as _forward takes them: at k = 3 the product repeats rows up to 4
+    scores = byzdp.model._forward(model, theta, x)[1]
+    want = (-y * expit(-y * scores))[:, None] * x + lam * theta
     assert_same_bits(batch_grads(model, theta, x, y), want)
 
 

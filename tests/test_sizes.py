@@ -10,7 +10,9 @@ the end fails when a public function or dataclass takes a parameter with a
 size's name that has no row here.
 
 ``REALS`` starts the same table for real parameters, which follow
-``errors.as_real``: the clip bound and ``compose``'s budget so far.
+``errors.as_real``: the clip bound, ``compose``'s budget, zeta, the
+regularization, the momentum and the constant step size so far. None is
+refused too, but where it is a parameter's default it means unset.
 """
 
 import dataclasses
@@ -21,13 +23,13 @@ import numpy as np
 import pytest
 
 import byzdp
-from byzdp import (CalibrationError, ClipParams, ConfigurationError, ContractViolationError,
-                   GarSpec, Model, PrivacyParams, RunConfig, amplified_epsilon, batch_mean_variance,
-                   compose, convergence_bound, delta_log_factor, eta_bounds, find_vn_violation,
-                   gaussian_blobs, gaussian_noise, inner_epsilon, logistic_model, mlp1_model,
-                   noise_scale, quadratic_model, regression_targets, sample_batch,
-                   sensitivity_mean_grad, sigma_total, submission_variance, sweep, vn_margin,
-                   worker_stream)
+from byzdp import (AttackSpec, CalibrationError, ClipParams, ConfigurationError,
+                   ContractViolationError, GarSpec, Model, PrivacyParams, RunConfig,
+                   amplified_epsilon, batch_mean_variance, compose, convergence_bound,
+                   delta_log_factor, eta_bounds, find_vn_violation, gaussian_blobs,
+                   gaussian_noise, inner_epsilon, logistic_model, mlp1_model, noise_scale,
+                   quadratic_model, regression_targets, sample_batch, sensitivity_mean_grad,
+                   sigma_total, submission_variance, sweep, vn_margin, worker_stream)
 from byzdp.engine import PURPOSE_BATCH
 from byzdp.errors import as_real
 
@@ -35,8 +37,9 @@ DATA = regression_targets(0, 20, 3)
 QUAD = quadratic_model(np.eye(3))
 THETA = np.zeros(3)
 SPEC = GarSpec("median", 5, 1)
-BASE = RunConfig(model=QUAD, dataset=DATA, gar=GarSpec("average", 5, 0), b=5, steps=4,
-                 schedule="constant", gamma=0.5, eval_every=2)
+RUN_ARGS = dict(model=QUAD, dataset=DATA, gar=GarSpec("average", 5, 0), b=5, steps=4,
+                schedule="constant", gamma=0.5, eval_every=2)
+BASE = RunConfig(**RUN_ARGS)
 
 
 def streams(w):
@@ -216,13 +219,29 @@ REALS = [
      "delta", lambda report: report["per_step_delta"],
      tuple((value, f"delta must be in (0, 1), got {value!r}")
            for value in (0.0, 1.0, -1e-5, math.inf, math.nan))),
+    (AttackSpec, dict(kind="little", zeta=2.0), ConfigurationError, "zeta", "zeta",
+     lambda spec: spec.zeta,
+     tuple((value, f"zeta must be nonnegative and finite, got {value!r}")
+           for value in (-0.5, math.inf, -math.inf, math.nan))),
+    (Model, dict(kind="logistic", lam=0.5, n_features=3), ConfigurationError, "lam",
+     "regularization", lambda model: model.lam,
+     tuple((value, f"regularization must be nonnegative and finite, got {value!r}")
+           for value in (-0.1, math.inf, math.nan))),
+    (RunConfig, dict(RUN_ARGS, momentum=0.5), ConfigurationError, "momentum", "momentum",
+     lambda config: config.momentum,
+     tuple((value, f"momentum must be in [0, 1), got {value!r}")
+           for value in (1.0, -0.5, math.inf, math.nan))),
+    (RunConfig, RUN_ARGS, ConfigurationError, "gamma", "gamma", lambda config: config.gamma,
+     tuple((value, f"gamma must be positive and finite, got {value!r}")
+           for value in (0.0, -0.5, math.inf, math.nan))),
 ]
 
 
 @pytest.mark.parametrize("fn, kwargs, error, param, name, stored, bad", REALS,
                          ids=[f"{row[0].__name__}-{row[3]}" for row in REALS])
 def test_a_real_parameter_is_a_float_in_its_range(fn, kwargs, error, param, name, stored, bad):
-    for value in (True, "2", None, 1j):
+    unset = inspect.signature(fn).parameters[param].default is None
+    for value in (True, "2", 1j) + (() if unset else (None,)):
         assert refusal(fn, {**kwargs, param: value}, error) == (
             f"{name} must be a real number, got {value!r}")
     for value, message in bad:
