@@ -6,7 +6,7 @@ from .attack import AttackSpec, forge
 from .diagnostics import (VnMargin, batch_mean_variance, convergence_bound, eta_bounds,
                           find_vn_violation, sigma_total, submission_variance, vn_margin)
 from .engine import (CellResult, MetricsRecord, RunConfig, RunResult, initial_theta,
-                     run, sweep, worker_stream)
+                     rounds, run, sweep, worker_stream)
 from .errors import (CalibrationError, ConfigurationError, ContractViolationError,
                      DataLoadError)
 from .model import (ClipParams, Dataset, Model, accuracy, batch_grads, clip,

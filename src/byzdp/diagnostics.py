@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aggregation import GarSpec, kappa
-from .errors import CalibrationError, ContractViolationError, as_integer
+from .errors import CalibrationError, ContractViolationError, as_integer, as_real
 from .model import (Dataset, Model, ReadOnlyArrays, full_grad, population_variance,
                     quadratic_minimizer, read_only_copy, smoothness_constant)
 from .privacy import delta_log_factor
@@ -91,8 +91,7 @@ def find_vn_violation(model: Model, dataset: Dataset, spec: GarSpec, s: float,
     """
     if model.kind != "quadratic":
         raise ContractViolationError("the violation construction needs a quadratic model")
-    if not s > 0:
-        raise ContractViolationError("no violation is guaranteed with s = 0")
+    s = as_real("noise scale", s, low=0, open_low=True)  # s = 0 guarantees no violation
     kap = kappa(spec)
     lips = smoothness_constant(model)
     theta_star = quadratic_minimizer(model, dataset)
@@ -118,9 +117,10 @@ def eta_bounds(kap: float, c: float, d: int, b: int, m: int,
     necessary one in exact arithmetic.
     """
     log_term = delta_log_factor(epsilon, delta, b, m)
-    as_integer("d", d, CalibrationError, low=1)
-    if not (kap >= 0 and c > 0 and upsilon >= 0):
-        raise CalibrationError("need kappa >= 0, C > 0, upsilon >= 0")
+    d = as_integer("d", d, CalibrationError, low=1)
+    kap = as_real("kappa", kap, CalibrationError, low=0)
+    c = as_real("clip bound", c, CalibrationError, low=0, open_low=True)
+    upsilon = as_real("upsilon", upsilon, CalibrationError, low=0)
     e_term = math.expm1(epsilon)
     necessary = 4.0 * kap * kap * c * c * d * log_term / (b * m * e_term)
     sufficient = kap * kap * (
@@ -137,9 +137,9 @@ def sigma_total(upsilon: float, d: int, s: float, c: float) -> float:
     Where the squares overflow, hypot gives the same root without them;
     wherever the plain root is finite, it is returned as it is.
     """
-    as_integer("d", d, low=1)
-    if upsilon < 0 or s < 0 or not c > 0:
-        raise ContractViolationError("need upsilon, s >= 0, C > 0")
+    d = as_integer("d", d, low=1)
+    upsilon, s = as_real("upsilon", upsilon, low=0), as_real("noise scale", s, low=0)
+    c = as_real("clip bound", c, low=0, open_low=True)
     sigma = math.sqrt(upsilon * upsilon + d * s * s + c * c)
     if math.isinf(sigma):
         return math.hypot(upsilon, math.sqrt(d) * s, c)
@@ -152,16 +152,15 @@ def convergence_bound(eta_sq: float, steps: int, alpha: float, mu: float,
     """max(eta^2, (Q1 - Q*)/((1 - sin a) sqrt(T))
                + mu sigma^2 L (1 + ln T) / (2 (1 - sin a) sqrt(T))).
 
-    Holds for the gamma_t = 1/sqrt(t) schedule; alpha and mu are the
-    resilience constants of the aggregation rule and are caller-supplied.
+    Holds for the gamma_t = 1/sqrt(t) schedule; alpha and mu are the rule's
+    resilience constants. An overflowed eta^2, sigma, Q1 or Q* gives inf.
     """
-    if not 0 <= alpha < math.pi / 2:
-        raise ContractViolationError("alpha must lie in [0, pi/2)")
-    if mu < 0 or eta_sq < 0:
-        raise ContractViolationError("mu and eta^2 must be nonnegative")
-    as_integer("steps", steps, low=1)
-    if not smoothness > 0:
-        raise ContractViolationError("smoothness constant must be positive")
+    alpha = as_real("alpha", alpha, low=0, high=math.pi / 2, open_high=True)
+    mu, eta_sq = as_real("mu", mu, low=0), as_real("eta^2", eta_sq, low=0, finite=False)
+    steps = as_integer("steps", steps, low=1)
+    smoothness = as_real("smoothness constant", smoothness, low=0, open_low=True)
+    sigma = as_real("sigma", sigma, low=0, finite=False)
+    q_init, q_star = as_real("Q1", q_init, finite=False), as_real("Q*", q_star, finite=False)
     if q_init < q_star:
         raise ContractViolationError("initial loss cannot be below the minimum loss")
     denom = 1.0 - math.sin(alpha)

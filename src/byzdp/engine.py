@@ -16,7 +16,8 @@ honest rows first and the f forged rows last; the server aggregates it and
 takes the step theta <- theta - gamma_t * R_t. At b == m every batch is the
 whole dataset in canonical order: no batch stream is drawn, and the one
 clipped full-batch mean is summed over row blocks, as ``full_grad`` sums, and
-copied to every honest row.
+copied to every honest row. ``rounds`` yields each round as it is taken, to
+watch a run; ``run`` is their fold, keeping the metrics and the last theta.
 
 The shared pass: when b < m and a round's batches hold at least m rows
 (n_honest * b >= m), each point's gradient is computed once per round, at
@@ -288,19 +289,21 @@ def _batches(config: RunConfig, pool: _StreamPool):
         yield from idx.reshape(count, n_honest, b)
 
 
-def run(config: RunConfig) -> RunResult:
-    """Execute the configured number of rounds; see the module docstring.
+def rounds(config: RunConfig):
+    """Take the configured rounds one at a time; see the module docstring.
 
-    Metrics are taken at theta_t (before the update) on every round divisible
-    by eval_every, using the exact full-dataset gradient and loss.
+    Round t yields (t, theta_t, messages, r_t, theta_{t+1}, record): messages
+    is the round's fresh (n, d) array, honest rows first (the momenta when
+    momentum is on) and the f forged rows last, and record is the round's
+    MetricsRecord on a round divisible by eval_every, else None. Every
+    yielded array is read-only and is not copied. A round runs only when the
+    generator is advanced to it.
 
-    Each round hands a fresh (n, d) message array, the f forged rows last, to
-    this module's ``aggregate`` binding; wrapping that binding observes them.
     Each block of rounds with b < m makes one call to this module's
     ``sample_batch`` binding (see ``_batches``); at b == m the single full
-    batch is not drawn from the batch streams. Each round with s > 0 makes
-    one call to this module's ``gaussian_noise`` binding, which rekeys the
-    pooled generator once per honest worker.
+    batch is not drawn from the batch streams. Each round makes one call to
+    its ``aggregate`` binding and, with s > 0, one to its ``gaussian_noise``
+    binding, which rekeys the pooled generator once per honest worker.
 
     Per-point gradients go through this module's ``batch_grads`` and ``clip``
     bindings, and every eval round calls its ``full_loss`` binding, and its
@@ -316,8 +319,8 @@ def run(config: RunConfig) -> RunResult:
     pool = _StreamPool(config.master_seed)
 
     theta = initial_theta(config)
+    theta.flags.writeable = False
     momenta = np.zeros((n_honest, d)) if config.momentum > 0.0 else None
-    records: list[MetricsRecord] = []
     min_sq = math.inf
     # at b == m the one batch is the whole dataset, drawn from no stream
     batches = None if b == m else _batches(config, pool)
@@ -330,6 +333,7 @@ def run(config: RunConfig) -> RunResult:
         evaluate = t % config.eval_every == 0
         grad = None if shared is None else _shared_pass(config, theta, shared, evaluate)
 
+        record = None
         if evaluate:
             loss = full_loss(model, theta, dataset)
             if grad is None:
@@ -342,7 +346,7 @@ def run(config: RunConfig) -> RunResult:
                 gnorm = top * float(np.linalg.norm(grad / top))
             min_sq = min(min_sq, gnorm * gnorm)
             acc = accuracy(model, theta, dataset) if model.is_classifier else None
-            records.append(MetricsRecord(t, loss, gnorm, min_sq, acc, s, gamma_t))
+            record = MetricsRecord(t, loss, gnorm, min_sq, acc, s, gamma_t)
 
         messages = np.empty((n, d))
         honest = messages[:n_honest]
@@ -367,10 +371,21 @@ def run(config: RunConfig) -> RunResult:
             honest[:] = momenta
         if f > 0:
             messages[n_honest:] = forge(config.attack, honest)
+        messages.flags.writeable = False
 
         r_t = aggregate(config.gar, messages)
-        theta = theta - gamma_t * r_t
+        theta_next = theta - gamma_t * r_t
+        r_t.flags.writeable = theta_next.flags.writeable = False
+        yield t, theta, messages, r_t, theta_next, record
+        theta = theta_next
 
+
+def run(config: RunConfig) -> RunResult:
+    """Take every round of ``rounds(config)``; keep its metrics records and last theta."""
+    records = []
+    for _, _, _, _, theta, record in rounds(config):
+        if record is not None:
+            records.append(record)
     return RunResult(records, theta)
 
 

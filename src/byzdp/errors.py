@@ -81,7 +81,10 @@ def as_real(name: str, value, error: type[ValueError] = ContractViolationError, 
     nan are refused, and so are infinities when ``finite`` is set. A bound
     left as None is not checked; ``open_low`` and ``open_high`` exclude it.
     """
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    # a plain float skips the abstract-class check, as in as_integer: gaussian_noise
+    # calls this once per round
+    if type(value) is not float and (isinstance(value, bool)
+                                     or not isinstance(value, numbers.Real)):
         raise error(f"{name} must be a real number, got {value!r}")
     try:
         value = float(value)

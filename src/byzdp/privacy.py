@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CalibrationError, ContractViolationError, as_integer, as_real
+from .errors import CalibrationError, as_integer, as_real
 
 
 class PrivacyRegimeWarning(UserWarning):
@@ -32,18 +32,16 @@ class PrivacyRegimeWarning(UserWarning):
 
 def sensitivity_mean_grad(c: float, b: int) -> float:
     """Worst-case change of the b-point mean of norm-C-clipped gradients: 2C/b."""
-    if not c > 0:
-        raise ContractViolationError("clip bound must be positive")
-    as_integer("b", b, low=1)
-    return 2.0 * c / b
+    c = as_real("clip bound", c, low=0, open_low=True)
+    return 2.0 * c / as_integer("b", b, low=1)
 
 
-def _check_amplification(epsilon: float, b: int, m: int) -> None:
-    """The domain of the amplification map and of its inverse."""
-    if not epsilon > 0:
-        raise ContractViolationError("epsilon must be positive")
+def _check_amplification(epsilon: float, b: int, m: int) -> float:
+    """epsilon as a float, in the domain of the amplification map and of its inverse."""
+    epsilon = as_real("epsilon", epsilon, low=0, open_low=True)
     m = as_integer("m", m, low=1)
     as_integer("b", b, low=1, high=m)
+    return epsilon
 
 
 def amplified_epsilon(epsilon: float, b: int, m: int) -> float:
@@ -51,13 +49,13 @@ def amplified_epsilon(epsilon: float, b: int, m: int) -> float:
 
     Strictly below epsilon for b < m, equal at b = m.
     """
-    _check_amplification(epsilon, b, m)
+    epsilon = _check_amplification(epsilon, b, m)
     return math.log1p((b / m) * math.expm1(epsilon))
 
 
 def inner_epsilon(epsilon: float, b: int, m: int) -> float:
     """Inverse of the amplification map: the budget the inner mechanism must meet."""
-    _check_amplification(epsilon, b, m)
+    epsilon = _check_amplification(epsilon, b, m)
     return math.log1p((m / b) * math.expm1(epsilon))
 
 
@@ -67,10 +65,9 @@ def delta_log_factor(epsilon: float, delta: float, b: int, m: int) -> float:
     Needs 0 < epsilon < 1, 0 < delta < 1, integers m >= 1 and b in [1, m], and
     1.25 b / (m delta) > 1.
     """
-    if not 0 < epsilon < 1:
-        raise CalibrationError(f"epsilon must lie in (0, 1), got {epsilon}")
-    if not 0 < delta < 1:
-        raise CalibrationError(f"delta must lie in (0, 1), got {delta}")
+    unit = dict(low=0, high=1, open_low=True, open_high=True)
+    as_real("epsilon", epsilon, CalibrationError, **unit)
+    delta = as_real("delta", delta, CalibrationError, **unit)
     m = as_integer("m", m, CalibrationError, low=1)
     as_integer("b", b, CalibrationError, low=1, high=m)
     log_arg = 1.25 * b / (m * delta)
@@ -89,8 +86,7 @@ def noise_scale(c: float, b: int, m: int, epsilon: float, delta: float) -> float
     closed form overflows to inf or underflows to 0 (no noise at all).
     """
     log_term = delta_log_factor(epsilon, delta, b, m)
-    if not 0 < c < math.inf:
-        raise CalibrationError(f"clip bound must be positive and finite, got {c}")
+    c = as_real("clip bound", c, CalibrationError, low=0, open_low=True)
     eps_inner = inner_epsilon(epsilon, b, m)
     s = (2.0 * c / (b * eps_inner)) * math.sqrt(2.0 * log_term)
     if not 0.0 < s < math.inf:
@@ -115,8 +111,7 @@ def gaussian_noise(d: int, s: float, count: int, stream) -> np.ndarray:
     never called.
     """
     d, count = as_integer("d", d, low=1), as_integer("count", count, low=1)
-    if not 0.0 <= s < math.inf:
-        raise ContractViolationError(f"noise scale must be nonnegative and finite, got {s}")
+    s = as_real("noise scale", s, low=0)
     if s == 0.0:
         return np.zeros((count, d))
     z = np.empty((count, d))
@@ -149,7 +144,11 @@ class PrivacyParams:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", PrivacyRegimeWarning)
             s = noise_scale(self.c, self.b, self.m, self.epsilon, self.delta)
-        object.__setattr__(self, "s", s)
+        # stored as checked, so a numpy scalar never reaches a sweep cell's params or digest
+        for name, kind in (("epsilon", float), ("delta", float), ("c", float),
+                           ("b", int), ("m", int)):
+            object.__setattr__(self, name, kind(getattr(self, name)))
+        object.__setattr__(self, "s", float(s))
         object.__setattr__(self, "epsilon_inner", inner_epsilon(self.epsilon, self.b, self.m))
 
 

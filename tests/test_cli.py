@@ -550,7 +550,7 @@ RUN_ID_WITNESSES = {
     "sweep_upsilon": ("sweep", (), "upsilon = 0.5\n", "5219dbaf3c10"),
     # summary.json's report fails after the run, so it is computed before it
     "negative_upsilon": ("run", (), "upsilon = -1.0\n",
-                         "error: need kappa >= 0, C > 0, upsilon >= 0\n"),
+                         "error: upsilon must be nonnegative and finite, got -1.0\n"),
     # the run would ignore zeta, and so would every grid_attack cell of a sweep
     "zeta_without_attack": ("run", ("attack", "f"), "f = 0\n", NO_ZETA),
     "zeta_under_attack_none": ("run", ("attack", "f"), "f = 0\nattack = none\n", NO_ZETA),

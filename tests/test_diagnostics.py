@@ -1,6 +1,8 @@
 """Variance margins, the violation construction, eta bounds, convergence bound."""
 
 import math
+import re
+import zlib
 
 import numpy as np
 import pytest
@@ -58,7 +60,7 @@ def mc_submission_second_moment(model, ds, theta, b, s, samples, rng):
 
 @pytest.mark.parametrize("kind", ["quadratic", "logistic", "mlp1"])
 def test_analytic_variance_matches_monte_carlo(kind):
-    rng = np.random.default_rng(abs(hash(kind)) % 2**32)
+    rng = np.random.default_rng(zlib.crc32(kind.encode()))
     if kind == "quadratic":
         model = quadratic_model(np.diag([1.0, 3.0]), lam=0.1)
         ds = regression_targets(3, 40, 2)
@@ -144,8 +146,9 @@ def test_violation_witness_property():
 def test_violation_needs_noise_and_quadratic():
     model = quadratic_model(np.eye(2))
     ds = regression_targets(0, 10, 2)
-    with pytest.raises(ContractViolationError):
-        find_vn_violation(model, ds, GarSpec("median", 5, 2), s=0.0, b=ds.m)
+    for s in (0.0, math.nan, math.inf, True):
+        with pytest.raises(ContractViolationError, match="noise scale must be"):
+            find_vn_violation(model, ds, GarSpec("median", 5, 2), s=s, b=ds.m)
     with pytest.raises(ContractViolationError):
         blobs = gaussian_blobs(0, 10, 2)
         find_vn_violation(logistic_model(2), blobs, GarSpec("median", 5, 2), s=0.1, b=blobs.m)
@@ -216,10 +219,13 @@ def test_eta_bounds_precondition_errors():
         eta_bounds(1.0, 2.0, 10, 1, 1000, 0.1, 0.9, 1.0)
     with pytest.raises(CalibrationError, match="b"):
         eta_bounds(1.0, 2.0, 10, 2000, 1000, 0.1, 1e-5, 1.0)
-    for kap, c, d, ups in ((-0.1, 2.0, 10, 1.0), (1.0, 0.0, 10, 1.0), (1.0, -2.0, 10, 1.0),
-                           (1.0, 2.0, 0, 1.0), (1.0, 2.0, 10, -1.0)):
-        message = "need d >= 1, got 0" if d == 0 else "need kappa >= 0, C > 0, upsilon >= 0"
-        with pytest.raises(CalibrationError, match=message):
+    for kap, c, d, ups, message in (
+            (-0.1, 2.0, 10, 1.0, "kappa must be nonnegative and finite, got -0.1"),
+            (1.0, 0.0, 10, 1.0, "clip bound must be positive and finite, got 0.0"),
+            (1.0, -2.0, 10, 1.0, "clip bound must be positive and finite, got -2.0"),
+            (1.0, 2.0, 0, 1.0, "need d >= 1, got 0"),
+            (1.0, 2.0, 10, -1.0, "upsilon must be nonnegative and finite, got -1.0")):
+        with pytest.raises(CalibrationError, match=re.escape(message)):
             eta_bounds(kap, c, d, 25, 1000, 0.1, 1e-5, ups)
 
 
@@ -256,16 +262,25 @@ def test_convergence_bound_preconditions():
     for lips in (0.0, -1.0, math.nan):
         with pytest.raises(ContractViolationError, match="smoothness constant must be positive"):
             convergence_bound(0.0, 10, 0.0, 1.0, 1.0, lips, 1.0, 0.0)
+    for alpha in (-0.1, math.nan, True):
+        with pytest.raises(ContractViolationError, match="alpha must be"):
+            convergence_bound(0.0, 10, alpha, 1.0, 1.0, 1.0, 1.0, 0.0)
+    # an overflowed eta^2 or sigma gives a vacuous bound, not an error
+    assert convergence_bound(math.inf, 10, 0.0, 1.0, 1.0, 1.0, 1.0, 0.0) == math.inf
+    assert convergence_bound(0.0, 10, 0.0, 1.0, math.inf, 1.0, 1.0, 0.0) == math.inf
 
 
 def test_sigma_total_values():
     assert sigma_total(1.0, 10, 0.389, 2.0) == pytest.approx(2.552, abs=1e-3)
     assert sigma_total(0.0, 7, 0.0, 2.0) == 2.0
     assert sigma_total(3.0, 10, 0.0, 4.0) == pytest.approx(5.0, rel=1e-15)
-    for ups, d, s, c in ((-1.0, 10, 0.1, 2.0), (1.0, 10, -0.1, 2.0), (1.0, 0, 0.1, 2.0),
-                         (1.0, 10, 0.1, 0.0), (1.0, 10, 0.1, math.nan)):
-        message = "need d >= 1, got 0" if d == 0 else "need upsilon, s >= 0, C > 0"
-        with pytest.raises(ContractViolationError, match=message):
+    for ups, d, s, c, message in (
+            (-1.0, 10, 0.1, 2.0, "upsilon must be nonnegative and finite, got -1.0"),
+            (1.0, 10, -0.1, 2.0, "noise scale must be nonnegative and finite, got -0.1"),
+            (1.0, 0, 0.1, 2.0, "need d >= 1, got 0"),
+            (1.0, 10, 0.1, 0.0, "clip bound must be positive and finite, got 0.0"),
+            (1.0, 10, 0.1, math.nan, "clip bound must be positive and finite, got nan")):
+        with pytest.raises(ContractViolationError, match=re.escape(message)):
             sigma_total(ups, d, s, c)
 
 

@@ -1,7 +1,6 @@
 """Round loop, streams, determinism, sweeps."""
 
 import math
-import sys
 import tracemalloc
 from dataclasses import FrozenInstanceError, replace
 
@@ -13,7 +12,7 @@ from hypothesis import strategies as st
 from byzdp import (AttackSpec, ClipParams, ConfigurationError, ContractViolationError,
                    Dataset, GarSpec, PrivacyParams, RunConfig, aggregate, clip, forge,
                    full_grad, full_loss, gaussian_blobs, gaussian_noise, initial_theta, logistic_model,
-                   mlp1_model, quadratic_model, regression_targets, run,
+                   mlp1_model, quadratic_model, regression_targets, rounds, run,
                    sweep, worker_stream)
 from byzdp.engine import (PURPOSE_BATCH, PURPOSE_INIT, PURPOSE_NOISE, _StreamPool,
                           cell_digest)
@@ -203,15 +202,8 @@ def test_full_batch_round_is_the_one_block_mean(monkeypatch, kind, binds, budget
     model, ds = config.model, config.dataset
     grads = batch_grads(model, initial_theta(config), ds.features, ds.labels)
     want = clip(grads, config.clip).mean(axis=0)
-    seen = []
-
-    def observe(gar, messages):
-        seen.append(messages.copy())
-        return aggregate(gar, messages)
-
-    monkeypatch.setattr(byzdp.engine, "aggregate", observe)
-    run(config)
-    honest = seen[0][:config.n - config.f]
+    _, _, messages, _, _, _ = next(rounds(config))
+    honest = messages[:config.n - config.f]
     assert all(np.array_equal(row, want) for row in honest)
 
 
@@ -445,31 +437,13 @@ def test_hand_rolled_round_matches_engine(kind, b):
     assert result.records[0].grad_norm == float(np.linalg.norm(every.mean(axis=0)))
 
 
-def record_messages(monkeypatch):
-    """Copies of the (n, d) matrix that each round of a run hands to aggregate.
-
-    Each round must hand over a fresh array, never one an earlier round passed.
-    """
-    rounds, passed = [], []
-
-    def recording(spec, grads):
-        assert not any(grads is earlier for earlier in passed)
-        passed.append(grads)
-        rounds.append(np.array(grads))
-        return aggregate(spec, grads)
-    monkeypatch.setattr(byzdp.engine, "aggregate", recording)
-    return rounds
-
-
-def test_momentum_buffer_matches_manual_recursion(monkeypatch):
+def test_momentum_buffer_matches_manual_recursion():
     ds = regression_targets(5, 30, 3)
     model = quadratic_model(np.eye(3))
     config = RunConfig(model=model, dataset=ds, gar=GarSpec("average", 3, 0),
                        b=30, steps=2, schedule="constant", gamma=0.1,
                        momentum=0.9, master_seed=2)
-    rounds = record_messages(monkeypatch)
-    run(config)
-    messages = np.array(rounds)
+    messages = np.array([step[2] for step in rounds(config)])
     assert messages.shape == (2, 3, 3)  # (steps, n, d)
     theta1 = initial_theta(config)
     g1 = batch_grads(model, theta1, ds.features).mean(axis=0)
@@ -479,6 +453,73 @@ def test_momentum_buffer_matches_manual_recursion(monkeypatch):
     g2 = batch_grads(model, theta2, ds.features).mean(axis=0)
     v2 = 0.9 * v1 + g2
     assert np.array_equal(messages[1, 0], v2)
+
+
+# ------------------------------------------------------------------ rounds
+
+def _rounds_config(path):
+    # 9 honest workers over m = 40 points: b = 40 is the full batch, b = 5
+    # takes the shared pass (45 rows), b = 3 the per-worker path (27 rows)
+    kind, b, momentum, private = {"full_batch": ("quadratic", 40, 0.5, False),
+                                  "shared_pass": ("logistic", 5, 0.0, False),
+                                  "per_worker": ("mlp1", 3, 0.0, True)}[path]
+    config = replace(_blocked_run_config(kind, b, 40, "some"), steps=6, eval_every=2,
+                     momentum=momentum)
+    if private:
+        privacy = PrivacyParams(0.5, 1e-4, config.clip.c, b, 40)
+        config = replace(config, clip=None, privacy=privacy)
+    return config
+
+
+@pytest.mark.parametrize("path", ["full_batch", "shared_pass", "per_worker"])
+def test_run_is_the_fold_of_rounds(path):
+    config = _rounds_config(path)
+    want = run(config)
+    records, theta_t = [], initial_theta(config)
+    for t, theta, messages, r_t, theta_next, record in rounds(config):
+        assert theta.tobytes() == theta_t.tobytes()
+        assert messages.shape == (config.n, config.model.dim)
+        assert theta_next.tobytes() == (theta - config.learning_rate(t) * r_t).tobytes()
+        assert (record is not None) == (t % config.eval_every == 0)
+        records += [record] if record is not None else []
+        theta_t = theta_next
+    assert t == config.steps
+    assert theta_t.tobytes() == want.theta.tobytes()
+    assert tuple(records) == want.records
+
+
+@pytest.mark.parametrize("path", ["full_batch", "shared_pass", "per_worker"])
+def test_rounds_yields_fresh_read_only_arrays(path):
+    # a consumer that tries to write into a round's arrays is refused, and
+    # the run goes on with the same bits
+    config = _rounds_config(path)
+    seen = []
+    for _, theta, messages, r_t, theta_next, _ in rounds(config):
+        assert not any(np.shares_memory(messages, earlier) for earlier in seen)
+        seen.append(messages)
+        for array in (theta, messages, messages[-1], r_t, theta_next):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+    assert theta_next.tobytes() == run(config).theta.tobytes()
+
+
+def test_next_of_rounds_takes_round_one_only(monkeypatch):
+    counts = {"noise": 0, "full_loss": 0}
+
+    def counting(key, original):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name, key in (("gaussian_noise", "noise"), ("full_loss", "full_loss")):
+        monkeypatch.setattr(byzdp.engine, name, counting(key, getattr(byzdp.engine, name)))
+    steps = rounds(_rounds_config("per_worker"))
+    assert counts == {"noise": 0, "full_loss": 0}  # making the generator takes no round
+    t, *_ = next(steps)
+    assert t == 1 and counts == {"noise": 1, "full_loss": 0}  # round 1 takes no metrics
+    next(steps)
+    assert counts == {"noise": 2, "full_loss": 1}
 
 
 # ----------------------------------------------------- forged-worker rounds
@@ -496,16 +537,14 @@ def test_two_cluster_mda_run_matches_byzantine_free_run():
     assert res_a.records == res_c.records
 
 
-def test_audit_flags_do_not_influence_aggregation(monkeypatch):
+def test_audit_flags_do_not_influence_aggregation():
     ds = gaussian_blobs(2, 40, 3)
     model = logistic_model(3)
     config = RunConfig(model=model, dataset=ds, gar=GarSpec("median", 7, 2),
                        attack=AttackSpec("little"), b=8, steps=3,
                        schedule="constant", gamma=0.2, master_seed=4,
                        privacy=PrivacyParams(0.5, 1e-4, 1.0, 8, 40))
-    rounds = record_messages(monkeypatch)
-    run(config)
-    messages = np.array(rounds)
+    messages = np.array([step[2] for step in rounds(config)])
     assert messages.shape == (3, 7, 3)
     for round_msgs in messages:
         r_original = aggregate(config.gar, round_msgs)
@@ -516,16 +555,14 @@ def test_audit_flags_do_not_influence_aggregation(monkeypatch):
         assert [np.array_equal(row, forged) for row in round_msgs] == [False] * 5 + [True] * 2
 
 
-def test_honest_message_norm_bounded_without_momentum(monkeypatch):
+def test_honest_message_norm_bounded_without_momentum():
     ds = gaussian_blobs(6, 50, 5)
     model = logistic_model(5)
     privacy = PrivacyParams(0.4, 1e-4, 0.8, 10, 50)
     config = RunConfig(model=model, dataset=ds, gar=GarSpec("average", 5, 0),
                        b=10, steps=4, privacy=privacy, schedule="constant",
                        gamma=0.5, master_seed=11)
-    rounds = record_messages(monkeypatch)
-    run(config)
-    messages = np.array(rounds)
+    messages = np.array([step[2] for step in rounds(config)])
     assert messages.shape == (4, 5, 5)
     for t, round_msgs in enumerate(messages, start=1):
         for worker_id, vector in enumerate(round_msgs):
@@ -847,21 +884,21 @@ def test_sweep_parallel_matches_serial():
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_sweep_fails_a_cell_whose_run_fails(monkeypatch, jobs):
-    # the seed-2 cell resolves, and every aggregation of its run raises
-    real_aggregate = byzdp.engine.aggregate
+    # the seed-2 cell resolves, and its run raises; a forked worker inherits the patch
+    real_run = byzdp.engine.run
 
-    def refusing_aggregate(gar, messages):
-        if sys._getframe(1).f_locals["config"].master_seed == 2:  # the caller is run
-            raise ContractViolationError("aggregation refused seed 2")
-        return real_aggregate(gar, messages)
+    def refusing_run(config):
+        if config.master_seed == 2:
+            raise ContractViolationError("run refused seed 2")
+        return real_run(config)
 
-    monkeypatch.setattr(byzdp.engine, "aggregate", refusing_aggregate)
+    monkeypatch.setattr(byzdp.engine, "run", refusing_run)
     base = small_sweep_base()
     ok, failed = sweep(base, {"seed": [1, 2]}, jobs=jobs)
     assert ok.ok and ok.reason is None
     assert ok.result.records == run(base).records
     assert not failed.ok
-    assert failed.reason == "aggregation refused seed 2"
+    assert failed.reason == "run refused seed 2"
     assert failed.result is None
     assert failed.config.master_seed == 2
     for cell in (ok, failed):
@@ -869,7 +906,7 @@ def test_sweep_fails_a_cell_whose_run_fails(monkeypatch, jobs):
     row = summary_csv_text([ok, failed]).splitlines()[2].split(",")
     assert row[1] == "failed"
     assert row[8:11] == ["", "", ""]  # max_accuracy, min_sq_grad_norm, final_loss
-    assert row[11] == "aggregation refused seed 2"
+    assert row[11] == "run refused seed 2"
 
 
 def test_sweep_starts_at_most_one_worker_per_runnable_cell(monkeypatch):

@@ -307,7 +307,9 @@ def test_privacy_params_derivations():
 
 def test_privacy_params_counts_are_integers():
     # b=8.5 once calibrated to s=1.0015, b=True to 3.087 and m=40.0 to 1.026
-    PrivacyParams(0.5, 1e-4, 1.5, np.int64(8), np.int64(40))
+    privacy = PrivacyParams(0.5, 1e-4, 1.5, np.int64(8), np.int64(40))
+    # stored as Python numbers, as a sweep cell's params and id need them
+    assert (type(privacy.b), type(privacy.m), type(privacy.s)) == (int, int, float)
     for b, m in ((8.5, 40), (True, 40), (8.0, 40), (8, 40.0)):
         with pytest.raises(ConfigurationError, match="must be an integer"):
             PrivacyParams(0.5, 1e-4, 1.5, b, m)

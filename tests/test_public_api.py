@@ -27,9 +27,9 @@ PUBLIC = [
     "forge", "full_grad", "full_loss", "gaussian_blobs", "gaussian_noise", "initial_theta",
     "inner_epsilon", "kappa", "load_csv", "logistic_model", "mlp1_model", "model",
     "noise_scale", "population_variance", "privacy",
-    "quadratic_minimizer", "quadratic_model", "regression_targets", "run", "sample_batch",
-    "sensitivity_mean_grad", "sigma_total", "smoothness_constant", "submission_variance",
-    "sweep", "vn_margin", "worker_stream",
+    "quadratic_minimizer", "quadratic_model", "regression_targets", "rounds", "run",
+    "sample_batch", "sensitivity_mean_grad", "sigma_total", "smoothness_constant",
+    "submission_variance", "sweep", "vn_margin", "worker_stream",
 ]
 
 

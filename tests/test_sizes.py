@@ -10,9 +10,11 @@ the end fails when a public function or dataclass takes a parameter with a
 size's name that has no row here.
 
 ``REALS`` starts the same table for real parameters, which follow
-``errors.as_real``: the clip bound, ``compose``'s budget, zeta, the
-regularization, the momentum and the constant step size so far. None is
-refused too, but where it is a parameter's default it means unset.
+``errors.as_real``: the clip bound, the privacy budget, zeta, the
+regularization, the momentum, the constant step size, the noise scale and
+the constants of the eta and convergence bounds so far. None is refused too,
+but where it is a parameter's default it means unset. A function that keeps
+no value gives the checked one back through its result.
 """
 
 import dataclasses
@@ -205,20 +207,45 @@ def test_every_public_size_parameter_has_a_row():
     assert sorted((covered | NOT_SIZES) - found) == []
 
 
+def positive(name):
+    return tuple((value, f"{name} must be positive and finite, got {value!r}")
+                 for value in (0.0, -1.0, math.inf, math.nan))
+
+
+def nonnegative(name):
+    return tuple((value, f"{name} must be nonnegative and finite, got {value!r}")
+                 for value in (-1.0, math.inf, math.nan))
+
+
+def unit(name):
+    return tuple((value, f"{name} must be in (0, 1), got {value!r}")
+                 for value in (0.0, 1.0, -1e-5, math.inf, math.nan))
+
+
+class Ones:
+    """A generator whose standard normal draws are all one."""
+
+    @staticmethod
+    def standard_normal(out):
+        out[...] = 1.0
+
+
+PRIVACY = dict(epsilon=0.5, delta=1e-5, c=1.0, b=5, m=10)
+ETA = dict(kap=1.0, c=1e-200, d=1, b=5, m=10, epsilon=0.5, delta=1e-5, upsilon=1.0)
+BOUND = dict(eta_sq=0.0, steps=1, alpha=0.0, mu=0.0, sigma=1.0, smoothness=1.0, q_init=0.0,
+             q_star=0.0)
+
 # (callable, valid keyword arguments, error type, parameter, its name in messages,
 # the value it gives back, ((bad value, message), ...))
 REALS = [
     (ClipParams, dict(c=2.0), ConfigurationError, "c", "clip bound", lambda clip: clip.c,
-     tuple((value, f"clip bound must be positive and finite, got {value!r}")
-           for value in (0.0, -1.0, math.inf, math.nan))),
+     positive("clip bound")),
     (compose, dict(epsilon=0.5, delta=1e-5, steps=3), ContractViolationError, "epsilon",
      "epsilon", lambda report: report["per_step_epsilon"],
      tuple((value, f"epsilon must be positive and finite, got {value!r}")
            for value in (0.0, -0.5, math.inf, math.nan))),
     (compose, dict(epsilon=0.5, delta=1e-5, steps=3), ContractViolationError, "delta",
-     "delta", lambda report: report["per_step_delta"],
-     tuple((value, f"delta must be in (0, 1), got {value!r}")
-           for value in (0.0, 1.0, -1e-5, math.inf, math.nan))),
+     "delta", lambda report: report["per_step_delta"], unit("delta")),
     (AttackSpec, dict(kind="little", zeta=2.0), ConfigurationError, "zeta", "zeta",
      lambda spec: spec.zeta,
      tuple((value, f"zeta must be nonnegative and finite, got {value!r}")
@@ -234,6 +261,46 @@ REALS = [
     (RunConfig, RUN_ARGS, ConfigurationError, "gamma", "gamma", lambda config: config.gamma,
      tuple((value, f"gamma must be positive and finite, got {value!r}")
            for value in (0.0, -0.5, math.inf, math.nan))),
+    (sensitivity_mean_grad, dict(c=1.0, b=1), ContractViolationError, "c", "clip bound",
+     lambda sensitivity: sensitivity / 2, positive("clip bound")),
+    (amplified_epsilon, dict(epsilon=0.5, b=5, m=5), ContractViolationError, "epsilon",
+     "epsilon", lambda epsilon: epsilon, positive("epsilon")),
+    (inner_epsilon, dict(epsilon=0.5, b=5, m=5), ContractViolationError, "epsilon",
+     "epsilon", lambda epsilon: epsilon, positive("epsilon")),
+    (PrivacyParams, PRIVACY, CalibrationError, "epsilon", "epsilon",
+     lambda privacy: privacy.epsilon, unit("epsilon")),
+    (PrivacyParams, PRIVACY, CalibrationError, "delta", "delta",
+     lambda privacy: privacy.delta, unit("delta")),
+    (PrivacyParams, PRIVACY, CalibrationError, "c", "clip bound",
+     lambda privacy: privacy.c, positive("clip bound")),
+    (gaussian_noise, dict(d=1, s=0.5, count=1, stream=lambda w: Ones), ContractViolationError,
+     "s", "noise scale", lambda noise: noise.item(), nonnegative("noise scale")),
+    # C^2 underflows to zero, so the sufficient threshold is kappa^2 upsilon^2
+    (eta_bounds, ETA, CalibrationError, "kap", "kappa",
+     lambda bounds: math.sqrt(bounds["eta_sq_sufficient"]), nonnegative("kappa")),
+    (eta_bounds, ETA, CalibrationError, "upsilon", "upsilon",
+     lambda bounds: math.sqrt(bounds["eta_sq_sufficient"]), nonnegative("upsilon")),
+    (sigma_total, dict(upsilon=1.0, d=1, s=0.0, c=1e-200), ContractViolationError, "upsilon",
+     "upsilon", lambda sigma: sigma, nonnegative("upsilon")),
+    (sigma_total, dict(upsilon=0.0, d=1, s=1.0, c=1e-200), ContractViolationError, "s",
+     "noise scale", lambda sigma: sigma, nonnegative("noise scale")),
+    (sigma_total, dict(upsilon=0.0, d=1, s=0.0, c=1.0), ContractViolationError, "c",
+     "clip bound", lambda sigma: sigma, positive("clip bound")),
+    # at T = 1 and alpha = 0 the bound is max(eta^2, Q1 - Q* + mu sigma^2 L / 2)
+    (convergence_bound, dict(BOUND, eta_sq=1.0), ContractViolationError, "eta_sq", "eta^2",
+     lambda bound: bound, tuple((value, f"eta^2 must be nonnegative, got {value!r}")
+                                for value in (-0.5, math.nan))),
+    (convergence_bound, dict(BOUND, mu=1.0, smoothness=2.0), ContractViolationError, "mu",
+     "mu", lambda bound: bound, nonnegative("mu")),
+    (convergence_bound, dict(BOUND, mu=2.0), ContractViolationError, "sigma", "sigma",
+     lambda bound: math.sqrt(bound), tuple((value, f"sigma must be nonnegative, got {value!r}")
+                                           for value in (-1.0, math.nan))),
+    (convergence_bound, dict(BOUND, mu=2.0), ContractViolationError, "smoothness",
+     "smoothness constant", lambda bound: bound, positive("smoothness constant")),
+    (convergence_bound, dict(BOUND, q_init=1.0), ContractViolationError, "q_init", "Q1",
+     lambda bound: bound, ((math.nan, "Q1 must be a number, got nan"),)),
+    (convergence_bound, dict(BOUND, q_init=1.0), ContractViolationError, "q_star", "Q*",
+     lambda bound: 1.0 - bound, ((math.nan, "Q* must be a number, got nan"),)),
 ]
 
 
