@@ -26,7 +26,7 @@ from .aggregation import GarSpec, kappa
 from .errors import CalibrationError, ContractViolationError, as_integer, as_real
 from .model import (Dataset, Model, ReadOnlyArrays, full_grad, population_variance,
                     quadratic_minimizer, read_only_copy, smoothness_constant)
-from .privacy import delta_log_factor
+from .privacy import checked_budget
 
 
 # ---------------------------------------------------------------- variance
@@ -47,6 +47,7 @@ def batch_mean_variance(model: Model, theta: np.ndarray, dataset: Dataset, b: in
 def submission_variance(model: Model, theta: np.ndarray, dataset: Dataset,
                         b: int, s: float) -> float:
     """Total variance of one honest submission: sampling part plus d s^2."""
+    s = as_real("noise scale", s, low=0)
     return batch_mean_variance(model, theta, dataset, b) + model.dim * s * s
 
 
@@ -116,7 +117,7 @@ def eta_bounds(kap: float, c: float, d: int, b: int, m: int,
     Since (x + y)^2 >= 4xy, the sufficient threshold is at least 8 times the
     necessary one in exact arithmetic.
     """
-    log_term = delta_log_factor(epsilon, delta, b, m)
+    epsilon, _, b, m, log_term = checked_budget(epsilon, delta, b, m)
     d = as_integer("d", d, CalibrationError, low=1)
     kap = as_real("kappa", kap, CalibrationError, low=0)
     c = as_real("clip bound", c, CalibrationError, low=0, open_low=True)

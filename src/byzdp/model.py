@@ -132,9 +132,11 @@ def gaussian_blobs(seed: int, m: int, dim: int, half_sep: float = 1.5,
     elongated clusters whose accuracy is sensitive to the angle between the
     parameter vector and u. Labels alternate +1/-1 with the point index, so
     classes are balanced. Regenerating with the same arguments is bit-for-bit
-    reproducible.
+    reproducible. The three reals may be any finite numbers.
     """
     rng = _dataset_rng(seed, m, dim, 1)
+    half_sep, axis_std, cross_std = (as_real("half_sep", half_sep), as_real("axis_std", axis_std),
+                                     as_real("cross_std", cross_std))
     u = rng.standard_normal(dim)
     u /= np.linalg.norm(u)
     labels = np.where(np.arange(m) % 2 == 0, 1.0, -1.0)
@@ -147,9 +149,9 @@ def gaussian_blobs(seed: int, m: int, dim: int, half_sep: float = 1.5,
 
 
 def regression_targets(seed: int, m: int, dim: int, spread: float = 1.0) -> Dataset:
-    """Seeded Gaussian target points for the quadratic model."""
+    """Seeded Gaussian target points for the quadratic model; spread is any finite number."""
     rng = _dataset_rng(seed, m, dim, 2)
-    x = spread * rng.standard_normal((m, dim))
+    x = as_real("spread", spread) * rng.standard_normal((m, dim))
     return Dataset(x, None)
 
 

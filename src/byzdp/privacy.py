@@ -65,39 +65,33 @@ def delta_log_factor(epsilon: float, delta: float, b: int, m: int) -> float:
     Needs 0 < epsilon < 1, 0 < delta < 1, integers m >= 1 and b in [1, m], and
     1.25 b / (m delta) > 1.
     """
+    return checked_budget(epsilon, delta, b, m)[-1]
+
+
+def checked_budget(epsilon, delta, b, m) -> tuple[float, float, int, int, float]:
+    """epsilon, delta, b and m as checked by delta_log_factor, and its log factor."""
     unit = dict(low=0, high=1, open_low=True, open_high=True)
-    as_real("epsilon", epsilon, CalibrationError, **unit)
+    epsilon = as_real("epsilon", epsilon, CalibrationError, **unit)
     delta = as_real("delta", delta, CalibrationError, **unit)
     m = as_integer("m", m, CalibrationError, low=1)
-    as_integer("b", b, CalibrationError, low=1, high=m)
+    b = as_integer("b", b, CalibrationError, low=1, high=m)
     log_arg = 1.25 * b / (m * delta)
     if not log_arg > 1.0:
         raise CalibrationError(
             f"need 1.25 b / (m delta) > 1 for a positive log factor, got {log_arg}")
-    return math.log(log_arg)
+    return epsilon, delta, b, m, math.log(log_arg)
 
 
 def noise_scale(c: float, b: int, m: int, epsilon: float, delta: float) -> float:
-    """Noise standard deviation for per-step (epsilon, delta)-DP at one worker.
+    """Noise standard deviation for per-step (epsilon, delta)-DP at one worker: PrivacyParams' s.
 
-    Emits PrivacyRegimeWarning when the inner budget is >= 1, which happens
-    for small b/m even with epsilon < 1; the closed form is still evaluated
-    as written. Raises CalibrationError, naming the clip bound, when the
-    closed form overflows to inf or underflows to 0 (no noise at all).
+    Emits PrivacyRegimeWarning when the inner budget is >= 1 (for small b/m even at epsilon < 1).
     """
-    log_term = delta_log_factor(epsilon, delta, b, m)
-    c = as_real("clip bound", c, CalibrationError, low=0, open_low=True)
-    eps_inner = inner_epsilon(epsilon, b, m)
-    s = (2.0 * c / (b * eps_inner)) * math.sqrt(2.0 * log_term)
-    if not 0.0 < s < math.inf:
-        raise CalibrationError(
-            f"noise scale s = {s} is not positive and finite: the clip bound {c} "
-            f"is out of range at b={b}, m={m}, epsilon={epsilon}, delta={delta}")
-    if eps_inner >= 1.0:
-        warnings.warn(
-            f"inner budget {eps_inner:.4f} >= 1 is outside the stated range of the "
-            "Gaussian-mechanism bound", PrivacyRegimeWarning, stacklevel=2)
-    return s
+    params = PrivacyParams(epsilon, delta, c, b, m)
+    if params.epsilon_inner >= 1.0:
+        warnings.warn(f"inner budget {params.epsilon_inner:.4f} >= 1 is outside the stated "
+                      "range of the Gaussian-mechanism bound", PrivacyRegimeWarning, stacklevel=2)
+    return params.s
 
 
 def gaussian_noise(d: int, s: float, count: int, stream) -> np.ndarray:
@@ -129,7 +123,9 @@ class PrivacyParams:
     """A calibrated per-step, per-worker privacy budget.
 
     The noise scale s and the inner budget epsilon_inner are derived from
-    (epsilon, delta, c, b, m) on construction and cannot be passed in.
+    (epsilon, delta, c, b, m) on construction and cannot be passed in. An s
+    that overflows to inf or underflows to 0 raises CalibrationError, naming
+    the clip bound. Unlike noise_scale, it never warns.
     """
 
     epsilon: float
@@ -141,15 +137,18 @@ class PrivacyParams:
     epsilon_inner: float = field(init=False)
 
     def __post_init__(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", PrivacyRegimeWarning)
-            s = noise_scale(self.c, self.b, self.m, self.epsilon, self.delta)
+        epsilon, delta, b, m, log_term = checked_budget(self.epsilon, self.delta, self.b, self.m)
+        c = as_real("clip bound", self.c, CalibrationError, low=0, open_low=True)
+        eps_inner = inner_epsilon(epsilon, b, m)
+        s = (2.0 * c / (b * eps_inner)) * math.sqrt(2.0 * log_term)
+        if not 0.0 < s < math.inf:
+            raise CalibrationError(
+                f"noise scale s = {s} is not positive and finite: the clip bound {c} is out "
+                f"of range at b={self.b}, m={self.m}, epsilon={self.epsilon}, delta={self.delta}")
         # stored as checked, so a numpy scalar never reaches a sweep cell's params or digest
-        for name, kind in (("epsilon", float), ("delta", float), ("c", float),
-                           ("b", int), ("m", int)):
-            object.__setattr__(self, name, kind(getattr(self, name)))
-        object.__setattr__(self, "s", float(s))
-        object.__setattr__(self, "epsilon_inner", inner_epsilon(self.epsilon, self.b, self.m))
+        for name, value in (("epsilon", epsilon), ("delta", delta), ("c", c), ("b", b),
+                            ("m", m), ("s", s), ("epsilon_inner", eps_inner)):
+            object.__setattr__(self, name, value)
 
 
 DELTA_SLACK = 1e-4  # the delta spent by advanced composition

@@ -212,6 +212,13 @@ def test_eta_sufficient_decreases_with_batch_size_on_reference_grid():
             assert all(later < earlier for earlier, later in zip(values, values[1:]))
 
 
+def test_eta_bounds_of_numpy_sizes_are_python_floats():
+    # they once computed with the caller's b and m, so an np.int64 b gave numpy floats
+    bounds = eta_bounds(1.0, 2.0, 3, np.int64(5), np.int64(10), 0.5, 1e-5, 0.0)
+    assert bounds == eta_bounds(1.0, 2.0, 3, 5, 10, 0.5, 1e-5, 0.0)
+    assert {type(value) for value in bounds.values()} == {float}
+
+
 def test_eta_bounds_precondition_errors():
     with pytest.raises(CalibrationError, match="epsilon"):
         eta_bounds(1.0, 2.0, 10, 25, 1000, 1.5, 1e-5, 1.0)

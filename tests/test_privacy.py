@@ -9,6 +9,7 @@ import json
 import math
 import pickle
 import re
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -129,7 +130,6 @@ def test_noise_scale_matches_inner_gaussian_budget():
 def test_noise_scale_warning_only_outside_unit_inner_budget():
     with pytest.warns(PrivacyRegimeWarning):
         noise_scale(2.0, 25, 1000, 0.1, 1e-5)  # inner budget 1.65
-    import warnings
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         noise_scale(2.0, 1000, 1000, 0.5, 1e-5)  # inner budget = 0.5
@@ -313,6 +313,57 @@ def test_privacy_params_counts_are_integers():
     for b, m in ((8.5, 40), (True, 40), (8.0, 40), (8, 40.0)):
         with pytest.raises(ConfigurationError, match="must be an integer"):
             PrivacyParams(0.5, 1e-4, 1.5, b, m)
+
+
+def test_noise_scale_is_a_python_float():
+    # a numpy b once gave a numpy s, though PrivacyParams stored float(s)
+    with pytest.warns(PrivacyRegimeWarning):
+        assert type(noise_scale(2.0, np.int64(25), 1000, 0.1, 1e-5)) is float
+
+
+def test_privacy_params_leaves_the_warning_filters_alone(monkeypatch):
+    # it once silenced noise_scale's warning inside catch_warnings, which swaps
+    # the process-wide filter list and is not thread-safe
+    def swap(*args, **kwargs):
+        raise AssertionError("PrivacyParams swapped the warning filters")
+    # undone before pytest, which swaps them too, reports the outcome
+    with monkeypatch.context() as patch:
+        patch.setattr(warnings, "catch_warnings", swap)
+        # the suite turns warnings into errors, so an inner budget >= 1 that warned would raise
+        privacy = PrivacyParams(0.1, 1e-5, 2.0, 25, 1000)
+    assert privacy.epsilon_inner >= 1.0
+
+
+@st.composite
+def calibrations(draw):
+    """(c, b, m, epsilon, delta) in the calibration's domain, clip bounds that overflow included."""
+    m = draw(st.integers(1, 10_000))
+    b = draw(st.integers(1, m))
+    epsilon = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    delta = draw(st.floats(0.0, min(1.0, 1.25 * b / m), exclude_min=True, exclude_max=True))
+    c = draw(st.floats(0.0, 1e308, exclude_min=True))
+    return c, b, m, epsilon, delta
+
+
+@settings(max_examples=300, deadline=None)
+@given(calibrations())
+def test_noise_scale_reads_privacy_params(calibration):
+    c, b, m, epsilon, delta = calibration
+    try:
+        params = PrivacyParams(epsilon, delta, c, b, m)
+    except CalibrationError as error:
+        with pytest.raises(CalibrationError, match=re.escape(str(error))):
+            noise_scale(c, b, m, epsilon, delta)
+        return
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        s = noise_scale(c, b, m, epsilon, delta)
+    # the closed form, term for term, from the public maps
+    closed_form = ((2.0 * c / (b * inner_epsilon(epsilon, b, m)))
+                   * math.sqrt(2.0 * delta_log_factor(epsilon, delta, b, m)))
+    assert type(s) is float and s == params.s == closed_form
+    assert [w.category for w in caught] == (
+        [PrivacyRegimeWarning] if params.epsilon_inner >= 1.0 else [])
 
 
 def test_privacy_params_rejects_stale_noise_scale():

@@ -9,12 +9,15 @@ with its "need ..." message, and accept a numpy integer. The drift guard at
 the end fails when a public function or dataclass takes a parameter with a
 size's name that has no row here.
 
-``REALS`` starts the same table for real parameters, which follow
+``REALS`` is the same table for real parameters, which follow
 ``errors.as_real``: the clip bound, the privacy budget, zeta, the
-regularization, the momentum, the constant step size, the noise scale and
-the constants of the eta and convergence bounds so far. None is refused too,
-but where it is a parameter's default it means unset. A function that keeps
-no value gives the checked one back through its result.
+regularization, the momentum, the constant step size, the noise scale, the
+constants of the eta and convergence bounds, and the dataset generators'
+reals. None is refused too, but where it is a parameter's default it means
+unset. A function that keeps no value gives the checked one back through its
+result, or, where the result cannot give it back, is read against its result
+at the row's valid value 0.5. Its drift guard fails when a public function or
+dataclass takes a parameter with a real's name that has no row.
 """
 
 import dataclasses
@@ -195,13 +198,19 @@ def test_a_stream_key_field_is_refused_before_numpy_sees_it():
     worker_stream(SEED_MAX, WORKER_MAX, ROUND_MAX, 3).random()
 
 
-def test_every_public_size_parameter_has_a_row():
-    covered = {(fn.__name__, size) for fn, _, _, sizes in SIZES for size in sizes}
+def public_parameters(names) -> set:
+    """(callable, parameter) for each parameter in names of a public function or dataclass."""
     found = set()
     for name in byzdp.__all__:
         obj = getattr(byzdp, name)
         if inspect.isfunction(obj) or dataclasses.is_dataclass(obj):
-            found |= {(name, p) for p in inspect.signature(obj).parameters if p in SIZE_NAMES}
+            found |= {(name, p) for p in inspect.signature(obj).parameters if p in names}
+    return found
+
+
+def test_every_public_size_parameter_has_a_row():
+    covered = {(fn.__name__, size) for fn, _, _, sizes in SIZES for size in sizes}
+    found = public_parameters(SIZE_NAMES)
     assert sorted(found - covered - NOT_SIZES) == []
     # and no row names a parameter that is gone
     assert sorted((covered | NOT_SIZES) - found) == []
@@ -230,10 +239,53 @@ class Ones:
         out[...] = 1.0
 
 
+def finite(name):
+    return tuple((value, f"{name} must be finite, got {value!r}")
+                 for value in (math.inf, -math.inf, math.nan))
+
+
+REGULARIZATION = tuple((value, f"regularization must be nonnegative and finite, got {value!r}")
+                       for value in (-0.1, math.inf, math.nan))
+ALPHA = tuple((value, f"alpha must be in [0, {math.pi / 2}), got {value!r}")
+              for value in (-0.1, math.pi / 2, math.inf, math.nan))
+
+
+def at_half(fn, kwargs, error, param, name, bad, read=lambda result: result):
+    """The row of a function whose result cannot give ``param`` back; kwargs set it to 0.5.
+
+    The result is read as 0.5 times itself over the result at kwargs, so a call
+    at a value equal to 0.5 reads as 0.5, and as a Python float only when what
+    ``read`` takes from the result is one.
+    """
+    assert kwargs[param] == 0.5
+    return (fn, kwargs, error, param, name,
+            lambda result: 0.5 * read(result) / read(fn(**kwargs)), bad)
+
+
+def necessary(bounds):
+    return bounds["eta_sq_necessary"]
+
+
+def lhs(margin):
+    return margin.lhs
+
+
+def first_feature(data):
+    return data.features[0, 0].item()
+
+
 PRIVACY = dict(epsilon=0.5, delta=1e-5, c=1.0, b=5, m=10)
 ETA = dict(kap=1.0, c=1e-200, d=1, b=5, m=10, epsilon=0.5, delta=1e-5, upsilon=1.0)
 BOUND = dict(eta_sq=0.0, steps=1, alpha=0.0, mu=0.0, sigma=1.0, smoothness=1.0, q_init=0.0,
              q_star=0.0)
+HALVES = dict(c=0.5, b=5, m=10, epsilon=0.5, delta=0.5)
+LOG_HALVES = dict(epsilon=0.5, delta=0.5, b=5, m=10)
+ETA_HALVES = dict(ETA, c=0.5, delta=0.5)
+VARIANCE = dict(model=QUAD, theta=THETA, dataset=DATA, b=5, s=0.5)
+MARGIN = dict(model=QUAD, dataset=DATA, theta=THETA, spec=SPEC, s=0.5, b=5)
+VIOLATION = dict(model=QUAD, dataset=DATA, spec=SPEC, s=0.5, b=5)
+BLOBS = dict(seed=0, m=2, dim=2, half_sep=0.5, axis_std=0.5, cross_std=0.5)
+TARGETS = dict(seed=0, m=2, dim=2, spread=0.5)
 
 # (callable, valid keyword arguments, error type, parameter, its name in messages,
 # the value it gives back, ((bad value, message), ...))
@@ -251,9 +303,13 @@ REALS = [
      tuple((value, f"zeta must be nonnegative and finite, got {value!r}")
            for value in (-0.5, math.inf, -math.inf, math.nan))),
     (Model, dict(kind="logistic", lam=0.5, n_features=3), ConfigurationError, "lam",
-     "regularization", lambda model: model.lam,
-     tuple((value, f"regularization must be nonnegative and finite, got {value!r}")
-           for value in (-0.1, math.inf, math.nan))),
+     "regularization", lambda model: model.lam, REGULARIZATION),
+    (logistic_model, dict(n_features=3, lam=0.5), ConfigurationError, "lam", "regularization",
+     lambda model: model.lam, REGULARIZATION),
+    (mlp1_model, dict(n_features=3, hidden=2, lam=0.5), ConfigurationError, "lam",
+     "regularization", lambda model: model.lam, REGULARIZATION),
+    (quadratic_model, dict(hessian=np.eye(2), lam=0.5), ConfigurationError, "lam",
+     "regularization", lambda model: model.lam, REGULARIZATION),
     (RunConfig, dict(RUN_ARGS, momentum=0.5), ConfigurationError, "momentum", "momentum",
      lambda config: config.momentum,
      tuple((value, f"momentum must be in [0, 1), got {value!r}")
@@ -275,6 +331,23 @@ REALS = [
      lambda privacy: privacy.c, positive("clip bound")),
     (gaussian_noise, dict(d=1, s=0.5, count=1, stream=lambda w: Ones), ContractViolationError,
      "s", "noise scale", lambda noise: noise.item(), nonnegative("noise scale")),
+    at_half(noise_scale, HALVES, CalibrationError, "c", "clip bound", positive("clip bound")),
+    at_half(noise_scale, HALVES, CalibrationError, "epsilon", "epsilon", unit("epsilon")),
+    at_half(noise_scale, HALVES, CalibrationError, "delta", "delta", unit("delta")),
+    at_half(delta_log_factor, LOG_HALVES, CalibrationError, "epsilon", "epsilon", unit("epsilon")),
+    at_half(delta_log_factor, LOG_HALVES, CalibrationError, "delta", "delta", unit("delta")),
+    at_half(eta_bounds, ETA_HALVES, CalibrationError, "c", "clip bound", positive("clip bound"),
+            necessary),
+    at_half(eta_bounds, ETA_HALVES, CalibrationError, "epsilon", "epsilon", unit("epsilon"),
+            necessary),
+    at_half(eta_bounds, ETA_HALVES, CalibrationError, "delta", "delta", unit("delta"),
+            necessary),
+    at_half(submission_variance, VARIANCE, ContractViolationError, "s", "noise scale",
+            nonnegative("noise scale")),
+    at_half(vn_margin, MARGIN, ContractViolationError, "s", "noise scale",
+            nonnegative("noise scale"), lhs),
+    at_half(find_vn_violation, VIOLATION, ContractViolationError, "s", "noise scale",
+            positive("noise scale"), lhs),
     # C^2 underflows to zero, so the sufficient threshold is kappa^2 upsilon^2
     (eta_bounds, ETA, CalibrationError, "kap", "kappa",
      lambda bounds: math.sqrt(bounds["eta_sq_sufficient"]), nonnegative("kappa")),
@@ -301,7 +374,28 @@ REALS = [
      lambda bound: bound, ((math.nan, "Q1 must be a number, got nan"),)),
     (convergence_bound, dict(BOUND, q_init=1.0), ContractViolationError, "q_star", "Q*",
      lambda bound: 1.0 - bound, ((math.nan, "Q* must be a number, got nan"),)),
+    at_half(convergence_bound, dict(BOUND, alpha=0.5, q_init=1.0), ContractViolationError,
+            "alpha", "alpha", ALPHA),
+    # negative deviations are taken as given
+    at_half(gaussian_blobs, BLOBS, ContractViolationError, "half_sep", "half_sep",
+            finite("half_sep"), first_feature),
+    at_half(gaussian_blobs, BLOBS, ContractViolationError, "axis_std", "axis_std",
+            finite("axis_std"), first_feature),
+    at_half(gaussian_blobs, BLOBS, ContractViolationError, "cross_std", "cross_std",
+            finite("cross_std"), first_feature),
+    at_half(regression_targets, TARGETS, ContractViolationError, "spread", "spread",
+            finite("spread"), first_feature),
 ]
+
+# parameters with a real's name that are not reals the callable checks
+NOT_REALS = {
+    # the record the engine fills in, as NOT_SIZES says
+    ("MetricsRecord", "s"), ("MetricsRecord", "gamma"),
+}
+
+REAL_NAMES = {"c", "epsilon", "delta", "s", "zeta", "lam", "momentum", "gamma", "kap",
+              "upsilon", "eta_sq", "alpha", "mu", "sigma", "smoothness", "q_init", "q_star",
+              "half_sep", "axis_std", "cross_std", "spread"}
 
 
 @pytest.mark.parametrize("fn, kwargs, error, param, name, stored, bad", REALS,
@@ -317,6 +411,14 @@ def test_a_real_parameter_is_a_float_in_its_range(fn, kwargs, error, param, name
     for value in (np.float64(kwargs[param]), np.float32(0.5)):
         got = stored(fn(**{**kwargs, param: value}))
         assert type(got) is float and got == value
+
+
+def test_every_public_real_parameter_has_a_row():
+    covered = {(row[0].__name__, row[3]) for row in REALS}
+    found = public_parameters(REAL_NAMES)
+    assert sorted(found - covered - NOT_REALS) == []
+    # and no row names a parameter that is gone
+    assert sorted((covered | NOT_REALS) - found) == []
 
 
 def test_as_real_names_the_range_it_takes():
