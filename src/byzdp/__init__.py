@@ -14,8 +14,7 @@ from .model import (ClipParams, Dataset, Model, accuracy, batch_grads, clip,
                     mlp1_model, population_variance, quadratic_minimizer, quadratic_model,
                     regression_targets, sample_batch, smoothness_constant)
 from .privacy import (PrivacyParams, PrivacyRegimeWarning, amplified_epsilon, compose,
-                      delta_log_factor, gaussian_noise, inner_epsilon, noise_scale,
-                      sensitivity_mean_grad)
+                      gaussian_noise, inner_epsilon, noise_scale, sensitivity_mean_grad)
 
 __version__ = "0.1.0"
 

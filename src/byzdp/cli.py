@@ -28,7 +28,7 @@ from .attack import AttackSpec
 from .diagnostics import convergence_bound, eta_bounds, find_vn_violation, sigma_total
 from .engine import (SWEEP_AXES, CellResult, MetricsRecord, RunConfig, RunResult,
                      cell_digest, grid_values, initial_theta, run, sweep)
-from .errors import ConfigurationError, ContractViolationError, DataLoadError
+from .errors import ConfigurationError, ContractViolationError, DataLoadError, as_real
 from .model import (ClipParams, Dataset, Model, estimate_min_loss, full_loss, gaussian_blobs,
                     load_csv, population_variance, read_lines, regression_targets,
                     smoothness_constant)
@@ -315,7 +315,7 @@ def theory_report(cfg: dict, config: RunConfig) -> dict:
     """
     kap = kappa(config.gar)
     if "upsilon" in cfg:
-        ups = float(cfg["upsilon"])
+        ups = as_real("upsilon", cfg["upsilon"], ConfigurationError, low=0)
     else:
         theta1 = initial_theta(config)
         ups = math.sqrt(population_variance(config.model, theta1, config.dataset))
@@ -446,21 +446,22 @@ def cmd_diagnose(args) -> int:
     cfg, config, _ = _load(args)
     report = theory_report(cfg, config)
     kap, ups = report["kappa"], report["upsilon"]
-    print(f"kappa({config.gar.rule}, n={config.n}, f={config.f}) = {kap:.8g}")
-    print(f"s = {config.s:.8g}")
+    # every line is computed first, so that a config error exits with none printed
+    lines = [f"kappa({config.gar.rule}, n={config.n}, f={config.f}) = {kap:.8g}",
+             f"s = {config.s:.8g}"]
     if config.privacy is not None:
-        print(f"epsilon_inner = {config.privacy.epsilon_inner:.8g}")
-    print(f"upsilon = {ups:.8g} ({'config' if 'upsilon' in cfg else 'at theta_1'})")
+        lines.append(f"epsilon_inner = {config.privacy.epsilon_inner:.8g}")
+    lines.append(f"upsilon = {ups:.8g} ({'config' if 'upsilon' in cfg else 'at theta_1'})")
     if config.privacy is not None:
-        print(f"eta_sq_necessary = {report['eta_sq_necessary']:.8g}")
-        print(f"eta_sq_sufficient = {report['eta_sq_sufficient']:.8g}")
+        lines.append(f"eta_sq_necessary = {report['eta_sq_necessary']:.8g}")
+        lines.append(f"eta_sq_sufficient = {report['eta_sq_sufficient']:.8g}")
         eta_sq = report["eta_sq_sufficient"]
     else:
         eta_sq = kap * kap * ups * ups
-        print("eta bounds: not applicable (no privacy budget)")
+        lines.append("eta bounds: not applicable (no privacy budget)")
     if config.clip is not None:
         sig = sigma_total(ups, config.model.dim, config.s, config.clip.c)
-        print(f"sigma = {sig:.8g}")
+        lines.append(f"sigma = {sig:.8g}")
         if config.model.kind in ("quadratic", "logistic"):
             lips = smoothness_constant(config.model, config.dataset)
             theta1 = initial_theta(config)
@@ -470,22 +471,23 @@ def cmd_diagnose(args) -> int:
             bound = convergence_bound(eta_sq, config.steps, alpha, mu, sig, lips,
                                       q_init, q_star)
             exact = config.model.kind == "quadratic"
-            print(f"theorem bound (T={config.steps}, alpha={alpha}, mu={mu}) = {bound:.8g}"
-                  + ("" if exact else "  [q_star is an upper bound]"))
+            lines.append(f"theorem bound (T={config.steps}, alpha={alpha}, mu={mu}) = "
+                         f"{bound:.8g}" + ("" if exact else "  [q_star is an upper bound]"))
         else:
-            print(f"theorem bound: not applicable (no smoothness constant for "
-                  f"{config.model.kind})")
+            lines.append(f"theorem bound: not applicable (no smoothness constant for "
+                         f"{config.model.kind})")
     else:
-        print("sigma, theorem bound: not applicable (no clip bound)")
+        lines.append("sigma, theorem bound: not applicable (no clip bound)")
     if config.model.kind == "quadratic":
         if config.s > 0:
             witness = find_vn_violation(config.model, config.dataset, config.gar,
                                         config.s, b=config.b)
-            print("vn violation witness: "
-                  f"lhs = {witness.lhs:.8g}, rhs = {witness.rhs:.8g}, "
-                  f"satisfied = {witness.satisfied}")
+            lines.append("vn violation witness: "
+                         f"lhs = {witness.lhs:.8g}, rhs = {witness.rhs:.8g}, "
+                         f"satisfied = {witness.satisfied}")
         else:
-            print("vn violation: not applicable (s = 0)")
+            lines.append("vn violation: not applicable (s = 0)")
+    print("\n".join(lines))
     return 0
 
 

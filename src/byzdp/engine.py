@@ -26,9 +26,8 @@ most ``model.SHARED_PASS_FLOATS`` (2 MB). The buffer is filled in
 ``full_grad``'s row blocks; on an eval round its rows are summed, which gives
 the bits of ``full_grad``, then it is clipped in place, and each block of
 workers gathers its rows from it. A point's gradient does not depend on the
-other rows of its block (see the model docstring for the limit), so the pass
-keeps every output bit. A larger buffer would leave the cache, and such a run
-stays on the per-worker path.
+other rows of its block, so the pass keeps every output bit. A larger buffer
+would leave the cache, and such a run stays on the per-worker path.
 
 Randomness is drawn from counter-based streams keyed by
 (master_seed, worker_id, round, purpose), purpose 0 = batch, 1 = noise,

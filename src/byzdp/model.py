@@ -15,10 +15,9 @@ place where data meets the parameters: per-point losses and gradients,
 accuracy and the Newton weights of ``estimate_min_loss`` are tails on it.
 
 Each row-wise product of ``_forward`` goes through ``_rows_times``, which
-gives every row the bits it gets inside an aligned group of 4 rows. So a
-point's loss and gradient have the same bits alone, among any neighbours and
-anywhere in a block, as long as the products stay below about 10**6
-multiply-adds, past which BLAS may switch to a kernel that rounds differently.
+gives every row the bits it gets inside an aligned group of 4 rows, in chunks
+that stay within OpenBLAS's small-matrix size. So a point's loss and gradient
+have the same bits alone, among any neighbours and anywhere in a block.
 
 Per-point gradient matrices are built in row blocks of about
 ``_BLOCK_FLOATS`` float64s (512 KB), which stay in a 2 MB L2 cache, rather than
@@ -26,7 +25,7 @@ as one (k, d) matrix of many megabytes; ``row_blocks`` cuts them. A run whose
 round batches hold at least every data point builds one (m, d) matrix of all
 per-point gradients per round, filled in such blocks, when it takes at most
 ``SHARED_PASS_FLOATS`` = 4 ``_BLOCK_FLOATS`` float64s (2 MB, the L2 size
-above); a larger one stays in blocks (see ``engine.run``).
+above); a larger one stays in blocks (see ``engine.rounds``).
 
 ``sum_rows(g)`` is every sum over the rows of a per-point gradient matrix,
 with the bits of ``g.sum(axis=-2)``. At width d >= 2 numpy adds the rows one
@@ -326,14 +325,28 @@ def _inputs(model: Model, theta: np.ndarray, features: np.ndarray,
     return theta, x, y
 
 
+# OpenBLAS runs a dgemm in its small-matrix kernel only while M*N*K stays within
+# 10**6 multiply-adds; past that it takes another kernel, which rounds differently
+_SMALL_GEMM = 10 ** 6
+
+
 def _rows_times(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """``x @ w``, each row with the bits it gets inside an aligned group of 4 rows.
 
-    The k % 4 rows past the last whole group are taken from the product of
-    the last 4 rows; an input of fewer than 4 rows is repeated up to 4.
+    A product past ``_SMALL_GEMM`` multiply-adds is taken in chunks of the
+    most whole groups that stay within it, each written into its rows of one
+    output. The k % 4 rows past the last whole group are taken from the
+    product of the last 4 rows; an input of fewer than 4 rows is repeated up
+    to 4.
     """
-    out = x @ w
     k = x.shape[0]
+    if k > 4 and k * w.size > _SMALL_GEMM:
+        per = max(4, _SMALL_GEMM // w.size // 4 * 4)
+        out = np.empty((k, *w.shape[1:]))
+        for lo in range(0, k, per):
+            np.matmul(x[lo:lo + per], w, out=out[lo:lo + per])
+    else:
+        out = x @ w
     tail = k % 4
     if tail:
         last = x[k - 4:] if k > 4 else x.take(np.arange(k - 4, k) % k, axis=0)

@@ -11,6 +11,8 @@ makes each such release (eps, delta)-DP: the mean-gradient sensitivity is
 (ln((e^eps - 1) m/b + 1), m delta / b), and sub-sampling amplification brings
 that back down to (eps, delta). ``gaussian_noise`` draws that noise for
 several workers in one call, each worker's row from its own stream.
+``checked_budget`` is the one budget rule: ``PrivacyParams`` and
+``diagnostics.eta_bounds`` both read their checked budget and log factor there.
 """
 
 from __future__ import annotations
@@ -59,17 +61,12 @@ def inner_epsilon(epsilon: float, b: int, m: int) -> float:
     return math.log1p((m / b) * math.expm1(epsilon))
 
 
-def delta_log_factor(epsilon: float, delta: float, b: int, m: int) -> float:
-    """ln(1.25 b / (m delta)), after checking the budget and batch it is stated for.
+def checked_budget(epsilon, delta, b, m) -> tuple[float, float, int, int, float]:
+    """epsilon, delta, b and m checked and cast, and the log factor ln(1.25 b / (m delta)).
 
     Needs 0 < epsilon < 1, 0 < delta < 1, integers m >= 1 and b in [1, m], and
-    1.25 b / (m delta) > 1.
+    a finite 1.25 b / (m delta) > 1; raises CalibrationError otherwise.
     """
-    return checked_budget(epsilon, delta, b, m)[-1]
-
-
-def checked_budget(epsilon, delta, b, m) -> tuple[float, float, int, int, float]:
-    """epsilon, delta, b and m as checked by delta_log_factor, and its log factor."""
     unit = dict(low=0, high=1, open_low=True, open_high=True)
     epsilon = as_real("epsilon", epsilon, CalibrationError, **unit)
     delta = as_real("delta", delta, CalibrationError, **unit)
@@ -79,6 +76,8 @@ def checked_budget(epsilon, delta, b, m) -> tuple[float, float, int, int, float]
     if not log_arg > 1.0:
         raise CalibrationError(
             f"need 1.25 b / (m delta) > 1 for a positive log factor, got {log_arg}")
+    if log_arg == math.inf:
+        raise CalibrationError(f"delta {delta!r} is too small: 1.25 b / (m delta) overflows")
     return epsilon, delta, b, m, math.log(log_arg)
 
 

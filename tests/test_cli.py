@@ -1026,3 +1026,24 @@ def test_diagnose_sigma_does_not_overflow_with_a_huge_clip_bound(tmp_path, capsy
     lines = capsys.readouterr().out.splitlines()
     assert "sigma = 1e+308" in lines
     assert lines[-1].startswith("theorem bound (T=300, alpha=0.0, mu=1.0) = inf")
+
+
+def test_diagnose_refuses_a_negative_upsilon_before_it_prints(tmp_path, capsys):
+    # without a privacy budget no eta bound read upsilon, so -1 was printed, exit 0
+    text = (DIAGNOSE_MDA.replace("epsilon = 0.1", "epsilon = none")
+            .replace("clip = 2.0", "clip = none") + "upsilon = -1.0\n")
+    cfg = write(tmp_path, "diag.cfg", text)
+    assert main(["diagnose", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: upsilon must be nonnegative and finite, got -1.0\n"
+
+
+def test_diagnose_prints_nothing_when_a_late_value_is_refused(tmp_path, capsys):
+    # the theorem bound refuses alpha after seven lines were once printed
+    text = _demo_config("diagnose_mda.cfg").replace("alpha = 0.0", "alpha = 2.0")
+    cfg = write(tmp_path, "diag.cfg", text)
+    assert main(["diagnose", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: alpha must be in [0, {math.pi / 2}), got 2.0\n"

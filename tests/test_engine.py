@@ -309,6 +309,21 @@ def test_shared_pass_keeps_every_bit(config, one_row_blocks):
     assert shared.records == per_worker.records
 
 
+def test_shared_pass_keeps_every_bit_past_the_small_matrix_size(monkeypatch):
+    # a dense 20 x 20 H over 4,000 points: the shared pass fills blocks of
+    # 3,276 and 724 rows, the per-worker path blocks of 3,072 and 1,024, and
+    # (k x 20) @ (20 x 20) passes OpenBLAS's small-matrix size at k = 2,501.
+    # Unchunked, the honest messages differed in 16, 25 and 18 entries
+    a = np.random.default_rng(0).standard_normal((20, 20))
+    config = RunConfig(model=quadratic_model(a @ a.T / 20, 1e-3),
+                       dataset=regression_targets(0, 4000, 20), gar=GarSpec("average", 8, 0),
+                       b=512, steps=3, clip=ClipParams(5.0), schedule="constant", gamma=0.01)
+    shared = [step[2] for step in rounds(config)]
+    monkeypatch.setattr(byzdp.engine, "SHARED_PASS_FLOATS", 0)
+    per_worker = [step[2] for step in rounds(config)]
+    assert [int(np.sum(s != p)) for s, p in zip(shared, per_worker)] == [0, 0, 0]
+
+
 @pytest.mark.parametrize("rule, f", [("mda", 3), ("average", 0)])
 def test_criterion_7_at_b_512_takes_the_shared_pass(monkeypatch, rule, f):
     # 12 or 15 honest workers at b = 512 draw 6,144 or 7,680 rows of 4,000

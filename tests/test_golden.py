@@ -2,7 +2,9 @@
 
 A refactor that keeps these digests keeps every byte that ``byzdp run``,
 ``byzdp sweep`` and ``byzdp diagnose`` write. A change that alters an output
-on purpose must say why and record the new digests.
+on purpose must say why and record the new digests. The digests hold only
+under the OpenBLAS kernel they were recorded with (README "Determinism"), so
+a mismatch names the kernel this run asked for.
 """
 
 import hashlib
@@ -15,6 +17,8 @@ from byzdp.cli import main
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "demos", "configs")
 BENCH = os.path.join(os.path.dirname(__file__), os.pardir, "bench")
+KERNEL = (f"OPENBLAS_CORETYPE={os.environ.get('OPENBLAS_CORETYPE', 'unset')}: the digests "
+          "depend on the BLAS kernel, see README 'Determinism'")
 
 RUN_LITTLE_MDA = {
     "metrics.csv": "39fef0a2cd95afe2a32d70e1fcdeffcd6d48e6793a78957aa72d9d2ba9275439",
@@ -158,11 +162,12 @@ def _sweep_digests(tmp_path, cfg_path: str) -> dict:
 
 
 def test_golden_run_little_mda(tmp_path):
-    assert _run_digests(tmp_path, "run_little_mda.cfg") == RUN_LITTLE_MDA
+    assert _run_digests(tmp_path, "run_little_mda.cfg") == RUN_LITTLE_MDA, KERNEL
 
 
 def test_golden_run_quadratic_baseline(tmp_path):
-    assert _run_digests(tmp_path, "run_quadratic_baseline.cfg") == RUN_QUADRATIC_BASELINE
+    assert _run_digests(tmp_path, "run_quadratic_baseline.cfg") == RUN_QUADRATIC_BASELINE, \
+        KERNEL
 
 
 @pytest.mark.parametrize("variant", sorted(DIAGNOSE_MDA_STDOUT))
@@ -175,7 +180,8 @@ def test_golden_diagnose_mda(tmp_path, capsys, variant):
     path = tmp_path / "diagnose.cfg"
     path.write_text(text)
     assert main(["diagnose", str(path)]) == 0
-    assert _sha256(capsys.readouterr().out.encode("utf-8")) == DIAGNOSE_MDA_STDOUT[variant]
+    assert _sha256(capsys.readouterr().out.encode("utf-8")) == DIAGNOSE_MDA_STDOUT[variant], \
+        KERNEL
 
 
 def test_golden_diagnose_logistic(capsys):
@@ -183,7 +189,7 @@ def test_golden_diagnose_logistic(capsys):
     assert main(["diagnose", os.path.join(CONFIGS, "run_little_mda.cfg")]) == 0
     with open(os.path.join(BENCH, "golden.json"), encoding="utf-8") as fh:
         digest = json.load(fh)["diagnose_logistic"][0]  # the bench's seed-0 run of this config
-    assert _sha256(capsys.readouterr().out.encode("utf-8")) == digest
+    assert _sha256(capsys.readouterr().out.encode("utf-8")) == digest, KERNEL
 
 
 def test_golden_sweep(tmp_path):
@@ -191,7 +197,7 @@ def test_golden_sweep(tmp_path):
                               "grid_epsilon = [0.2, none]\n")
     digests = _sweep_digests(tmp_path, cfg)
     assert len(digests) == 14  # 12 cells, each ok, plus summary.csv and aggregate.csv
-    assert digests == SWEEP_SMALL
+    assert digests == SWEEP_SMALL, KERNEL
 
 
 def test_golden_sweep_selection_rules(tmp_path):
@@ -200,7 +206,7 @@ def test_golden_sweep_selection_rules(tmp_path):
                               "grid_gar = [krum, median, bulyan]\ngrid_f = [1, 3]\n")
     digests = _sweep_digests(tmp_path, cfg)
     assert len(digests) == 14  # 12 cells, each ok, plus summary.csv and aggregate.csv
-    assert digests == SWEEP_SELECTION_RULES
+    assert digests == SWEEP_SELECTION_RULES, KERNEL
 
 
 @pytest.mark.parametrize("kind", sorted(ODD_ROWS_MODELS))
@@ -210,4 +216,4 @@ def test_golden_sweep_odd_rows(tmp_path, kind):
     path.write_text(ODD_ROWS_CFG + ODD_ROWS_MODELS[kind])
     digests = _sweep_digests(tmp_path, str(path))
     assert len(digests) == 6  # 4 cells, each ok, plus summary.csv and aggregate.csv
-    assert digests == SWEEP_ODD_ROWS[kind]
+    assert digests == SWEEP_ODD_ROWS[kind], KERNEL

@@ -302,7 +302,9 @@ def test_row_blocks_cut_whole_groups_of_about_the_budget(count, unit, d, budget)
 def row_products(draw):
     """A model, theta and a seeded (lead + k + trail, p) block with labels."""
     kind = draw(st.sampled_from(["quadratic", "logistic", "mlp1"]))
-    width = draw(st.integers(1, 20))
+    # one block in four is 1,000 to 4,000 rows of width 20
+    big = draw(st.integers(0, 3)) == 0
+    width = 20 if big else draw(st.integers(1, 20))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if kind == "quadratic":
         # a dense matrix: every entry of (theta - x) H is a sum of width products
@@ -312,7 +314,10 @@ def row_products(draw):
         model = logistic_model(width, lam=1e-3)
     else:
         model = mlp1_model(width, draw(st.integers(1, 32)), lam=1e-3)
-    k, lead, trail = draw(st.integers(1, 40)), draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    # (k x 20) @ (20 x 20) passes _SMALL_GEMM at k = 2,501
+    k = draw(st.integers(1_000, 2_500) | st.integers(2_501, 4_000) if big
+             else st.integers(1, 40))
+    lead, trail = draw(st.integers(0, 7)), draw(st.integers(0, 7))
     x = rng.standard_normal((lead + k + trail, width))
     y = np.where(rng.random(len(x)) < 0.5, 1.0, -1.0)
     return model, rng.normal(0.0, 0.5, model.dim), x, y, lead, k
@@ -328,16 +333,18 @@ def test_a_rows_bits_do_not_depend_on_the_other_rows(case):
     # a point's products, loss and gradient are the same bits alone, in a
     # block of k rows and inside a larger block that starts before it
     model, theta, x, y, lead, k = case
+    # of a block past 40 rows, every 50th row and the last 3 are taken alone
+    singles = range(k) if k <= 40 else [*range(0, k, 50), *range(k - 3, k)]
     for f in (batch_grads, batch_losses, _forward_rows):
         def parts(lo, hi):
             got = f(model, theta, x[lo:hi], y[lo:hi])
             return got if isinstance(got, list) else [got]
         larger, block = parts(0, len(x)), parts(lead, lead + k)
-        for i in range(k):
-            alone = parts(lead + i, lead + i + 1)
-            for whole, part, one in zip(larger, block, alone):
+        for whole, part in zip(larger, block):
+            assert np.array_equal(part, whole[lead:lead + k]), f.__name__
+        for i in singles:
+            for part, one in zip(block, parts(lead + i, lead + i + 1)):
                 assert np.array_equal(part[i], one[0]), (f.__name__, i)
-                assert np.array_equal(part[i], whole[lead + i]), (f.__name__, i)
 
 
 def _model_and_data(kind, m):

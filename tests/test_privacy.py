@@ -19,8 +19,9 @@ from hypothesis import strategies as st
 
 from byzdp import (CalibrationError, ConfigurationError,
                    ContractViolationError, PrivacyParams, PrivacyRegimeWarning,
-                   amplified_epsilon, compose, delta_log_factor, eta_bounds, gaussian_noise,
+                   amplified_epsilon, compose, eta_bounds, gaussian_noise,
                    inner_epsilon, noise_scale, sensitivity_mean_grad, worker_stream)
+from byzdp.privacy import checked_budget
 
 mp.mp.dps = 50
 
@@ -160,17 +161,28 @@ def test_noise_scale_must_be_positive_and_finite():
             PrivacyParams(0.5, 1e-4, c, b, m)
 
 
-def test_delta_log_factor_is_the_one_budget_check():
-    assert delta_log_factor(0.1, 1e-5, 25, 1000) == math.log(1.25 * 25 / (1000 * 1e-5))
+def test_checked_budget_is_the_one_budget_check():
+    assert checked_budget(0.1, 1e-5, 25, 1000)[-1] == math.log(1.25 * 25 / (1000 * 1e-5))
     for eps, delta, b, m in ((1.2, 1e-5, 25, 1000), (0.1, 1.5, 25, 1000),
-                             (0.1, 1e-5, 2000, 1000), (0.1, 0.5, 1, 1000)):
+                             (0.1, 1e-5, 2000, 1000), (0.1, 0.5, 1, 1000),
+                             (0.5, 1e-320, 10, 10)):
         with pytest.raises(CalibrationError) as direct:
-            delta_log_factor(eps, delta, b, m)
+            checked_budget(eps, delta, b, m)
         with pytest.raises(CalibrationError) as via_noise:
             noise_scale(2.0, b, m, eps, delta)
         with pytest.raises(CalibrationError) as via_eta:
             eta_bounds(1.0, 2.0, 10, b, m, eps, delta, 1.0)
         assert str(via_noise.value) == str(via_eta.value) == str(direct.value)
+
+
+def test_a_delta_whose_log_argument_overflows_is_refused_by_name():
+    # a subnormal delta once calibrated s = inf and blamed the clip bound, and
+    # eta_bounds returned two infinite thresholds
+    message = re.escape("delta 1e-320 is too small: 1.25 b / (m delta) overflows")
+    with pytest.raises(CalibrationError, match=message):
+        PrivacyParams(0.5, 1e-320, 1.0, 10, 10)
+    with pytest.raises(CalibrationError, match=message):
+        eta_bounds(1.0, 1.0, 3, 10, 10, 0.5, 1e-320, 0.0)
 
 
 # ------------------------------------------------------------ gaussian noise
@@ -360,7 +372,7 @@ def test_noise_scale_reads_privacy_params(calibration):
         s = noise_scale(c, b, m, epsilon, delta)
     # the closed form, term for term, from the public maps
     closed_form = ((2.0 * c / (b * inner_epsilon(epsilon, b, m)))
-                   * math.sqrt(2.0 * delta_log_factor(epsilon, delta, b, m)))
+                   * math.sqrt(2.0 * checked_budget(epsilon, delta, b, m)[-1]))
     assert type(s) is float and s == params.s == closed_form
     assert [w.category for w in caught] == (
         [PrivacyRegimeWarning] if params.epsilon_inner >= 1.0 else [])

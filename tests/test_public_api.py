@@ -4,7 +4,8 @@
 import there becomes public without a trace. This list makes each addition
 or removal show up in a diff. The module names (``aggregation``,
 ``engine``, ...) are public because importing a submodule binds its name in
-the package.
+the package. Every public name needs a caller: code of the package, a demo
+or the bench that uses it, or a mention in the README.
 """
 
 import ast
@@ -12,6 +13,7 @@ import copy
 import dataclasses
 import os
 import pickle
+import re
 
 import numpy as np
 
@@ -23,7 +25,7 @@ PUBLIC = [
     "MetricsRecord", "Model", "PrivacyParams", "PrivacyRegimeWarning", "RunConfig",
     "RunResult", "VnMargin", "accuracy", "aggregate", "aggregation", "amplified_epsilon",
     "attack", "batch_grads", "batch_mean_variance", "clip", "compose", "convergence_bound",
-    "delta_log_factor", "diagnostics", "engine", "errors", "eta_bounds", "find_vn_violation",
+    "diagnostics", "engine", "errors", "eta_bounds", "find_vn_violation",
     "forge", "full_grad", "full_loss", "gaussian_blobs", "gaussian_noise", "initial_theta",
     "inner_epsilon", "kappa", "load_csv", "logistic_model", "mlp1_model", "model",
     "noise_scale", "population_variance", "privacy",
@@ -34,10 +36,43 @@ PUBLIC = [
 
 
 RECORD = byzdp.MetricsRecord(1, 0.5, 1.0, 1.0, None, 0.0, 0.1)
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def test_public_names_are_the_pinned_list():
     assert sorted(byzdp.__all__) == PUBLIC
+
+
+def _used_names(path) -> set:
+    """The names a Python file reads, the attributes it takes and the modules it imports."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), path)
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.update(node.name.split("."))
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            used.update(node.module.split("."))
+    return used
+
+
+def test_every_public_name_has_a_caller():
+    # a public name that no code of the package, no demo and no bench script
+    # uses, and that the README does not name, is a second entry point that
+    # nothing exercises; the package's __init__ only re-exports
+    used = set()
+    for folder in ("src/byzdp", "demos", "bench"):
+        for name in sorted(os.listdir(os.path.join(ROOT, folder))):
+            if name.endswith(".py") and (folder, name) != ("src/byzdp", "__init__.py"):
+                used |= _used_names(os.path.join(ROOT, folder, name))
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    assert [name for name in byzdp.__all__ if name not in used
+            and not re.search(rf"\b{name}\b", readme)] == []
 
 
 def test_every_public_dataclass_is_frozen():

@@ -1,13 +1,14 @@
 """Every integer size the package takes follows one rule, ``errors.as_integer``.
 
-``SIZES`` holds one row per public callable that takes an integer size: a
-valid call, the exception type of its call site, and for each size parameter
-the values out of its range with the message each one gets. Every size
-parameter must refuse a bool, a fractional float and an integral float with
-"{name} must be an integer, got {value!r}", refuse each out-of-range value
-with its "need ..." message, and accept a numpy integer. The drift guard at
-the end fails when a public function or dataclass takes a parameter with a
-size's name that has no row here.
+``SIZES`` holds one row per public callable that takes an integer size, and
+one for the budget rule ``privacy.checked_budget`` through its log factor
+(``delta_log_factor`` below): a valid call, the exception type of its call
+site, and for each size parameter the values out of its range with the
+message each one gets. Every size parameter must refuse a bool, a fractional
+float and an integral float with "{name} must be an integer, got {value!r}",
+refuse each out-of-range value with its "need ..." message, and accept a
+numpy integer. The drift guard at the end fails when a public function or
+dataclass takes a parameter with a size's name that has no row here.
 
 ``REALS`` is the same table for real parameters, which follow
 ``errors.as_real``: the clip bound, the privacy budget, zeta, the
@@ -31,12 +32,13 @@ import byzdp
 from byzdp import (AttackSpec, CalibrationError, ClipParams, ConfigurationError,
                    ContractViolationError, GarSpec, Model, PrivacyParams, RunConfig,
                    amplified_epsilon, batch_mean_variance, compose, convergence_bound,
-                   delta_log_factor, eta_bounds, find_vn_violation, gaussian_blobs,
+                   eta_bounds, find_vn_violation, gaussian_blobs,
                    gaussian_noise, inner_epsilon, logistic_model, mlp1_model, noise_scale,
                    quadratic_model, regression_targets, sample_batch, sensitivity_mean_grad,
                    sigma_total, submission_variance, sweep, vn_margin, worker_stream)
 from byzdp.engine import PURPOSE_BATCH
 from byzdp.errors import as_real
+from byzdp.privacy import checked_budget
 
 DATA = regression_targets(0, 20, 3)
 QUAD = quadratic_model(np.eye(3))
@@ -49,6 +51,11 @@ BASE = RunConfig(**RUN_ARGS)
 
 def streams(w):
     return worker_stream(0, w, 1, 1)
+
+
+def delta_log_factor(epsilon, delta, b, m):
+    """ln(1.25 b / (m delta)) as ``privacy.checked_budget`` checks and returns it."""
+    return checked_budget(epsilon, delta, b, m)[-1]
 
 
 SEED_MAX, WORKER_MAX, ROUND_MAX = 2 ** 64 - 1, 2 ** 30 - 1, 2 ** 32 - 1
@@ -199,10 +206,12 @@ def test_a_stream_key_field_is_refused_before_numpy_sees_it():
 
 
 def public_parameters(names) -> set:
-    """(callable, parameter) for each parameter in names of a public function or dataclass."""
+    """(callable, parameter) for each parameter in names of a public function or dataclass,
+    and of ``delta_log_factor`` above."""
     found = set()
-    for name in byzdp.__all__:
-        obj = getattr(byzdp, name)
+    callables = {name: getattr(byzdp, name) for name in byzdp.__all__}
+    callables["delta_log_factor"] = delta_log_factor
+    for name, obj in callables.items():
         if inspect.isfunction(obj) or dataclasses.is_dataclass(obj):
             found |= {(name, p) for p in inspect.signature(obj).parameters if p in names}
     return found
