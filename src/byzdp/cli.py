@@ -64,6 +64,12 @@ DATASET_KEYS = {"blobs": ("dataset_seed", "dataset_size", "half_sep", "axis_std"
 GRID_KEY_TO_AXIS = {"grid_batch_size": "b", "grid_epsilon": "epsilon", "grid_gar": "gar",
                     "grid_attack": "attack", "grid_f": "f", "grid_seed": "seed"}
 
+# the ranges of the keys that only the theory reads: _load checks them for
+# every command, so that a config is refused by all commands or by none
+THEORY_KEY_RANGES = {"upsilon": dict(low=0),
+                     "alpha": dict(low=0, high=math.pi / 2, open_high=True),
+                     "mu": dict(low=0)}
+
 CSV_COLUMNS = ("run_id", "round", "loss", "grad_norm", "min_sq_grad_norm", "accuracy",
                "s", "gamma", "gar", "attack", "f", "epsilon", "delta", "b", "seed")
 
@@ -222,6 +228,8 @@ def _load(args) -> tuple[_ReadKeys, RunConfig, dict]:
     checks the grid before any dataset is built. The master seed
     is ``run --seed``, else BYZDP_SEED, else the config's; the returned keys
     hold it whenever it overrides the config, and record each key read.
+    upsilon, alpha and mu are checked against ``THEORY_KEY_RANGES`` and are
+    not recorded.
     """
     cfg = _ReadKeys(parse_config(args.config))
     grid_keys = [key for key in cfg if key.startswith("grid_")]
@@ -241,7 +249,12 @@ def _load(args) -> tuple[_ReadKeys, RunConfig, dict]:
             raise ConfigurationError(f"BYZDP_SEED must be an integer, got '{env}'") from None
     if seed is not None:
         cfg["master_seed"] = seed
-    return cfg, build_run_config(cfg), grid
+    config = build_run_config(cfg)
+    for key, bounds in THEORY_KEY_RANGES.items():
+        if key in cfg:
+            # dict.get does not record the key, so a value in range moves no run id
+            as_real(key, dict.get(cfg, key), ConfigurationError, **bounds)
+    return cfg, config, grid
 
 
 # ------------------------------------------------------------------- output
@@ -315,7 +328,7 @@ def theory_report(cfg: dict, config: RunConfig) -> dict:
     """
     kap = kappa(config.gar)
     if "upsilon" in cfg:
-        ups = as_real("upsilon", cfg["upsilon"], ConfigurationError, low=0)
+        ups = cfg["upsilon"]  # in range: _load checked it
     else:
         theta1 = initial_theta(config)
         ups = math.sqrt(population_variance(config.model, theta1, config.dataset))

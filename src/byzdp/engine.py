@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from itertools import product
 
@@ -512,7 +511,9 @@ def sweep(base: RunConfig, grid: dict, jobs: int = 1) -> list[CellResult]:
     and do not stop the sweep. Every cell resolves to its RunConfig in the
     caller; only the runs go to the ``jobs`` worker processes, at most one
     per cell that resolved. Results are returned in deterministic product
-    order regardless of the job count.
+    order regardless of the job count. The process pool is imported here,
+    when more than one cell runs on more than one job, so that no single run
+    and no one-job sweep loads ``multiprocessing``.
     """
     as_integer("jobs", jobs, low=1)
     grid = grid_values(grid)
@@ -526,6 +527,7 @@ def sweep(base: RunConfig, grid: dict, jobs: int = 1) -> list[CellResult]:
     configs = [config for _, config, _ in cells if config is not None]
     workers = min(jobs, len(configs))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_run_cell, configs))
     else:

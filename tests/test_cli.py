@@ -551,6 +551,11 @@ RUN_ID_WITNESSES = {
     # summary.json's report fails after the run, so it is computed before it
     "negative_upsilon": ("run", (), "upsilon = -1.0\n",
                          "error: upsilon must be nonnegative and finite, got -1.0\n"),
+    # read only by diagnose, and refused by every command
+    "alpha_out_of_range": ("run", (), "alpha = 7.0\n",
+                           f"error: alpha must be in [0, {math.pi / 2}), got 7.0\n"),
+    "negative_mu": ("run", (), "mu = -0.5\n",
+                    "error: mu must be nonnegative and finite, got -0.5\n"),
     # the run would ignore zeta, and so would every grid_attack cell of a sweep
     "zeta_without_attack": ("run", ("attack", "f"), "f = 0\n", NO_ZETA),
     "zeta_under_attack_none": ("run", ("attack", "f"), "f = 0\nattack = none\n", NO_ZETA),
@@ -602,6 +607,25 @@ def test_one_run_has_one_id(tmp_path, capsys, case):
         # changes summary.json
         assert files.get("metrics.csv") == plain_files.get("metrics.csv")
         assert (files == plain_files) == (ident == plain_id)
+
+
+# run_little_mda.cfg cut to 5 steps, without its privacy budget, where no
+# command reads upsilon and only diagnose reads alpha
+THEORY_KEY_WITNESS = (_without_keys(ONE_ID_BASES["run"], NO_PRIVACY)
+                      + "upsilon = -1.0\nalpha = 7.0\n")
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "diagnose"])
+def test_every_command_refuses_an_out_of_range_theory_key(tmp_path, monkeypatch, capsys,
+                                                          command):
+    grid = "grid_seed = [1, 2]\n" if command == "sweep" else ""
+    write(tmp_path, "c.cfg", THEORY_KEY_WITNESS + grid)
+    monkeypatch.chdir(tmp_path)
+    assert main([command, "c.cfg"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: upsilon must be nonnegative and finite, got -1.0\n"
+    assert os.listdir(tmp_path) == ["c.cfg"]
 
 
 def _bench_config(name):

@@ -1,5 +1,6 @@
 """Round loop, streams, determinism, sweeps."""
 
+import concurrent.futures
 import math
 import tracemalloc
 from dataclasses import FrozenInstanceError, replace
@@ -925,14 +926,15 @@ def test_sweep_fails_a_cell_whose_run_fails(monkeypatch, jobs):
 
 
 def test_sweep_starts_at_most_one_worker_per_runnable_cell(monkeypatch):
-    real_executor = byzdp.engine.ProcessPoolExecutor
+    # sweep imports the pool when it starts one, so it reads the patched name
+    real_executor = concurrent.futures.ProcessPoolExecutor
     started = []
 
     def executor(max_workers):
         started.append(max_workers)
         return real_executor(max_workers=max_workers)
 
-    monkeypatch.setattr(byzdp.engine, "ProcessPoolExecutor", executor)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", executor)
     base = small_sweep_base()
     # bulyan needs n >= 4f+3 = 7 > 5, so its cell never reaches a worker
     results = sweep(base, {"gar": ["median", "mda", "bulyan"]}, jobs=64)

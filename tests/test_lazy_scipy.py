@@ -1,8 +1,10 @@
-"""scipy.special is loaded only by the classifier models that need its sigmoid.
+"""scipy.special is loaded only by the classifier models that need its sigmoid,
+and the process pool only by a sweep that starts one.
 
 Each check runs in a fresh interpreter, since this test process may have
-loaded scipy already. A scipy function added at module level anywhere in
-byzdp fails the first two tests.
+loaded scipy or the pool already. A scipy function added at module level
+anywhere in byzdp fails the first two tests, and a module-level import of
+``concurrent.futures`` or ``multiprocessing`` fails the first and the third.
 """
 
 import os
@@ -33,6 +35,22 @@ batch_size = 10
 steps = 6
 """
 
+LOGISTIC_CFG = """\
+model = logistic
+dim = 3
+dataset = blobs
+dataset_size = 40
+n = 5
+f = 1
+gar = median
+epsilon = 0.5
+clip = 2
+batch_size = 10
+steps = 4
+"""
+
+POOL_MODULES = ("multiprocessing", "concurrent.futures.process")
+
 
 def _python(code: str, cwd) -> bytes:
     env = dict(os.environ)
@@ -45,7 +63,7 @@ def _python(code: str, cwd) -> bytes:
 
 def test_import_help_and_quadratic_runs_leave_scipy_special_unloaded(tmp_path):
     (tmp_path / "quad.cfg").write_text(QUADRATIC_CFG)
-    _python("""
+    _python(f"""
         import contextlib, io, sys
         import numpy as np
         import byzdp, byzdp.cli
@@ -64,6 +82,7 @@ def test_import_help_and_quadratic_runs_leave_scipy_special_unloaded(tmp_path):
             assert byzdp.cli.main(["run", "quad.cfg", "--out", "out"]) == 0
             assert byzdp.cli.main(["diagnose", "quad.cfg"]) == 0
         assert "scipy.special" not in sys.modules
+        assert not any(name in sys.modules for name in {POOL_MODULES!r})
     """, tmp_path)
 
 
@@ -75,6 +94,23 @@ def test_building_a_classifier_model_loads_scipy_special(build, tmp_path):
         assert "scipy.special" not in sys.modules
         {build}
         assert "scipy.special" in sys.modules
+    """, tmp_path)
+
+
+def test_only_a_sweep_with_jobs_loads_the_process_pool(tmp_path):
+    (tmp_path / "logistic.cfg").write_text(LOGISTIC_CFG)
+    (tmp_path / "sweep.cfg").write_text(LOGISTIC_CFG + "grid_seed = [1, 2]\n")
+    _python(f"""
+        import contextlib, io, sys
+        import byzdp.cli
+        pool = {POOL_MODULES!r}
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert byzdp.cli.main(["diagnose", "logistic.cfg"]) == 0
+            assert byzdp.cli.main(["sweep", "sweep.cfg", "--jobs", "1", "--out", "one"]) == 0
+        assert not any(name in sys.modules for name in pool)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert byzdp.cli.main(["sweep", "sweep.cfg", "--jobs", "2", "--out", "two"]) == 0
+        assert all(name in sys.modules for name in pool)
     """, tmp_path)
 
 
