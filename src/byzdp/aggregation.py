@@ -16,8 +16,8 @@ Five server-side rules over n submitted vectors, at most f of them forged:
 Every rule shares one input policy: k rows holding NaN or +-inf count
 against f, k > f raises ContractViolationError, and otherwise the rule runs
 on the finite rows with f - k, which keeps its (n, f) constraint. Distances
-that could overflow or underflow are taken on a copy rescaled down or up
-by a power of two.
+that could overflow or underflow, and means that could overflow, are taken
+on a copy rescaled down or up by a power of two.
 
 Tie handling is deterministic everywhere: krum and bulyan prefer the lowest
 worker index among minimal scores, mda prefers the lexicographically smallest
@@ -36,7 +36,7 @@ from .errors import ConfigurationError, ContractViolationError, as_integer
 
 RULES = ("average", "krum", "mda", "median", "bulyan")
 
-_FLOAT_MAX = float(np.finfo(np.float64).max)
+FLOAT_MAX = float(np.finfo(np.float64).max)
 _SQUARE_FLOOR = 2.0 ** -511  # squares of smaller numbers are subnormal
 
 
@@ -98,13 +98,35 @@ def _as_matrix(grads, n: int) -> np.ndarray:
     return g
 
 
-def _mean_rows(rows: np.ndarray) -> np.ndarray:
+def rescaled(rule, rows: np.ndarray, limit: float, top: float | None = None) -> np.ndarray:
+    """rule(rows), taken on rows scaled down by a power of two where it could overflow.
+
+    limit is the largest magnitude of rows at which rule cannot overflow, and
+    top, if given, the rows' largest magnitude. Above limit the rows shrink by
+    the smallest power of two that fits, and the result grows back by it. A
+    power of two scales every normal float exactly, so only subnormal entries
+    lose bits, and rows within limit take the plain path.
+    """
+    if top is None:
+        top = float(np.abs(rows).max(initial=0.0))
+    if not limit < top < math.inf:
+        return rule(rows)
+    shift = math.frexp(top / limit)[1]
+    return np.ldexp(rule(np.ldexp(rows, -shift)), shift)
+
+
+def column_mean(rows: np.ndarray, top: float | None = None) -> np.ndarray:
+    """rows.mean(axis=0); its sum can overflow only above FLOAT_MAX / len(rows)."""
+    return rescaled(lambda r: r.mean(axis=0), rows, FLOAT_MAX / len(rows), top)
+
+
+def _mean_rows(rows: np.ndarray, top: float | None = None) -> np.ndarray:
     # The mean of identical vectors is that vector; summing k copies and
     # dividing can drift by an ulp, so unanimous inputs short-circuit. This
     # keeps unanimity exact, which downstream bit-reproducibility relies on.
     if np.all(rows == rows[0]):
         return rows[0].copy()
-    return rows.mean(axis=0)
+    return column_mean(rows, top)
 
 
 def _pairwise_sq_dists(g: np.ndarray) -> np.ndarray:
@@ -116,7 +138,7 @@ def _pairwise_sq_dists(g: np.ndarray) -> np.ndarray:
     # every square would be subnormal, the rows grow by the power of two that
     # brings top to at most limit (limit / top itself could overflow)
     top = float(np.abs(g).max(initial=0.0))
-    limit = math.sqrt(_FLOAT_MAX / (4.0 * max(g.size, 1)))
+    limit = math.sqrt(FLOAT_MAX / (4.0 * max(g.size, 1)))
     if top > limit:
         g = np.ldexp(g, -math.frexp(top / limit)[1])
     elif 0.0 < top < _SQUARE_FLOOR:
@@ -183,7 +205,7 @@ def _has_cover(adj: list[int], alive: int, k: int) -> bool:
     return top_deg <= k and _has_cover(adj, without & ~adj[top], k - top_deg)
 
 
-def _mda(g: np.ndarray, f: int) -> np.ndarray:
+def _mda(g: np.ndarray, f: int, top: float) -> np.ndarray:
     """Mean of the lexicographically smallest size-(n - f) minimum-diameter subset.
 
     A subset has diameter <= tau exactly when the rows left out cover every
@@ -234,10 +256,10 @@ def _mda(g: np.ndarray, f: int) -> np.ndarray:
         else:
             alive &= ~bit
             budget -= 1
-    return _mean_rows(g[kept])
+    return _mean_rows(g[kept], top)
 
 
-def _bulyan(g: np.ndarray, f: int) -> np.ndarray:
+def _bulyan(g: np.ndarray, f: int, top: float) -> np.ndarray:
     n = g.shape[0]
     d2 = _masked_sq_dists(g)
     pool = list(range(n))
@@ -247,9 +269,16 @@ def _bulyan(g: np.ndarray, f: int) -> np.ndarray:
         scores = _nearest_sums(d2[np.ix_(pool, pool)], f)
         j = int(np.argmin(scores))
         chosen.append(pool.pop(j))
-    sel = g[chosen]
-    med = np.median(sel, axis=0)
     beta = n - 4 * f - 2
+    # a distance to the median, and the median of an even count, reach twice
+    # the largest magnitude; the trimmed mean sums beta values
+    return rescaled(lambda sel: _trimmed_mean(sel, beta), g[chosen],
+                    FLOAT_MAX / max(2, beta), top)
+
+
+def _trimmed_mean(sel: np.ndarray, beta: int) -> np.ndarray:
+    """Per coordinate, the mean of the beta values of sel closest to their median."""
+    med = np.median(sel, axis=0)
     absdiff = np.abs(sel - med[None, :])
     order = np.lexsort((sel, absdiff), axis=0)[:beta]
     vals = np.take_along_axis(sel, order, axis=0)
@@ -265,21 +294,25 @@ def aggregate(spec: GarSpec, grads) -> np.ndarray:
     """
     g = _as_matrix(grads, spec.n)
     f = spec.f
-    if not np.isfinite(g).all():
+    # the largest magnitude, nan or inf when a row is not finite, bounds every mean
+    top = float(np.abs(g).max(initial=0.0))
+    if not math.isfinite(top):
         finite = np.isfinite(g).all(axis=1)
         k = spec.n - int(finite.sum())
         if k > f:
             raise ContractViolationError(
                 f"{k} submissions are non-finite, more than f={f}")
         g, f = g[finite], f - k
+        top = float(np.abs(g).max(initial=0.0))
     if np.all(g == g[0]):
         return g[0].copy()
     if spec.rule == "average":
-        return g.mean(axis=0)
+        return column_mean(g, top)
     if spec.rule == "krum":
         return g[int(np.argmin(_krum_scores(g, f)))].copy()
     if spec.rule == "median":
-        return np.median(g, axis=0)
+        # an even count averages its two middle values
+        return rescaled(lambda r: np.median(r, axis=0), g, FLOAT_MAX / (2 - len(g) % 2), top)
     if spec.rule == "mda":
-        return _mda(g, f)
-    return _bulyan(g, f)
+        return _mda(g, f, top)
+    return _bulyan(g, f, top)

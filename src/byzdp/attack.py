@@ -9,10 +9,12 @@ submissions; ``empire`` scales the honest mean by (1 - zeta).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .aggregation import FLOAT_MAX, column_mean, rescaled
 from .errors import ConfigurationError, ContractViolationError, as_real
 
 ATTACK_KINDS = ("none", "little", "empire")
@@ -45,9 +47,12 @@ def forge(spec: AttackSpec, honest_grads) -> np.ndarray:
     g = np.asarray(honest_grads, dtype=np.float64)
     if g.ndim != 2 or g.shape[0] < 1:
         raise ContractViolationError("need at least one honest gradient")
-    gbar = g.mean(axis=0)
+    top = float(np.abs(g).max(initial=0.0))
+    gbar = column_mean(g, top)
     if spec.kind == "little":
-        return gbar - spec.zeta * g.std(axis=0)
+        # the std sums len(g) squares of deviations of up to 2 top each
+        std = rescaled(lambda r: r.std(axis=0), g, math.sqrt(FLOAT_MAX / len(g)) / 2, top)
+        return gbar - spec.zeta * std
     if spec.kind == "empire":
         return (1.0 - spec.zeta) * gbar
     return gbar

@@ -25,7 +25,8 @@ import numpy as np
 
 from .aggregation import GarSpec, kappa
 from .attack import AttackSpec
-from .diagnostics import convergence_bound, eta_bounds, find_vn_violation, sigma_total
+from .diagnostics import (THEORY_RANGES, convergence_bound, eta_bounds, find_vn_violation,
+                          sigma_total)
 from .engine import (SWEEP_AXES, CellResult, MetricsRecord, RunConfig, RunResult,
                      cell_digest, grid_values, initial_theta, run, sweep)
 from .errors import ConfigurationError, ContractViolationError, DataLoadError, as_real
@@ -63,12 +64,6 @@ DATASET_KEYS = {"blobs": ("dataset_seed", "dataset_size", "half_sep", "axis_std"
 # the sweep axis each grid_ key names
 GRID_KEY_TO_AXIS = {"grid_batch_size": "b", "grid_epsilon": "epsilon", "grid_gar": "gar",
                     "grid_attack": "attack", "grid_f": "f", "grid_seed": "seed"}
-
-# the ranges of the keys that only the theory reads: _load checks them for
-# every command, so that a config is refused by all commands or by none
-THEORY_KEY_RANGES = {"upsilon": dict(low=0),
-                     "alpha": dict(low=0, high=math.pi / 2, open_high=True),
-                     "mu": dict(low=0)}
 
 CSV_COLUMNS = ("run_id", "round", "loss", "grad_norm", "min_sq_grad_norm", "accuracy",
                "s", "gamma", "gar", "attack", "f", "epsilon", "delta", "b", "seed")
@@ -228,8 +223,8 @@ def _load(args) -> tuple[_ReadKeys, RunConfig, dict]:
     checks the grid before any dataset is built. The master seed
     is ``run --seed``, else BYZDP_SEED, else the config's; the returned keys
     hold it whenever it overrides the config, and record each key read.
-    upsilon, alpha and mu are checked against ``THEORY_KEY_RANGES`` and are
-    not recorded.
+    upsilon, alpha and mu are checked against ``diagnostics.THEORY_RANGES``
+    and are not recorded.
     """
     cfg = _ReadKeys(parse_config(args.config))
     grid_keys = [key for key in cfg if key.startswith("grid_")]
@@ -250,7 +245,7 @@ def _load(args) -> tuple[_ReadKeys, RunConfig, dict]:
     if seed is not None:
         cfg["master_seed"] = seed
     config = build_run_config(cfg)
-    for key, bounds in THEORY_KEY_RANGES.items():
+    for key, bounds in THEORY_RANGES.items():
         if key in cfg:
             # dict.get does not record the key, so a value in range moves no run id
             as_real(key, dict.get(cfg, key), ConfigurationError, **bounds)

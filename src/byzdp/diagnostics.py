@@ -28,6 +28,11 @@ from .model import (Dataset, Model, ReadOnlyArrays, full_grad, population_varian
                     quadratic_minimizer, read_only_copy, smoothness_constant)
 from .privacy import checked_budget
 
+# the ranges of the theory's constants: the functions below and every CLI
+# command check them, so that a config is refused by all commands or by none
+THEORY_RANGES = {"upsilon": dict(low=0), "alpha": dict(low=0, high=math.pi / 2, open_high=True),
+                 "mu": dict(low=0)}
+
 
 # ---------------------------------------------------------------- variance
 
@@ -121,7 +126,7 @@ def eta_bounds(kap: float, c: float, d: int, b: int, m: int,
     d = as_integer("d", d, CalibrationError, low=1)
     kap = as_real("kappa", kap, CalibrationError, low=0)
     c = as_real("clip bound", c, CalibrationError, low=0, open_low=True)
-    upsilon = as_real("upsilon", upsilon, CalibrationError, low=0)
+    upsilon = as_real("upsilon", upsilon, CalibrationError, **THEORY_RANGES["upsilon"])
     e_term = math.expm1(epsilon)
     necessary = 4.0 * kap * kap * c * c * d * log_term / (b * m * e_term)
     sufficient = kap * kap * (
@@ -139,7 +144,8 @@ def sigma_total(upsilon: float, d: int, s: float, c: float) -> float:
     wherever the plain root is finite, it is returned as it is.
     """
     d = as_integer("d", d, low=1)
-    upsilon, s = as_real("upsilon", upsilon, low=0), as_real("noise scale", s, low=0)
+    upsilon = as_real("upsilon", upsilon, **THEORY_RANGES["upsilon"])
+    s = as_real("noise scale", s, low=0)
     c = as_real("clip bound", c, low=0, open_low=True)
     sigma = math.sqrt(upsilon * upsilon + d * s * s + c * c)
     if math.isinf(sigma):
@@ -156,8 +162,9 @@ def convergence_bound(eta_sq: float, steps: int, alpha: float, mu: float,
     Holds for the gamma_t = 1/sqrt(t) schedule; alpha and mu are the rule's
     resilience constants. An overflowed eta^2, sigma, Q1 or Q* gives inf.
     """
-    alpha = as_real("alpha", alpha, low=0, high=math.pi / 2, open_high=True)
-    mu, eta_sq = as_real("mu", mu, low=0), as_real("eta^2", eta_sq, low=0, finite=False)
+    alpha = as_real("alpha", alpha, **THEORY_RANGES["alpha"])
+    mu = as_real("mu", mu, **THEORY_RANGES["mu"])
+    eta_sq = as_real("eta^2", eta_sq, low=0, finite=False)
     steps = as_integer("steps", steps, low=1)
     smoothness = as_real("smoothness constant", smoothness, low=0, open_low=True)
     sigma = as_real("sigma", sigma, low=0, finite=False)

@@ -61,39 +61,32 @@ _WORKER_BITS, _ROUND_BITS, _PURPOSE_BITS = 30, 32, 2
 _DRAW_ENTRIES = 1 << 14  # batch indices per sample_batch call: 128 KB
 
 
-def _stream_key(master_seed: int, worker_id: int, round_no: int, purpose: int) -> np.ndarray:
-    # the key is the 64-bit seed and one 64-bit word packing the other three fields
+def worker_stream(master_seed: int, worker_id: int, round_no: int,
+                  purpose: int) -> np.random.Generator:
+    """A fresh generator for one (worker, round, purpose) cell of a run."""
     master_seed = as_integer("master_seed", master_seed, low=0, high=2 ** 64 - 1)
     worker_id = as_integer("worker_id", worker_id, low=0, high=2 ** _WORKER_BITS - 1)
     round_no = as_integer("round_no", round_no, low=0, high=2 ** _ROUND_BITS - 1)
     purpose = as_integer("purpose", purpose, low=0, high=2 ** _PURPOSE_BITS - 1)
-    packed = ((worker_id << (_ROUND_BITS + _PURPOSE_BITS)) | (round_no << _PURPOSE_BITS)
-              | purpose)
-    return np.array([master_seed, packed], dtype=np.uint64)
-
-
-def worker_stream(master_seed: int, worker_id: int, round_no: int,
-                  purpose: int) -> np.random.Generator:
-    """A fresh generator for one (worker, round, purpose) cell of a run."""
-    return np.random.Generator(np.random.Philox(key=_stream_key(
-        master_seed, worker_id, round_no, purpose)))
+    return _StreamPool(master_seed).get(worker_id, round_no, purpose)
 
 
 def initial_theta(config: "RunConfig") -> np.ndarray:
     """The deterministic theta_1 of a run: i.i.d. uniform on [-0.5, 0.5]."""
-    stream = worker_stream(config.master_seed, 0, 0, PURPOSE_INIT)
+    stream = _StreamPool(config.master_seed).get(0, 0, PURPOSE_INIT)
     return stream.uniform(-0.5, 0.5, config.model.dim)
 
 
 class _StreamPool:
-    """Reuses one Philox generator by rekeying it; equals worker_stream draws.
+    """Reuses one Philox generator by rekeying it; equals ``Philox(key=[seed, packed])``.
 
-    A rekey assigns a fresh state of plain Python ints: key (seed, packed
-    cell), counter zero, an exhausted buffer (buffer_pos 4) and no cached
-    32-bit half. That is the state ``Philox(key=...)`` starts in, so every
-    draw matches ``worker_stream``, whatever the previous key left behind.
-    The old state is never read back, which would build numpy arrays per call,
-    and the state dict is built once: a rekey only replaces its key.
+    ``get`` packs its three fields, unchecked, into one 64-bit word. A rekey
+    assigns a fresh state of plain Python ints: key (seed, packed), counter
+    zero, an exhausted buffer (buffer_pos 4) and no cached 32-bit half. That
+    is the state ``Philox(key=...)`` starts in, so every draw matches it,
+    whatever the previous key left behind. The old state is never read back,
+    which would build numpy arrays per call, and the state dict is built
+    once: a rekey only replaces its key.
     """
 
     _ZEROS = (0, 0, 0, 0)

@@ -150,6 +150,14 @@ def test_power_of_two_scaling_commutes_with_every_rule(k):
                                   np.ldexp(aggregate(spec, g), k)), rule
 
 
+def assert_within_columns(out, g):
+    """out is finite and in each column's range, to a relative 1e-12 of its magnitude."""
+    assert np.isfinite(out).all()
+    lo, hi = g.min(axis=0), g.max(axis=0)
+    tol = 1e-12 * np.maximum(np.maximum(np.abs(lo), np.abs(hi)), np.finfo(np.float64).tiny)
+    assert (out >= lo - tol).all() and (out <= hi + tol).all(), (out, lo, hi)
+
+
 @st.composite
 def policy_inputs(draw):
     rule = draw(st.sampled_from(RULES))
@@ -157,8 +165,9 @@ def policy_inputs(draw):
     low = {"average": 1, "krum": 2 * f + 3, "bulyan": 4 * f + 3}.get(rule, 2 * f + 1)
     n = draw(st.integers(low, low + 4))
     d = draw(st.integers(1, 4))
-    value = st.one_of(st.sampled_from([-1e300, -1.0, 0.0, 1.0, 1e300]),
-                      st.floats(-1e300, 1e300))
+    value = st.one_of(st.sampled_from([-1.7e308, -1e300, -1.0, 0.0, 5e-324, 1.0, 1e300,
+                                       1.7e308]),
+                      st.floats(-1.7e308, 1.7e308))
     rows = draw(st.lists(st.lists(value, min_size=d, max_size=d), min_size=n, max_size=n))
     g = np.array(rows)
     for r in draw(st.lists(st.integers(0, n - 1), max_size=f + 1, unique=True)):
@@ -182,7 +191,20 @@ def test_every_rule_returns_a_finite_vector_or_raises(instance):
     # the identity that lets mda skip symmetrising its distances
     assert np.array_equal(d2, d2.T)
     assert out.shape == (g.shape[1],)
-    assert np.isfinite(out).all()
+    # no sum overflows, even of rows near the float maximum
+    assert_within_columns(out, g[finite])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("rule,n,f", [("average", 15, 0), ("mda", 15, 3), ("median", 14, 3),
+                                      ("bulyan", 15, 2), ("krum", 15, 3), ("median", 15, 3),
+                                      ("bulyan", 15, 3)])
+def test_rows_near_the_float_maximum_keep_a_finite_aggregate(rule, n, f):
+    # the first four took a plain sum of up to 15 such rows, which overflowed
+    # to inf; krum, an odd median and bulyan at beta = 1 sum none
+    rng = np.random.default_rng(1)
+    g = (1.5e308 + rng.uniform(-1e306, 1e306, size=(15, 4)))[:n]
+    assert_within_columns(aggregate(GarSpec(rule, n, f), g), g)
 
 
 @pytest.mark.filterwarnings("error")

@@ -1,9 +1,13 @@
 """Forged-gradient behaviors."""
 
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from byzdp import AttackSpec, ConfigurationError, ContractViolationError, forge
 
@@ -68,3 +72,56 @@ def test_forge_permutation_invariant():
 def test_forge_rejects_empty():
     with pytest.raises(ContractViolationError):
         forge(AttackSpec("little"), np.empty((0, 3)))
+
+
+def forged_exactly(kind, zeta, g):
+    """The attack formula in 200-bit arithmetic, whose exponent cannot overflow."""
+    with mpmath.workprec(200):
+        out = []
+        for column in g.T:
+            xs = [mpmath.mpf(float(x)) for x in column]
+            mean = mpmath.fsum(xs) / len(xs)
+            std = mpmath.sqrt(mpmath.fsum((x - mean) ** 2 for x in xs) / len(xs))
+            out.append({"none": mean, "little": mean - zeta * std,
+                        "empire": (1 - mpmath.mpf(zeta)) * mean}[kind])
+        return out
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind", ["none", "little", "empire"])
+def test_rows_near_the_float_maximum_forge_a_finite_vector(kind):
+    # a plain mean of these rows overflowed to inf, and the std to nan
+    rng = np.random.default_rng(1)
+    g = (1.5e308 + rng.uniform(-1e306, 1e306, size=(15, 4)))[:12]
+    spec = AttackSpec(kind)
+    out = forge(spec, g)
+    assert np.isfinite(out).all()
+    want = forged_exactly(kind, spec.zeta, g)
+    np.testing.assert_allclose(out, [float(x) for x in want], rtol=1e-12)
+
+
+@st.composite
+def extreme_honest(draw):
+    k, d = draw(st.integers(1, 8)), draw(st.integers(1, 4))
+    value = st.one_of(st.sampled_from([-1.7e308, -1e308, -1.0, 0.0, 5e-324, 1.5e308, 1.7e308]),
+                      st.floats(-1.7e308, 1.7e308))
+    rows = draw(st.lists(st.lists(value, min_size=d, max_size=d), min_size=k, max_size=k))
+    return draw(st.sampled_from(["none", "little", "empire"])), np.array(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(extreme_honest())
+def test_forge_matches_its_formula_up_to_the_float_maximum(instance):
+    kind, g = instance
+    spec = AttackSpec(kind)
+    want = forged_exactly(kind, spec.zeta, g)
+    # little can leave the float range: mean - std reaches twice the largest row entry
+    assume(all(abs(x) <= np.finfo(np.float64).max / 2 for x in want))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        out = forge(spec, g)
+    assert np.isfinite(out).all()
+    # the mean and the std are each exact to a relative 1e-12 of the largest entry
+    top = float(np.abs(g).max())
+    for got, exact in zip(out, want):
+        assert abs(mpmath.mpf(float(got)) - exact) <= 1e-12 * (1 + spec.zeta) * top

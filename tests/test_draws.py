@@ -13,7 +13,6 @@ from types import SimpleNamespace
 import numpy as np
 
 from byzdp import Dataset, gaussian_noise, initial_theta, sample_batch, worker_stream
-from byzdp.engine import _stream_key
 
 
 def _digest(row):
@@ -38,7 +37,7 @@ def test_numpy_draws_are_the_pinned_values():
             moved.append(f"{method}: got {got!r}, want {want!r}")
 
     for key, words in (
-            (_stream_key(0, 3, 1589, 0),
+            (np.array([0, (3 << 34) | (1589 << 2)], dtype=np.uint64),
              [4331759606460888024, 12747536189198220474, 14014711199149326840,
               11536703904378316646]),
             (np.array([2**64 - 1, 2**63 + 12345], dtype=np.uint64),

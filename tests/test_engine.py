@@ -45,12 +45,18 @@ def test_worker_streams_are_keyed_and_disjoint():
         assert not np.array_equal(a, other)
 
 
+def philox_stream(seed, worker, rno, purpose):
+    """numpy's own Philox, keyed as README "Determinism" writes the key out."""
+    packed = (worker << 34) | (rno << 2) | purpose
+    return np.random.Generator(np.random.Philox(key=np.array([seed, packed], dtype=np.uint64)))
+
+
 def test_stream_pool_matches_fresh_streams():
     pool = _StreamPool(99)
     gen = pool.get(0, 1, 0)
     for worker, rno, purpose in ((0, 1, 0), (3, 2, 1), (7, 40, 0), (2, 1, 2)):
         got = pool.get(worker, rno, purpose).normal(size=6)
-        want = worker_stream(99, worker, rno, purpose).normal(size=6)
+        want = philox_stream(99, worker, rno, purpose).normal(size=6)
         assert np.array_equal(got, want)
     # interleaved consumption does not leak state between keys
     g1 = pool.get(0, 1, 0)
@@ -63,7 +69,7 @@ def test_stream_pool_matches_fresh_streams():
                      lambda r: r.integers(0, 2**60, size=3)):
         leftover(pool.get(5, 6, 0))
         got = pool.get(5, 6, 1).integers(0, 2**40, size=9)
-        assert np.array_equal(got, worker_stream(99, 5, 6, 1).integers(0, 2**40, size=9))
+        assert np.array_equal(got, philox_stream(99, 5, 6, 1).integers(0, 2**40, size=9))
     assert pool.get(1, 1, 1) is gen
     # the largest master seed, worker id and round the key can hold
     seed, worker, rno = 2**64 - 1, 2**30 - 1, 2**32 - 1
@@ -73,10 +79,12 @@ def test_stream_pool_matches_fresh_streams():
     for purpose in (PURPOSE_BATCH, PURPOSE_NOISE, PURPOSE_INIT):
         got = pool.get(worker, rno, purpose)
         assert got is gen
-        want = worker_stream(seed, worker, rno, purpose)
+        want = philox_stream(seed, worker, rno, purpose)
         assert np.array_equal(got.standard_normal(5), want.standard_normal(5))
         assert np.array_equal(got.integers(0, 2**31, dtype=np.int32),
                               want.integers(0, 2**31, dtype=np.int32))
+        assert np.array_equal(worker_stream(seed, worker, rno, purpose).random(3),
+                              philox_stream(seed, worker, rno, purpose).random(3))
 
 
 # per case: calls of batch_grads, clip, full_grad and full_loss per run
@@ -133,11 +141,13 @@ def test_round_loop_draws_through_module_bindings(monkeypatch, b, entries, calls
     layered = {key: counts.pop(key) for key in ("grads", "clip", "full_grad", "full_loss")}
     drawn = b < 40
     rounds = (entries or byzdp.engine._DRAW_ENTRIES) // (n_honest * b)
+    # theta_1 is keyed once, from its own pool
     assert counts == {"batch": math.ceil(steps / rounds) * drawn, "noise": steps,
-                      "rekey": n_honest * steps * drawn + n_honest * steps}
+                      "rekey": n_honest * steps * drawn + n_honest * steps + 1}
     # every (worker, round, purpose) cell is keyed once, and none past the last round
     cells = [(w, t, p) for t in range(1, steps + 1) for w in range(n_honest)
              for p in (PURPOSE_BATCH, PURPOSE_NOISE) if drawn or p == PURPOSE_NOISE]
+    cells.append((0, 0, PURPOSE_INIT))
     assert sorted(keys) == sorted(cells)
     # per-point gradients and clipping may run in several blocks per round
     assert layered["grads"] >= steps and layered["clip"] >= steps
