@@ -4,7 +4,8 @@ Five server-side rules over n submitted vectors, at most f of them forged:
 
 * average - plain mean, only meaningful with f = 0;
 * krum    - scores each vector by the summed squared distances to its
-            n - f - 2 nearest peers and returns the lowest-scoring vector;
+            n - f - 2 nearest peers and returns the lowest-scoring vector:
+            one pass of the selection that bulyan repeats;
 * mda     - returns the mean of the size-(n - f) subset with the smallest
             diameter (exact, by a threshold search for the smallest
             diameter whose conflict graph has a vertex cover of at most f
@@ -17,7 +18,8 @@ Every rule shares one input policy: k rows holding NaN or +-inf count
 against f, k > f raises ContractViolationError, and otherwise the rule runs
 on the finite rows with f - k, which keeps its (n, f) constraint. Distances
 that could overflow or underflow, and means that could overflow, are taken
-on a copy rescaled down or up by a power of two.
+on a copy rescaled down or up by a power of two, chosen from the largest
+magnitude of the rows, which ``aggregate`` takes once and every rule reuses.
 
 Tie handling is deterministic everywhere: krum and bulyan prefer the lowest
 worker index among minimal scores, mda prefers the lexicographically smallest
@@ -129,15 +131,15 @@ def _mean_rows(rows: np.ndarray, top: float | None = None) -> np.ndarray:
     return column_mean(rows, top)
 
 
-def _pairwise_sq_dists(g: np.ndarray) -> np.ndarray:
-    # a difference is at most 2 top and a krum score sums fewer than n
-    # distances of d terms each, so nothing overflows while top <= limit.
+def _pairwise_sq_dists(g: np.ndarray, top: float) -> np.ndarray:
+    # top is the largest magnitude of g. A difference is at most 2 top and a
+    # krum score sums fewer than n distances of d terms each, so nothing
+    # overflows while top <= limit.
     # Above it the rows shrink by the smallest power of two that fits: exact,
     # and squares stay normal for differences down to about sqrt(n d)
     # 2^-1022 top (below about sqrt(n d) 2^-1048 top they vanish). When
     # every square would be subnormal, the rows grow by the power of two that
     # brings top to at most limit (limit / top itself could overflow)
-    top = float(np.abs(g).max(initial=0.0))
     limit = math.sqrt(FLOAT_MAX / (4.0 * max(g.size, 1)))
     if top > limit:
         g = np.ldexp(g, -math.frexp(top / limit)[1])
@@ -147,21 +149,24 @@ def _pairwise_sq_dists(g: np.ndarray) -> np.ndarray:
     return np.einsum("ijk,ijk->ij", diff, diff)
 
 
-def _masked_sq_dists(g: np.ndarray) -> np.ndarray:
-    d2 = _pairwise_sq_dists(g)
+def _krum_select(g: np.ndarray, f: int, top: float, passes: int) -> list[int]:
+    """The rows that `passes` krum passes pick, in the order they pick them.
+
+    Each pass scores every row left in the pool by its summed squared
+    distances to the len(pool) - f - 2 nearest other rows of the pool, and
+    takes the lowest score out of the pool (the lowest index among ties).
+    One distance matrix serves every pass.
+    """
+    d2 = _pairwise_sq_dists(g, top)
     np.fill_diagonal(d2, np.inf)
-    return d2
-
-
-def _nearest_sums(d2: np.ndarray, f: int) -> np.ndarray:
-    """Row sums of the n - f - 2 smallest entries of d2, sorted in place."""
-    d2.sort(axis=1)
-    return d2[:, :d2.shape[0] - f - 2].sum(axis=1)
-
-
-def _krum_scores(g: np.ndarray, f: int) -> np.ndarray:
-    """Summed squared distances to the n - f - 2 nearest other vectors."""
-    return _nearest_sums(_masked_sq_dists(g), f)
+    pool = list(range(g.shape[0]))
+    chosen: list[int] = []
+    for _ in range(passes):
+        near = d2.take(pool, axis=0).take(pool, axis=1)
+        near.sort(axis=1)
+        scores = near[:, :len(pool) - f - 2].sum(axis=1)
+        chosen.append(pool.pop(int(np.argmin(scores))))
+    return chosen
 
 
 # -------------------------------------------------------------------- rules
@@ -218,7 +223,7 @@ def _mda(g: np.ndarray, f: int, top: float) -> np.ndarray:
     size = n - f
     # einsum sums the same squares in the same order for (u, v) and (v, u),
     # so dist is symmetric, as the cover search needs
-    dist = np.sqrt(_pairwise_sq_dists(g))
+    dist = np.sqrt(_pairwise_sq_dists(g, top))
     # every diameter is an entry of dist (the diagonal's 0.0 for one row)
     taus = np.unique(dist)
     # each of the size rows of the best subset has size entries <= D* in
@@ -261,14 +266,7 @@ def _mda(g: np.ndarray, f: int, top: float) -> np.ndarray:
 
 def _bulyan(g: np.ndarray, f: int, top: float) -> np.ndarray:
     n = g.shape[0]
-    d2 = _masked_sq_dists(g)
-    pool = list(range(n))
-    chosen: list[int] = []
-    for _ in range(n - 2 * f - 2):
-        # the krum scores of the pool, from one distance matrix for all passes
-        scores = _nearest_sums(d2[np.ix_(pool, pool)], f)
-        j = int(np.argmin(scores))
-        chosen.append(pool.pop(j))
+    chosen = _krum_select(g, f, top, n - 2 * f - 2)
     beta = n - 4 * f - 2
     # a distance to the median, and the median of an even count, reach twice
     # the largest magnitude; the trimmed mean sums beta values
@@ -294,7 +292,7 @@ def aggregate(spec: GarSpec, grads) -> np.ndarray:
     """
     g = _as_matrix(grads, spec.n)
     f = spec.f
-    # the largest magnitude, nan or inf when a row is not finite, bounds every mean
+    # the largest magnitude, nan or inf when a row is not finite, bounds every mean and distance
     top = float(np.abs(g).max(initial=0.0))
     if not math.isfinite(top):
         finite = np.isfinite(g).all(axis=1)
@@ -309,7 +307,7 @@ def aggregate(spec: GarSpec, grads) -> np.ndarray:
     if spec.rule == "average":
         return column_mean(g, top)
     if spec.rule == "krum":
-        return g[int(np.argmin(_krum_scores(g, f)))].copy()
+        return g[_krum_select(g, f, top, 1)[0]].copy()
     if spec.rule == "median":
         # an even count averages its two middle values
         return rescaled(lambda r: np.median(r, axis=0), g, FLOAT_MAX / (2 - len(g) % 2), top)

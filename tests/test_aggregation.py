@@ -11,8 +11,9 @@ from hypothesis import given, settings, target
 from hypothesis import strategies as st
 
 from byzdp import ConfigurationError, ContractViolationError, GarSpec, aggregate, kappa
-from byzdp.aggregation import RULES, _krum_scores, _mean_rows, _pairwise_sq_dists
-from oracles import mda_bruteforce, mda_enumerate
+from byzdp.aggregation import RULES, _mean_rows, _pairwise_sq_dists
+from oracles import (bulyan_loop, krum_oracle, mda_bruteforce, mda_enumerate, minmax_row,
+                     tailored_row)
 
 
 def vecs(*scalars):
@@ -119,12 +120,17 @@ def test_unanimous_non_finite_rows():
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("rule", ["krum", "median", "bulyan"])
+@pytest.mark.parametrize("rule", ["krum", "mda", "median", "bulyan"])
 def test_one_nan_row_is_dropped_against_f(rule):
-    g = np.random.default_rng(19).normal(0, 1, (11, 4))
-    g[6, 2] = np.nan
-    out = aggregate(GarSpec(rule, 11, 2), g)
-    assert np.array_equal(out, aggregate(GarSpec(rule, 10, 1), np.delete(g, 6, 0)))
+    # at scale 1e200 distances are taken on rows scaled down, at 1e-300 on
+    # rows scaled up, each by the magnitude of the finite rows alone
+    for bad in (np.nan, np.inf, -np.inf):
+        for scale in (1.0, 1e200, 1e-300):
+            g = np.random.default_rng(19).normal(0, scale, (11, 4))
+            g[6, 2] = bad
+            out = aggregate(GarSpec(rule, 11, 2), g)
+            want = aggregate(GarSpec(rule, 10, 1), np.delete(g, 6, 0))
+            assert np.array_equal(out, want), (bad, scale)
 
 
 RULE_CASES = (("average", 9, 0), ("krum", 9, 2), ("mda", 9, 3), ("median", 9, 4),
@@ -182,7 +188,7 @@ def test_every_rule_returns_a_finite_vector_or_raises(instance):
     finite = np.isfinite(g).all(axis=1)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        d2 = _pairwise_sq_dists(g[finite])
+        d2 = _pairwise_sq_dists(g[finite], float(np.abs(g[finite]).max(initial=0.0)))
         if spec.n - int(finite.sum()) > spec.f:
             with pytest.raises(ContractViolationError, match="non-finite"):
                 aggregate(spec, g)
@@ -215,7 +221,7 @@ def test_pairwise_sq_dists_symmetric_at_workload_dimensions(d, top):
     # remainder, on the plain path (top 1) and the rescaled one (top 1e200)
     g = np.random.default_rng(d).normal(0, 1, (15, d))
     g[3] *= top
-    d2 = _pairwise_sq_dists(g)
+    d2 = _pairwise_sq_dists(g, float(np.abs(g).max(initial=0.0)))
     assert np.array_equal(d2, d2.T)
 
 
@@ -260,17 +266,6 @@ def test_median_even_count_midpoint():
     assert aggregate(GarSpec("median", 4, 1), vecs(1, 2, 4, 100)) == pytest.approx([3.0])
 
 
-def krum_oracle(grads, f):
-    """Brute-force scores: sum of squared distances to the n-f-2 closest peers."""
-    n = len(grads)
-    scores = []
-    for i in range(n):
-        dists = sorted(float(np.linalg.norm(grads[i] - grads[j]) ** 2)
-                       for j in range(n) if j != i)
-        scores.append(sum(dists[: n - f - 2]))
-    return scores
-
-
 def test_krum_example_scores():
     grads = vecs(0, 0.1, 0.2, 0.3, 10)
     scores = krum_oracle(grads, 1)
@@ -313,24 +308,6 @@ def test_bulyan_never_picks_far_outlier():
 
 
 # ------------------------------------------------------ oracle equivalence
-
-def bulyan_loop(g, f):
-    """Reference Bulyan with the trimmed mean taken one coordinate at a time."""
-    n = g.shape[0]
-    pool = list(range(n))
-    chosen = []
-    for _ in range(n - 2 * f - 2):
-        chosen.append(pool.pop(int(np.argmin(_krum_scores(g[pool], f)))))
-    sel = g[chosen]
-    med = np.median(sel, axis=0)
-    beta = n - 4 * f - 2
-    absdiff = np.abs(sel - med[None, :])
-    out = np.empty(g.shape[1])
-    for j in range(g.shape[1]):
-        order = np.lexsort((sel[:, j], absdiff[:, j]))
-        out[j] = sel[order[:beta], j].mean()
-    return out
-
 
 @pytest.mark.parametrize("kind", ["random", "dyadic", "wide_trim"])
 def test_bulyan_matches_loop_oracle(kind):
@@ -452,39 +429,51 @@ def test_median_is_coordinate_wise():
 # ------------------------------------------------------------ error bounds
 
 @st.composite
-def honest_and_forged(draw, per_f=2, extra=1):
-    """(f, honest rows, all n rows): at least n - f moderate honest rows and up
-    to f forged rows of any floats, NaN, +-inf and 1e300 included, in any order.
+def honest_and_forged(draw, rule):
+    """(forger, f, honest rows, all n rows): at least n - f moderate honest rows
+    and k <= f forged rows, in any order, n at most 5 above the least n the
+    rule accepts.
 
-    n is at least per_f f + extra, the least n the rule accepts.
+    The forger makes the forged rows: "free" draws any floats, NaN, +-inf and
+    1e300 included; "minmax" sends k copies of ``minmax_row(honest)`` and
+    "tailored" k copies of the rule's ``tailored_row``.
     """
     f = draw(st.integers(0, 3))
-    n = draw(st.integers(per_f * f + extra, per_f * f + extra + 5))
+    low = {"krum": 2 * f + 3, "bulyan": 4 * f + 3}.get(rule, 2 * f + 1)
+    n = draw(st.integers(low, low + 5))
     d = draw(st.integers(1, 4))
     k = draw(st.integers(0, f))
     honest = np.array(draw(st.lists(st.lists(st.floats(-1e3, 1e3), min_size=d, max_size=d),
                                     min_size=n - k, max_size=n - k)))
-    value = st.one_of(st.sampled_from([-1e300, 1e300, np.nan, np.inf, -np.inf]), st.floats())
-    forged = draw(st.lists(st.lists(value, min_size=d, max_size=d), min_size=k, max_size=k))
+    forger = draw(st.sampled_from(["free", "minmax", "tailored"]))
+    if forger == "free":
+        value = st.one_of(st.sampled_from([-1e300, 1e300, np.nan, np.inf, -np.inf]),
+                          st.floats())
+        forged = np.reshape(draw(st.lists(st.lists(value, min_size=d, max_size=d),
+                                          min_size=k, max_size=k)), (k, d))
+    elif forger == "minmax":
+        forged = np.tile(minmax_row(honest), (k, 1))
+    else:
+        forged = np.tile(tailored_row(GarSpec(rule, n, f), honest, k), (k, 1))
     order = draw(st.permutations(range(n)))
     g = np.empty((n, d))
     g[order[:n - k]] = honest
-    g[order[n - k:]] = np.reshape(forged, (k, d))
-    return f, honest, g
+    g[order[n - k:]] = forged
+    return forger, f, honest, g
 
 
 @settings(max_examples=300, deadline=None)
-@given(honest_and_forged())
+@given(honest_and_forged("median"))
 def test_median_stays_inside_the_honest_range(instance):
     # more than half of the finite rows are honest, so both middle values of
     # each coordinate, and their mean, lie between honest values
-    f, honest, g = instance
+    _, f, honest, g = instance
     out = aggregate(GarSpec("median", g.shape[0], f), g)
     assert np.all(honest.min(axis=0) <= out) and np.all(out <= honest.max(axis=0))
 
 
 @settings(max_examples=300, deadline=None)
-@given(honest_and_forged())
+@given(honest_and_forged("mda"))
 def test_mda_error_is_at_most_twice_the_honest_diameter(instance):
     """|R - mean(H)| <= 2 diam(H) for the mda output R and the honest rows H.
 
@@ -498,7 +487,7 @@ def test_mda_error_is_at_most_twice_the_honest_diameter(instance):
     squares are taken on rows shrunk by up to 2 top / limit as
     ``_pairwise_sq_dists`` shrinks them, with subnormal spacing 2^-1074.
     """
-    f, honest, g = instance
+    _, f, honest, g = instance
     n, d = g.shape
     out = aggregate(GarSpec("mda", n, f), g)
     mean = honest.mean(axis=0)
@@ -514,7 +503,7 @@ def test_mda_error_is_at_most_twice_the_honest_diameter(instance):
 
 
 @settings(max_examples=300, deadline=None)
-@given(honest_and_forged(per_f=4, extra=3))
+@given(honest_and_forged("bulyan"))
 def test_bulyan_stays_within_the_honest_width_of_the_honest_range(instance):
     """Per coordinate, lo - w <= R <= hi + w for the honest range [lo, hi], w = hi - lo.
 
@@ -530,7 +519,7 @@ def test_bulyan_stays_within_the_honest_width_of_the_honest_range(instance):
     rounding of w, and the mean of beta values rounds by a few ulps of their
     magnitude, at most max|H| + 2w.
     """
-    f, honest, g = instance
+    _, f, honest, g = instance
     n = g.shape[0]
     out = aggregate(GarSpec("bulyan", n, f), g)
     lo, hi = honest.min(axis=0), honest.max(axis=0)
@@ -542,18 +531,19 @@ def test_bulyan_stays_within_the_honest_width_of_the_honest_range(instance):
 
 
 @settings(max_examples=300, deadline=None)
-@given(honest_and_forged(per_f=2, extra=3))
+@given(honest_and_forged("krum"))
 def test_krum_returns_a_submitted_row_and_targets_its_error(instance):
     # no bound is asserted on krum's error; target() steers the search toward
-    # a large |R - mean(H)| / diam(H), which hypothesis reports with --hypothesis-show-statistics
-    f, honest, g = instance
+    # a large |R - mean(H)| / diam(H) under each forger, which hypothesis
+    # reports with --hypothesis-show-statistics
+    forger, f, honest, g = instance
     out = aggregate(GarSpec("krum", g.shape[0], f), g)
     finite = g[np.isfinite(g).all(axis=1)]
     assert any(np.array_equal(out, row) for row in finite)
     diam = max((float(np.linalg.norm(u - v)) for u in honest for v in honest), default=0.0)
     if diam > 0:
         target(float(np.linalg.norm(out - honest.mean(axis=0))) / diam,
-               label="krum |R - mean(H)| / diam(H)")
+               label=f"krum |R - mean(H)| / diam(H), {forger} forgery")
 
 
 # ---------------------------------------------------------------- invariants
