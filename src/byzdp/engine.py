@@ -492,6 +492,18 @@ def _run_cell(config: RunConfig) -> tuple[RunResult | None, str | None]:
         return None, str(exc)
 
 
+_worker_base: RunConfig | None = None  # a sweep's base, kept by each of its pool workers
+
+
+def _keep_base(base: RunConfig) -> None:
+    global _worker_base
+    _worker_base = base
+
+
+def _run_params(params: dict) -> tuple[RunResult | None, str | None]:
+    return _run_cell(_resolve_cell(_worker_base, params))
+
+
 def sweep(base: RunConfig, grid: dict, jobs: int = 1) -> list[CellResult]:
     """Run the Cartesian product of the grid axes over the base configuration.
 
@@ -502,8 +514,12 @@ def sweep(base: RunConfig, grid: dict, jobs: int = 1) -> list[CellResult]:
     ConfigurationError before any cell is made for None on another axis, or
     for a value named twice on one axis. Invalid cells are reported as failed
     and do not stop the sweep. Every cell resolves to its RunConfig in the
-    caller; only the runs go to the ``jobs`` worker processes, at most one
-    per cell that resolved. Results are returned in deterministic product
+    caller, so a cell that does not resolve never reaches a worker; the runs
+    go to the ``jobs`` worker processes, at most one per cell that resolved.
+    Each worker receives the base configuration once, when it starts, and
+    then only each cell's params dict, which it resolves with the same
+    deterministic ``_resolve_cell`` the caller used, so no cell's dataset
+    is pickled per cell. Results are returned in deterministic product
     order regardless of the job count. The process pool is imported here,
     when more than one cell runs on more than one job, so that no single run
     and no one-job sweep loads ``multiprocessing``.
@@ -517,14 +533,15 @@ def sweep(base: RunConfig, grid: dict, jobs: int = 1) -> list[CellResult]:
             cells.append((params, _resolve_cell(base, params), None))
         except (ConfigurationError, ContractViolationError) as exc:
             cells.append((params, None, str(exc)))
-    configs = [config for _, config, _ in cells if config is not None]
-    workers = min(jobs, len(configs))
+    runnable = [(params, config) for params, config, _ in cells if config is not None]
+    workers = min(jobs, len(runnable))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_run_cell, configs))
+        with ProcessPoolExecutor(max_workers=workers, initializer=_keep_base,
+                                 initargs=(base,)) as pool:
+            outcomes = list(pool.map(_run_params, [params for params, _ in runnable]))
     else:
-        outcomes = [_run_cell(config) for config in configs]
+        outcomes = [_run_cell(config) for _, config in runnable]
     runs = iter(outcomes)
     return [CellResult(params, config,
                        *(next(runs) if config is not None else (None, reason)))

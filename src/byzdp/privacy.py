@@ -58,6 +58,11 @@ def amplified_epsilon(epsilon: float, b: int, m: int) -> float:
 def inner_epsilon(epsilon: float, b: int, m: int) -> float:
     """Inverse of the amplification map: the budget the inner mechanism must meet."""
     epsilon = _check_amplification(epsilon, b, m)
+    return _inner_epsilon(epsilon, b, m)
+
+
+def _inner_epsilon(epsilon: float, b: int, m: int) -> float:
+    # epsilon, b and m already checked, by _check_amplification or checked_budget
     return math.log1p((m / b) * math.expm1(epsilon))
 
 
@@ -138,7 +143,7 @@ class PrivacyParams:
     def __post_init__(self):
         epsilon, delta, b, m, log_term = checked_budget(self.epsilon, self.delta, self.b, self.m)
         c = as_real("clip bound", self.c, CalibrationError, low=0, open_low=True)
-        eps_inner = inner_epsilon(epsilon, b, m)
+        eps_inner = _inner_epsilon(epsilon, b, m)
         s = (2.0 * c / (b * eps_inner)) * math.sqrt(2.0 * log_term)
         if not 0.0 < s < math.inf:
             raise CalibrationError(

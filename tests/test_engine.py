@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import math
+import pickle
 import tracemalloc
 from dataclasses import FrozenInstanceError, replace
 
@@ -21,6 +22,7 @@ from byzdp.cli import summary_csv_text
 from byzdp.model import batch_grads
 import byzdp.engine
 import byzdp.model
+from test_lazy_scipy import _python
 
 
 def quadratic_config(**overrides):
@@ -940,9 +942,9 @@ def test_sweep_starts_at_most_one_worker_per_runnable_cell(monkeypatch):
     real_executor = concurrent.futures.ProcessPoolExecutor
     started = []
 
-    def executor(max_workers):
+    def executor(max_workers, **kwargs):
         started.append(max_workers)
-        return real_executor(max_workers=max_workers)
+        return real_executor(max_workers=max_workers, **kwargs)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", executor)
     base = small_sweep_base()
@@ -956,6 +958,61 @@ def test_sweep_starts_at_most_one_worker_per_runnable_cell(monkeypatch):
     for jobs in (0, -1):
         with pytest.raises(ContractViolationError, match=f"need jobs >= 1, got {jobs}"):
             sweep(base, {"seed": [1]}, jobs=jobs)
+
+
+def test_sweep_sends_each_worker_the_base_once_and_each_cell_its_params(monkeypatch):
+    # every cell's whole config, dataset included, once went through the call queue
+    started, mapped = {}, []
+
+    class Recording(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            started.update(kwargs)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+        def map(self, fn, items, **kwargs):
+            items = list(items)
+            mapped.extend(items)
+            return super().map(fn, items, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    base = replace(small_sweep_base(), dataset=gaussian_blobs(4, 600, 3),
+                   privacy=PrivacyParams(0.5, 1e-4, 1.5, 8, 600))
+    # bulyan needs n >= 4f+3 = 7 > 5, so its cells resolve in the caller and stop there
+    grid = {"b": [8, 20], "gar": ["median", "bulyan"], "seed": [1, 2]}
+    parallel = sweep(base, grid, jobs=2)
+    assert started["initargs"][0] is base
+    assert mapped == [cell.params for cell in parallel if cell.ok]
+    assert len(mapped) == 4
+    assert len(pickle.dumps(mapped)) < 10_000 < len(pickle.dumps(base.dataset))
+    serial = sweep(base, grid, jobs=1)
+    assert [cell.ok for cell in parallel] == [cell.ok for cell in serial]
+    for a, b in zip(parallel, serial):
+        assert a.cell_id == b.cell_id
+        assert a.config == b.config and (a.config is None or a.config.dataset is base.dataset)
+        if a.ok:
+            assert a.result.records == b.result.records
+            assert a.result.theta.tobytes() == b.result.theta.tobytes()
+
+
+@pytest.mark.parametrize("method", ["forkserver", "spawn"])
+def test_a_sweep_under_a_start_method_without_fork_matches_one_job(method, tmp_path):
+    # macOS starts pool workers by spawn, and Python 3.14 makes forkserver the
+    # Linux default; either pickles the base into each worker once
+    base = small_sweep_base()
+    grid = {"b": [8, 20], "seed": [1, 2]}
+    (tmp_path / "base.pkl").write_bytes(pickle.dumps(base))
+    out = _python(f"""
+        import multiprocessing, pickle, sys
+        multiprocessing.set_start_method({method!r})
+        from byzdp import sweep
+        with open("base.pkl", "rb") as fh:
+            cells = sweep(pickle.load(fh), {grid!r}, jobs=2)
+        sys.stdout.buffer.write(pickle.dumps(
+            [(cell.result.records, cell.result.theta.tobytes()) for cell in cells]))
+    """, tmp_path)
+    serial = sweep(base, grid, jobs=1)
+    assert pickle.loads(out) == [(cell.result.records, cell.result.theta.tobytes())
+                                 for cell in serial]
 
 
 def test_sweep_epsilon_axis_recalibrates():
